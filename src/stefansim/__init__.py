@@ -14,13 +14,13 @@ from .kernels import (BoundReport, deriv_y, eval_G, eval_G_r, eval_H,
                       verify_kernel_bounds)
 from .lob import (FitResult, LobEventStream, fit_coefficients, parse_events,
                   simulate_price)
-from .noise import NoiseField, sample_white_noise
+from .noise import NoiseField, NoiseStream, sample_white_noise
 from .obstacle import ObstacleSolution, solve_penalized, solve_projected, stability_gap
 from .picard import IterationReport, KernelTables, build_kernel_tables, mild_solve_w, picard_iterate
 from .regularity import (HolderEstimate, boundary_holder, estimate_holder,
                          estimate_holder_ensemble, structure_function)
 from .spde import (CoupledState, ModelCoefficients, Trajectory,
-                   constant_coefficients, run_relative_frame, step_reflected,
+                   constant_coefficients, run_paths, run_relative_frame, step_reflected,
                    tabulated_coefficients, weighted_norm)
 
 __version__ = "0.1.0"

@@ -91,18 +91,28 @@ def _g_lambda_weights(grid: GridSpec, lam: float) -> np.ndarray:
     return w
 
 
-def g_lambda(k: np.ndarray, grid: GridSpec, lam: float) -> float:
+def g_lambda(k: np.ndarray, grid: GridSpec, lam: float):
     """Trapezoid quadrature of lam^2 exp(-lam x) k(x) over [0, 1].
 
     On half-line grids only nodes with x <= 1 contribute (the weight makes
-    the remainder negligible for the lam values of interest).
+    the remainder negligible for the lam values of interest).  A stack of
+    profiles (P, n_nodes) gives one value per row.  Each row is reduced by
+    its own ``np.dot``: a matrix product sums in another order, and a
+    row's value must not depend on the batch it is part of.
     """
     k = grid.check_profile(k)
-    return float(np.dot(_g_lambda_weights(grid, float(lam)), k))
+    w = _g_lambda_weights(grid, float(lam))
+    if k.ndim == 1:
+        return float(np.dot(w, k))
+    rows = np.ascontiguousarray(k).reshape(-1, grid.n_nodes)
+    return np.array([np.dot(w, row) for row in rows]).reshape(k.shape[:-1])
 
 
 def F_Mr(u: np.ndarray, grid: GridSpec, M: float, r: float) -> np.ndarray:
-    """Weighted cap e^{rx} min(e^{-rx} u(x), M); idempotent bit-for-bit."""
+    """Weighted cap e^{rx} min(e^{-rx} u(x), M); idempotent bit-for-bit.
+
+    ``u`` may be one profile or a stack of them (last axis is space).
+    """
     u = grid.check_profile(u)
     x = grid.space_nodes()
     scaled = np.exp(-r * x) * u
@@ -119,30 +129,34 @@ def _truncate(fn: BoundaryFunctional, v: np.ndarray, grid: GridSpec) -> np.ndarr
 
 
 def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
-           grid: GridSpec) -> float:
-    """Evaluate the boundary speed for a profile pair on a common grid."""
+           grid: GridSpec):
+    """Evaluate the boundary speed for a profile pair on a common grid.
+
+    Stacks of pairs (P, n_nodes) give one speed per row as an array.
+    """
     v1 = grid.check_profile(v1)
     v2 = grid.check_profile(v2)
     if v1.shape != v2.shape:
         raise GridMismatch("profile pair has mismatched shapes")
     if fn.kind == ZERO:
-        return 0.0
-    v1 = _truncate(fn, v1, grid)
-    v2 = _truncate(fn, v2, grid)
-    if fn.kind == EXP_IMBALANCE:
-        out = fn.alpha * g_lambda(v1 - v2, grid, fn.lam)
-    elif fn.kind == STEFAN_FD:
-        out = (v1[1] - v2[1]) / grid.dx
-    elif fn.kind == TABLE:
-        m = g_lambda(v1 - v2, grid, fn.lam)
-        out = float(np.interp(m, fn.table_imbalance, fn.table_speed))
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ValueError(fn.kind)
-    if fn.clamp is not None:
-        out = float(np.clip(out, -fn.clamp, fn.clamp))
-    return float(out)
+        out = np.zeros(v1.shape[:-1])
+    else:
+        v1 = _truncate(fn, v1, grid)
+        v2 = _truncate(fn, v2, grid)
+        if fn.kind == EXP_IMBALANCE:
+            out = fn.alpha * g_lambda(v1 - v2, grid, fn.lam)
+        elif fn.kind == STEFAN_FD:
+            out = (v1[..., 1] - v2[..., 1]) / grid.dx
+        elif fn.kind == TABLE:
+            m = g_lambda(v1 - v2, grid, fn.lam)
+            out = np.interp(m, fn.table_imbalance, fn.table_speed)
+        else:  # pragma: no cover - guarded in __post_init__
+            raise ValueError(fn.kind)
+        if fn.clamp is not None:
+            out = np.minimum(np.maximum(out, -fn.clamp), fn.clamp)
+    return float(out) if v1.ndim == 1 else out
 
 
-def advance_p(p: float, p_prime: float, dt: float) -> float:
-    """Explicit Euler step for the boundary position."""
+def advance_p(p, p_prime, dt: float):
+    """Explicit Euler step for the boundary position (scalars or one per path)."""
     return p + dt * p_prime

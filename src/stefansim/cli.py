@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
 from .regularity import (SPACE, TIME, boundary_holder_ensemble,
                          estimate_holder_ensemble)
-from .spde import run_relative_frame
+from .spde import run_paths, run_relative_frame
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,11 +69,12 @@ def cmd_simulate(cfg: dict) -> int:
     traj.to_csv(out / "trajectory.csv", header_comment=_header(h, seed))
     if stride > 0:
         traj.profiles_to_csv(out / "profiles.csv", header_comment=_header(h, seed))
-    _write_json(out / "run_summary.json",
-                {"blown_up": traj.blown_up,
-                 "tau_estimate": traj.tau_estimate,
-                 "steps": len(traj.times) - 1},
-                h, seed)
+    summary = {"blown_up": traj.blown_up,
+               "tau_estimate": traj.tau_estimate,
+               "steps": len(traj.times) - 1}
+    if traj.blown_up:
+        summary["blowup_cause"] = traj.blowup_cause
+    _write_json(out / "run_summary.json", summary, h, seed)
     return EXIT_OK
 
 
@@ -138,23 +138,14 @@ def cmd_holder(cfg: dict) -> int:
     q = get_field(cfg, "holder.q", default=2, cast=int)
     lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=int)
     lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=int)
-    workers = get_field(cfg, "holder.workers", default=1, cast=int)
     M = cfgmod.float_or_inf(get_field(cfg, "run.M", default="inf"))
     M_max = cfgmod.float_or_inf(get_field(cfg, "run.M_max", default="inf"))
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
 
-    def one(idx: int):
-        traj = run_relative_frame((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=M_max,
-                                  grid=grid, seed=base_seed + idx, store_stride=1,
-                                  lap_scale=lap_scale)
-        return idx, traj
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(one, range(n_paths)), key=lambda r: r[0])
-    else:
-        results = [one(i) for i in range(n_paths)]
-    trajs = [t for _, t in results]
+    # holder.workers is deprecated and ignored: all paths step as one batch
+    trajs = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=M_max, grid=grid,
+                      seeds=range(base_seed, base_seed + n_paths), store_stride=1,
+                      lap_scale=lap_scale, store_sides=(1,))
     fields = [t.v1_snapshots for t in trajs]
     rows = [
         estimate_holder_ensemble(fields, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),

@@ -107,7 +107,7 @@ def boundary_from_config(cfg: dict) -> BoundaryFunctional:
     clamp = get_field(cfg, "boundary.clamp", default=None)
     clamp = None if clamp is None else float(clamp)
     trunc = get_field(cfg, "boundary.truncation_M", default=None)
-    trunc = None if trunc is None else _float_or_inf(trunc)
+    trunc = None if trunc is None else float_or_inf(trunc)
     if kind == "zero":
         return zero_boundary()
     if kind == "exp_imbalance":

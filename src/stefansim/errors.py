@@ -41,10 +41,6 @@ class ObstacleInitialPositive(StefansimError):
     """Obstacle must be non-positive at time zero."""
 
 
-class AlreadyBlownUp(StefansimError):
-    """Attempted to advance a state past its blow-up time."""
-
-
 class InsufficientData(StefansimError):
     """Not enough samples to produce a meaningful estimate."""
 

@@ -87,11 +87,15 @@ class GridSpec:
         return np.linspace(0.0, self.T, self.nt + 1)
 
     def check_profile(self, values: np.ndarray) -> np.ndarray:
-        """Validate a 1-D spatial profile against this grid."""
+        """Validate a spatial profile, or profiles stacked on leading axes.
+
+        The last axis runs over the grid nodes, so ``(n_nodes,)`` is one
+        profile and ``(P, n_nodes)`` is one per path.
+        """
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
+        if values.shape[-1:] != (self.n_nodes,):
             raise DimensionMismatch(
-                f"profile has shape {values.shape}, grid expects ({self.n_nodes},)"
+                f"profile has shape {values.shape}, grid expects (..., {self.n_nodes})"
             )
         return values
 

@@ -43,9 +43,39 @@ class NoiseField:
         return 1.0 / (self.grid.dx * self.grid.dt)
 
 
+class NoiseStream:
+    """One (seed, stream) realisation read forward in blocks of time rows.
+
+    Successive ``draw(rows)`` calls continue one Philox sequence, so the
+    blocks concatenate bit for bit to the array ``sample_white_noise``
+    returns, while only one block is held at a time.  Built from a
+    NoiseField (``from_field``), the blocks are slices of its array.
+    """
+
+    def __init__(self, grid: GridSpec, seed: int, stream: int = 0):
+        self._gen = _generator(seed, stream)
+        self._shape = (grid.n_nodes,)
+        self._scale = 1.0 / np.sqrt(grid.dx * grid.dt)
+        self._xi = None
+        self._row = 0
+
+    @classmethod
+    def from_field(cls, noise: NoiseField) -> "NoiseStream":
+        reader = cls(noise.grid, noise.seed, noise.stream)
+        reader._xi = noise.xi
+        return reader
+
+    def draw(self, rows: int) -> np.ndarray:
+        """The next ``rows`` time rows, shape (rows, n_nodes)."""
+        if self._xi is not None:
+            block = self._xi[self._row:self._row + rows]
+        else:
+            block = self._gen.standard_normal((rows,) + self._shape) * self._scale
+        self._row += rows
+        return block
+
+
 def sample_white_noise(grid: GridSpec, seed: int, stream: int = 0) -> NoiseField:
     """Draw the full noise array for a grid; bit-reproducible per (grid, seed, stream)."""
-    gen = _generator(seed, stream)
-    scale = 1.0 / np.sqrt(grid.dx * grid.dt)
-    xi = gen.standard_normal((grid.nt, grid.n_nodes)) * scale
+    xi = NoiseStream(grid, seed, stream).draw(grid.nt)
     return NoiseField(grid=grid, seed=int(seed), stream=int(stream), xi=xi)

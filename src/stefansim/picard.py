@@ -172,10 +172,8 @@ def mild_solve_w(v1_prev: Field, v2_prev: Field, coeffs: ModelCoefficients,
     vol_fn = coeffs.sigma1 if side == 1 else coeffs.sigma2
     adv_sign = 1.0 if side == 1 else -1.0
 
-    h_vals = np.array([eval_h(fn, v1_prev.values[s], v2_prev.values[s], grid)
-                       for s in range(nt)])
-    capped = np.stack([cap_profile(own_prev.values[s], grid, M) for s in range(nt)])
-    adv_sig = h_vals[:, None] * capped
+    h_vals = eval_h(fn, v1_prev.values[:nt], v2_prev.values[:nt], grid)
+    adv_sig = h_vals[:, None] * cap_profile(own_prev.values[:nt], grid, M)
     # coefficients that ignore u may return a single spatial row; broadcast
     drift_sig = np.broadcast_to(
         np.asarray(drift_fn(x[None, :], own_prev.values[:nt]), dtype=float), (nt, J))

@@ -10,12 +10,18 @@ with c = h(cap(v1), cap(v2)) the boundary speed, cap the truncation
 eta the reflection keeping both profiles nonnegative.  One step is:
 explicit Euler increment (upwind advection selected by the sign of c),
 projection onto the nonnegative cone, Dirichlet re-zeroing, then the
-boundary update p' = h and p <- p + dt p'.  Blow-up is bookkept by
-flagging the state once the pair norm reaches M_max; no infinities are
-ever stored.
+boundary update p' = h and p <- p + dt p'.
+
+There is one stepping loop, ``run_paths``: it advances P independent
+paths together on (2, P, n_nodes) arrays, sides and paths stacked, and a
+single run is its P = 1 case.  Blow-up is a per-path flag, raised once
+the pair norm reaches M_max or a step yields a non-finite value; the
+path then stops with its last finite state, so no infinities are ever
+stored.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 from dataclasses import dataclass, field
@@ -25,10 +31,10 @@ import numpy as np
 
 from ._fd import laplacian, upwind_gradient
 from .boundary import BoundaryFunctional, F_Mr, advance_p, eval_h
-from .errors import (AlreadyBlownUp, CflViolation, ConfigError,
-                     DimensionMismatch, GridMismatch)
+from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
 from .grids import COMPACT, GridSpec
-from .noise import sample_white_noise
+# sample_white_noise stays importable from here: the benchmark's tracer wraps it by name
+from .noise import NoiseStream, sample_white_noise  # noqa: F401
 
 
 @dataclass
@@ -96,7 +102,11 @@ def tabulated_coefficients(x_centers, f_values, sigma_values, **meta) -> ModelCo
 
 @dataclass
 class CoupledState:
-    """Profile pair in the relative frame plus boundary bookkeeping."""
+    """One path's profile pair in the relative frame plus boundary bookkeeping.
+
+    The integrator works on (2, P, n_nodes) arrays; this record is the
+    state a path's Trajectory ends in.
+    """
 
     v1: np.ndarray
     v2: np.ndarray
@@ -106,22 +116,28 @@ class CoupledState:
     blown_up: bool = False
     tau_estimate: float | None = None
 
-    def copy(self) -> "CoupledState":
-        return dataclasses.replace(self, v1=self.v1.copy(), v2=self.v2.copy())
 
+def weighted_norm(profile: np.ndarray, grid: GridSpec, r: float):
+    """sup over grid nodes of exp(-r x) |u(x)| (half-line solution norm).
 
-def weighted_norm(profile: np.ndarray, grid: GridSpec, r: float) -> float:
-    """sup over grid nodes of exp(-r x) |u(x)| (half-line solution norm)."""
+    A stack of profiles gives one norm per row.
+    """
     if grid.domain_kind == COMPACT:
         raise GridMismatch("weighted norm is defined for half-line grids")
     profile = grid.check_profile(profile)
-    return float(np.max(np.exp(-r * grid.space_nodes()) * np.abs(profile)))
+    norm = np.maximum.reduce(np.exp(-r * grid.space_nodes()) * np.abs(profile), axis=-1)
+    return float(norm) if profile.ndim == 1 else norm
 
 
-def profile_norm(profile: np.ndarray, grid: GridSpec) -> float:
-    """Domain-appropriate norm: sup on compact, weighted sup on half-line."""
+def profile_norm(profile: np.ndarray, grid: GridSpec):
+    """Domain-appropriate norm: sup on compact, weighted sup on half-line.
+
+    A stack of profiles gives one norm per row.
+    """
     if grid.domain_kind == COMPACT:
-        return float(np.max(np.abs(profile)))
+        profile = np.asarray(profile, dtype=float)
+        norm = np.maximum.reduce(np.abs(profile), axis=-1)
+        return float(norm) if profile.ndim == 1 else norm
     return weighted_norm(profile, grid, grid.weight_r)
 
 
@@ -138,7 +154,7 @@ def resolve_truncation(boundary_fn: BoundaryFunctional, M: float) -> BoundaryFun
 
 
 def cap_profile(v: np.ndarray, grid: GridSpec, M: float) -> np.ndarray:
-    """Truncate a profile: v ^ M on the compact domain, F_{M,r} on the half-line."""
+    """Truncate profiles: v ^ M on the compact domain, F_{M,r} on the half-line."""
     if not np.isfinite(M):
         return v
     if grid.domain_kind == COMPACT:
@@ -146,58 +162,83 @@ def cap_profile(v: np.ndarray, grid: GridSpec, M: float) -> np.ndarray:
     return F_Mr(v, grid, M, grid.weight_r)
 
 
-def step_reflected(state: CoupledState, coeffs: ModelCoefficients,
-                   boundary_fn: BoundaryFunctional, M: float,
-                   noise_slice_1: np.ndarray, noise_slice_2: np.ndarray,
-                   grid: GridSpec, lap_scale: float = 1.0,
-                   M_max: float = np.inf) -> CoupledState:
-    """Advance the coupled state by one explicit Euler step."""
-    if state.blown_up:
-        raise AlreadyBlownUp(f"state blew up at t={state.tau_estimate}")
-    if noise_slice_1.shape != (grid.n_nodes,) or noise_slice_2.shape != (grid.n_nodes,):
-        raise DimensionMismatch("noise slices must match the grid's node count")
+def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
+                   coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+                   M: float, grid: GridSpec, lap_scale: float = 1.0,
+                   time: float = 0.0, paths=None, out: np.ndarray | None = None):
+    """Advance a batch of profile pairs by one explicit Euler step.
+
+    ``v`` is the state as (2, P, n_nodes), side 1 then side 2, ``c`` the
+    boundary speed h of each path at that state and ``noise`` the step's
+    (2, P, n_nodes) white noise.  Side 1 is advected with speed c and
+    side 2 with -c, each upwinded by the sign of its own speed.  The new
+    state, projected onto v >= 0 with the Dirichlet nodes re-zeroed, is
+    written to ``out`` (a new array when None; never ``v`` itself) and
+    returned with its boundary speeds.  A path with |c| dt > dx raises
+    CflViolation naming it as ``paths[k]`` (its row k when None).
+    """
+    if v.ndim != 3 or v.shape[::2] != (2, grid.n_nodes) or noise.shape != v.shape:
+        raise DimensionMismatch("state and noise must be (2, P, n_nodes) arrays")
     dx, dt = grid.dx, grid.dt
     x = grid.space_nodes()
     fn = resolve_truncation(boundary_fn, M)
+    limit = dx * (1 + 1e-12)
+    if not np.max(np.abs(c)) * dt <= limit:
+        fast = np.abs(c) * dt > limit
+        if fast.any():
+            k = int(np.argmax(fast))
+            raise CflViolation(
+                f"path {k if paths is None else paths[k]}: advection speed "
+                f"|c|={abs(c[k]):.3g} violates dt*|c| <= dx at t={time:.6g}"
+            )
 
-    c = eval_h(fn, state.v1, state.v2, grid)
-    if abs(c) * dt > dx * (1 + 1e-12):
-        raise CflViolation(
-            f"advection speed |c|={abs(c):.3g} violates dt*|c| <= dx at t={state.time:.6g}"
-        )
+    speed = _SIDE_SIGN * c[:, None]
+    rate = (lap_scale * laplacian(v, dx)
+            - speed * upwind_gradient(cap_profile(v, grid, M), dx, speed))
+    rate += _per_side(coeffs.f1, coeffs.f2, x, v)
+    rate *= dt
+    out = np.add(v, rate, out=out)
+    out += dt * _per_side(coeffs.sigma1, coeffs.sigma2, x, v) * noise
 
-    w1 = cap_profile(state.v1, grid, M)
-    w2 = cap_profile(state.v2, grid, M)
-    v1 = (state.v1
-          + dt * (lap_scale * laplacian(state.v1, dx)
-                  - c * upwind_gradient(w1, dx, c)
-                  + coeffs.f1(x, state.v1))
-          + dt * coeffs.sigma1(x, state.v1) * noise_slice_1)
-    v2 = (state.v2
-          + dt * (lap_scale * laplacian(state.v2, dx)
-                  + c * upwind_gradient(w2, dx, -c)
-                  + coeffs.f2(x, state.v2))
-          + dt * coeffs.sigma2(x, state.v2) * noise_slice_2)
+    np.maximum(out, 0.0, out=out)
+    out[..., ::grid.n_nodes - 1] = 0.0
+    return out, eval_h(fn, out[0], out[1], grid)
 
-    np.maximum(v1, 0.0, out=v1)
-    np.maximum(v2, 0.0, out=v2)
-    v1[0] = v1[-1] = 0.0
-    v2[0] = v2[-1] = 0.0
 
-    p_prime = eval_h(fn, v1, v2, grid)
-    new = CoupledState(v1=v1, v2=v2,
-                       p=advance_p(state.p, p_prime, dt),
-                       p_prime=p_prime,
-                       time=state.time + dt)
-    if profile_norm(v1, grid) + profile_norm(v2, grid) >= M_max:
-        new.blown_up = True
-        new.tau_estimate = new.time
-    return new
+#: side 1 is advected with the boundary speed c, side 2 with -c
+_SIDE_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
+
+
+def _per_side(f1: Callable, f2: Callable, x: np.ndarray, v: np.ndarray):
+    """f1 on side 1 and f2 on side 2 of a (2, P, n) state, broadcastable to it.
+
+    The coefficients act node by node, so one function shared by both
+    sides is called once on the whole state.
+    """
+    if f1 is f2:
+        return f1(x, v)
+    shape = v.shape[1:]
+    return np.stack((np.broadcast_to(f1(x, v[0]), shape),
+                     np.broadcast_to(f2(x, v[1]), shape)))
+
+
+BLOWUP_THRESHOLD = "threshold"
+BLOWUP_NON_FINITE = "non_finite"
+
+#: time rows of noise drawn per path and side at once; bounds the noise
+#: held in memory without changing any draw
+NOISE_BLOCK = 256
 
 
 @dataclass
 class Trajectory:
-    """Recorded output of one coupled run."""
+    """Recorded output of one coupled run.
+
+    ``blowup_cause`` is None, ``"threshold"`` (the pair norm reached
+    M_max; the recorded run ends with that step) or ``"non_finite"`` (a
+    step produced a non-finite value; it is discarded and the run ends
+    with the last finite state).
+    """
 
     grid: GridSpec
     seed: int
@@ -211,6 +252,7 @@ class Trajectory:
     norm2: np.ndarray = field(repr=False)
     blown_up: bool = False
     tau_estimate: float | None = None
+    blowup_cause: str | None = None
     stride: int = 0
     snapshot_times: np.ndarray | None = None
     v1_snapshots: np.ndarray | None = None
@@ -231,7 +273,7 @@ class Trajectory:
 
     def profiles_to_csv(self, path, header_comment: str | None = None) -> None:
         """Per-stride profile dump (t, x, v1, v2); requires stride > 0."""
-        if self.v1_snapshots is None:
+        if self.v1_snapshots is None or self.v2_snapshots is None:
             raise ValueError("trajectory was run without profile storage")
         xs = self.grid.space_nodes()
         with open(path, "w", newline="") as fh:
@@ -246,22 +288,28 @@ class Trajectory:
                                      f"{self.v2_snapshots[k, j]:.17g}"])
 
 
-def run_relative_frame(initial, coeffs: ModelCoefficients,
-                       boundary_fn: BoundaryFunctional, M: float, M_max: float,
-                       grid: GridSpec, seed: int, store_stride: int = 0,
-                       lap_scale: float = 1.0,
-                       noise_pair=None) -> Trajectory:
-    """Integrate the coupled system over the whole grid horizon.
+def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+              M: float, M_max: float, grid: GridSpec, seeds, store_stride: int = 0,
+              lap_scale: float = 1.0, noise_pair=None,
+              store_sides=(1, 2)) -> list:
+    """Integrate one path per seed from common initial data, as one batch.
 
-    ``initial`` is (v1_0, v2_0, p0).  Both driving noises derive from
-    ``seed`` on independent streams, so the full trajectory is a pure
-    function of (initial, coeffs, boundary_fn, M, M_max, grid, seed).
-    Passing an explicit (NoiseField, NoiseField) pair overrides the
-    seeded generation, which lets other schemes reuse one realisation.
+    ``initial`` is (v1_0, v2_0, p0).  Path k is driven by the noise
+    streams (seeds[k], 0) and (seeds[k], 1), and equals bit for bit the
+    run of that seed alone: every operation acts on each row by itself.
+    A path that blows up leaves the batch, frozen, and its Trajectory
+    ends there.  Every ``store_stride`` steps the profiles of the sides
+    in ``store_sides`` are kept.  An explicit (NoiseField, NoiseField)
+    ``noise_pair`` drives a single path in place of the seeded streams.
+    Returns one Trajectory per seed, in order.
     """
     v1_0, v2_0, p0 = initial
     v1_0 = grid.check_profile(v1_0)
     v2_0 = grid.check_profile(v2_0)
+    if v1_0.ndim != 1 or v2_0.ndim != 1:
+        raise DimensionMismatch("initial data must be one profile per side")
+    if not (np.isfinite(v1_0).all() and np.isfinite(v2_0).all()):
+        raise ConfigError("initial profiles must be finite")
     if np.any(v1_0 < 0) or np.any(v2_0 < 0):
         raise ConfigError("initial profiles must be nonnegative")
     if v1_0[0] != 0 or v2_0[0] != 0 or v1_0[-1] != 0 or v2_0[-1] != 0:
@@ -276,65 +324,147 @@ def run_relative_frame(initial, coeffs: ModelCoefficients,
             raise ConfigError(
                 f"volatility exceeds its growth envelope by {violation:.3g}"
             )
-
+    seeds = [int(s) for s in seeds]
+    n_paths = len(seeds)
+    if n_paths < 1:
+        raise ConfigError("a run needs at least one path")
     if noise_pair is None:
-        xi1 = sample_white_noise(grid, seed, stream=0).xi
-        xi2 = sample_white_noise(grid, seed, stream=1).xi
+        streams = [[NoiseStream(grid, s, side) for s in seeds] for side in (0, 1)]
     else:
+        if n_paths != 1:
+            raise ConfigError("an explicit noise pair drives exactly one path")
         if noise_pair[0].grid != grid or noise_pair[1].grid != grid:
             raise GridMismatch("supplied noise does not live on the run grid")
-        xi1, xi2 = noise_pair[0].xi, noise_pair[1].xi
+        streams = [[NoiseStream.from_field(noise_pair[0])],
+                   [NoiseStream.from_field(noise_pair[1])]]
+    if not store_sides or not set(store_sides) <= {1, 2}:
+        raise ConfigError("store_sides must name side 1, side 2 or both")
+    kept = slice(min(store_sides) - 1, max(store_sides))
 
     fn = resolve_truncation(boundary_fn, M)
-    state = CoupledState(v1=v1_0.copy(), v2=v2_0.copy(), p=float(p0))
-    state.p_prime = eval_h(fn, state.v1, state.v2, grid)
+    nt, dt = grid.nt, grid.dt
+    v = np.empty((2, n_paths, grid.n_nodes))
+    v[0], v[1] = v1_0, v2_0
+    spare = np.empty_like(v)
+    p = np.full(n_paths, float(p0))
+    pp = eval_h(fn, v[0], v[1], grid)
 
-    nt = grid.nt
     times = np.zeros(nt + 1)
-    p = np.zeros(nt + 1)
-    pp = np.zeros(nt + 1)
-    n1 = np.zeros(nt + 1)
-    n2 = np.zeros(nt + 1)
-    p[0], pp[0] = state.p, state.p_prime
-    n1[0] = profile_norm(state.v1, grid)
-    n2[0] = profile_norm(state.v2, grid)
-
-    snaps_t, snaps1, snaps2 = [], [], []
+    record = np.empty((4, n_paths, nt + 1))          # p, p', norm1, norm2
+    record[0, :, 0], record[1, :, 0] = p, pp
+    record[2:, :, 0] = profile_norm(v, grid)
+    snap_steps = []
     if store_stride > 0:
-        snaps_t.append(0.0)
-        snaps1.append(state.v1.copy())
-        snaps2.append(state.v2.copy())
+        snap_steps = list(range(0, nt + 1, store_stride))
+        if snap_steps[-1] != nt:
+            snap_steps.append(nt)
+        snaps = np.empty((kept.stop - kept.start, n_paths, len(snap_steps), grid.n_nodes))
+        snaps[:, :, 0] = v[kept]
+    n_snaps = 1
 
-    steps_done = 0
+    block = min(NOISE_BLOCK, nt)
+    xi = np.empty((block, 2, n_paths, grid.n_nodes))
+    rows = np.arange(n_paths)              # path index of each batch row
+    at = slice(None)                       # the batch rows' places in record/snaps
+    labels = [f"{k} (seed {s})" for k, s in enumerate(seeds)]
+    ends = [nt] * n_paths
+    causes = [None] * n_paths
+    finals = [None] * n_paths
+
+    t = 0.0
     for i in range(nt):
-        state = step_reflected(state, coeffs, fn, M, xi1[i], xi2[i], grid,
-                               lap_scale=lap_scale, M_max=M_max)
-        steps_done = i + 1
-        times[steps_done] = state.time
-        p[steps_done] = state.p
-        pp[steps_done] = state.p_prime
-        n1[steps_done] = profile_norm(state.v1, grid)
-        n2[steps_done] = profile_norm(state.v2, grid)
-        if store_stride > 0 and (steps_done % store_stride == 0 or steps_done == nt):
-            snaps_t.append(state.time)
-            snaps1.append(state.v1.copy())
-            snaps2.append(state.v2.copy())
-        if state.blown_up:
-            break
+        j = i % block
+        if j == 0:
+            n_rows = min(block, nt - i)
+            for side in (0, 1):
+                for a, k in enumerate(rows):
+                    xi[:n_rows, side, a] = streams[side][k].draw(n_rows)
+        t_new = t + dt
+        new, pp_new = step_reflected(v, pp, xi[j], coeffs, fn, M, grid,
+                                     lap_scale=lap_scale, time=t, paths=labels,
+                                     out=spare)
+        p_new = advance_p(p, pp_new, dt)
+        norms = profile_norm(new, grid)
+        step = i + 1
+        times[step] = t_new
+        record[0, at, step] = p_new
+        record[1, at, step] = pp_new
+        record[2:, at, step] = norms
+        if store_stride > 0 and (step % store_stride == 0 or step == nt):
+            snaps[:, at, n_snaps] = new[kept]
+            n_snaps += 1
 
-    end = steps_done + 1
-    return Trajectory(
-        grid=grid, seed=int(seed), M=float(M), M_max=float(M_max),
-        lap_scale=float(lap_scale),
-        times=times[:end], p=p[:end], p_prime=pp[:end],
-        norm1=n1[:end], norm2=n2[:end],
-        blown_up=state.blown_up, tau_estimate=state.tau_estimate,
-        stride=int(store_stride),
-        snapshot_times=np.array(snaps_t) if store_stride > 0 else None,
-        v1_snapshots=np.array(snaps1) if store_stride > 0 else None,
-        v2_snapshots=np.array(snaps2) if store_stride > 0 else None,
-        final_state=state,
-    )
+        # one test covers the usual step, where no path stops: the sum is
+        # below M_max only if both norms and p are finite (0 * inf is nan)
+        total = norms[0] + norms[1]
+        if not np.all(total + 0.0 * p_new < M_max):
+            # p' is finite whenever p is.  A threshold blow-up keeps its
+            # step; a non-finite one falls back to the last finite state.
+            finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
+            done = ~finite | (total >= M_max)
+            for a in np.flatnonzero(done):
+                k = rows[a]
+                if finite[a]:
+                    ends[k], causes[k] = step, BLOWUP_THRESHOLD
+                    finals[k] = CoupledState(new[0, a].copy(), new[1, a].copy(),
+                                             float(p_new[a]), float(pp_new[a]), t_new,
+                                             blown_up=True, tau_estimate=t_new)
+                else:
+                    ends[k], causes[k] = i, BLOWUP_NON_FINITE
+                    finals[k] = CoupledState(v[0, a].copy(), v[1, a].copy(),
+                                             float(p[a]), float(pp[a]), t,
+                                             blown_up=True, tau_estimate=t_new)
+            live = ~done
+            rows = at = rows[live]
+            labels = [lab for lab, keep in zip(labels, live) if keep]
+            new, v = new[:, live], v[:, live]
+            p_new, pp_new = p_new[live], pp_new[live]
+            xi = xi[:, :, live]
+            if rows.size == 0:
+                break
+        v, spare = new, v
+        p, pp, t = p_new, pp_new, t_new
+
+    for a, k in enumerate(rows):
+        finals[k] = CoupledState(v[0, a], v[1, a], float(p[a]), float(pp[a]), t)
+
+    trajectories = []
+    for k, seed in enumerate(seeds):
+        end = ends[k] + 1
+        stored = {}
+        if store_stride > 0:
+            count = bisect.bisect_right(snap_steps, ends[k])
+            stored["snapshot_times"] = times[snap_steps[:count]]
+            for pos, name in enumerate(("v1_snapshots", "v2_snapshots")[kept]):
+                stored[name] = snaps[pos, k, :count]
+        trajectories.append(Trajectory(
+            grid=grid, seed=seed, M=float(M), M_max=float(M_max),
+            lap_scale=float(lap_scale), times=times[:end],
+            p=record[0, k, :end], p_prime=record[1, k, :end],
+            norm1=record[2, k, :end], norm2=record[3, k, :end],
+            blown_up=causes[k] is not None, tau_estimate=finals[k].tau_estimate,
+            blowup_cause=causes[k], stride=int(store_stride),
+            final_state=finals[k], **stored))
+    return trajectories
+
+
+def run_relative_frame(initial, coeffs: ModelCoefficients,
+                       boundary_fn: BoundaryFunctional, M: float, M_max: float,
+                       grid: GridSpec, seed: int, store_stride: int = 0,
+                       lap_scale: float = 1.0,
+                       noise_pair=None) -> Trajectory:
+    """Integrate the coupled system over the whole grid horizon.
+
+    ``initial`` is (v1_0, v2_0, p0).  Both driving noises derive from
+    ``seed`` on independent streams, so the full trajectory is a pure
+    function of (initial, coeffs, boundary_fn, M, M_max, grid, seed).
+    Passing an explicit (NoiseField, NoiseField) pair overrides the
+    seeded generation, which lets other schemes reuse one realisation.
+    This is the one-path batch of ``run_paths``.
+    """
+    return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [seed],
+                     store_stride=store_stride, lap_scale=lap_scale,
+                     noise_pair=noise_pair)[0]
 
 
 def absolute_coordinates(p: float, grid: GridSpec, side: int) -> np.ndarray:

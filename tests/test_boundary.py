@@ -154,3 +154,24 @@ def test_swap_antisymmetry(grid):
     v2 = np.abs(rng.standard_normal(grid.n_nodes))
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     assert eval_h(fn, v1, v2, grid) == pytest.approx(-eval_h(fn, v2, v1, grid), abs=1e-12)
+
+
+@pytest.mark.parametrize("fn", [zero_boundary(), exp_imbalance(alpha=5.0, lam=100.0, clamp=3.0),
+                                exp_imbalance(truncation_M=0.5), stefan_fd(clamp=3.0),
+                                table_boundary([-1.0, 0.0, 1.0], [-3.0, 0.0, 3.0])],
+                         ids=["zero", "exp_imbalance", "exp_truncated", "stefan_fd", "table"])
+@pytest.mark.parametrize("domain", ["compact", "halfline"])
+def test_stacked_profiles_match_single_profiles_bitwise(fn, domain):
+    g = (build_grid("compact", 64, 1e-4, 128) if domain == "compact" else
+         build_grid("halfline", 128, 1e-4, 512, length=4.0, weight_r=0.5))
+    rng = np.random.default_rng(13)
+    v1 = np.abs(rng.standard_normal((7, g.n_nodes)))
+    v2 = np.abs(rng.standard_normal((7, g.n_nodes)))
+    stacked = eval_h(fn, v1, v2, g)
+    assert stacked.shape == (7,)
+    assert stacked.tolist() == [eval_h(fn, a, b, g) for a, b in zip(v1, v2)]
+    assert g_lambda(v1 - v2, g, 100.0).tolist() == [g_lambda(a - b, g, 100.0)
+                                                    for a, b in zip(v1, v2)]
+    if domain == "halfline":
+        capped = F_Mr(v1, g, 0.4, 0.5)
+        assert capped.tobytes() == np.stack([F_Mr(a, g, 0.4, 0.5) for a in v1]).tobytes()

@@ -80,6 +80,37 @@ def test_blowup_reported_as_success(tmp_path):
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["blown_up"] is True
     assert summary["tau_estimate"] is not None
+    assert summary["blowup_cause"] == "threshold"
+
+
+def test_non_finite_blowup_reported_with_cause(tmp_path):
+    cfg = _base_cfg(tmp_path)
+    cfg["coefficients"] = {"kind": "constant", "f": float("inf"), "sigma": 0.5}
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["simulate", "-c", cfg_path]) == 0
+    out = tmp_path / "out"
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["blown_up"] is True
+    assert summary["blowup_cause"] == "non_finite"
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", comments="#",
+                      skiprows=2, ndmin=2)
+    assert np.isfinite(rows).all()
+
+
+def test_summary_of_a_completed_run_has_no_blowup_cause(tmp_path):
+    cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
+    assert main(["simulate", "-c", cfg_path]) == 0
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["blown_up"] is False and "blowup_cause" not in summary
+
+
+@pytest.mark.parametrize("trunc, code", [(3.0, 0), ("inf", 0), (2.0, 1)])
+def test_boundary_truncation_M_config_key(tmp_path, trunc, code):
+    cfg = _base_cfg(tmp_path)
+    cfg["boundary"]["truncation_M"] = trunc
+    cfg["run"]["M"] = 3.0 if trunc != "inf" else "inf"
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["simulate", "-c", cfg_path]) == code
 
 
 def test_set_override(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stefansim.grids import build_grid
-from stefansim.noise import sample_white_noise
+from stefansim.noise import NoiseStream, sample_white_noise
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +59,16 @@ def test_lag_one_autocorrelation_small(grid):
 def test_negative_seed_accepted(grid):
     nf = sample_white_noise(grid, -5)
     assert np.isfinite(nf.xi).all()
+
+
+def test_blocks_concatenate_to_the_full_draw():
+    g = build_grid("compact", 16, 0.01, 700)
+    key = np.array([42, 1], dtype=np.uint64)
+    full = (np.random.Generator(np.random.Philox(key=key)).standard_normal((g.nt, g.n_nodes))
+            * (1.0 / np.sqrt(g.dx * g.dt)))
+    reader = NoiseStream(g, 42, stream=1)
+    blocks = [reader.draw(n) for n in (256, 256, 1, 187)]
+    assert np.concatenate(blocks).tobytes() == full.tobytes()
+    assert sample_white_noise(g, 42, 1).xi.tobytes() == full.tobytes()
+    from_field = NoiseStream.from_field(sample_white_noise(g, 42, 1))
+    assert np.concatenate([from_field.draw(300), from_field.draw(400)]).tobytes() == full.tobytes()

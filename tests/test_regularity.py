@@ -104,7 +104,7 @@ def test_boundary_exponent_band_stable_under_doubling_lambda():
     from stefansim.boundary import exp_imbalance
     from stefansim.grids import build_grid
     from stefansim.regularity import boundary_holder_ensemble
-    from stefansim.spde import constant_coefficients, run_relative_frame
+    from stefansim.spde import constant_coefficients, run_paths
 
     grid = build_grid("compact", 64, 0.25, 16384)
     coeffs = constant_coefficients(f=0.0, sigma=1.0)
@@ -112,9 +112,9 @@ def test_boundary_exponent_band_stable_under_doubling_lambda():
     exponents = {}
     for lam in (100.0, 200.0):
         fn = exp_imbalance(alpha=5.0, lam=lam)
-        series = [run_relative_frame((z, z.copy(), 0.0), coeffs, fn,
-                                     np.inf, np.inf, grid, seed=7700 + k).p_prime
-                  for k in range(4)]
+        series = [traj.p_prime for traj in
+                  run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
+                            seeds=range(7700, 7704))]
         exponents[lam] = boundary_holder_ensemble(series, q=2, lag_range=(2, 32)).exponent
     assert 0.15 <= exponents[100.0] <= 0.35
     assert 0.15 <= exponents[200.0] <= 0.35

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from stefansim.boundary import exp_imbalance, table_boundary, zero_boundary
-from stefansim.errors import (AlreadyBlownUp, CflViolation, ConfigError,
-                              GridMismatch)
+from stefansim.boundary import eval_h, exp_imbalance, table_boundary, zero_boundary
+from stefansim.errors import CflViolation, ConfigError, GridMismatch
 from stefansim.grids import build_grid
 from stefansim.noise import sample_white_noise
-from stefansim.spde import (CoupledState, ModelCoefficients,
-                            absolute_coordinates, constant_coefficients,
-                            run_relative_frame, step_reflected,
-                            tabulated_coefficients, weighted_norm)
+from stefansim.spde import (ModelCoefficients, absolute_coordinates,
+                            constant_coefficients, run_relative_frame,
+                            step_reflected, tabulated_coefficients, weighted_norm)
 
 
 def _zeros(grid):
@@ -18,13 +16,13 @@ def _zeros(grid):
 
 def test_step_fixed_point():
     g = build_grid("compact", 16, 1e-3, 16)
-    state = CoupledState(v1=_zeros(g), v2=_zeros(g), p=0.0)
+    v = np.zeros((2, 1, g.n_nodes))
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
-    out = step_reflected(state, coeffs, zero_boundary(), np.inf,
-                         _zeros(g), _zeros(g), g)
-    assert np.array_equal(out.v1, state.v1)
-    assert np.array_equal(out.v2, state.v2)
-    assert out.p == 0.0 and out.time == pytest.approx(g.dt)
+    out, p_prime = step_reflected(v, np.zeros(1), np.zeros_like(v), coeffs,
+                                  zero_boundary(), np.inf, g)
+    assert out is not v
+    assert np.array_equal(out, v)
+    assert p_prime.tolist() == [0.0]
 
 
 def test_constant_forcing_reaches_stationary_profile():
@@ -119,19 +117,20 @@ def test_blowup_flagging_and_monotonicity():
     assert t_low.blown_up and t_high.blown_up
     assert t_low.tau_estimate <= t_high.tau_estimate
     assert np.isfinite(t_low.final_state.v1).all()
-    with pytest.raises(AlreadyBlownUp):
-        step_reflected(t_low.final_state, coeffs, zero_boundary(), 10.0,
-                       _zeros(g), _zeros(g), g)
+    # a blown-up path is frozen: its record ends at the step that blew up
+    assert t_low.blowup_cause == "threshold"
+    assert len(t_low.times) < g.nt + 1
+    assert t_low.times[-1] == t_low.tau_estimate == t_low.final_state.time
 
 
 def test_advection_cfl_guard():
     g = build_grid("compact", 16, 0.05, 256)
-    v0 = np.zeros(g.n_nodes)
+    v = np.zeros((2, 1, g.n_nodes))
     fast = table_boundary([-1.0, 1.0], [9e9, 9e9])
-    state = CoupledState(v1=v0, v2=v0.copy(), p=0.0)
+    c = np.array([eval_h(fast, v[0, 0], v[1, 0], g)])
     with pytest.raises(CflViolation):
-        step_reflected(state, constant_coefficients(), fast, np.inf,
-                       _zeros(g), _zeros(g), g)
+        step_reflected(v, c, np.zeros_like(v), constant_coefficients(), fast,
+                       np.inf, g)
 
 
 def test_inconsistent_truncation_rejected():
