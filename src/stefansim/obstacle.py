@@ -55,16 +55,8 @@ class ObstacleSolution:
     def total_mass(self) -> float:
         return float(np.sum(self.eta))
 
-    def to_csv(self, path) -> None:
-        """Long-format dump with columns (t, x, z, v_placeholder, eta_cell).
 
-        The obstacle itself is not stored on the solution; use dump_csv to
-        write solution and obstacle side by side.
-        """
-        dump_csv(self, None, path)
-
-
-def dump_csv(solution: ObstacleSolution, v: Field | None, path,
+def dump_csv(solution: ObstacleSolution, v: Field, path,
              header_comment: str | None = None) -> None:
     """Write (t, x, z, v, eta_cell) rows for every grid node."""
     grid = solution.grid
@@ -77,9 +69,8 @@ def dump_csv(solution: ObstacleSolution, v: Field | None, path,
         writer.writerow(["t", "x", "z", "v", "eta_cell"])
         for i, t in enumerate(ts):
             for j, x in enumerate(xs):
-                obs = v.values[i, j] if v is not None else ""
                 writer.writerow([f"{t:.10g}", f"{x:.10g}",
-                                 f"{solution.z.values[i, j]:.17g}", obs,
+                                 f"{solution.z.values[i, j]:.17g}", v.values[i, j],
                                  f"{solution.eta[i, j]:.17g}"])
 
 

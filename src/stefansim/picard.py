@@ -21,8 +21,18 @@ integrated exactly (erf), which keeps the kernel mass correct even when
 the kernel width sqrt(4(t-s)) falls below dx.  Time integrals use the
 midpoint rule, evaluating the kernel at t - s - dt/2, so the s -> t
 singularity is never touched.  One noise realisation drives every
-iterate.  Kernel tables cost O(nt * nx^2) memory; they are built once
-and reused across iterations.
+iterate.
+
+Cost and memory, for nt steps, J = nx + 1 nodes and n_images images:
+the three (nt, J, J) kernel tables (3 * 8 * nt * J^2 bytes, 54 MB at
+nx = 32, nt = 2048) are built once, TABLE_BLOCK lags at a time, from
+erf/exp tables of O(J * n_images) entries per lag, and reused by every
+iterate.  One iterate solves both sides together: one FFT convolution
+against the derivative table and one against the value table, each on
+the two sides' stacked signals, so each iterate transforms two kernel
+tables.  A kernel spectrum is computed SPECTRUM_ROWS rows at a time and
+dropped, so the transient is O(nt * SPECTRUM_ROWS * J) complex values,
+not the whole (nt, J, J) spectrum.
 """
 from __future__ import annotations
 
@@ -42,6 +52,10 @@ from .spde import (ModelCoefficients, cap_profile, resolve_truncation,
                    run_relative_frame)
 
 SQRT_PI = np.sqrt(np.pi)
+#: kernel times per block of the table build
+TABLE_BLOCK = 128
+#: kernel-table rows per chunk of a kernel spectrum
+SPECTRUM_ROWS = 4
 
 
 @dataclass
@@ -60,63 +74,49 @@ class KernelTables:
     mid_der: np.ndarray = field(repr=False)
 
 
-def _hat_moment_matrices(t: float, grid: GridSpec, n_images: int):
-    """Value and derivative hat-moment matrices at a single kernel time.
+def _hat_moment_matrices(t: np.ndarray, grid: GridSpec, n_images: int):
+    """Value and derivative hat-moment matrices at a block of kernel times.
 
-    Works for both domains: the compact kernel sums images n in
-    [-n_images, n_images]; the half-line kernel is the single n = 0 pair.
-    The derivative moments are obtained by parts, -int K hat', which is
-    exact because K vanishes at y = 0 (and at y = 1 for the compact
-    kernel); at the artificial half-line boundary the dropped term
-    K(t, x, L) hat(L) only ever multiplies integrands that vanish there.
+    ``t`` is (B,); returns val and der, each (B, J, J).  Works for both
+    domains: the compact kernel sums images n in [-n_images, n_images];
+    the half-line kernel is the single n = 0 pair.  The derivative
+    moments are obtained by parts, -int K hat', which is exact because K
+    vanishes at y = 0 (and at y = 1 for the compact kernel); at the
+    artificial half-line boundary the dropped term K(t, x, L) hat(L) only
+    ever multiplies integrands that vanish there.
+
+    On a segment [a, b] (in units of the width s) an image with centre c
+    integrates to (s sqrt(pi)/2)(erf(b) - erf(a)) against 1, and to c
+    times that plus (s^2/2)(exp(-a^2) - exp(-b^2)) against y.  Family A
+    (centres x_j + 2n) depends on (x_j, segment m) only through m - j,
+    family B (centres -(x_j + 2n)) only through m + j, so the image sums
+    are taken on (2J - 2)-long tables and gathered to (J, J - 1) after.
     """
     nodes = grid.space_nodes()
-    J = grid.n_nodes
-    dx = grid.dx
-    s = np.sqrt(4.0 * t)
+    J, dx = grid.n_nodes, grid.dx
+    s = np.sqrt(4.0 * t)[:, None]                                   # (B, 1)
     shifts = 2.0 * np.arange(-n_images, n_images + 1)
+    offsets = np.stack([np.arange(-(J - 1), J)[:, None] * dx - shifts,  # A: (a - j) dx - 2n
+                        np.arange(2 * J - 1)[:, None] * dx + shifts])  # B: (a + j) dx + 2n
+    arg = offsets[:, None] / s[:, :, None]                          # (2, B, 2J-1, n_img)
+    d_erf = np.diff(erf(arg), axis=2)                               # node a + 1 less node a
+    d_gauss = -np.diff(np.exp(-arg * arg), axis=2)
+    i0 = 0.5 * SQRT_PI * s * d_erf.sum(axis=3)                      # (2, B, 2J-2)
+    # y-moments less their x_j part, which is +x_j i0 for A and -x_j i0 for B
+    i1 = (0.5 * SQRT_PI * s * (d_erf @ shifts) * np.array([1.0, -1.0])[:, None, None]
+          + 0.5 * s * s * d_gauss.sum(axis=3))
 
-    # erf/exp lookup tables over node differences (family A: centers x_j + 2n)
-    # and node sums (family B: centers -(x_j + 2n)); arguments are
-    # ((a - j) dx - 2n)/s and ((a + j) dx + 2n)/s for node index a.
-    diff = np.arange(-(J - 1), J) * dx                 # (2J-1,)
-    summ = np.arange(0, 2 * J - 1) * dx                # (2J-1,)
-    argA = (diff[:, None] - shifts[None, :]) / s       # (2J-1, n_img)
-    argB = (summ[:, None] + shifts[None, :]) / s
-    erfA, expA = erf(argA), np.exp(-argA * argA)
-    erfB, expB = erf(argB), np.exp(-argB * argB)
-
-    j_idx = np.arange(J)[:, None]                      # (J, 1)
-    m_idx = np.arange(J - 1)[None, :]                  # (1, J-1) segment starts
-    dA_lo = m_idx - j_idx + (J - 1)                    # index of a=m in diff table
-    dA_hi = dA_lo + 1                                  # a = m+1
-    dB_lo = m_idx + j_idx
-    dB_hi = dB_lo + 1
-
-    half_s_sqrtpi = 0.5 * s * SQRT_PI
-    i0_A = half_s_sqrtpi * (erfA[dA_hi] - erfA[dA_lo])          # (J, J-1, n_img)
-    i0_B = half_s_sqrtpi * (erfB[dB_hi] - erfB[dB_lo])
-    cA = nodes[:, None, None] + shifts[None, None, :]
-    cB = -cA
-    half_s2 = 0.5 * s * s
-    i1_A = cA * i0_A + half_s2 * (expA[dA_lo] - expA[dA_hi])
-    i1_B = cB * i0_B + half_s2 * (expB[dB_lo] - expB[dB_hi])
-
-    norm = 1.0 / np.sqrt(4.0 * np.pi * t)
-    seg_i0 = (i0_A - i0_B).sum(axis=2) * norm                   # (J, J-1)
-    seg_i1 = (i1_A - i1_B).sum(axis=2) * norm
-
-    x_lo = nodes[:-1][None, :]
-    x_hi = nodes[1:][None, :]
-    rise = (seg_i1 - x_lo * seg_i0) / dx    # weight (y - x_m)/dx on segment m
-    fall = (x_hi * seg_i0 - seg_i1) / dx    # weight (x_{m+1} - y)/dx
-
-    val = np.zeros((J, J))
-    val[:, 1:] += rise
-    val[:, :-1] += fall
-    der = np.zeros((J, J))
-    der[:, 1:] -= seg_i0 / dx
-    der[:, :-1] += seg_i0 / dx
+    m, j = np.arange(J - 1), np.arange(J)[:, None]                  # segment, node
+    dA, dB = m - j + J - 1, m + j                                   # (J, J-1)
+    i0_A, i0_B = i0[0][:, dA], i0[1][:, dB]                         # (B, J, J-1)
+    norm = 1.0 / np.sqrt(4.0 * np.pi * t)[:, None, None]
+    seg_i0 = (i0_A - i0_B) * norm
+    seg_i1 = (nodes[:, None] * (i0_A + i0_B) + i1[0][:, dA] - i1[1][:, dB]) * norm
+    rise = (seg_i1 - nodes[:-1] * seg_i0) / dx    # weight (y - x_m)/dx on segment m
+    fall = (nodes[1:] * seg_i0 - seg_i1) / dx     # weight (x_{m+1} - y)/dx
+    edge = [(0, 0), (0, 0)]
+    val = np.pad(rise, edge + [(1, 0)]) + np.pad(fall, edge + [(0, 1)])
+    der = np.diff(seg_i0, axis=2, prepend=0.0, append=0.0) / dx
     return val, der
 
 
@@ -127,71 +127,79 @@ def build_kernel_tables(grid: GridSpec, n_images: int | None = None) -> KernelTa
     elif grid.domain_kind != COMPACT:
         n_images = 0
     nt, J = grid.nt, grid.n_nodes
-    dt = grid.dt
+    d = np.arange(nt)
     init = np.empty((nt, J, J))
     mid_val = np.empty((nt, J, J))
     mid_der = np.empty((nt, J, J))
-    for d in range(nt):
-        init[d], _ = _hat_moment_matrices((d + 1) * dt, grid, n_images)
-        mid_val[d], mid_der[d] = _hat_moment_matrices((d + 0.5) * dt, grid, n_images)
+    for lo in range(0, nt, TABLE_BLOCK):
+        blk = slice(lo, lo + TABLE_BLOCK)
+        init[blk] = _hat_moment_matrices((d[blk] + 1) * grid.dt, grid, n_images)[0]
+        mid_val[blk], mid_der[blk] = _hat_moment_matrices((d[blk] + 0.5) * grid.dt,
+                                                          grid, n_images)
     return KernelTables(grid=grid, n_images=n_images, init=init,
                         mid_val=mid_val, mid_der=mid_der)
 
 
 def _causal_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """out[i] = sum_{s <= i} kernel[i - s] @ signal[s] via FFT over time."""
-    nt = kernel.shape[0]
-    L = 1
-    while L < 2 * nt:
-        L *= 2
-    kf = np.fft.rfft(kernel, n=L, axis=0)
-    sf = np.fft.rfft(signal, n=L, axis=0)
-    prod = np.einsum("fjk,fk->fj", kf, sf)
-    return np.fft.irfft(prod, n=L, axis=0)[:nt]
+    """out[i] = sum_{s <= i} kernel[i - s] @ signal[s] via FFT over time.
+
+    ``kernel`` is (nt, J, J) and ``signal`` (nt, J, S), S signals side by
+    side.  The kernel spectrum is transformed SPECTRUM_ROWS rows at a
+    time and multiplied into the product at once, so it is never whole.
+    """
+    # scipy.fft is imported here, not with the module: it would add about
+    # 50 ms and 1 MB to the start of every subcommand, not only this one
+    from scipy import fft
+
+    nt, J = kernel.shape[:2]
+    L = 1 << (2 * nt - 1).bit_length()        # a power of two >= 2 nt
+    sf = fft.rfft(signal, n=L, axis=0, workers=-1)
+    prod = np.empty_like(sf)
+    for lo in range(0, J, SPECTRUM_ROWS):
+        rows = slice(lo, lo + SPECTRUM_ROWS)
+        kf = fft.rfft(kernel[:, rows], n=L, axis=0, workers=-1)
+        np.matmul(kf, sf, out=prod[:, rows])
+    return fft.irfft(prod, n=L, axis=0, workers=-1)[:nt]
 
 
 def mild_solve_w(v1_prev: Field, v2_prev: Field, coeffs: ModelCoefficients,
-                 boundary_fn: BoundaryFunctional, M: float, noise: NoiseField,
-                 grid: GridSpec, side: int = 1,
-                 tables: KernelTables | None = None) -> Field:
-    """Evaluate one unreflected mild iterate on the whole grid."""
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    if v1_prev.grid != grid or v2_prev.grid != grid or noise.grid != grid:
+                 boundary_fn: BoundaryFunctional, M: float,
+                 noise_pair: tuple[NoiseField, NoiseField], grid: GridSpec,
+                 tables: KernelTables | None = None) -> tuple[Field, Field]:
+    """Evaluate one unreflected mild iterate of both sides on the whole grid.
+
+    Side k is driven by ``noise_pair[k - 1]``; returns (w1, w2).  The two
+    sides' signals are stacked, so one convolution per kernel table
+    serves both.
+    """
+    if (v1_prev.grid != grid or v2_prev.grid != grid
+            or any(noise.grid != grid for noise in noise_pair)):
         raise GridMismatch("previous iterates and noise must live on the grid")
     if tables is None:
         tables = build_kernel_tables(grid)
     fn = resolve_truncation(boundary_fn, M)
 
     nt, J = grid.nt, grid.n_nodes
-    dt = grid.dt
-    x = grid.space_nodes()
-    own_prev = v1_prev if side == 1 else v2_prev
-    v0 = own_prev.values[0]
-    drift_fn = coeffs.f1 if side == 1 else coeffs.f2
-    vol_fn = coeffs.sigma1 if side == 1 else coeffs.sigma2
-    adv_sign = 1.0 if side == 1 else -1.0
+    x = grid.space_nodes()[None, :]
+    h = eval_h(fn, v1_prev.values[:nt], v2_prev.values[:nt], grid)[:, None]
+    advection = np.empty((nt, J, 2))
+    forcing = np.empty((nt, J, 2))
+    # the advection enters side 1 as +dK/dy and side 2 as -dK/dy
+    for k, (u, speed, drift_fn, vol_fn, noise) in enumerate((
+            (v1_prev.values[:nt], h, coeffs.f1, coeffs.sigma1, noise_pair[0]),
+            (v2_prev.values[:nt], -h, coeffs.f2, coeffs.sigma2, noise_pair[1]))):
+        advection[..., k] = speed * cap_profile(u, grid, M)
+        # coefficients that ignore u may return a single spatial row
+        forcing[..., k] = drift_fn(x, u) + vol_fn(x, u) * noise.xi
 
-    h_vals = eval_h(fn, v1_prev.values[:nt], v2_prev.values[:nt], grid)
-    adv_sig = h_vals[:, None] * cap_profile(own_prev.values[:nt], grid, M)
-    # coefficients that ignore u may return a single spatial row; broadcast
-    drift_sig = np.broadcast_to(
-        np.asarray(drift_fn(x[None, :], own_prev.values[:nt]), dtype=float), (nt, J))
-    stoch_sig = np.broadcast_to(
-        np.asarray(vol_fn(x[None, :], own_prev.values[:nt]), dtype=float), (nt, J)) * noise.xi
-
-    conv_adv = _causal_convolve(tables.mid_der, adv_sig)
-    conv_drift = _causal_convolve(tables.mid_val, drift_sig)
-    conv_stoch = _causal_convolve(tables.mid_val, stoch_sig)
-
-    w = np.zeros((nt + 1, J))
-    w[0] = v0
-    w[1:] = (tables.init @ v0
-             + dt * (adv_sign * conv_adv + conv_drift + conv_stoch))
-    w[:, 0] = 0.0
-    w[:, -1] = 0.0
-    w[0] = v0
-    return Field(grid, w)
+    v0 = np.stack([v1_prev.values[0], v2_prev.values[0]], axis=-1)   # (J, 2)
+    duhamel = tables.init @ v0 + grid.dt * (_causal_convolve(tables.mid_der, advection)
+                                            + _causal_convolve(tables.mid_val, forcing))
+    w = np.empty((2, nt + 1, J))
+    w[:, 1:] = np.moveaxis(duhamel, -1, 0)
+    w[:, :, [0, -1]] = 0.0
+    w[:, 0] = v0.T
+    return Field(grid, w[0]), Field(grid, w[1])
 
 
 @dataclass
@@ -243,17 +251,14 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     v2_0 = grid.check_profile(v2_0)
     if tables is None:
         tables = build_kernel_tables(grid)
-    noise1, noise2 = noise_pair
 
     v1 = Field(grid, np.tile(v1_0, (grid.nt + 1, 1)))
     v2 = Field(grid, np.tile(v2_0, (grid.nt + 1, 1)))
     d_hist = []
     z1 = z2 = None
     for _ in range(n_iters):
-        w1 = mild_solve_w(v1, v2, coeffs, boundary_fn, M, noise1, grid,
-                          side=1, tables=tables)
-        w2 = mild_solve_w(v1, v2, coeffs, boundary_fn, M, noise2, grid,
-                          side=2, tables=tables)
+        w1, w2 = mild_solve_w(v1, v2, coeffs, boundary_fn, M, noise_pair, grid,
+                              tables=tables)
         z1 = solve_projected(Field(grid, -w1.values))
         z2 = solve_projected(Field(grid, -w2.values))
         v1_new = Field(grid, w1.values + z1.z.values)
@@ -270,8 +275,8 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     if compare_direct:
         traj = run_relative_frame((v1_0, v2_0, 0.0), coeffs, boundary_fn,
                                   M=M, M_max=np.inf, grid=grid,
-                                  seed=noise1.seed, store_stride=1,
-                                  noise_pair=(noise1, noise2))
+                                  seed=noise_pair[0].seed, store_stride=1,
+                                  noise_pair=noise_pair)
         gap1 = np.max(np.abs(traj.v1_snapshots - v1.values))
         gap2 = np.max(np.abs(traj.v2_snapshots - v2.values))
         report.final_gap_vs_direct = float(max(gap1, gap2))

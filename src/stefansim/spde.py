@@ -372,58 +372,61 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     finals = [None] * n_paths
 
     t = 0.0
-    for i in range(nt):
-        j = i % block
-        if j == 0:
-            n_rows = min(block, nt - i)
-            for side in (0, 1):
-                for a, k in enumerate(rows):
-                    xi[:n_rows, side, a] = streams[side][k].draw(n_rows)
-        t_new = t + dt
-        new, pp_new = step_reflected(v, pp, xi[j], coeffs, fn, M, grid,
-                                     lap_scale=lap_scale, time=t, paths=labels,
-                                     out=spare)
-        p_new = advance_p(p, pp_new, dt)
-        norms = profile_norm(new, grid)
-        step = i + 1
-        times[step] = t_new
-        record[0, at, step] = p_new
-        record[1, at, step] = pp_new
-        record[2:, at, step] = norms
-        if store_stride > 0 and (step % store_stride == 0 or step == nt):
-            snaps[:, at, n_snaps] = new[kept]
-            n_snaps += 1
+    # a step that overflows or meets inf - inf is flagged non-finite and
+    # discarded below, so numpy need not warn about it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(nt):
+            j = i % block
+            if j == 0:
+                n_rows = min(block, nt - i)
+                for side in (0, 1):
+                    for a, k in enumerate(rows):
+                        xi[:n_rows, side, a] = streams[side][k].draw(n_rows)
+            t_new = t + dt
+            new, pp_new = step_reflected(v, pp, xi[j], coeffs, fn, M, grid,
+                                         lap_scale=lap_scale, time=t, paths=labels,
+                                         out=spare)
+            p_new = advance_p(p, pp_new, dt)
+            norms = profile_norm(new, grid)
+            step = i + 1
+            times[step] = t_new
+            record[0, at, step] = p_new
+            record[1, at, step] = pp_new
+            record[2:, at, step] = norms
+            if store_stride > 0 and (step % store_stride == 0 or step == nt):
+                snaps[:, at, n_snaps] = new[kept]
+                n_snaps += 1
 
-        # one test covers the usual step, where no path stops: the sum is
-        # below M_max only if both norms and p are finite (0 * inf is nan)
-        total = norms[0] + norms[1]
-        if not np.all(total + 0.0 * p_new < M_max):
-            # p' is finite whenever p is.  A threshold blow-up keeps its
-            # step; a non-finite one falls back to the last finite state.
-            finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
-            done = ~finite | (total >= M_max)
-            for a in np.flatnonzero(done):
-                k = rows[a]
-                if finite[a]:
-                    ends[k], causes[k] = step, BLOWUP_THRESHOLD
-                    finals[k] = CoupledState(new[0, a].copy(), new[1, a].copy(),
-                                             float(p_new[a]), float(pp_new[a]), t_new,
-                                             blown_up=True, tau_estimate=t_new)
-                else:
-                    ends[k], causes[k] = i, BLOWUP_NON_FINITE
-                    finals[k] = CoupledState(v[0, a].copy(), v[1, a].copy(),
-                                             float(p[a]), float(pp[a]), t,
-                                             blown_up=True, tau_estimate=t_new)
-            live = ~done
-            rows = at = rows[live]
-            labels = [lab for lab, keep in zip(labels, live) if keep]
-            new, v = new[:, live], v[:, live]
-            p_new, pp_new = p_new[live], pp_new[live]
-            xi = xi[:, :, live]
-            if rows.size == 0:
-                break
-        v, spare = new, v
-        p, pp, t = p_new, pp_new, t_new
+            # one test covers the usual step, where no path stops: the sum is
+            # below M_max only if both norms and p are finite (0 * inf is nan)
+            total = norms[0] + norms[1]
+            if not np.all(total + 0.0 * p_new < M_max):
+                # p' is finite whenever p is.  A threshold blow-up keeps its
+                # step; a non-finite one falls back to the last finite state.
+                finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
+                done = ~finite | (total >= M_max)
+                for a in np.flatnonzero(done):
+                    k = rows[a]
+                    if finite[a]:
+                        ends[k], causes[k] = step, BLOWUP_THRESHOLD
+                        finals[k] = CoupledState(new[0, a].copy(), new[1, a].copy(),
+                                                 float(p_new[a]), float(pp_new[a]), t_new,
+                                                 blown_up=True, tau_estimate=t_new)
+                    else:
+                        ends[k], causes[k] = i, BLOWUP_NON_FINITE
+                        finals[k] = CoupledState(v[0, a].copy(), v[1, a].copy(),
+                                                 float(p[a]), float(pp[a]), t,
+                                                 blown_up=True, tau_estimate=t_new)
+                live = ~done
+                rows = at = rows[live]
+                labels = [lab for lab, keep in zip(labels, live) if keep]
+                new, v = new[:, live], v[:, live]
+                p_new, pp_new = p_new[live], pp_new[live]
+                xi = xi[:, :, live]
+                if rows.size == 0:
+                    break
+            v, spare = new, v
+            p, pp, t = p_new, pp_new, t_new
 
     for a, k in enumerate(rows):
         finals[k] = CoupledState(v[0, a], v[1, a], float(p[a]), float(pp[a]), t)

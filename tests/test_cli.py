@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,11 @@ def test_non_finite_blowup_reported_with_cause(tmp_path):
     cfg = _base_cfg(tmp_path)
     cfg["coefficients"] = {"kind": "constant", "f": float("inf"), "sigma": 0.5}
     cfg_path = _write_cfg(tmp_path, cfg)
-    assert main(["simulate", "-c", cfg_path]) == 0
+    # the discarded step's inf and nan raise no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "-c", cfg_path]) == 0
+    assert [str(w.message) for w in caught] == []
     out = tmp_path / "out"
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["blown_up"] is True
