@@ -17,7 +17,7 @@ from .lob import (FitResult, LobEventStream, fit_coefficients, parse_events,
 from .noise import NoiseField, NoiseStream, sample_white_noise
 from .obstacle import ObstacleSolution, solve_penalized, solve_projected, stability_gap
 from .picard import IterationReport, KernelTables, build_kernel_tables, mild_solve_w, picard_iterate
-from .regularity import (HolderEstimate, boundary_holder, estimate_holder,
+from .regularity import (HolderEstimate, StructureSums, boundary_holder, estimate_holder,
                          estimate_holder_ensemble, structure_function)
 from .spde import (CoupledState, ModelCoefficients, Trajectory,
                    constant_coefficients, run_paths, run_relative_frame, step_reflected,

@@ -25,8 +25,8 @@ from .lob import FitResult, fit_coefficients, parse_events, price_series_to_csv,
 from .noise import sample_white_noise
 from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
-from .regularity import (SPACE, TIME, boundary_holder_ensemble,
-                         estimate_holder_ensemble)
+from .regularity import (SPACE, TIME, StructureSums, boundary_holder_ensemble,
+                         dyadic_lags, estimate_holder_ensemble)
 from .spde import run_paths, run_relative_frame
 
 EXIT_OK = 0
@@ -135,22 +135,30 @@ def cmd_holder(cfg: dict) -> int:
     v1_0, v2_0 = initial_from_config(cfg, grid)
     base_seed = get_field(cfg, "noise.seed", default=0, cast=int)
     n_paths = get_field(cfg, "holder.n_paths", default=4, cast=int)
-    q = get_field(cfg, "holder.q", default=2, cast=int)
+    q = get_field(cfg, "holder.q", default=2, cast=float)
     lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=int)
     lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=int)
     M = cfgmod.float_or_inf(get_field(cfg, "run.M", default="inf"))
     M_max = cfgmod.float_or_inf(get_field(cfg, "run.M_max", default="inf"))
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
+    if q not in (1, 2):
+        raise ConfigError(f"field 'holder.q' must be 1 or 2, got {q}")
+    try:
+        time_lags = dyadic_lags((lag_lo, lag_hi))
+    except ValueError as exc:
+        raise ConfigError(f"fields 'holder.lag_min' and 'holder.lag_max': {exc}") from None
+    space_range = (1, max(8, grid.nx // 8))
 
-    # holder.workers is deprecated and ignored: all paths step as one batch
+    # side-1 profiles are reduced to structure sums as the batch steps; none
+    # is kept.  holder.workers is deprecated and ignored.
+    sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags=time_lags,
+                         space_lags=dyadic_lags(space_range))
     trajs = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=M_max, grid=grid,
                       seeds=range(base_seed, base_seed + n_paths), store_stride=1,
-                      lap_scale=lap_scale, store_sides=(1,))
-    fields = [t.v1_snapshots for t in trajs]
+                      lap_scale=lap_scale, store_sides=(1,), sink=sums.push)
     rows = [
-        estimate_holder_ensemble(fields, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
-        estimate_holder_ensemble(fields, SPACE, q=q,
-                                 lag_range=(1, max(8, grid.nx // 8))).to_json_dict(),
+        estimate_holder_ensemble(sums, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
+        estimate_holder_ensemble(sums, SPACE, q=q, lag_range=space_range).to_json_dict(),
         boundary_holder_ensemble([t.p_prime for t in trajs], q=q,
                                  lag_range=(lag_lo, lag_hi)).to_json_dict(),
     ]

@@ -42,13 +42,17 @@ class HolderEstimate:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
+        """JSON-safe row: a degenerate fit has null values and is flagged."""
+        row = {
             "axis": self.axis,
             "q": float(self.q),
-            "exponent": float(self.exponent),
-            "stderr": float(self.stderr),
+            "exponent": None if self.degenerate else float(self.exponent),
+            "stderr": None if self.degenerate else float(self.stderr),
             "n_paths": int(self.n_paths),
         }
+        if self.degenerate:
+            row["degenerate"] = True
+        return row
 
 
 def _as_values(path) -> np.ndarray:
@@ -104,6 +108,139 @@ def structure_function(path, axis: str, lags, q: float):
     return out
 
 
+#: rows reduced at once; the row buffer is this much deeper than the largest time lag
+BLOCK_ROWS = 512
+
+
+class StructureSums:
+    """Structure functions of P paths, reduced while their rows arrive.
+
+    Rows are pushed in order, all live paths at once (``push``), into a
+    buffer ``max(time_lags) + BLOCK_ROWS`` rows deep.  Each time it fills,
+    every path's per-row sums of |increment|^q over the interior columns
+    are taken for each lag (a time lag L pairs row i with row i + L and
+    is booked on row i; a space lag pairs nodes within a row), and the
+    last ``max(time_lags)`` rows move to the front.  The interior window
+    is trimmed from the per-row sums at the end, with each path's own row
+    count, so ``structure_functions`` pools exactly what
+    ``structure_function`` pools on that path's stored rows.  Memory is
+    O(P (max lag + BLOCK_ROWS) n_cols + P n_lags n_rows).
+    """
+
+    def __init__(self, n_paths: int, n_cols: int, n_rows: int, q: float,
+                 time_lags=(), space_lags=()):
+        if q not in (1, 2):
+            raise ValueError(f"supported moment orders are q in {{1, 2}}, got {q}")
+        self.q = q
+        self.n_paths = int(n_paths)
+        self.time_lags = [int(lag) for lag in time_lags]
+        self.space_lags = [int(lag) for lag in space_lags]
+        if min(self.time_lags + self.space_lags, default=1) < 1:
+            raise ValueError("lags must be at least 1")
+        self._max_lag = max(self.time_lags, default=0)
+        self._buf = np.zeros((self._max_lag + BLOCK_ROWS, self.n_paths, n_cols))
+        edge = int(np.floor(WINDOW_MARGIN * n_cols)) if n_cols > 1 else 0
+        self._cols = slice(edge, n_cols - edge)
+        self._sums = {TIME: np.zeros((len(self.time_lags), n_rows, self.n_paths)),
+                      SPACE: np.zeros((len(self.space_lags), n_rows, self.n_paths))}
+        self._count = np.zeros(self.n_paths, dtype=int)
+        self._base = 0       # row number of buffer row 0
+        self._held = 0       # buffer rows already reduced
+        self._filled = 0     # buffer rows in use
+
+    @classmethod
+    def from_paths(cls, paths, q: float, time_lags=(), space_lags=()) -> "StructureSums":
+        """Push stored paths (Fields, 1-D series or 2-D arrays) through a reducer."""
+        values = [_as_values(path) for path in paths]
+        if not values:
+            raise InsufficientData("empty ensemble")
+        n_cols = values[0].shape[1]
+        if any(v.shape[1] != n_cols for v in values):
+            raise ValueError("ensemble paths must have the same number of columns")
+        lengths = np.array([len(v) for v in values])
+        sums = cls(len(values), n_cols, int(lengths.max()), q, time_lags, space_lags)
+        # pieces of at most BLOCK_ROWS rows over which the live paths do not change
+        cuts = sorted(set(range(0, int(lengths.max()), BLOCK_ROWS)) | set(lengths.tolist()))
+        for a, b in zip(cuts, cuts[1:]):
+            live = np.flatnonzero(lengths >= b)
+            sums.push(live, np.stack([values[k][a:b] for k in live], axis=1))
+        return sums
+
+    def push(self, at, rows: np.ndarray) -> None:
+        """Append the next m rows, (m, P_live, n_cols), to the paths ``at``.
+
+        ``at`` is a slice or an index array; a path left out has stopped
+        and takes no more rows.  This is a ``run_paths`` sink when one
+        side is stored: each stored step's (1, P_live, n) profiles are
+        one row.
+        """
+        depth = len(self._buf)
+        while len(rows):
+            f = self._filled
+            take = min(len(rows), depth - f)
+            self._buf[f:f + take, at] = rows[:take]
+            self._count[at] += take
+            self._filled = f + take
+            rows = rows[take:]
+            if self._filled == depth:
+                self._reduce()
+
+    def _reduce(self) -> None:
+        """Book the per-row sums of the rows not yet reduced, then shift."""
+        buf, f, h, base = self._buf, self._filled, self._held, self._base
+        cols = self._cols
+        # a time lag pairs each new row j >= lag with row j - lag
+        for sums, lag in zip(self._sums[TIME], self.time_lags):
+            lo = max(h, lag)
+            if lo < f:
+                # whole rows subtract faster than their interior columns
+                d = buf[lo:f] - buf[lo - lag:f - lag]
+                sums[base + lo - lag:base + f - lag] = self._row_sums(d[..., cols])
+        if h < f:
+            new = buf[h:f, :, cols]
+            for sums, lag in zip(self._sums[SPACE], self.space_lags):
+                sums[base + h:base + f] = self._row_sums(new[..., lag:] - new[..., :-lag])
+        keep = min(self._max_lag, f)
+        buf[:keep] = buf[f - keep:f]
+        self._base += f - keep
+        self._held = self._filled = keep
+
+    def _row_sums(self, d: np.ndarray) -> np.ndarray:
+        if self.q == 2:
+            return np.einsum("rpc,rpc->rp", d, d)
+        return np.abs(d).sum(axis=-1)
+
+    def structure_functions(self, axis: str, lags) -> np.ndarray:
+        """(P, len(lags)) mean q-th absolute increments over each path's window.
+
+        Raises InsufficientData where ``structure_function`` would.
+        """
+        self._reduce()
+        own = self.time_lags if axis == TIME else self.space_lags
+        n_cols = self._cols.stop - self._cols.start
+        out = np.empty((self.n_paths, len(lags)))
+        for k, n_rows in enumerate(self._count.tolist()):
+            lo = int(np.floor(WINDOW_MARGIN * n_rows))
+            hi = n_rows - lo
+            for j, lag in enumerate(lags):
+                lag = int(lag)
+                if lag not in own:
+                    raise ValueError(f"lag {lag} was not reduced along {axis}")
+                sums = self._sums[axis][own.index(lag), :, k]
+                n = hi - lo if axis == TIME else n_cols
+                if lag >= n:
+                    raise InsufficientData(f"lag {lag} outside series of length {n}")
+                if axis == TIME:
+                    count, total = (hi - lo - lag) * n_cols, np.sum(sums[lo:hi - lag])
+                else:
+                    count, total = (hi - lo) * (n_cols - lag), np.sum(sums[lo:hi])
+                if count < MIN_INCREMENTS:
+                    raise InsufficientData(
+                        f"only {count} increments at lag {lag}; need {MIN_INCREMENTS}")
+                out[k, j] = total / count
+        return out
+
+
 def dyadic_lags(lag_range) -> list:
     lo, hi = int(lag_range[0]), int(lag_range[1])
     lags = []
@@ -149,17 +286,22 @@ def estimate_holder(path, axis: str, q: float = 2,
 
 def estimate_holder_ensemble(paths, axis: str, q: float = 2,
                              lag_range=DEFAULT_LAG_RANGE) -> HolderEstimate:
-    """Pool structure functions across ensemble members, then fit once."""
-    paths = list(paths)
-    if not paths:
-        raise InsufficientData("empty ensemble")
+    """Pool structure functions across ensemble members, then fit once.
+
+    ``paths`` is a fed StructureSums reduced at the dyadic lags of
+    ``lag_range`` along ``axis``, or a list of stored paths, which is
+    pushed through one.
+    """
     lags = dyadic_lags(lag_range)
-    acc = np.zeros(len(lags))
-    for path in paths:
-        pairs = structure_function(path, axis, lags, q)
-        acc += np.array([p[1] for p in pairs])
-    acc /= len(paths)
-    return _fit_loglog(lags, acc, q, axis, lag_range, n_paths=len(paths))
+    if isinstance(paths, StructureSums):
+        sums = paths
+        if sums.q != q:
+            raise ValueError(f"structure sums were reduced with q={sums.q}, not {q}")
+    else:
+        sums = StructureSums.from_paths(paths, q, **{
+            "time_lags" if axis == TIME else "space_lags": lags})
+    pooled = sums.structure_functions(axis, lags).mean(axis=0)
+    return _fit_loglog(lags, pooled, q, axis, lag_range, n_paths=sums.n_paths)
 
 
 def boundary_holder(p_prime_series, q: float = 2,

@@ -222,6 +222,18 @@ def _per_side(f1: Callable, f2: Callable, x: np.ndarray, v: np.ndarray):
                      np.broadcast_to(f2(x, v[1]), shape)))
 
 
+class _SnapshotStore:
+    """The default snapshot sink: every stored step's profiles in one array."""
+
+    def __init__(self, shape):
+        self.snaps = np.empty(shape)       # (sides, P, n_snaps, n_nodes)
+        self.n = 0
+
+    def __call__(self, at, profiles):
+        self.snaps[:, at, self.n] = profiles
+        self.n += 1
+
+
 BLOWUP_THRESHOLD = "threshold"
 BLOWUP_NON_FINITE = "non_finite"
 
@@ -291,16 +303,21 @@ class Trajectory:
 def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
               M: float, M_max: float, grid: GridSpec, seeds, store_stride: int = 0,
               lap_scale: float = 1.0, noise_pair=None,
-              store_sides=(1, 2)) -> list:
+              store_sides=(1, 2), sink=None) -> list:
     """Integrate one path per seed from common initial data, as one batch.
 
     ``initial`` is (v1_0, v2_0, p0).  Path k is driven by the noise
     streams (seeds[k], 0) and (seeds[k], 1), and equals bit for bit the
     run of that seed alone: every operation acts on each row by itself.
     A path that blows up leaves the batch, frozen, and its Trajectory
-    ends there.  Every ``store_stride`` steps the profiles of the sides
-    in ``store_sides`` are kept.  An explicit (NoiseField, NoiseField)
-    ``noise_pair`` drives a single path in place of the seeded streams.
+    ends there.  Every ``store_stride`` steps (and at step 0 and the
+    last step) the profiles of the sides in ``store_sides`` go to
+    ``sink(at, profiles)``: ``profiles`` is (sides, P_live, n_nodes) and
+    ``at`` the paths' indices, a slice while every path is live.  A
+    path's discarded non-finite step is not handed on.  The default sink
+    keeps the profiles as the Trajectories' snapshots.  An explicit
+    (NoiseField, NoiseField) ``noise_pair`` drives a single path in
+    place of the seeded streams.
     Returns one Trajectory per seed, in order.
     """
     v1_0, v2_0, p0 = initial
@@ -353,19 +370,22 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     record = np.empty((4, n_paths, nt + 1))          # p, p', norm1, norm2
     record[0, :, 0], record[1, :, 0] = p, pp
     record[2:, :, 0] = profile_norm(v, grid)
-    snap_steps = []
+    store = None
     if store_stride > 0:
         snap_steps = list(range(0, nt + 1, store_stride))
         if snap_steps[-1] != nt:
             snap_steps.append(nt)
-        snaps = np.empty((kept.stop - kept.start, n_paths, len(snap_steps), grid.n_nodes))
-        snaps[:, :, 0] = v[kept]
-    n_snaps = 1
+        if sink is None:
+            store = sink = _SnapshotStore(
+                (kept.stop - kept.start, n_paths, len(snap_steps), grid.n_nodes))
+        sink(slice(None), v[kept])
+    elif sink is not None:
+        raise ConfigError("a snapshot sink needs store_stride > 0")
 
     block = min(NOISE_BLOCK, nt)
     xi = np.empty((block, 2, n_paths, grid.n_nodes))
     rows = np.arange(n_paths)              # path index of each batch row
-    at = slice(None)                       # the batch rows' places in record/snaps
+    at = slice(None)                       # the batch rows' places in record and sink
     labels = [f"{k} (seed {s})" for k, s in enumerate(seeds)]
     ends = [nt] * n_paths
     causes = [None] * n_paths
@@ -393,14 +413,15 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             record[0, at, step] = p_new
             record[1, at, step] = pp_new
             record[2:, at, step] = norms
-            if store_stride > 0 and (step % store_stride == 0 or step == nt):
-                snaps[:, at, n_snaps] = new[kept]
-                n_snaps += 1
+            snap = store_stride > 0 and (step % store_stride == 0 or step == nt)
 
             # one test covers the usual step, where no path stops: the sum is
             # below M_max only if both norms and p are finite (0 * inf is nan)
             total = norms[0] + norms[1]
-            if not np.all(total + 0.0 * p_new < M_max):
+            if np.all(total + 0.0 * p_new < M_max):
+                if snap:
+                    sink(at, new[kept])
+            else:
                 # p' is finite whenever p is.  A threshold blow-up keeps its
                 # step; a non-finite one falls back to the last finite state.
                 finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
@@ -417,6 +438,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                         finals[k] = CoupledState(v[0, a].copy(), v[1, a].copy(),
                                                  float(p[a]), float(pp[a]), t,
                                                  blown_up=True, tau_estimate=t_new)
+                if snap:
+                    sink(rows[finite], new[kept][:, finite])
                 live = ~done
                 rows = at = rows[live]
                 labels = [lab for lab, keep in zip(labels, live) if keep]
@@ -435,11 +458,11 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     for k, seed in enumerate(seeds):
         end = ends[k] + 1
         stored = {}
-        if store_stride > 0:
+        if store is not None:
             count = bisect.bisect_right(snap_steps, ends[k])
             stored["snapshot_times"] = times[snap_steps[:count]]
             for pos, name in enumerate(("v1_snapshots", "v2_snapshots")[kept]):
-                stored[name] = snaps[pos, k, :count]
+                stored[name] = store.snaps[pos, k, :count]
         trajectories.append(Trajectory(
             grid=grid, seed=seed, M=float(M), M_max=float(M_max),
             lap_scale=float(lap_scale), times=times[:end],

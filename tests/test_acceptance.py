@@ -18,8 +18,8 @@ from stefansim.lob import fit_coefficients, parse_events, simulate_price
 from stefansim.noise import sample_white_noise
 from stefansim.obstacle import solve_penalized, solve_projected
 from stefansim.picard import picard_iterate
-from stefansim.regularity import (SPACE, TIME, boundary_holder_ensemble,
-                                  estimate_holder_ensemble)
+from stefansim.regularity import (SPACE, TIME, StructureSums, boundary_holder_ensemble,
+                                  dyadic_lags, estimate_holder_ensemble)
 from stefansim.spde import (ModelCoefficients, constant_coefficients, run_paths,
                             run_relative_frame)
 
@@ -201,16 +201,21 @@ def test_criterion_06_global_existence_bounded_h():
 
 @pytest.fixture(scope="module")
 def she_ensemble():
-    """20 reflected stochastic-heat paths (no boundary motion), 64 x 65536."""
+    """20 reflected stochastic-heat paths (no boundary motion), 64 x 65536.
+
+    Their side-1 profiles are reduced to structure sums as they step, at
+    the lags criterion 07 fits; no profile is kept.
+    """
     grid = build_grid("compact", 64, 1.0, 65536)
     coeffs = constant_coefficients(f=0.0, sigma=1.0)
     z = np.zeros(grid.n_nodes)
     from stefansim.boundary import zero_boundary
     t0 = time.perf_counter()
-    trajs = run_paths((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf,
-                      grid, seeds=range(9000, 9020), store_stride=1, store_sides=(1,))
-    fields = [traj.v1_snapshots for traj in trajs]
-    return fields, time.perf_counter() - t0
+    sums = StructureSums(20, grid.n_nodes, grid.nt + 1, q=2,
+                         time_lags=dyadic_lags((16, 256)), space_lags=dyadic_lags((1, 8)))
+    run_paths((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf, grid,
+              seeds=range(9000, 9020), store_stride=1, store_sides=(1,), sink=sums.push)
+    return sums, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -226,11 +231,11 @@ def imbalance_ensemble():
 
 
 def test_criterion_07_profile_holder_exponents(she_ensemble):
-    fields, build_time = she_ensemble
+    sums, build_time = she_ensemble
     # time lags sit above the lattice crossover dx^2/dt = 16 steps; space
     # lags stay below the domain-scale decorrelation at ~nx/8 cells
-    est_t = estimate_holder_ensemble(fields, TIME, q=2, lag_range=(16, 256))
-    est_s = estimate_holder_ensemble(fields, SPACE, q=2, lag_range=(1, 8))
+    est_t = estimate_holder_ensemble(sums, TIME, q=2, lag_range=(16, 256))
+    est_s = estimate_holder_ensemble(sums, SPACE, q=2, lag_range=(1, 8))
     ok = (0.20 <= est_t.exponent <= 0.30 and 0.40 <= est_s.exponent <= 0.60
           and build_time <= 600.0)
     assert _report("07 profile-holder", ok,

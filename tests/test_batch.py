@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.errors import CflViolation, DimensionMismatch
 from stefansim.grids import build_grid
+from stefansim.regularity import (SPACE, TIME, StructureSums, dyadic_lags,
+                                  estimate_holder_ensemble, structure_function)
 from stefansim.spde import (ModelCoefficients, constant_coefficients, run_paths,
                             run_relative_frame, step_reflected)
 
@@ -208,3 +210,41 @@ def test_store_sides_keeps_only_the_named_profiles():
                    for sides in ((1, 2), (1,)))
     assert only1.v2_snapshots is None
     assert _same_bytes(only1.v1_snapshots, full.v1_snapshots)
+
+
+@pytest.mark.parametrize("cause", ["threshold", "non_finite"])
+def test_structure_sums_sink_matches_stored_snapshots(cause):
+    g = build_grid("compact", 16, 0.08, 1024)
+    v0 = _sine(g, 0.5)
+    seeds = list(range(40, 46))
+    # some paths stop: at a pair-norm threshold, or with a drift that turns
+    # infinite above a level (the step is then discarded)
+    level = {"threshold": np.inf, "non_finite": 3.9}[cause]
+
+    def drift(x, u):
+        return np.where(u > level, np.inf, 20.0)
+
+    vol = lambda x, u: np.full_like(u, 3.0)  # noqa: E731
+    coeffs = ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol)
+    M_max = 6.25 if cause == "threshold" else np.inf
+    initial = (v0, v0.copy(), 0.0)
+    stored = run_paths(initial, coeffs, zero_boundary(), M_max, M_max, g, seeds,
+                       store_stride=1, store_sides=(1,))
+    causes = [t.blowup_cause for t in stored]
+    assert cause in causes and None in causes
+    assert min(len(t.times) for t in stored) > 100
+
+    time_lags, space_lags = dyadic_lags((1, 8)), dyadic_lags((1, 8))
+    sums = StructureSums(len(seeds), g.n_nodes, g.nt + 1, 2, time_lags, space_lags)
+    sunk = run_paths(initial, coeffs, zero_boundary(), M_max, M_max, g, seeds,
+                     store_stride=1, store_sides=(1,), sink=sums.push)
+    assert all(t.v1_snapshots is None for t in sunk)
+    assert [len(t.times) for t in sunk] == [len(t.times) for t in stored]
+    fields = [t.v1_snapshots for t in stored]
+    for axis, lags in ((TIME, time_lags), (SPACE, space_lags)):
+        want = [[s for _, s in structure_function(f, axis, lags, 2)] for f in fields]
+        np.testing.assert_allclose(sums.structure_functions(axis, lags), want,
+                                   rtol=1e-12, atol=0)
+        lag_range = (lags[0], lags[-1])
+        assert estimate_holder_ensemble(sums, axis, 2, lag_range) == \
+            estimate_holder_ensemble(fields, axis, 2, lag_range)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -149,14 +150,17 @@ def test_picard_check_subcommand(tmp_path):
     assert report["final_gap_vs_direct"] is not None
 
 
-def test_holder_subcommand(tmp_path):
+def _holder_cfg(tmp_path, **holder):
     cfg = _base_cfg(tmp_path)
     cfg["grid"] = {"domain": "compact", "nx": 16, "nt": 4096, "T": 0.1}
     cfg["boundary"] = {"kind": "zero"}
     cfg["run"] = {}
-    cfg["holder"] = {"n_paths": 2, "q": 2, "lag_min": 2, "lag_max": 32,
-                     "workers": 2}
-    cfg_path = _write_cfg(tmp_path, cfg)
+    cfg["holder"] = {"n_paths": 2, "q": 2, "lag_min": 2, "lag_max": 32, **holder}
+    return cfg
+
+
+def test_holder_subcommand(tmp_path):
+    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path, workers=2))
     assert main(["holder", "-c", cfg_path]) == 0
     report = json.loads((tmp_path / "out" / "holder.json").read_text())
     axes = [row["axis"] for row in report["estimates"]]
@@ -165,17 +169,57 @@ def test_holder_subcommand(tmp_path):
 
 
 def test_holder_worker_fanout_deterministic(tmp_path):
-    cfg = _base_cfg(tmp_path)
-    cfg["grid"] = {"domain": "compact", "nx": 16, "nt": 4096, "T": 0.1}
-    cfg["boundary"] = {"kind": "zero"}
-    cfg["run"] = {}
-    cfg["holder"] = {"n_paths": 3, "lag_min": 2, "lag_max": 32, "workers": 1}
-    cfg_path = _write_cfg(tmp_path, cfg)
+    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path, n_paths=3, workers=1))
     main(["holder", "-c", cfg_path])
     serial = (tmp_path / "out" / "holder.json").read_text()
     main(["holder", "-c", cfg_path, "--set", "holder.workers=3"])
     parallel = (tmp_path / "out" / "holder.json").read_text()
     assert json.loads(serial)["estimates"] == json.loads(parallel)["estimates"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_holder_degenerate_estimates_are_valid_json(tmp_path):
+    cfg = _holder_cfg(tmp_path)
+    del cfg["initial"]                     # zero profiles, so every increment is 0
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["holder", "-c", cfg_path, "--set", "coefficients.sigma=0"]) == 0
+    text = (tmp_path / "out" / "holder.json").read_text()
+    rows = json.loads(text, parse_constant=_reject_constant)["estimates"]
+    assert [row["axis"] for row in rows] == ["time", "space", "boundary_derivative"]
+    for row in rows:
+        assert row["exponent"] is None and row["stderr"] is None
+        assert row["degenerate"] is True
+
+
+@pytest.mark.parametrize("holder, field", [
+    ({"q": 3}, "holder.q"),
+    ({"q": 1.9}, "holder.q"),                               # not truncated to 1
+    ({"lag_min": 16, "lag_max": 64}, "holder.lag_min"),     # 3 dyadic lags
+])
+def test_holder_bad_settings_are_config_errors(tmp_path, capsys, holder, field):
+    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path, **holder))
+    assert main(["holder", "-c", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+def test_holder_keeps_no_profiles(tmp_path):
+    # storing every step's side-1 profile of both paths would take
+    # 2 x 8193 x 129 x 8 B = 16.9 MB; the structure sums take a fraction
+    cfg = _holder_cfg(tmp_path, lag_min=16, lag_max=128)
+    cfg["grid"] = {"domain": "compact", "nx": 128, "nt": 8192, "T": 0.125}
+    cfg_path = _write_cfg(tmp_path, cfg)
+    snapshot_bytes = 2 * (8192 + 1) * 129 * 8
+    tracemalloc.start()
+    try:
+        assert main(["holder", "-c", cfg_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < snapshot_bytes / 2
 
 
 def test_kernel_check_subcommand(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import fbm_path
 from stefansim.errors import InsufficientData
-from stefansim.regularity import (SPACE, TIME, boundary_holder, dyadic_lags,
-                                  estimate_holder, estimate_holder_ensemble,
+from stefansim.regularity import (BLOCK_ROWS, SPACE, TIME, StructureSums, boundary_holder,
+                                  dyadic_lags, estimate_holder, estimate_holder_ensemble,
                                   structure_function)
 
 
@@ -97,6 +99,91 @@ def test_estimate_json_row():
     est = estimate_holder(fbm_path(0.5, 2**13, seed=1), TIME, q=2, lag_range=(2, 64))
     row = est.to_json_dict()
     assert set(row) == {"axis", "q", "exponent", "stderr", "n_paths"}
+
+
+def test_degenerate_json_row_is_null_and_flagged():
+    row = estimate_holder(np.ones(4096), TIME, q=2, lag_range=(2, 64)).to_json_dict()
+    assert row["exponent"] is None and row["stderr"] is None
+    assert row["degenerate"] is True
+
+
+def _reference(paths, axis, lags, q):
+    """(P, len(lags)) structure_function values per stored path, or None if one raises."""
+    try:
+        return np.array([[s for _, s in structure_function(path, axis, lags, q)]
+                         for path in paths])
+    except InsufficientData:
+        return None
+
+
+def _fed_row_by_row(paths, n_cols, q, time_lags, space_lags):
+    """Push the paths one row at a time, as run_paths' sink does."""
+    lengths = np.array([len(path) for path in paths])
+    sums = StructureSums(len(paths), n_cols, int(lengths.max()), q, time_lags, space_lags)
+    for i in range(lengths.max()):
+        live = np.flatnonzero(lengths > i)
+        at = slice(None) if live.size == len(paths) else live
+        sums.push(at, np.stack([paths[k][i].reshape(n_cols) for k in live])[None])
+    return sums
+
+
+@given(n_cols=st.sampled_from([1, 3, 17]), n_paths=st.integers(1, 4),
+       q=st.sampled_from([1, 2]),
+       time_lags=st.sets(st.sampled_from([1, 2, 5, 16, 37, BLOCK_ROWS + 88]), min_size=1),
+       space_lags=st.sets(st.sampled_from([1, 2, 4, 7]), min_size=1),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_structure_sums_match_structure_function(n_cols, n_paths, q, time_lags,
+                                                 space_lags, seed, data):
+    time_lags, space_lags = sorted(time_lags), sorted(space_lags)
+    # every path is long enough for each time lag to pool 100 increments in
+    # its 80% window; path 0 runs to the end, the others stop earlier
+    shortest = int((time_lags[-1] + 101) / 0.8) + 2
+    n_rows = data.draw(st.integers(shortest, shortest + 2 * BLOCK_ROWS + 99))
+    lengths = [n_rows] + [data.draw(st.integers(shortest, n_rows)) for _ in range(n_paths - 1)]
+    rng = np.random.default_rng(seed)
+    walk = rng.standard_normal((n_paths, n_rows, n_cols)).cumsum(axis=1)
+    paths = [walk[k, :n] if n_cols > 1 else walk[k, :n, 0] for k, n in enumerate(lengths)]
+    pushed = StructureSums.from_paths(paths, q, time_lags, space_lags)
+    stepped = _fed_row_by_row(paths, n_cols, q, time_lags, space_lags)
+    for axis, lags in ((TIME, time_lags), (SPACE, space_lags)):
+        want = _reference(paths, axis, lags, q)
+        if want is None:
+            # space lags as wide as the 1- or 3-column interior
+            assert axis == SPACE
+            for sums in (pushed, stepped):
+                with pytest.raises(InsufficientData):
+                    sums.structure_functions(axis, lags)
+            continue
+        got = pushed.structure_functions(axis, lags)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(stepped.structure_functions(axis, lags), got)
+
+
+def test_structure_sums_raise_where_structure_function_does():
+    # the second path stops too early to pool 100 increments at lag 32
+    paths = [fbm_path(0.5, 4096, seed=5), fbm_path(0.5, 150, seed=6)]
+    lags = dyadic_lags((4, 32))
+    structure_function(paths[0], TIME, lags, 2)
+    with pytest.raises(InsufficientData):
+        structure_function(paths[1], TIME, lags, 2)
+    with pytest.raises(InsufficientData):
+        estimate_holder_ensemble(paths, TIME, q=2, lag_range=(4, 32))
+    with pytest.raises(InsufficientData):
+        estimate_holder_ensemble([], TIME, q=2, lag_range=(4, 32))
+
+
+def test_structure_sums_reject_other_lags_and_orders():
+    path = fbm_path(0.5, 2**12, seed=4)
+    sums = StructureSums.from_paths([path], 2, time_lags=dyadic_lags((2, 16)))
+    with pytest.raises(ValueError, match="not reduced"):
+        sums.structure_functions(TIME, [32])
+    with pytest.raises(ValueError):
+        estimate_holder_ensemble(sums, TIME, q=1, lag_range=(2, 16))
+    with pytest.raises(ValueError):
+        StructureSums(1, 1, 10, q=3)
+    pooled = estimate_holder_ensemble(sums, TIME, q=2, lag_range=(2, 16))
+    single = estimate_holder(path, TIME, q=2, lag_range=(2, 16))
+    assert pooled.exponent == pytest.approx(single.exponent, rel=1e-12)
 
 
 def test_boundary_exponent_band_stable_under_doubling_lambda():
