@@ -36,7 +36,6 @@ class BoundaryFunctional:
     lam: float = 100.0
     clamp: float | None = None
     truncation_M: float | None = None
-    weight_r: float | None = None   # overrides the grid weight for F_{M,r}
     table_imbalance: tuple = ()
     table_speed: tuple = ()
 
@@ -119,13 +118,13 @@ def F_Mr(u: np.ndarray, grid: GridSpec, M: float, r: float) -> np.ndarray:
     return np.where(scaled <= M, u, np.exp(r * x) * M)
 
 
-def _truncate(fn: BoundaryFunctional, v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    if fn.truncation_M is None:
+def cap_profile(v: np.ndarray, grid: GridSpec, M: float | None) -> np.ndarray:
+    """v ^ M on the compact domain, F_{M,r} on the half-line; no cap when M is None or inf."""
+    if M is None or not np.isfinite(M):
         return v
     if grid.domain_kind == COMPACT:
-        return np.minimum(v, fn.truncation_M)
-    r = grid.weight_r if fn.weight_r is None else fn.weight_r
-    return F_Mr(v, grid, fn.truncation_M, r)
+        return np.minimum(v, M)
+    return F_Mr(v, grid, M, grid.weight_r)
 
 
 def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
@@ -141,8 +140,8 @@ def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
     if fn.kind == ZERO:
         out = np.zeros(v1.shape[:-1])
     else:
-        v1 = _truncate(fn, v1, grid)
-        v2 = _truncate(fn, v2, grid)
+        v1 = cap_profile(v1, grid, fn.truncation_M)
+        v2 = cap_profile(v2, grid, fn.truncation_M)
         if fn.kind == EXP_IMBALANCE:
             out = fn.alpha * g_lambda(v1 - v2, grid, fn.lam)
         elif fn.kind == STEFAN_FD:

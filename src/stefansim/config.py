@@ -76,6 +76,8 @@ def get_field(cfg: dict, path: str, default=None, required: bool = False,
         node = node[key]
     if node is None:
         return default
+    if cast is int and isinstance(node, float) and not node.is_integer():
+        raise ConfigError(f"field {path!r} must be a whole number, got {node!r}")
     if cast is not None:
         try:
             return cast(node)

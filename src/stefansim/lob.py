@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import read_table, write_table
 from .boundary import BoundaryFunctional
 from .errors import FormatError, NonMonotoneTime
 from .grids import GridSpec
@@ -210,23 +211,15 @@ class FitResult:
         return len(self.x_centers)
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["x_center", "f", "sigma", "count"])
-            for i in range(self.n_bins):
-                writer.writerow([f"{self.x_centers[i]:.10g}", f"{self.f[i]:.17g}",
-                                 f"{self.sigma[i]:.17g}", int(self.counts[i])])
+        write_table(path, ["x_center", "f", "sigma", "count"],
+                    ["%.10g", "%.17g", "%.17g", "%d"],
+                    [self.x_centers, self.f, self.sigma, self.counts], header_comment)
 
     @classmethod
     def from_csv(cls, path) -> "FitResult":
-        with open(path, "r", newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].startswith("#") and r[0] != "x_center"]
-        arr = np.array([[float(c) for c in row] for row in rows])
-        return cls(x_centers=arr[:, 0], f=arr[:, 1], sigma=arr[:, 2],
-                   counts=arr[:, 3].astype(int), symmetric=True)
+        x_centers, f, sigma, counts = read_table(path).T
+        return cls(x_centers=x_centers, f=f, sigma=sigma, counts=counts.astype(int),
+                   symmetric=True)
 
 
 def _signed_sizes(stream: LobEventStream) -> np.ndarray:
@@ -316,10 +309,4 @@ def simulate_price(fit: FitResult, boundary: BoundaryFunctional, grid: GridSpec,
 
 
 def price_series_to_csv(traj: Trajectory, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p"])
-        for t, p in zip(traj.times, traj.p):
-            writer.writerow([f"{t:.10g}", f"{p:.17g}"])
+    write_table(path, ["t", "p"], ["%.10g", "%.17g"], [traj.times, traj.p], header_comment)

@@ -17,11 +17,11 @@ contact); very rough obstacles may need eps >= dt.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import write_table
 from ._fd import laplacian
 from .errors import GridMismatch, ObstacleInitialPositive
 from .grids import Field, GridSpec
@@ -60,18 +60,10 @@ def dump_csv(solution: ObstacleSolution, v: Field, path,
              header_comment: str | None = None) -> None:
     """Write (t, x, z, v, eta_cell) rows for every grid node."""
     grid = solution.grid
-    ts = grid.time_nodes()
-    xs = grid.space_nodes()
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "z", "v", "eta_cell"])
-        for i, t in enumerate(ts):
-            for j, x in enumerate(xs):
-                writer.writerow([f"{t:.10g}", f"{x:.10g}",
-                                 f"{solution.z.values[i, j]:.17g}", v.values[i, j],
-                                 f"{solution.eta[i, j]:.17g}"])
+    write_table(path, ["t", "x", "z", "v", "eta_cell"],
+                ["%.10g", "%.10g", "%.17g", "%r", "%.17g"],
+                [grid.time_nodes()[:, None], grid.space_nodes(), solution.z.values,
+                 v.values, solution.eta], header_comment)
 
 
 def _validate_obstacle(v: Field, grid: GridSpec | None) -> GridSpec:

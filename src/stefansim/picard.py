@@ -42,14 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .boundary import BoundaryFunctional, eval_h
+from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import ConfigError, GridMismatch
 from .grids import COMPACT, Field, GridSpec
 from .kernels import suggest_n_images
 from .noise import NoiseField
 from .obstacle import solve_projected
-from .spde import (ModelCoefficients, cap_profile, resolve_truncation,
-                   run_relative_frame)
+from .spde import ModelCoefficients, resolve_truncation, run_relative_frame
 
 SQRT_PI = np.sqrt(np.pi)
 #: kernel times per block of the table build

@@ -22,15 +22,15 @@ stored.
 from __future__ import annotations
 
 import bisect
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._csv import write_table
 from ._fd import laplacian, upwind_gradient
-from .boundary import BoundaryFunctional, F_Mr, advance_p, eval_h
+from .boundary import BoundaryFunctional, advance_p, cap_profile, eval_h
 from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
 from .grids import COMPACT, GridSpec
 # sample_white_noise stays importable from here: the benchmark's tracer wraps it by name
@@ -153,15 +153,6 @@ def resolve_truncation(boundary_fn: BoundaryFunctional, M: float) -> BoundaryFun
     return boundary_fn
 
 
-def cap_profile(v: np.ndarray, grid: GridSpec, M: float) -> np.ndarray:
-    """Truncate profiles: v ^ M on the compact domain, F_{M,r} on the half-line."""
-    if not np.isfinite(M):
-        return v
-    if grid.domain_kind == COMPACT:
-        return np.minimum(v, M)
-    return F_Mr(v, grid, M, grid.weight_r)
-
-
 def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
                    coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
                    M: float, grid: GridSpec, lap_scale: float = 1.0,
@@ -273,31 +264,18 @@ class Trajectory:
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         """Long-format per-step record (step, t, p, p_prime, norm1, norm2)."""
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t", "p", "p_prime", "norm1", "norm2"])
-            for i in range(len(self.times)):
-                writer.writerow([i, f"{self.times[i]:.10g}", f"{self.p[i]:.17g}",
-                                 f"{self.p_prime[i]:.17g}", f"{self.norm1[i]:.17g}",
-                                 f"{self.norm2[i]:.17g}"])
+        write_table(path, ["step", "t", "p", "p_prime", "norm1", "norm2"],
+                    ["%d", "%.10g"] + ["%.17g"] * 4,
+                    [np.arange(len(self.times)), self.times, self.p, self.p_prime,
+                     self.norm1, self.norm2], header_comment)
 
     def profiles_to_csv(self, path, header_comment: str | None = None) -> None:
         """Per-stride profile dump (t, x, v1, v2); requires stride > 0."""
         if self.v1_snapshots is None or self.v2_snapshots is None:
             raise ValueError("trajectory was run without profile storage")
-        xs = self.grid.space_nodes()
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "v1", "v2"])
-            for k, t in enumerate(self.snapshot_times):
-                for j, x in enumerate(xs):
-                    writer.writerow([f"{t:.10g}", f"{x:.10g}",
-                                     f"{self.v1_snapshots[k, j]:.17g}",
-                                     f"{self.v2_snapshots[k, j]:.17g}"])
+        write_table(path, ["t", "x", "v1", "v2"], ["%.10g", "%.10g", "%.17g", "%.17g"],
+                    [self.snapshot_times[:, None], self.grid.space_nodes(),
+                     self.v1_snapshots, self.v2_snapshots], header_comment)
 
 
 def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,

@@ -66,6 +66,46 @@ def test_missing_required_field_names_it(tmp_path, capsys):
     assert "grid.nx" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("simulate", "grid.nx", "16.9"),
+    ("simulate", "grid.nt", "256.5"),
+    ("simulate", "noise.seed", "5.5"),
+    ("simulate", "run.stride", "64.2"),
+    ("holder", "holder.n_paths", "2.7"),
+    ("holder", "holder.n_paths", '"3.5"'),
+    ("holder", "holder.lag_min", "2.5"),
+    ("holder", "holder.lag_max", "32.5"),
+    ("picard-check", "picard.n_iters", "4.5"),
+    ("kernel-check", "kernel_check.n_t", "3.5"),
+    ("fit-lob", "lob.n_bins", "4.5"),
+])
+def test_fractional_integer_fields_are_config_errors(tmp_path, capsys, command, field, value):
+    events = tmp_path / "events.csv"
+    events.write_text("time,side,event_type,relative_price,size\n" + "\n".join(
+        synthetic_lob_rows([2.0, 1.0, 0.5, 0.25], [0.2, 0.15, 0.1, 0.05], 60.0, 2)) + "\n")
+    cfg = _holder_cfg(tmp_path)
+    cfg.update(picard={"M": 2.0, "n_iters": 4},
+               kernel_check={"t_min": 1e-3, "t_max": 0.05, "n_t": 3},
+               lob={"input": str(events), "n_bins": 4})
+    cfg_path = _write_cfg(tmp_path, cfg)
+    # not truncated to a whole number and run
+    assert main([command, "-c", cfg_path, "--set", f"{field}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+def test_whole_float_integer_fields_read_as_integers(tmp_path):
+    cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", cfg_path]) == 0
+    first = [(out / name).read_bytes().split(b"\n", 1)[1]
+             for name in ("trajectory.csv", "profiles.csv")]
+    assert main(["simulate", "-c", cfg_path, "--set", "grid.nx=16.0", "--set", "grid.nt=256.0",
+                 "--set", "noise.seed=5.0", "--set", "run.stride=64.0"]) == 0
+    assert first == [(out / name).read_bytes().split(b"\n", 1)[1]
+                     for name in ("trajectory.csv", "profiles.csv")]
+
+
 def test_cfl_violation_is_config_error(tmp_path):
     cfg = _base_cfg(tmp_path)
     cfg["grid"]["nt"] = 4
