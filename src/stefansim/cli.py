@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import (boundary_from_config, coefficients_from_config, config_hash,
-                     get_field, grid_from_config, initial_from_config)
+                     float_or_inf, get_field, grid_from_config, initial_from_config)
 from .errors import ConfigError, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
@@ -55,8 +55,8 @@ def cmd_simulate(cfg: dict) -> int:
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
     seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    M = cfgmod.float_or_inf(get_field(cfg, "run.M", default="inf"))
-    M_max = cfgmod.float_or_inf(get_field(cfg, "run.M_max", default="inf"))
+    M = get_field(cfg, "run.M", default=np.inf, cast=float_or_inf)
+    M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
     stride = get_field(cfg, "run.stride", default=0, cast=int)
     p0 = get_field(cfg, "run.p0", default=0.0, cast=float)
@@ -117,7 +117,7 @@ def cmd_picard_check(cfg: dict) -> int:
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
     seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    M = cfgmod.float_or_inf(get_field(cfg, "picard.M", default=2.0))
+    M = get_field(cfg, "picard.M", default=2.0, cast=float_or_inf)
     n_iters = get_field(cfg, "picard.n_iters", default=12, cast=int)
     noise_pair = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
     report = picard_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid,
@@ -138,8 +138,8 @@ def cmd_holder(cfg: dict) -> int:
     q = get_field(cfg, "holder.q", default=2, cast=float)
     lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=int)
     lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=int)
-    M = cfgmod.float_or_inf(get_field(cfg, "run.M", default="inf"))
-    M_max = cfgmod.float_or_inf(get_field(cfg, "run.M_max", default="inf"))
+    M = get_field(cfg, "run.M", default=np.inf, cast=float_or_inf)
+    M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
     if q not in (1, 2):
         raise ConfigError(f"field 'holder.q' must be 1 or 2, got {q}")

@@ -106,10 +106,8 @@ def grid_from_config(cfg: dict) -> GridSpec:
 
 def boundary_from_config(cfg: dict) -> BoundaryFunctional:
     kind = get_field(cfg, "boundary.kind", default="zero", cast=str)
-    clamp = get_field(cfg, "boundary.clamp", default=None)
-    clamp = None if clamp is None else float(clamp)
-    trunc = get_field(cfg, "boundary.truncation_M", default=None)
-    trunc = None if trunc is None else float_or_inf(trunc)
+    clamp = get_field(cfg, "boundary.clamp", cast=float)
+    trunc = get_field(cfg, "boundary.truncation_M", cast=float_or_inf)
     if kind == "zero":
         return zero_boundary()
     if kind == "exp_imbalance":
@@ -132,10 +130,8 @@ def coefficients_from_config(cfg: dict) -> ModelCoefficients:
     meta = {
         "r": get_field(cfg, "coefficients.r", default=0.0, cast=float),
         "delta": get_field(cfg, "coefficients.delta", default=0.0, cast=float),
+        "growth_R": get_field(cfg, "coefficients.growth_R", cast=float),
     }
-    growth_R = get_field(cfg, "coefficients.growth_R", default=None)
-    if growth_R is not None:
-        meta["growth_R"] = float(growth_R)
     if kind == "constant":
         return constant_coefficients(f=get_field(cfg, "coefficients.f", default=0.0, cast=float),
                                      sigma=get_field(cfg, "coefficients.sigma", default=1.0, cast=float),

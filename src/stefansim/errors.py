@@ -33,10 +33,6 @@ class QuadratureFailure(StefansimError):
     """Adaptive quadrature failed to converge within its refinement budget."""
 
 
-class KernelSingularity(StefansimError):
-    """Kernel evaluation requested too close to the time singularity."""
-
-
 class ObstacleInitialPositive(StefansimError):
     """Obstacle must be non-positive at time zero."""
 

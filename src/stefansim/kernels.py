@@ -24,11 +24,6 @@ from .errors import NonPositiveTime, QuadratureFailure
 DEFAULT_N_IMAGES = 8
 
 
-def suggest_n_images(t_max: float) -> int:
-    """Series truncation rule: tail terms decay like exp(-n^2/t)."""
-    return max(DEFAULT_N_IMAGES, math.ceil(4.0 * math.sqrt(max(t_max, 0.0))))
-
-
 def _check_time(t):
     if np.any(np.asarray(t) <= 0.0):
         raise NonPositiveTime("heat kernel requires t > 0")

@@ -53,7 +53,6 @@ class ModelCoefficients:
     sigma2: Callable
     r: float = 0.0
     delta: float = 0.0
-    lipschitz_C: float | None = None
     growth_R: float | None = None
 
     def validate_growth(self, grid: GridSpec, u_samples=(0.0, 0.5, 2.0, 10.0)) -> float:

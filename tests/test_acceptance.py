@@ -130,8 +130,7 @@ def test_criterion_04_picard_convergence():
     def vol(xv, u):
         return 0.2 + 0.1 * u / (1.0 + np.abs(u))
 
-    coeffs = ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol,
-                               lipschitz_C=0.5)
+    coeffs = ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol)
     fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
     v1_0 = 0.3 * np.sin(np.pi * x)
     v2_0 = 0.25 * np.sin(np.pi * x) ** 2

@@ -94,6 +94,23 @@ def test_fractional_integer_fields_are_config_errors(tmp_path, capsys, command, 
     assert err.startswith("config error: ") and field in err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("simulate", "boundary.clamp"),
+    ("simulate", "boundary.truncation_M"),
+    ("simulate", "coefficients.growth_R"),
+    ("simulate", "run.M"),
+    ("holder", "run.M_max"),
+    ("picard-check", "picard.M"),
+])
+def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, field):
+    cfg = _holder_cfg(tmp_path)
+    cfg.update(picard={"M": 2.0, "n_iters": 4})
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main([command, "-c", cfg_path, "--set", f"{field}=abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
 def test_whole_float_integer_fields_read_as_integers(tmp_path):
     cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
     out = tmp_path / "out"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stefansim.errors import NonPositiveTime
-from stefansim.kernels import (adaptive_trapezoid, deriv_y, eval_G, eval_G_r,
-                               eval_H, free_kernel, mass_G, suggest_n_images,
+from stefansim.kernels import (DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_G,
+                               eval_G_r, eval_H, free_kernel, mass_G,
                                verify_kernel_bounds, weighted_deriv_integral)
 
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
@@ -26,7 +26,7 @@ def test_H_short_time_peak():
 
 
 def test_image_series_converged_at_default_truncation():
-    n = suggest_n_images(1.0)
+    n = DEFAULT_N_IMAGES
     ts = np.array([1e-4, 1e-2, 0.3, 1.0])
     xs = np.linspace(0.05, 0.95, 7)
     h1 = eval_H(ts[:, None, None], xs[None, :, None], xs[None, None, :], n)

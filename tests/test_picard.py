@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from stefansim.boundary import exp_imbalance, zero_boundary
+from stefansim.boundary import cap_profile, eval_h, exp_imbalance, zero_boundary
 from stefansim.config import grid_from_config, load_yaml
 from stefansim.grids import Field, build_grid
-from stefansim.kernels import adaptive_trapezoid, deriv_y, eval_G, eval_H
+from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
-from stefansim.picard import (_causal_convolve, build_kernel_tables, mild_solve_w,
-                              picard_iterate)
-from stefansim.spde import ModelCoefficients, constant_coefficients, run_relative_frame
+from stefansim.picard import build_kernel_tables, mild_solve_w, picard_iterate
+from stefansim.spde import (ModelCoefficients, constant_coefficients, resolve_truncation,
+                            run_relative_frame)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -41,13 +41,18 @@ def _const_field(grid, profile):
     return Field(grid, np.tile(profile, (grid.nt + 1, 1)))
 
 
+def _lag(tables, factor, e):
+    """The (J, J) lag table modes @ diag(decay**e) @ factor.T."""
+    return tables.modes @ (tables.decay ** e * factor).T
+
+
 def test_kernel_mass_bounded(small_grid, small_tables):
     # value-matrix rows integrate the kernel: mass <= 1 always, ~1 in the
     # interior at short lags (boundary absorption eats mass at long ones)
     for d in (0, 1, small_grid.nt - 1):
-        rows = small_tables.mid_val[d].sum(axis=1)
+        rows = _lag(small_tables, small_tables.mid_val, d).sum(axis=1)
         assert rows.max() <= 1.0 + 1e-9
-    assert small_tables.mid_val[0].sum(axis=1)[small_grid.nx // 2] >= 0.999
+    assert _lag(small_tables, small_tables.mid_val, 0).sum(axis=1)[small_grid.nx // 2] >= 0.999
 
 
 def test_mild_zero_everything_is_zero(small_grid, small_tables):
@@ -124,6 +129,24 @@ def test_picard_contracts_and_matches_direct(small_grid, small_tables):
     assert np.all(rep.v1.values[:, 0] == 0.0)
 
 
+def test_halfline_picard_contracts_and_matches_direct():
+    # criterion 04's bounds on the truncated half-line, data supported in [0, 1]
+    grid = build_grid("halfline", 32, 0.05, 512, length=2.0, weight_r=0.5)
+    x = grid.space_nodes()
+    v1_0 = np.where(x < 1.0, 0.3 * np.sin(np.pi * x), 0.0)
+    v2_0 = v1_0 ** 2 / 0.3
+    coeffs = constant_coefficients(f=0.2, sigma=0.25)
+    fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
+    noise = (sample_white_noise(grid, 3, 0), sample_white_noise(grid, 3, 1))
+    rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, n_iters=8,
+                         compare_direct=True)
+    d = rep.d
+    ratios = [d[i + 1] / d[i] for i in range(1, len(d) - 1) if d[i] > 1e-14]
+    assert max(ratios) <= 0.8
+    assert d[-1] <= 1e-4
+    assert rep.final_gap_vs_direct <= 5.0 * (grid.dx + np.sqrt(grid.dt))
+
+
 def test_shorter_horizon_contracts_faster():
     def drift(xv, u):
         return 0.5 - 0.5 * u
@@ -172,7 +195,6 @@ def test_determinism(small_grid, small_tables):
 def test_halfline_mild_solver_runs():
     g = build_grid("halfline", 64, 0.01, 256, length=4.0, weight_r=0.3)
     tables = build_kernel_tables(g)
-    assert tables.n_images == 0
     v0 = g.space_nodes() * np.exp(-g.space_nodes())
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
@@ -219,11 +241,11 @@ def test_table_build_matches_per_lag_reference_on_bundled_config():
     grid = grid_from_config(load_yaml(REPO / "configs" / "picard.yaml"))
     tables = build_kernel_tables(grid)
     for d in range(grid.nt):
-        init, _ = _per_lag_moments((d + 1) * grid.dt, grid, tables.n_images)
-        val, der = _per_lag_moments((d + 0.5) * grid.dt, grid, tables.n_images)
-        assert np.max(np.abs(tables.init[d] - init)) <= 1e-13
-        assert np.max(np.abs(tables.mid_val[d] - val)) <= 1e-13
-        assert np.max(np.abs(tables.mid_der[d] - der)) <= 1e-13
+        init, _ = _per_lag_moments((d + 1) * grid.dt, grid, DEFAULT_N_IMAGES)
+        val, der = _per_lag_moments((d + 0.5) * grid.dt, grid, DEFAULT_N_IMAGES)
+        assert np.max(np.abs(_lag(tables, tables.init, d + 1) - init)) <= 1e-13
+        assert np.max(np.abs(_lag(tables, tables.mid_val, d) - val)) <= 1e-13
+        assert np.max(np.abs(_lag(tables, tables.mid_der, d) - der)) <= 1e-13
 
 
 def _tanh_sinh_integral(fn, a, b):
@@ -248,20 +270,16 @@ def _tanh_sinh_integral(fn, a, b):
     build_grid("halfline", 6, 0.02, 16, length=1.5),
 ], ids=["compact", "halfline"])
 def test_table_build_matches_quadrature_oracle(grid):
-    # hat moments of K and dK/dy by quadrature, piece by piece between nodes
+    # hat moments of K and dK/dy by quadrature, piece by piece between nodes;
+    # K is the Dirichlet kernel of [0, L], the one on [0, 1] rescaled
     tables = build_kernel_tables(grid)
-    x, dx, J = grid.space_nodes(), grid.dx, grid.n_nodes
-    if tables.n_images:
-        def value(t, xj, y):
-            return eval_H(t, xj, y, tables.n_images)
+    x, dx, J, L = grid.space_nodes(), grid.dx, grid.n_nodes, grid.length
 
-        def slope(t, xj, y):
-            return deriv_y("H", t, xj, y, tables.n_images)
-    else:
-        value = eval_G
+    def value(t, xj, y):
+        return eval_H(t / L**2, xj / L, y / L) / L
 
-        def slope(t, xj, y):
-            return deriv_y("G", t, xj, y)
+    def slope(t, xj, y):
+        return deriv_y("H", t / L**2, xj / L, y / L) / L**2
 
     def moments(kernel, t):
         out = np.zeros((J, J))
@@ -276,25 +294,42 @@ def test_table_build_matches_quadrature_oracle(grid):
 
     for d in (0, 1, grid.nt - 1):
         t_mid = (d + 0.5) * grid.dt
-        der = moments(slope, t_mid)
-        # the table holds -int K hat' (by parts); on the half-line the term
-        # K(t, x, L) hat(L) stays behind in the last column
-        der[:, -1] -= value(t_mid, x, x[-1])
-        assert np.max(np.abs(tables.init[d] - moments(value, (d + 1) * grid.dt))) <= 1e-10
-        assert np.max(np.abs(tables.mid_val[d] - moments(value, t_mid))) <= 1e-10
-        assert np.max(np.abs(tables.mid_der[d] - der)) <= 1e-10
+        assert np.max(np.abs(_lag(tables, tables.init, d + 1)
+                             - moments(value, (d + 1) * grid.dt))) <= 1e-10
+        assert np.max(np.abs(_lag(tables, tables.mid_val, d) - moments(value, t_mid))) <= 1e-10
+        assert np.max(np.abs(_lag(tables, tables.mid_der, d) - moments(slope, t_mid))) <= 1e-10
 
 
 # ------------------------------------------------------- paired mild solve
 
-def test_causal_convolve_matches_direct_lag_sum():
+@pytest.mark.parametrize("grid", [
+    build_grid("compact", 6, 0.02, 24),
+    build_grid("halfline", 6, 0.04, 24, length=1.5),
+], ids=["compact", "halfline"])
+def test_mild_solve_matches_direct_lag_sum(grid):
+    # the per-mode recursion equals the Duhamel sums over the rebuilt lag tables
+    tables = build_kernel_tables(grid)
     rng = np.random.default_rng(5)
-    nt, J, S = 16, 5, 3
-    kernel = rng.normal(size=(nt, J, J))
-    signal = rng.normal(size=(nt, J, S))
-    direct = np.array([sum(kernel[i - s] @ signal[s] for s in range(i + 1))
-                       for i in range(nt)])
-    assert np.max(np.abs(_causal_convolve(kernel, signal) - direct)) <= 1e-12
+    v1, v2 = np.abs(rng.normal(size=(2, grid.nt + 1, grid.n_nodes)))
+    v1[:, [0, -1]] = v2[:, [0, -1]] = 0.0
+    coeffs = constant_coefficients(f=0.3, sigma=0.7)
+    fn, M = exp_imbalance(alpha=5.0, lam=10.0, clamp=1.0), 0.8
+    noise = (sample_white_noise(grid, 4, 0), sample_white_noise(grid, 4, 1))
+    w1, w2 = mild_solve_w(Field(grid, v1), Field(grid, v2), coeffs, fn, M, noise,
+                          grid, tables=tables)
+
+    nt, dt = grid.nt, grid.dt
+    h = eval_h(resolve_truncation(fn, M), v1[:nt], v2[:nt], grid)[:, None]
+    for v, speed, xi, w in ((v1, h, noise[0].xi, w1), (v2, -h, noise[1].xi, w2)):
+        advection = speed * cap_profile(v[:nt], grid, M)
+        forcing = 0.3 + 0.7 * xi
+        direct = np.array([
+            _lag(tables, tables.init, i + 1) @ v[0]
+            + dt * sum(_lag(tables, tables.mid_der, i - s) @ advection[s]
+                       + _lag(tables, tables.mid_val, i - s) @ forcing[s]
+                       for s in range(i + 1))
+            for i in range(nt)])
+        assert np.max(np.abs(w.values[1:, 1:-1] - direct[:, 1:-1])) <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,59 @@
+"""The benchmark tracer patches package functions by name; pin those names.
+
+``perfbench/tracing.py`` wraps the attributes listed in ``WRAPS``.  A
+rename in ``src/`` that drops one of them breaks traced benchmark runs,
+so these tests resolve every entry and check that patching is undone.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from stefansim.grids import build_grid
+from stefansim.picard import build_kernel_tables
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, leaf
+
+
+def test_every_wrapped_name_resolves(tracing):
+    for module_name, attr, *_ in tracing.WRAPS:
+        owner, leaf = _resolve(module_name, attr)
+        assert callable(getattr(owner, leaf, None)), f"{module_name}.{attr}"
+
+
+def test_install_and_uninstall_restore_every_original(tracing):
+    originals = [getattr(*_resolve(module_name, attr))
+                 for module_name, attr, *_ in tracing.WRAPS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (module_name, attr, *_), original in zip(tracing.WRAPS, originals):
+            assert getattr(*_resolve(module_name, attr)) is not original
+    finally:
+        tracer.uninstall()
+    for (module_name, attr, *_), original in zip(tracing.WRAPS, originals):
+        assert getattr(*_resolve(module_name, attr)) is original, f"{module_name}.{attr}"
+
+
+def test_table_bytes_reads_kernel_tables(tracing):
+    tables = build_kernel_tables(build_grid("compact", 8, 0.02, 48))
+    expected = tables.init.nbytes + tables.mid_val.nbytes + tables.mid_der.nbytes
+    assert tracing._table_bytes((), {}, tables) == {"bytes": expected}
