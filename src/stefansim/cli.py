@@ -21,7 +21,8 @@ from .config import (boundary_from_config, coefficients_from_config, config_hash
 from .errors import ConfigError, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
-from .lob import FitResult, fit_coefficients, parse_events, price_series_to_csv, simulate_price
+from .lob import (MIN_BINS, FitResult, fit_coefficients, parse_events, price_series_to_csv,
+                  simulate_price)
 from .noise import sample_white_noise
 from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
@@ -59,6 +60,8 @@ def cmd_simulate(cfg: dict) -> int:
     M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
     stride = get_field(cfg, "run.stride", default=0, cast=int)
+    if stride < 0:
+        raise ConfigError(f"field 'run.stride' must be nonnegative, got {stride}")
     p0 = get_field(cfg, "run.p0", default=0.0, cast=float)
 
     traj = run_relative_frame((v1_0, v2_0, p0), coeffs, fn, M=M, M_max=M_max,
@@ -101,6 +104,8 @@ def cmd_obstacle(cfg: dict) -> int:
         sol = solve_projected(v)
     elif method == "penalized":
         eps = get_field(cfg, "obstacle.epsilon", default=1e-5, cast=float)
+        if not eps > 0:
+            raise ConfigError(f"field 'obstacle.epsilon' must be positive, got {eps}")
         sol = solve_penalized(v, eps)
     else:
         raise ConfigError(f"field 'obstacle.method' has unknown value {method!r}")
@@ -177,6 +182,12 @@ def cmd_kernel_check(cfg: dict) -> int:
     xs = get_field(cfg, "kernel_check.x_samples", default=[0.25, 0.5, 1.0, 2.0, 4.0])
     if kernel not in ("G", "H"):
         raise ConfigError("field 'kernel_check.kernel' must be 'G' or 'H'")
+    if not t_min > 0:
+        raise ConfigError(f"field 'kernel_check.t_min' must be positive, got {t_min}")
+    if not t_max >= t_min:
+        raise ConfigError(f"field 'kernel_check.t_max' must be at least t_min, got {t_max}")
+    if n_t < 1:
+        raise ConfigError(f"field 'kernel_check.n_t' must be positive, got {n_t}")
     t_values = np.geomspace(t_min, t_max, n_t)
     report = verify_kernel_bounds(t_values, xs, r=r, kernel_kind=kernel)
     out = _outdir(cfg)
@@ -191,6 +202,10 @@ def cmd_fit_lob(cfg: dict) -> int:
     fmt = get_field(cfg, "lob.format", default="normalized", cast=str)
     n_bins = get_field(cfg, "lob.n_bins", default=16, cast=int)
     agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=float)
+    if n_bins < MIN_BINS:
+        raise ConfigError(f"field 'lob.n_bins' must be at least {MIN_BINS}, got {n_bins}")
+    if not agg > 0:
+        raise ConfigError(f"field 'lob.agg_interval' must be positive, got {agg}")
     pool = bool(get_field(cfg, "lob.pool_sides", default=True))
     touch = None
     touch_file = get_field(cfg, "lob.touch_file", default=None)

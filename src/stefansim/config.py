@@ -107,6 +107,8 @@ def grid_from_config(cfg: dict) -> GridSpec:
 def boundary_from_config(cfg: dict) -> BoundaryFunctional:
     kind = get_field(cfg, "boundary.kind", default="zero", cast=str)
     clamp = get_field(cfg, "boundary.clamp", cast=float)
+    if clamp is not None and not clamp >= 0:
+        raise ConfigError(f"field 'boundary.clamp' must be nonnegative, got {clamp}")
     trunc = get_field(cfg, "boundary.truncation_M", cast=float_or_inf)
     if kind == "zero":
         return zero_boundary()
@@ -119,6 +121,10 @@ def boundary_from_config(cfg: dict) -> BoundaryFunctional:
     if kind == "table":
         imb = get_field(cfg, "boundary.table_imbalance", required=True)
         spd = get_field(cfg, "boundary.table_speed", required=True)
+        if not (isinstance(imb, list) and isinstance(spd, list) and imb
+                and len(imb) == len(spd)):
+            raise ConfigError("fields 'boundary.table_imbalance' and "
+                              "'boundary.table_speed' must be lists of one nonzero length")
         return table_boundary(imb, spd,
                               lam=get_field(cfg, "boundary.lambda", default=100.0, cast=float),
                               clamp=clamp, truncation_M=trunc)

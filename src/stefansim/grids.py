@@ -111,7 +111,8 @@ def build_grid(domain_kind: str, nx: int, T: float, nt: int,
 
 @dataclass
 class Field:
-    """A scalar function sampled on every (time, space) node of a grid."""
+    """A scalar function sampled on every (time, space) node of a grid, or a
+    stack of them on leading axes: ``values`` is ``(..., nt + 1, n_nodes)``."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
@@ -119,9 +120,9 @@ class Field:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.grid.nt + 1, self.grid.n_nodes)
-        if self.values.shape != expected:
+        if self.values.shape[-2:] != expected:
             raise DimensionMismatch(
-                f"field has shape {self.values.shape}, grid expects {expected}"
+                f"field has shape {self.values.shape}, which does not end in {expected}"
             )
 
     @classmethod

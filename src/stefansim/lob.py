@@ -41,6 +41,9 @@ _MESSAGE_TYPE_MAP = {1: LIMIT, 2: CANCEL, 3: CANCEL, 4: MARKET, 5: MARKET}
 
 TICKS_PER_DOLLAR = 10_000.0
 
+#: fewest relative-price bins a coefficient fit accepts
+MIN_BINS = 4
+
 
 @dataclass
 class LobEventStream:
@@ -240,8 +243,8 @@ def fit_coefficients(stream: LobEventStream, n_bins: int, pool_sides: bool = Tru
     pooled fit then matches the average of the two per-side fits on
     balanced data).
     """
-    if n_bins < 4:
-        raise ValueError(f"n_bins={n_bins} below minimum 4")
+    if n_bins < MIN_BINS:
+        raise ValueError(f"n_bins={n_bins} below minimum {MIN_BINS}")
     t0, t1 = stream.horizon
     horizon = t1 - t0
     if not horizon > 0:

@@ -8,7 +8,8 @@ explicitly and converges to the constrained solution monotonically from
 below as eps -> 0.  The projected solver clips each explicit heat step at
 the obstacle, which satisfies the constraint and the complementarity
 condition exactly on the grid; it serves as the discrete oracle for the
-penalised family.  Both record the reflection mass eta per cell.
+penalised family.  Both record the reflection mass eta per cell and solve
+a stack of obstacles (leading axes), each on its own, in one time loop.
 
 The arctan penalty is quadratic near the contact set, so the explicit step
 remains stable well below eps = dt as long as the obstacle varies smoothly
@@ -31,7 +32,7 @@ from .grids import Field, GridSpec
 class ObstacleSolution:
     """Constrained solution z plus the discrete reflection measure.
 
-    eta[i][j] is the reflection mass (value * space * time units) deposited
+    eta[..., i, j] is the reflection mass (value * space * time units) deposited
     around node j in the time slab adjacent to t_i, indexed at each
     scheme's own pairing time: the penalised deposit is computed from the
     state at the slab's left endpoint (row nt is zero), the projection
@@ -70,9 +71,10 @@ def _validate_obstacle(v: Field, grid: GridSpec | None) -> GridSpec:
     grid = grid or v.grid
     if grid != v.grid:
         raise GridMismatch("obstacle field lives on a different grid")
-    if np.any(v.values[0] > 0.0):
+    start = v.values[..., 0, :]
+    if np.any(start > 0.0):
         raise ObstacleInitialPositive(
-            f"obstacle must satisfy v(0, .) <= 0; max v(0, .) = {v.values[0].max():g}"
+            f"obstacle must satisfy v(0, .) <= 0; max v(0, .) = {start.max():g}"
         )
     return grid
 
@@ -83,19 +85,17 @@ def solve_penalized(v: Field, epsilon: float, grid: GridSpec | None = None) -> O
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     grid = _validate_obstacle(v, grid)
     dx, dt = grid.dx, grid.dt
-    nt, nn = grid.nt, grid.n_nodes
-    z = np.zeros((nt + 1, nn))
-    eta = np.zeros((nt + 1, nn))
+    z = np.zeros(v.values.shape)
+    eta = np.zeros(v.values.shape)
     inv_eps = 1.0 / epsilon
-    for i in range(nt):
-        zi = z[i]
-        deficit = np.minimum(zi - v.values[i], 0.0)
+    for i in range(grid.nt):
+        zi = z[..., i, :]
+        deficit = np.minimum(zi - v.values[..., i, :], 0.0)
         pen = inv_eps * np.arctan(deficit * deficit)
         zn = zi + dt * (laplacian(zi, dx) + pen)
-        zn[0] = 0.0
-        zn[-1] = 0.0
-        z[i + 1] = zn
-        eta[i] = dt * dx * pen
+        zn[..., ::grid.nx] = 0.0
+        z[..., i + 1, :] = zn
+        eta[..., i, :] = dt * dx * pen
     return ObstacleSolution(z=Field(grid, z), eta=eta,
                             method="penalized", epsilon=float(epsilon))
 
@@ -108,18 +108,15 @@ def solve_projected(v: Field, grid: GridSpec | None = None) -> ObstacleSolution:
     """
     grid = _validate_obstacle(v, grid)
     dx, dt = grid.dx, grid.dt
-    nt, nn = grid.nt, grid.n_nodes
-    z = np.zeros((nt + 1, nn))
-    eta = np.zeros((nt + 1, nn))
-    for i in range(nt):
-        free = z[i] + dt * laplacian(z[i], dx)
-        zn = np.maximum(free, v.values[i + 1])
-        zn[0] = 0.0
-        zn[-1] = 0.0
-        z[i + 1] = zn
-        eta[i + 1] = (zn - free) * dx
-        eta[i + 1][0] = 0.0
-        eta[i + 1][-1] = 0.0
+    z = np.zeros(v.values.shape)
+    eta = np.zeros(v.values.shape)
+    for i in range(grid.nt):
+        free = z[..., i, :] + dt * laplacian(z[..., i, :], dx)
+        zn = np.maximum(free, v.values[..., i + 1, :], out=z[..., i + 1, :])
+        zn[..., ::grid.nx] = 0.0
+        eta[..., i + 1, :] = (zn - free) * dx
+    # no reflection at the Dirichlet nodes (free is already 0 there)
+    eta[..., ::grid.nx] = 0.0
     return ObstacleSolution(z=Field(grid, z), eta=eta, method="projected")
 
 
@@ -133,9 +130,8 @@ def stability_gap(v1: Field, v2: Field, grid: GridSpec | None = None,
     grid = grid or v1.grid
     if v1.grid != v2.grid:
         raise GridMismatch("obstacles must share a grid")
-    z1 = solve_projected(v1, grid).z
-    z2 = solve_projected(v2, grid).z
-    dz = Field(grid, z1.values - z2.values)
+    z = solve_projected(Field(v1.grid, np.stack([v1.values, v2.values])), grid).z.values
+    dz = Field(grid, z[0] - z[1])
     dv = Field(grid, v1.values - v2.values)
     if norm == "sup":
         return dz.sup_norm(), dv.sup_norm()

@@ -16,6 +16,10 @@ obstacle problem with obstacle -w, and repeats.  The fixed point is the
 reflected solution, so the final pair cross-validates the direct
 finite-difference integrator driven by the same noise realisation.
 
+The iterate is carried as one (2, nt + 1, J) pair, side 1 first, the
+stepping core's layout: the side signs and per-side coefficients are
+``spde``'s, and one stacked obstacle solve corrects both sides.
+
 The kernel is taken in its sine modes,
 
     K(t, x, y) = sum_m phi_m(x) phi_m(y) exp(-lam_m t),
@@ -34,7 +38,8 @@ MODE_CUTOFF are dropped.  One noise realisation drives every iterate.
 Cost and memory, for nt steps, J = nx + 1 nodes and K modes: the kernel
 is three (J, K) factors, built once.  In mode coordinates each Duhamel
 sum is one first-order recursion per mode, coef[n] = decay coef[n-1] +
-new term, so an iterate solves both sides in O(nt J K) time.
+new term, so an iterate solves both sides in O(nt J K) time, and its
+obstacle correction is one time loop of nt steps over the pair.
 """
 from __future__ import annotations
 
@@ -44,11 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryFunctional, cap_profile, eval_h
-from .errors import ConfigError, GridMismatch
+from .errors import ConfigError, DimensionMismatch, GridMismatch
 from .grids import Field, GridSpec
 from .noise import NoiseField
 from .obstacle import solve_projected
-from .spde import ModelCoefficients, resolve_truncation, run_relative_frame
+from .spde import (SIDE_SIGN, ModelCoefficients, per_side, resolve_truncation,
+                   run_relative_frame)
 
 #: modes are kept while lam_m dt / 2 <= MODE_CUTOFF; the first dropped
 #: one weighs below exp(-40) at the shortest kernel time
@@ -103,37 +109,40 @@ def build_kernel_tables(grid: GridSpec) -> KernelTables:
                         mid_der=norm * half * der)
 
 
-def mild_solve_w(v1_prev: Field, v2_prev: Field, coeffs: ModelCoefficients,
+def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
                  boundary_fn: BoundaryFunctional, M: float,
                  noise_pair: tuple[NoiseField, NoiseField], grid: GridSpec,
-                 tables: KernelTables | None = None) -> tuple[Field, Field]:
+                 tables: KernelTables | None = None) -> Field:
     """Evaluate one unreflected mild iterate of both sides on the whole grid.
 
-    Side k is driven by ``noise_pair[k - 1]``; returns (w1, w2).  The two
-    sides are stacked, so one product with the kernel factors and one
-    recursion serve both.
+    ``v_prev`` is the previous pair, side 1 first, as a (2, nt + 1, J)
+    Field; side k is driven by ``noise_pair[k - 1]``.  Returns the pair
+    w in the same layout: one product with the kernel factors and one
+    recursion serve both sides.
     """
-    if (v1_prev.grid != grid or v2_prev.grid != grid
-            or any(noise.grid != grid for noise in noise_pair)):
+    if v_prev.values.shape[:-2] != (2,):
+        raise DimensionMismatch(
+            f"previous iterate must be a (2, nt + 1, J) pair, got {v_prev.values.shape}")
+    if v_prev.grid != grid or any(noise.grid != grid for noise in noise_pair):
         raise GridMismatch("previous iterates and noise must live on the grid")
     if tables is None:
         tables = build_kernel_tables(grid)
     fn = resolve_truncation(boundary_fn, M)
 
     nt, J = grid.nt, grid.n_nodes
-    x = grid.space_nodes()[None, :]
-    h = eval_h(fn, v1_prev.values[:nt], v2_prev.values[:nt], grid)[:, None]
-    # per side, the advection against dK/dy next to the forcing against K
+    x = grid.space_nodes()
+    u = v_prev.values[:, :nt]
+    h = eval_h(fn, u[0], u[1], grid)[:, None]
+    xi = np.stack([noise_pair[0].xi, noise_pair[1].xi])
+    # per step and side, the advection against dK/dy next to the forcing
+    # against K; filled through its (2, nt, 2J) view
     signal = np.empty((nt, 2, 2 * J))
-    # the advection enters side 1 as +dK/dy and side 2 as -dK/dy
-    for k, (u, speed, drift_fn, vol_fn, noise) in enumerate((
-            (v1_prev.values[:nt], h, coeffs.f1, coeffs.sigma1, noise_pair[0]),
-            (v2_prev.values[:nt], -h, coeffs.f2, coeffs.sigma2, noise_pair[1]))):
-        signal[:, k, :J] = speed * cap_profile(u, grid, M)
-        # coefficients that ignore u may return a single spatial row
-        signal[:, k, J:] = drift_fn(x, u) + vol_fn(x, u) * noise.xi
+    sides = np.moveaxis(signal, 1, 0)
+    sides[..., :J] = SIDE_SIGN * h * cap_profile(u, grid, M)
+    sides[..., J:] = (per_side(coeffs.f1, coeffs.f2, x, u)
+                      + per_side(coeffs.sigma1, coeffs.sigma2, x, u) * xi)
 
-    v0 = np.stack([v1_prev.values[0], v2_prev.values[0]])           # (2, J)
+    v0 = v_prev.values[:, 0]                                       # (2, J)
     # mode coefficients of the Duhamel sums, (nt, 2, K)
     coef = signal @ np.concatenate([tables.mid_der, tables.mid_val])
     coef *= grid.dt
@@ -144,21 +153,18 @@ def mild_solve_w(v1_prev: Field, v2_prev: Field, coeffs: ModelCoefficients,
     w[:, 1:] = np.moveaxis(coef @ tables.modes.T, 1, 0)
     w[:, :, [0, -1]] = 0.0
     w[:, 0] = v0
-    return Field(grid, w[0]), Field(grid, w[1])
+    return Field(grid, w)
 
 
 @dataclass
 class IterationReport:
-    """Convergence record of one iteration run."""
+    """Convergence record of one iteration run; ``v`` is the final pair."""
 
     d: list
     iters: int
     converged: bool
     final_gap_vs_direct: float | None = None
-    v1: Field | None = None
-    v2: Field | None = None
-    z1_mass: float = 0.0
-    z2_mass: float = 0.0
+    v: Field | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,44 +188,33 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
                    compare_direct: bool = False) -> IterationReport:
     """Iterate the mild/obstacle alternation from constant-in-time iterates.
 
-    The zeroth iterates equal the initial data for all time.  d_n is the
-    sup-norm distance between successive pairs; when ``compare_direct``
-    is set the final pair is compared against the direct explicit
-    integrator driven by the identical noise realisation.
+    The zeroth iterates equal the initial data for all time.  d_n sums the
+    sides' sup-norm distances between successive iterates; when
+    ``compare_direct`` is set the final pair is compared against the
+    direct explicit integrator driven by the identical noise realisation.
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
-    v1_0 = grid.check_profile(v1_0)
-    v2_0 = grid.check_profile(v2_0)
+    v0 = np.stack([grid.check_profile(v1_0), grid.check_profile(v2_0)])
     if tables is None:
         tables = build_kernel_tables(grid)
 
-    v1 = Field(grid, np.tile(v1_0, (grid.nt + 1, 1)))
-    v2 = Field(grid, np.tile(v2_0, (grid.nt + 1, 1)))
+    v = Field(grid, np.repeat(v0[:, None], grid.nt + 1, axis=1))
     d_hist = []
-    z1 = z2 = None
     for _ in range(n_iters):
-        w1, w2 = mild_solve_w(v1, v2, coeffs, boundary_fn, M, noise_pair, grid,
-                              tables=tables)
-        z1 = solve_projected(Field(grid, -w1.values))
-        z2 = solve_projected(Field(grid, -w2.values))
-        v1_new = Field(grid, w1.values + z1.z.values)
-        v2_new = Field(grid, w2.values + z2.z.values)
-        d = (np.max(np.abs(v1_new.values - v1.values))
-             + np.max(np.abs(v2_new.values - v2.values)))
-        d_hist.append(float(d))
-        v1, v2 = v1_new, v2_new
+        w = mild_solve_w(v, coeffs, boundary_fn, M, noise_pair, grid,
+                         tables=tables).values
+        v_new = Field(grid, w + solve_projected(Field(grid, -w)).z.values)
+        d_hist.append(float(np.max(np.abs(v_new.values - v.values), axis=(1, 2)).sum()))
+        v = v_new
 
     report = IterationReport(d=d_hist, iters=n_iters,
-                             converged=d_hist[-1] <= CONVERGENCE_TOL,
-                             v1=v1, v2=v2,
-                             z1_mass=z1.total_mass(), z2_mass=z2.total_mass())
+                             converged=d_hist[-1] <= CONVERGENCE_TOL, v=v)
     if compare_direct:
-        traj = run_relative_frame((v1_0, v2_0, 0.0), coeffs, boundary_fn,
+        traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn,
                                   M=M, M_max=np.inf, grid=grid,
                                   seed=noise_pair[0].seed, store_stride=1,
                                   noise_pair=noise_pair)
-        gap1 = np.max(np.abs(traj.v1_snapshots - v1.values))
-        gap2 = np.max(np.abs(traj.v2_snapshots - v2.values))
-        report.final_gap_vs_direct = float(max(gap1, gap2))
+        direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
+        report.final_gap_vs_direct = float(np.max(np.abs(direct - v.values)))
     return report

@@ -182,13 +182,13 @@ def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
                 f"|c|={abs(c[k]):.3g} violates dt*|c| <= dx at t={time:.6g}"
             )
 
-    speed = _SIDE_SIGN * c[:, None]
+    speed = SIDE_SIGN * c[:, None]
     rate = (lap_scale * laplacian(v, dx)
             - speed * upwind_gradient(cap_profile(v, grid, M), dx, speed))
-    rate += _per_side(coeffs.f1, coeffs.f2, x, v)
+    rate += per_side(coeffs.f1, coeffs.f2, x, v)
     rate *= dt
     out = np.add(v, rate, out=out)
-    out += dt * _per_side(coeffs.sigma1, coeffs.sigma2, x, v) * noise
+    out += dt * per_side(coeffs.sigma1, coeffs.sigma2, x, v) * noise
 
     np.maximum(out, 0.0, out=out)
     out[..., ::grid.n_nodes - 1] = 0.0
@@ -196,14 +196,14 @@ def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
 
 
 #: side 1 is advected with the boundary speed c, side 2 with -c
-_SIDE_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
+SIDE_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
-def _per_side(f1: Callable, f2: Callable, x: np.ndarray, v: np.ndarray):
-    """f1 on side 1 and f2 on side 2 of a (2, P, n) state, broadcastable to it.
+def per_side(f1: Callable, f2: Callable, x: np.ndarray, v: np.ndarray):
+    """f1 on side 1 and f2 on side 2 of a (2, ...) stack v, broadcastable to it.
 
     The coefficients act node by node, so one function shared by both
-    sides is called once on the whole state.
+    sides is called once on the whole stack.
     """
     if f1 is f2:
         return f1(x, v)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -107,6 +110,35 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     cfg.update(picard={"M": 2.0, "n_iters": 4})
     cfg_path = _write_cfg(tmp_path, cfg)
     assert main([command, "-c", cfg_path, "--set", f"{field}=abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+@pytest.mark.parametrize("command, sets, field", [
+    ("obstacle", ["obstacle.method=penalized", "obstacle.epsilon=0"], "obstacle.epsilon"),
+    ("simulate", ["boundary.kind=exp_imbalance", "boundary.clamp=-1"], "boundary.clamp"),
+    ("simulate", ["boundary.kind=table", "boundary.table_imbalance=[0, 1]",
+                  "boundary.table_speed=[1]"], "boundary.table_imbalance"),
+    ("kernel-check", ["kernel_check.t_min=0"], "kernel_check.t_min"),
+    ("kernel-check", ["kernel_check.t_max=-1"], "kernel_check.t_max"),
+    ("kernel-check", ["kernel_check.n_t=0"], "kernel_check.n_t"),
+    ("fit-lob", ["lob.n_bins=2"], "lob.n_bins"),
+    ("fit-lob", ["lob.agg_interval=0"], "lob.agg_interval"),
+    ("fit-lob", ["lob.agg_interval=-1"], "lob.agg_interval"),
+    ("simulate", ["run.stride=-3"], "run.stride"),
+])
+def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, field):
+    events = tmp_path / "events.csv"
+    events.write_text("time,side,event_type,relative_price,size\n" + "\n".join(
+        synthetic_lob_rows([2.0, 1.0, 0.5, 0.25], [0.2, 0.15, 0.1, 0.05], 60.0, 2)) + "\n")
+    cfg = _holder_cfg(tmp_path)
+    cfg.update(kernel_check={"t_min": 1e-3, "t_max": 0.05, "n_t": 3},
+               lob={"input": str(events), "n_bins": 4})
+    cfg_path = _write_cfg(tmp_path, cfg)
+    args = [command, "-c", cfg_path]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
 
@@ -335,3 +367,29 @@ def test_unparseable_yaml_reports_location(tmp_path, capsys):
     path.write_text("grid: {nx: 16\n  nt: 4}\n")
     assert main(["simulate", "-c", str(path)]) == 1
     assert "line" in capsys.readouterr().err
+
+
+def test_outputs_are_byte_identical_across_processes(tmp_path):
+    # string hashing is salted per process; no output may depend on it
+    runs = [("simulate", "simulate.yaml", ["grid.nx=16", "grid.nt=256", "grid.T=0.05",
+                                           "run.stride=64"]),
+            ("picard-check", "picard.yaml", ["grid.nt=512", "picard.n_iters=4"])]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hashseed{hash_seed}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(REPO / "src"),
+                                               os.environ.get("PYTHONPATH", "")]))
+        for command, config, sets in runs:
+            args = [sys.executable, "-m", "stefansim.cli", command,
+                    "-c", str(REPO / "configs" / config)]
+            for item in sets:
+                args += ["--set", item]
+            subprocess.run(args, cwd=cwd, env=env, check=True)
+        # the configs write to the relative directory "out"
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted((cwd / "out").iterdir())})
+    assert sorted(outputs[0]) == ["picard_report.json", "profiles.csv",
+                                  "run_summary.json", "trajectory.csv"]
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_smooth_obstacle, sine_ramp_obstacle
 from stefansim.errors import ObstacleInitialPositive
@@ -140,3 +144,33 @@ def test_csv_dump(tmp_path, grid):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,z,v,eta_cell"
     assert len(lines) == 1 + (g.nt + 1) * (g.nx + 1)
+
+
+@given(kind=st.sampled_from(["compact", "halfline"]), nx=st.integers(4, 16),
+       length=st.floats(1.0, 3.0), T=st.floats(0.005, 0.05),
+       steps_per_bound=st.integers(1, 3), n_obstacles=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_projected_solve_is_exact_row_by_row(kind, nx, length, T, steps_per_bound,
+                                                     n_obstacles, seed):
+    # random rough obstacles with v(0, .) <= 0; a random upward trend makes
+    # some of them bite, also at the Dirichlet nodes, which stay pinned at 0
+    dx = (1.0 if kind == "compact" else length) / nx
+    nt = steps_per_bound * math.ceil(2.0 * T / dx**2)
+    grid = build_grid(kind, nx, T, nt, length=length)
+    rng = np.random.default_rng(seed)
+    t = grid.time_nodes()[:, None]
+    v = (0.3 * rng.normal(size=(n_obstacles, nt + 1, nx + 1))
+         + rng.uniform(-0.5, 20.0, size=(n_obstacles, 1, 1)) * t)
+    v[:, 0] = -np.abs(v[:, 0])
+    sol = solve_projected(Field(grid, v))
+    z, eta = sol.z.values, sol.eta
+
+    for k in range(n_obstacles):
+        one = solve_projected(Field(grid, v[k]))
+        assert z[k].tobytes() == one.z.values.tobytes()
+        assert eta[k].tobytes() == one.eta.tobytes()
+    assert np.all(z[..., 1:-1] >= v[..., 1:-1])
+    assert np.all(eta >= 0.0)
+    assert np.all(eta[z > v] == 0.0)
+    assert np.sum((z - v) * eta) == 0.0
+    assert not np.any(z[..., ::nx]) and not np.any(eta[..., ::nx])

@@ -8,9 +8,11 @@ from scipy.special import erf
 
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, zero_boundary
 from stefansim.config import grid_from_config, load_yaml
+from stefansim.errors import DimensionMismatch
 from stefansim.grids import Field, build_grid
 from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
+from stefansim.obstacle import solve_projected
 from stefansim.picard import build_kernel_tables, mild_solve_w, picard_iterate
 from stefansim.spde import (ModelCoefficients, constant_coefficients, resolve_truncation,
                             run_relative_frame)
@@ -37,8 +39,9 @@ def _zero_noise_pair(grid):
     return _zero_noise(grid), _zero_noise(grid)
 
 
-def _const_field(grid, profile):
-    return Field(grid, np.tile(profile, (grid.nt + 1, 1)))
+def _const_pair(grid, side1, side2):
+    """The (2, nt + 1, J) pair constant in time at the two profiles."""
+    return Field(grid, np.stack([np.tile(p, (grid.nt + 1, 1)) for p in (side1, side2)]))
 
 
 def _lag(tables, factor, e):
@@ -58,9 +61,8 @@ def test_kernel_mass_bounded(small_grid, small_tables):
 def test_mild_zero_everything_is_zero(small_grid, small_tables):
     z = np.zeros(small_grid.n_nodes)
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
-    w, _ = mild_solve_w(_const_field(small_grid, z), _const_field(small_grid, z),
-                        coeffs, zero_boundary(), np.inf, _zero_noise_pair(small_grid),
-                        small_grid, tables=small_tables)
+    w = mild_solve_w(_const_pair(small_grid, z, z), coeffs, zero_boundary(), np.inf,
+                     _zero_noise_pair(small_grid), small_grid, tables=small_tables)
     assert np.max(np.abs(w.values)) == 0.0
 
 
@@ -68,23 +70,21 @@ def test_mild_initial_data_eigenfunction(small_grid, small_tables):
     v0 = np.sin(np.pi * small_grid.space_nodes())
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
-    w, _ = mild_solve_w(_const_field(small_grid, v0), _const_field(small_grid, 0 * v0),
-                        coeffs, zero_boundary(), np.inf, _zero_noise_pair(small_grid),
-                        small_grid, tables=small_tables)
+    w = mild_solve_w(_const_pair(small_grid, v0, 0 * v0), coeffs, zero_boundary(),
+                     np.inf, _zero_noise_pair(small_grid), small_grid, tables=small_tables)
     t = small_grid.time_nodes()[:, None]
     expected = np.exp(-np.pi**2 * t) * v0[None, :]
-    assert np.max(np.abs(w.values - expected)) <= 1e-3
+    assert np.max(np.abs(w.values[0] - expected)) <= 1e-3
 
 
 def test_mild_constant_forcing_matches_direct(small_grid, small_tables):
     z = np.zeros(small_grid.n_nodes)
     coeffs = constant_coefficients(f=1.0, sigma=0.0)
-    w, _ = mild_solve_w(_const_field(small_grid, z), _const_field(small_grid, z),
-                        coeffs, zero_boundary(), np.inf, _zero_noise_pair(small_grid),
-                        small_grid, tables=small_tables)
+    w = mild_solve_w(_const_pair(small_grid, z, z), coeffs, zero_boundary(), np.inf,
+                     _zero_noise_pair(small_grid), small_grid, tables=small_tables)
     traj = run_relative_frame((z, z.copy(), 0.0), coeffs, zero_boundary(),
                               np.inf, np.inf, small_grid, seed=0, store_stride=1)
-    assert np.max(np.abs(w.values - traj.v1_snapshots)) <= 2e-3
+    assert np.max(np.abs(w.values[0] - traj.v1_snapshots)) <= 2e-3
 
 
 def test_trivial_fixed_point_converges_immediately(small_grid, small_tables):
@@ -125,8 +125,8 @@ def test_picard_contracts_and_matches_direct(small_grid, small_tables):
     bound = 5.0 * (small_grid.dx + np.sqrt(small_grid.dt))
     assert rep.final_gap_vs_direct <= bound
     # iterates stay nonnegative with pinned ends
-    assert rep.v1.values.min() >= 0.0
-    assert np.all(rep.v1.values[:, 0] == 0.0)
+    assert rep.v.values.min() >= 0.0
+    assert np.all(rep.v.values[:, :, 0] == 0.0)
 
 
 def test_halfline_picard_contracts_and_matches_direct():
@@ -189,7 +189,7 @@ def test_determinism(small_grid, small_tables):
     r2 = picard_iterate(z0, z0.copy(), coeffs, fn, 1.0, noise, small_grid,
                         n_iters=3, tables=small_tables)
     assert r1.d == r2.d
-    assert np.array_equal(r1.v1.values, r2.v1.values)
+    assert np.array_equal(r1.v.values, r2.v.values)
 
 
 def test_halfline_mild_solver_runs():
@@ -198,13 +198,11 @@ def test_halfline_mild_solver_runs():
     v0 = g.space_nodes() * np.exp(-g.space_nodes())
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
-    w, _ = mild_solve_w(Field(g, np.tile(v0, (g.nt + 1, 1))),
-                        Field(g, np.zeros((g.nt + 1, g.n_nodes))),
-                        coeffs, zero_boundary(), np.inf, _zero_noise_pair(g), g,
-                        tables=tables)
+    w = mild_solve_w(_const_pair(g, v0, 0 * v0), coeffs, zero_boundary(), np.inf,
+                     _zero_noise_pair(g), g, tables=tables).values[0]
     # pure initial-data evolution stays bounded by the heat semigroup
-    assert w.values.max() <= v0.max() + 1e-9
-    assert np.max(np.abs(w.values[0] - v0)) == 0.0
+    assert w.max() <= v0.max() + 1e-9
+    assert np.max(np.abs(w[0] - v0)) == 0.0
 
 
 # ------------------------------------------------------- kernel-table build
@@ -315,8 +313,8 @@ def test_mild_solve_matches_direct_lag_sum(grid):
     coeffs = constant_coefficients(f=0.3, sigma=0.7)
     fn, M = exp_imbalance(alpha=5.0, lam=10.0, clamp=1.0), 0.8
     noise = (sample_white_noise(grid, 4, 0), sample_white_noise(grid, 4, 1))
-    w1, w2 = mild_solve_w(Field(grid, v1), Field(grid, v2), coeffs, fn, M, noise,
-                          grid, tables=tables)
+    w1, w2 = mild_solve_w(Field(grid, np.stack([v1, v2])), coeffs, fn, M, noise,
+                          grid, tables=tables).values
 
     nt, dt = grid.nt, grid.dt
     h = eval_h(resolve_truncation(fn, M), v1[:nt], v2[:nt], grid)[:, None]
@@ -329,7 +327,7 @@ def test_mild_solve_matches_direct_lag_sum(grid):
                        + _lag(tables, tables.mid_val, i - s) @ forcing[s]
                        for s in range(i + 1))
             for i in range(nt)])
-        assert np.max(np.abs(w.values[1:, 1:-1] - direct[:, 1:-1])) <= 1e-12
+        assert np.max(np.abs(w[1:, 1:-1] - direct[:, 1:-1])) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -358,9 +356,105 @@ def test_swapping_sides_swaps_the_mild_pair(swap_grid, seed, f, sigma, alpha, cl
     coeffs = ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol)
     fn = exp_imbalance(alpha=alpha, lam=10.0, clamp=clamp)
     n1, n2 = (sample_white_noise(grid, seed, side) for side in (0, 1))
-    w1, w2 = mild_solve_w(Field(grid, v1), Field(grid, v2), coeffs, fn, M,
-                          (n1, n2), grid, tables=tables)
-    s1, s2 = mild_solve_w(Field(grid, v2), Field(grid, v1), coeffs, fn, M,
-                          (n2, n1), grid, tables=tables)
-    assert np.array_equal(w1.values, s2.values)
-    assert np.array_equal(w2.values, s1.values)
+    w = mild_solve_w(Field(grid, np.stack([v1, v2])), coeffs, fn, M, (n1, n2), grid,
+                     tables=tables)
+    s = mild_solve_w(Field(grid, np.stack([v2, v1])), coeffs, fn, M, (n2, n1), grid,
+                     tables=tables)
+    assert np.array_equal(w.values, s.values[::-1])
+
+
+# ------------------------------------------------ per-side reference iterate
+
+def _per_side_mild(v1, v2, coeffs, fn, M, noise_pair, grid, tables):
+    """One mild iterate side by side: own +-h sign and coefficients per side."""
+    nt, J = grid.nt, grid.n_nodes
+    x = grid.space_nodes()[None, :]
+    h = eval_h(resolve_truncation(fn, M), v1[:nt], v2[:nt], grid)[:, None]
+    signal = np.empty((nt, 2, 2 * J))
+    for k, (u, speed, drift_fn, vol_fn, noise) in enumerate((
+            (v1[:nt], h, coeffs.f1, coeffs.sigma1, noise_pair[0]),
+            (v2[:nt], -h, coeffs.f2, coeffs.sigma2, noise_pair[1]))):
+        signal[:, k, :J] = speed * cap_profile(u, grid, M)
+        signal[:, k, J:] = drift_fn(x, u) + vol_fn(x, u) * noise.xi
+    v0 = np.stack([v1[0], v2[0]])
+    coef = signal @ np.concatenate([tables.mid_der, tables.mid_val])
+    coef *= grid.dt
+    coef[0] += tables.decay * (v0 @ tables.init)
+    for n in range(1, nt):
+        coef[n] += tables.decay * coef[n - 1]
+    w = np.empty((2, nt + 1, J))
+    w[:, 1:] = np.moveaxis(coef @ tables.modes.T, 1, 0)
+    w[:, :, [0, -1]] = 0.0
+    w[:, 0] = v0
+    return w[0], w[1]
+
+
+def _per_side_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid, n_iters, tables):
+    """Two Fields and two obstacle solves per iterate; returns (d, gap)."""
+    v1 = Field(grid, np.tile(v1_0, (grid.nt + 1, 1)))
+    v2 = Field(grid, np.tile(v2_0, (grid.nt + 1, 1)))
+    d = []
+    for _ in range(n_iters):
+        w1, w2 = _per_side_mild(v1.values, v2.values, coeffs, fn, M, noise_pair,
+                                grid, tables)
+        v1_new = Field(grid, w1 + solve_projected(Field(grid, -w1)).z.values)
+        v2_new = Field(grid, w2 + solve_projected(Field(grid, -w2)).z.values)
+        d.append(float(np.max(np.abs(v1_new.values - v1.values))
+                       + np.max(np.abs(v2_new.values - v2.values))))
+        v1, v2 = v1_new, v2_new
+    traj = run_relative_frame((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=np.inf,
+                              grid=grid, seed=noise_pair[0].seed, store_stride=1,
+                              noise_pair=noise_pair)
+    gap = max(np.max(np.abs(traj.v1_snapshots - v1.values)),
+              np.max(np.abs(traj.v2_snapshots - v2.values)))
+    return d, float(gap)
+
+
+def _side_distinct_coefficients():
+    def f1(x, u):
+        return 0.5 - 0.5 * u
+
+    def f2(x, u):
+        return 0.3 * (1.0 - x) - 0.4 * u
+
+    def sigma1(x, u):
+        return 0.2 + 0.1 * u / (1.0 + np.abs(u))
+
+    def sigma2(x, u):
+        return 0.15 * np.exp(-x) + 0.05 * u * u / (1.0 + u * u)
+
+    return ModelCoefficients(f1=f1, f2=f2, sigma1=sigma1, sigma2=sigma2)
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid("compact", 16, 0.02, 256),
+    build_grid("halfline", 16, 0.05, 256, length=2.0, weight_r=0.5),
+], ids=["compact", "halfline"])
+def test_stacked_iterate_equals_per_side_reference(grid):
+    x = grid.space_nodes()
+    v1_0 = np.where(x < 1.0, 0.3 * np.sin(np.pi * x), 0.0)
+    v2_0 = 0.25 * np.sin(np.pi * x / grid.length) ** 2
+    v1_0[[0, -1]] = v2_0[[0, -1]] = 0.0
+    coeffs = _side_distinct_coefficients()
+    assert coeffs.f1 is not coeffs.f2 and coeffs.sigma1 is not coeffs.sigma2
+    fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
+    noise = (sample_white_noise(grid, 11, 0), sample_white_noise(grid, 11, 1))
+    tables = build_kernel_tables(grid)
+    rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, n_iters=4,
+                         tables=tables, compare_direct=True)
+    d, gap = _per_side_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, 4, tables)
+    assert rep.d == d
+    assert rep.final_gap_vs_direct == gap
+    assert rep.d[0] > 0.0 and rep.final_gap_vs_direct > 0.0
+
+
+@pytest.mark.parametrize("shape", [lambda g: (g.nt + 1, g.n_nodes),
+                                   lambda g: (3, g.nt + 1, g.n_nodes),
+                                   lambda g: (1, 2, g.nt + 1, g.n_nodes)],
+                         ids=["single", "triple", "nested"])
+def test_mild_solve_rejects_a_non_pair(swap_grid, shape):
+    grid, tables = swap_grid
+    with pytest.raises(DimensionMismatch):
+        mild_solve_w(Field(grid, np.zeros(shape(grid))), constant_coefficients(),
+                     zero_boundary(), np.inf, _zero_noise_pair(grid), grid,
+                     tables=tables)
