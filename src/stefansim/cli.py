@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .config import (boundary_from_config, coefficients_from_config, config_hash,
-                     float_or_inf, get_field, grid_from_config, initial_from_config)
+                     float_list, float_or_inf, get_field, grid_from_config,
+                     initial_from_config)
 from .errors import ConfigError, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
@@ -43,6 +45,16 @@ def _outdir(cfg: dict) -> Path:
     out = Path(get_field(cfg, "output.dir", default="out", cast=str))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextmanager
+def _input_file(field: str, path: str):
+    """An input file that cannot be opened or parsed is a config error naming its field."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"field {field!r}: cannot read {path!r}: {reason}") from None
 
 
 def _write_json(path: Path, payload: dict, cfg_hash: str, seed) -> None:
@@ -133,6 +145,21 @@ def cmd_picard_check(cfg: dict) -> int:
     return EXIT_OK
 
 
+class _HolderObserver:
+    """Pushes side-1 profiles into structure sums and keeps only p' (a run_paths observer)."""
+
+    def __init__(self, sums: StructureSums, grid):
+        self.sums = sums
+        self.p_prime = np.empty((sums.n_paths, grid.nt + 1))
+
+    def __call__(self, at, step, t, p, p_prime, norms, v):
+        self.sums.push(at, v[:1])
+        self.p_prime[at, step] = p_prime
+
+    def finish(self, finals) -> list:
+        return [self.p_prime[k, :final.step + 1] for k, final in enumerate(finals)]
+
+
 def cmd_holder(cfg: dict) -> int:
     grid = grid_from_config(cfg)
     coeffs = coefficients_from_config(cfg)
@@ -154,18 +181,15 @@ def cmd_holder(cfg: dict) -> int:
         raise ConfigError(f"fields 'holder.lag_min' and 'holder.lag_max': {exc}") from None
     space_range = (1, max(8, grid.nx // 8))
 
-    # side-1 profiles are reduced to structure sums as the batch steps; none
-    # is kept.  holder.workers is deprecated and ignored.
     sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags=time_lags,
                          space_lags=dyadic_lags(space_range))
-    trajs = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=M_max, grid=grid,
-                      seeds=range(base_seed, base_seed + n_paths), store_stride=1,
-                      lap_scale=lap_scale, store_sides=(1,), sink=sums.push)
+    p_prime = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=M_max, grid=grid,
+                        seeds=range(base_seed, base_seed + n_paths), lap_scale=lap_scale,
+                        observer=_HolderObserver(sums, grid))
     rows = [
         estimate_holder_ensemble(sums, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
         estimate_holder_ensemble(sums, SPACE, q=q, lag_range=space_range).to_json_dict(),
-        boundary_holder_ensemble([t.p_prime for t in trajs], q=q,
-                                 lag_range=(lag_lo, lag_hi)).to_json_dict(),
+        boundary_holder_ensemble(p_prime, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
     ]
     rows[2]["axis"] = "boundary_derivative"
     out = _outdir(cfg)
@@ -179,7 +203,8 @@ def cmd_kernel_check(cfg: dict) -> int:
     t_min = get_field(cfg, "kernel_check.t_min", default=1e-4, cast=float)
     t_max = get_field(cfg, "kernel_check.t_max", default=0.1, cast=float)
     n_t = get_field(cfg, "kernel_check.n_t", default=7, cast=int)
-    xs = get_field(cfg, "kernel_check.x_samples", default=[0.25, 0.5, 1.0, 2.0, 4.0])
+    xs = get_field(cfg, "kernel_check.x_samples", default=[0.25, 0.5, 1.0, 2.0, 4.0],
+                   cast=float_list)
     if kernel not in ("G", "H"):
         raise ConfigError("field 'kernel_check.kernel' must be 'G' or 'H'")
     if not t_min > 0:
@@ -210,8 +235,10 @@ def cmd_fit_lob(cfg: dict) -> int:
     touch = None
     touch_file = get_field(cfg, "lob.touch_file", default=None)
     if touch_file is not None:
-        touch = np.loadtxt(touch_file, delimiter=",")
-    stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
+        with _input_file("lob.touch_file", touch_file):
+            touch = np.loadtxt(touch_file, delimiter=",")
+    with _input_file("lob.input", source):
+        stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
     fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
     out = _outdir(cfg)
     seed = get_field(cfg, "noise.seed", default=0, cast=int)
@@ -226,7 +253,8 @@ def cmd_simulate_price(cfg: dict) -> int:
     fit_path = get_field(cfg, "price.fit_csv", required=True, cast=str)
     lap_scale = get_field(cfg, "run.lap_scale", default=0.2, cast=float)
     p0 = get_field(cfg, "run.p0", default=0.0, cast=float)
-    fit = FitResult.from_csv(fit_path)
+    with _input_file("price.fit_csv", fit_path):
+        fit = FitResult.from_csv(fit_path)
     traj = simulate_price(fit, fn, grid, seed=seed, lap_scale=lap_scale, p0=p0)
     out = _outdir(cfg)
     price_series_to_csv(traj, out / "price.csv",

@@ -92,6 +92,13 @@ def float_or_inf(value):
     return float(value)
 
 
+def float_list(value) -> list:
+    """A nonempty list of numbers, as floats."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("expected a nonempty list")
+    return [float(x) for x in value]
+
+
 def grid_from_config(cfg: dict) -> GridSpec:
     domain = get_field(cfg, "grid.domain", default=COMPACT, cast=str)
     if domain not in (COMPACT, HALFLINE):

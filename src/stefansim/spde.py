@@ -104,7 +104,7 @@ class CoupledState:
     """One path's profile pair in the relative frame plus boundary bookkeeping.
 
     The integrator works on (2, P, n_nodes) arrays; this record is the
-    state a path's Trajectory ends in.
+    state a path ends in, at its last recorded ``step``.
     """
 
     v1: np.ndarray
@@ -114,6 +114,8 @@ class CoupledState:
     time: float = 0.0
     blown_up: bool = False
     tau_estimate: float | None = None
+    step: int = 0
+    blowup_cause: str | None = None
 
 
 def weighted_norm(profile: np.ndarray, grid: GridSpec, r: float):
@@ -212,18 +214,6 @@ def per_side(f1: Callable, f2: Callable, x: np.ndarray, v: np.ndarray):
                      np.broadcast_to(f2(x, v[1]), shape)))
 
 
-class _SnapshotStore:
-    """The default snapshot sink: every stored step's profiles in one array."""
-
-    def __init__(self, shape):
-        self.snaps = np.empty(shape)       # (sides, P, n_snaps, n_nodes)
-        self.n = 0
-
-    def __call__(self, at, profiles):
-        self.snaps[:, at, self.n] = profiles
-        self.n += 1
-
-
 BLOWUP_THRESHOLD = "threshold"
 BLOWUP_NON_FINITE = "non_finite"
 
@@ -243,10 +233,6 @@ class Trajectory:
     """
 
     grid: GridSpec
-    seed: int
-    M: float
-    M_max: float
-    lap_scale: float
     times: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
     p_prime: np.ndarray = field(repr=False)
@@ -255,7 +241,6 @@ class Trajectory:
     blown_up: bool = False
     tau_estimate: float | None = None
     blowup_cause: str | None = None
-    stride: int = 0
     snapshot_times: np.ndarray | None = None
     v1_snapshots: np.ndarray | None = None
     v2_snapshots: np.ndarray | None = None
@@ -277,25 +262,71 @@ class Trajectory:
                      self.v1_snapshots, self.v2_snapshots], header_comment)
 
 
+class Recorder:
+    """The default ``run_paths`` observer: one Trajectory per path.
+
+    It keeps t, p, p' and both norms at every step, and both profiles
+    every ``stride`` steps and at the last step (none when stride is 0).
+
+    An observer is called as ``observer(at, step, t, p, p_prime, norms,
+    v)`` at step 0 and after every step, with the values of the live
+    paths ``at`` (a slice while every path is live, an index array after
+    a blow-up): ``p`` and ``p_prime`` are (P_live,), ``norms`` (2,
+    P_live) and ``v`` the (2, P_live, n_nodes) state, valid only during
+    the call.  A path's threshold step is handed on; its discarded
+    non-finite step is not.  ``finish(finals)``, given each path's final
+    CoupledState, returns what ``run_paths`` returns.
+    """
+
+    def __init__(self, grid: GridSpec, n_paths: int, stride: int = 0):
+        self.grid, self.stride = grid, max(int(stride), 0)
+        self.times = np.zeros(grid.nt + 1)
+        self.record = np.empty((4, n_paths, grid.nt + 1))   # p, p', norm1, norm2
+        self.snap_steps = []
+        if self.stride:
+            columns = -(-grid.nt // self.stride) + 1
+            self.snaps = np.empty((2, n_paths, columns, grid.n_nodes))
+
+    def __call__(self, at, step, t, p, p_prime, norms, v):
+        self.times[step] = t
+        self.record[0, at, step] = p
+        self.record[1, at, step] = p_prime
+        self.record[2:, at, step] = norms
+        if self.stride and (step % self.stride == 0 or step == self.grid.nt):
+            self.snaps[:, at, len(self.snap_steps)] = v
+            self.snap_steps.append(step)
+
+    def finish(self, finals) -> list:
+        trajectories = []
+        for k, final in enumerate(finals):
+            stored = {}
+            if self.stride:
+                n = bisect.bisect_right(self.snap_steps, final.step)
+                stored = {"snapshot_times": self.times[self.snap_steps[:n]],
+                          "v1_snapshots": self.snaps[0, k, :n],
+                          "v2_snapshots": self.snaps[1, k, :n]}
+            p, p_prime, norm1, norm2 = self.record[:, k, :final.step + 1]
+            trajectories.append(Trajectory(
+                self.grid, self.times[:final.step + 1], p, p_prime, norm1, norm2,
+                blown_up=final.blown_up, tau_estimate=final.tau_estimate,
+                blowup_cause=final.blowup_cause, final_state=final, **stored))
+        return trajectories
+
+
 def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-              M: float, M_max: float, grid: GridSpec, seeds, store_stride: int = 0,
-              lap_scale: float = 1.0, noise_pair=None,
-              store_sides=(1, 2), sink=None) -> list:
+              M: float, M_max: float, grid: GridSpec, seeds, lap_scale: float = 1.0,
+              noise_pair=None, observer=None):
     """Integrate one path per seed from common initial data, as one batch.
 
     ``initial`` is (v1_0, v2_0, p0).  Path k is driven by the noise
     streams (seeds[k], 0) and (seeds[k], 1), and equals bit for bit the
     run of that seed alone: every operation acts on each row by itself.
-    A path that blows up leaves the batch, frozen, and its Trajectory
-    ends there.  Every ``store_stride`` steps (and at step 0 and the
-    last step) the profiles of the sides in ``store_sides`` go to
-    ``sink(at, profiles)``: ``profiles`` is (sides, P_live, n_nodes) and
-    ``at`` the paths' indices, a slice while every path is live.  A
-    path's discarded non-finite step is not handed on.  The default sink
-    keeps the profiles as the Trajectories' snapshots.  An explicit
-    (NoiseField, NoiseField) ``noise_pair`` drives a single path in
-    place of the seeded streams.
-    Returns one Trajectory per seed, in order.
+    A path that blows up leaves the batch, frozen.  Each step's values
+    go to ``observer`` (see Recorder), by default a Recorder without
+    profiles.  An explicit (NoiseField, NoiseField) ``noise_pair`` drives
+    a single path in place of the seeded streams.
+    Returns ``observer.finish`` of each path's final state, by default
+    one Trajectory per seed, in order.
     """
     v1_0, v2_0, p0 = initial
     v1_0 = grid.check_profile(v1_0)
@@ -331,9 +362,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             raise GridMismatch("supplied noise does not live on the run grid")
         streams = [[NoiseStream.from_field(noise_pair[0])],
                    [NoiseStream.from_field(noise_pair[1])]]
-    if not store_sides or not set(store_sides) <= {1, 2}:
-        raise ConfigError("store_sides must name side 1, side 2 or both")
-    kept = slice(min(store_sides) - 1, max(store_sides))
+    if observer is None:
+        observer = Recorder(grid, n_paths)
 
     fn = resolve_truncation(boundary_fn, M)
     nt, dt = grid.nt, grid.dt
@@ -342,30 +372,13 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     spare = np.empty_like(v)
     p = np.full(n_paths, float(p0))
     pp = eval_h(fn, v[0], v[1], grid)
-
-    times = np.zeros(nt + 1)
-    record = np.empty((4, n_paths, nt + 1))          # p, p', norm1, norm2
-    record[0, :, 0], record[1, :, 0] = p, pp
-    record[2:, :, 0] = profile_norm(v, grid)
-    store = None
-    if store_stride > 0:
-        snap_steps = list(range(0, nt + 1, store_stride))
-        if snap_steps[-1] != nt:
-            snap_steps.append(nt)
-        if sink is None:
-            store = sink = _SnapshotStore(
-                (kept.stop - kept.start, n_paths, len(snap_steps), grid.n_nodes))
-        sink(slice(None), v[kept])
-    elif sink is not None:
-        raise ConfigError("a snapshot sink needs store_stride > 0")
+    observer(slice(None), 0, 0.0, p, pp, profile_norm(v, grid), v)
 
     block = min(NOISE_BLOCK, nt)
     xi = np.empty((block, 2, n_paths, grid.n_nodes))
     rows = np.arange(n_paths)              # path index of each batch row
-    at = slice(None)                       # the batch rows' places in record and sink
+    at = slice(None)                       # the batch rows, as handed to the observer
     labels = [f"{k} (seed {s})" for k, s in enumerate(seeds)]
-    ends = [nt] * n_paths
-    causes = [None] * n_paths
     finals = [None] * n_paths
 
     t = 0.0
@@ -386,37 +399,30 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             p_new = advance_p(p, pp_new, dt)
             norms = profile_norm(new, grid)
             step = i + 1
-            times[step] = t_new
-            record[0, at, step] = p_new
-            record[1, at, step] = pp_new
-            record[2:, at, step] = norms
-            snap = store_stride > 0 and (step % store_stride == 0 or step == nt)
 
             # one test covers the usual step, where no path stops: the sum is
             # below M_max only if both norms and p are finite (0 * inf is nan)
             total = norms[0] + norms[1]
             if np.all(total + 0.0 * p_new < M_max):
-                if snap:
-                    sink(at, new[kept])
+                observer(at, step, t_new, p_new, pp_new, norms, new)
             else:
                 # p' is finite whenever p is.  A threshold blow-up keeps its
                 # step; a non-finite one falls back to the last finite state.
                 finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
                 done = ~finite | (total >= M_max)
                 for a in np.flatnonzero(done):
-                    k = rows[a]
                     if finite[a]:
-                        ends[k], causes[k] = step, BLOWUP_THRESHOLD
-                        finals[k] = CoupledState(new[0, a].copy(), new[1, a].copy(),
-                                                 float(p_new[a]), float(pp_new[a]), t_new,
-                                                 blown_up=True, tau_estimate=t_new)
+                        finals[rows[a]] = CoupledState(
+                            new[0, a].copy(), new[1, a].copy(), float(p_new[a]),
+                            float(pp_new[a]), t_new, blown_up=True, tau_estimate=t_new,
+                            step=step, blowup_cause=BLOWUP_THRESHOLD)
                     else:
-                        ends[k], causes[k] = i, BLOWUP_NON_FINITE
-                        finals[k] = CoupledState(v[0, a].copy(), v[1, a].copy(),
-                                                 float(p[a]), float(pp[a]), t,
-                                                 blown_up=True, tau_estimate=t_new)
-                if snap:
-                    sink(rows[finite], new[kept][:, finite])
+                        finals[rows[a]] = CoupledState(
+                            v[0, a].copy(), v[1, a].copy(), float(p[a]), float(pp[a]), t,
+                            blown_up=True, tau_estimate=t_new, step=i,
+                            blowup_cause=BLOWUP_NON_FINITE)
+                observer(rows[finite], step, t_new, p_new[finite], pp_new[finite],
+                         norms[:, finite], new[:, finite])
                 live = ~done
                 rows = at = rows[live]
                 labels = [lab for lab, keep in zip(labels, live) if keep]
@@ -429,26 +435,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             p, pp, t = p_new, pp_new, t_new
 
     for a, k in enumerate(rows):
-        finals[k] = CoupledState(v[0, a], v[1, a], float(p[a]), float(pp[a]), t)
-
-    trajectories = []
-    for k, seed in enumerate(seeds):
-        end = ends[k] + 1
-        stored = {}
-        if store is not None:
-            count = bisect.bisect_right(snap_steps, ends[k])
-            stored["snapshot_times"] = times[snap_steps[:count]]
-            for pos, name in enumerate(("v1_snapshots", "v2_snapshots")[kept]):
-                stored[name] = store.snaps[pos, k, :count]
-        trajectories.append(Trajectory(
-            grid=grid, seed=seed, M=float(M), M_max=float(M_max),
-            lap_scale=float(lap_scale), times=times[:end],
-            p=record[0, k, :end], p_prime=record[1, k, :end],
-            norm1=record[2, k, :end], norm2=record[3, k, :end],
-            blown_up=causes[k] is not None, tau_estimate=finals[k].tau_estimate,
-            blowup_cause=causes[k], stride=int(store_stride),
-            final_state=finals[k], **stored))
-    return trajectories
+        finals[k] = CoupledState(v[0, a], v[1, a], float(p[a]), float(pp[a]), t, step=nt)
+    return observer.finish(finals)
 
 
 def run_relative_frame(initial, coeffs: ModelCoefficients,
@@ -466,8 +454,8 @@ def run_relative_frame(initial, coeffs: ModelCoefficients,
     This is the one-path batch of ``run_paths``.
     """
     return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [seed],
-                     store_stride=store_stride, lap_scale=lap_scale,
-                     noise_pair=noise_pair)[0]
+                     lap_scale=lap_scale, noise_pair=noise_pair,
+                     observer=Recorder(grid, 1, store_stride))[0]
 
 
 def absolute_coordinates(p: float, grid: GridSpec, side: int) -> np.ndarray:

@@ -81,3 +81,16 @@ def synthetic_lob_rows(f_bins, sigma_bins, horizon: float, seed: int,
                 etype = "limit" if net > 0 else "cancel"
                 rows.append(f"{t},{side},{etype},{xc},{abs(net)}")
     return rows
+
+
+class PushSide1:
+    """A run_paths observer that only pushes the side-1 profiles into the sums."""
+
+    def __init__(self, sums):
+        self.sums = sums
+
+    def __call__(self, at, step, t, p, p_prime, norms, v):
+        self.sums.push(at, v[:1])
+
+    def finish(self, finals):
+        return finals

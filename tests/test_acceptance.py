@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_smooth_obstacle, sine_ramp_obstacle, synthetic_lob_rows
+from helpers import PushSide1, random_smooth_obstacle, sine_ramp_obstacle, synthetic_lob_rows
 from stefansim.boundary import exp_imbalance, g_lambda
 from stefansim.grids import build_grid
 from stefansim.kernels import verify_kernel_bounds, eval_H
@@ -213,7 +213,7 @@ def she_ensemble():
     sums = StructureSums(20, grid.n_nodes, grid.nt + 1, q=2,
                          time_lags=dyadic_lags((16, 256)), space_lags=dyadic_lags((1, 8)))
     run_paths((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf, grid,
-              seeds=range(9000, 9020), store_stride=1, store_sides=(1,), sink=sums.push)
+              seeds=range(9000, 9020), observer=PushSide1(sums))
     return sums, time.perf_counter() - t0
 
 

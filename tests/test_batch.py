@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import PushSide1
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.errors import CflViolation, DimensionMismatch
 from stefansim.grids import build_grid
 from stefansim.regularity import (SPACE, TIME, StructureSums, dyadic_lags,
                                   estimate_holder_ensemble, structure_function)
-from stefansim.spde import (ModelCoefficients, constant_coefficients, run_paths,
+from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
                             run_relative_frame, step_reflected)
 
 
@@ -28,13 +29,12 @@ def _same_bytes(a, b):
 
 def assert_rows_match_singles(initial, coeffs, fn, M, M_max, grid, seeds,
                               stride, lap_scale=1.0):
-    batch = run_paths(initial, coeffs, fn, M, M_max, grid, seeds,
-                      store_stride=stride, lap_scale=lap_scale)
+    batch = run_paths(initial, coeffs, fn, M, M_max, grid, seeds, lap_scale=lap_scale,
+                      observer=Recorder(grid, len(seeds), stride))
     assert len(batch) == len(seeds)
     for traj, seed in zip(batch, seeds):
         one = run_relative_frame(initial, coeffs, fn, M, M_max, grid, seed,
                                  store_stride=stride, lap_scale=lap_scale)
-        assert traj.seed == seed
         for name in ("times", "p", "p_prime", "norm1", "norm2"):
             assert _same_bytes(getattr(traj, name), getattr(one, name)), name
         if stride:
@@ -202,44 +202,74 @@ def test_nan_volatility_is_flagged_instead_of_run_to_the_end():
     assert np.isfinite(traj.v1_snapshots).all() and np.isfinite(traj.final_state.v2).all()
 
 
-def test_store_sides_keeps_only_the_named_profiles():
-    g = build_grid("compact", 16, 0.01, 64)
-    v0 = _sine(g, 0.5)
-    full, only1 = (run_paths((v0, v0.copy(), 0.0), constant_coefficients(), zero_boundary(),
-                             np.inf, np.inf, g, [5], store_stride=4, store_sides=sides)[0]
-                   for sides in ((1, 2), (1,)))
-    assert only1.v2_snapshots is None
-    assert _same_bytes(only1.v1_snapshots, full.v1_snapshots)
+class _Calls:
+    """An observer that keeps a copy of every call it gets."""
+
+    def __init__(self, n_paths):
+        self.rows = [[] for _ in range(n_paths)]   # per path: (step, t, p, p', norms, v)
+
+    def __call__(self, at, step, t, p, p_prime, norms, v):
+        for a, k in enumerate(np.arange(len(self.rows))[at]):
+            self.rows[k].append((step, t, p[a], p_prime[a], norms[:, a].copy(),
+                                 v[:, a].copy()))
+
+    def finish(self, finals):
+        return finals
 
 
-@pytest.mark.parametrize("cause", ["threshold", "non_finite"])
-def test_structure_sums_sink_matches_stored_snapshots(cause):
+def _stopping_batch(cause):
+    """Six paths on one grid, some of which stop by ``cause``; the rest run on."""
     g = build_grid("compact", 16, 0.08, 1024)
     v0 = _sine(g, 0.5)
-    seeds = list(range(40, 46))
     # some paths stop: at a pair-norm threshold, or with a drift that turns
     # infinite above a level (the step is then discarded)
-    level = {"threshold": np.inf, "non_finite": 3.9}[cause]
+    level = np.inf if cause == "threshold" else 3.9
 
     def drift(x, u):
         return np.where(u > level, np.inf, 20.0)
 
     vol = lambda x, u: np.full_like(u, 3.0)  # noqa: E731
     coeffs = ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol)
-    M_max = 6.25 if cause == "threshold" else np.inf
-    initial = (v0, v0.copy(), 0.0)
-    stored = run_paths(initial, coeffs, zero_boundary(), M_max, M_max, g, seeds,
-                       store_stride=1, store_sides=(1,))
+    M_max = np.inf if cause == "non_finite" else 6.25
+    return g, ((v0, v0.copy(), 0.0), coeffs, zero_boundary(), M_max, M_max, g,
+               list(range(40, 46)))
+
+
+def test_observer_sees_each_kept_step_once_in_order():
+    g, args = _stopping_batch("both")
+    seeds = args[-1]
+    calls = _Calls(len(seeds))
+    finals = run_paths(*args, observer=calls)
+    causes = [final.blowup_cause for final in finals]
+    assert {"threshold", "non_finite", None} <= set(causes)
+    recorded = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    for rows, final, traj in zip(calls.rows, finals, recorded):
+        assert [row[0] for row in rows] == list(range(final.step + 1))
+        assert all(np.isfinite(x).all() for row in rows for x in row[1:])
+        columns = list(zip(*rows))      # step, t, p, p', norms, v
+        norms = np.array(columns[4])
+        for name, seen in (("times", columns[1]), ("p", columns[2]), ("p_prime", columns[3]),
+                           ("norm1", norms[:, 0]), ("norm2", norms[:, 1])):
+            assert _same_bytes(np.array(seen), getattr(traj, name)), name
+        profiles = np.array(columns[5])
+        assert _same_bytes(profiles[:, 0], traj.v1_snapshots)
+        assert _same_bytes(profiles[:, 1], traj.v2_snapshots)
+        assert traj.blowup_cause == final.blowup_cause
+
+
+@pytest.mark.parametrize("cause", ["threshold", "non_finite"])
+def test_structure_sums_sink_matches_stored_snapshots(cause):
+    g, args = _stopping_batch(cause)
+    seeds = args[-1]
+    stored = run_paths(*args, observer=Recorder(g, len(seeds), 1))
     causes = [t.blowup_cause for t in stored]
     assert cause in causes and None in causes
     assert min(len(t.times) for t in stored) > 100
 
     time_lags, space_lags = dyadic_lags((1, 8)), dyadic_lags((1, 8))
     sums = StructureSums(len(seeds), g.n_nodes, g.nt + 1, 2, time_lags, space_lags)
-    sunk = run_paths(initial, coeffs, zero_boundary(), M_max, M_max, g, seeds,
-                     store_stride=1, store_sides=(1,), sink=sums.push)
-    assert all(t.v1_snapshots is None for t in sunk)
-    assert [len(t.times) for t in sunk] == [len(t.times) for t in stored]
+    finals = run_paths(*args, observer=PushSide1(sums))
+    assert [final.step + 1 for final in finals] == [len(t.times) for t in stored]
     fields = [t.v1_snapshots for t in stored]
     for axis, lags in ((TIME, time_lags), (SPACE, space_lags)):
         want = [[s for _, s in structure_function(f, axis, lags, 2)] for f in fields]

@@ -126,6 +126,9 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     ("fit-lob", ["lob.agg_interval=0"], "lob.agg_interval"),
     ("fit-lob", ["lob.agg_interval=-1"], "lob.agg_interval"),
     ("simulate", ["run.stride=-3"], "run.stride"),
+    ("kernel-check", ["kernel_check.x_samples=[]"], "kernel_check.x_samples"),
+    ("kernel-check", ["kernel_check.x_samples=[a]"], "kernel_check.x_samples"),
+    ("kernel-check", ["kernel_check.x_samples=0.5"], "kernel_check.x_samples"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, field):
     events = tmp_path / "events.csv"
@@ -139,6 +142,37 @@ def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, 
     for item in sets:
         args += ["--set", item]
     assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+#: malformed fit tables: a field that is not a number, a row one column short
+_BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
+            "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n"}
+
+
+@pytest.mark.parametrize("command, field, kind", [
+    ("fit-lob", "lob.input", "missing"),
+    ("fit-lob", "lob.input", "directory"),
+    ("fit-lob", "lob.touch_file", "missing"),
+    ("simulate-price", "price.fit_csv", "missing"),
+    ("simulate-price", "price.fit_csv", "directory"),
+    ("simulate-price", "price.fit_csv", "not_a_number"),
+    ("simulate-price", "price.fit_csv", "short_row"),
+])
+def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, field, kind):
+    events = tmp_path / "events.csv"
+    events.write_text("time,side,event_type,relative_price,size\n" + "\n".join(
+        synthetic_lob_rows([2.0, 1.0, 0.5, 0.25], [0.2, 0.15, 0.1, 0.05], 60.0, 2)) + "\n")
+    target = tmp_path / "named.csv"
+    if kind == "directory":
+        target.mkdir()
+    elif kind in _BAD_FIT:
+        target.write_text(_BAD_FIT[kind])
+    cfg = _holder_cfg(tmp_path)
+    cfg.update(lob={"input": str(events), "n_bins": 4}, price={"fit_csv": str(target)})
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main([command, "-c", cfg_path, "--set", f"{field}={target}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
 

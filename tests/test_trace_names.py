@@ -8,10 +8,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from stefansim.boundary import zero_boundary
 from stefansim.grids import build_grid
 from stefansim.picard import build_kernel_tables
+from stefansim.spde import constant_coefficients, run_relative_frame
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -57,3 +60,30 @@ def test_table_bytes_reads_kernel_tables(tracing):
     tables = build_kernel_tables(build_grid("compact", 8, 0.02, 48))
     expected = tables.init.nbytes + tables.mid_val.nbytes + tables.mid_der.nbytes
     assert tracing._table_bytes((), {}, tables) == {"bytes": expected}
+
+
+@pytest.mark.parametrize("stride", [0, 16])
+def test_run_and_csv_hooks_read_a_real_trajectory(tracing, tmp_path, stride):
+    grid = build_grid("compact", 8, 0.02, 64)
+    v0 = np.sin(np.pi * grid.space_nodes())
+    v0[0] = v0[-1] = 0.0
+    traj = run_relative_frame((v0, v0.copy(), 0.0), constant_coefficients(), zero_boundary(),
+                              np.inf, np.inf, grid, seed=1, store_stride=stride)
+    hooks = {attr: post for module_name, attr, _, _, post in tracing.WRAPS
+             if module_name == "stefansim.spde"}
+    snaps = (traj.v1_snapshots, traj.v2_snapshots) if stride else ()
+    assert tracing._snapshot_bytes((), {}, traj) == \
+        {"snapshot_bytes": sum(s.nbytes for s in snaps)}
+    writes = [("Trajectory.to_csv", tmp_path / "trajectory.csv")]
+    if stride:
+        writes.append(("Trajectory.profiles_to_csv", tmp_path / "profiles.csv"))
+    else:
+        # a traced run without profiles never reaches the row hook
+        with pytest.raises(ValueError):
+            traj.profiles_to_csv(tmp_path / "profiles.csv")
+    for attr, path in writes:
+        getattr(traj, attr.split(".")[1])(path)
+        # one header line, then one row per record
+        rows = len(path.read_text().splitlines()) - 1
+        assert hooks[attr]((traj, path), {}, None) == \
+            {"rows": rows, "bytes": path.stat().st_size}
