@@ -6,8 +6,9 @@ The exponential-imbalance functional alpha * g_lam(v1 - v2) with
 
 concentrates on mass near the shared boundary and tends to k'(0) as
 lam -> infinity, so it approximates the classical interface condition
-driven by the one-sided derivatives.  Truncation caps the profile inputs
-(v ^ M on the compact domain, the weighted cap F_{M,r} on the half-line)
+driven by the one-sided derivatives.  ``eval_h`` reads the profiles it
+is given; the integrators cap them first at the run's M (``cap_profile``:
+v ^ M on the compact domain, the weighted cap F_{M,r} on the half-line)
 so the coupled system stays globally Lipschitz; an optional clamp bounds
 the output, which is the global-existence regime.
 """
@@ -35,7 +36,6 @@ class BoundaryFunctional:
     alpha: float = 5.0
     lam: float = 100.0
     clamp: float | None = None
-    truncation_M: float | None = None
     table_imbalance: tuple = ()
     table_speed: tuple = ()
 
@@ -49,15 +49,12 @@ class BoundaryFunctional:
 
 
 def exp_imbalance(alpha: float = 5.0, lam: float = 100.0,
-                  clamp: float | None = None,
-                  truncation_M: float | None = None) -> BoundaryFunctional:
-    return BoundaryFunctional(kind=EXP_IMBALANCE, alpha=alpha, lam=lam,
-                              clamp=clamp, truncation_M=truncation_M)
+                  clamp: float | None = None) -> BoundaryFunctional:
+    return BoundaryFunctional(kind=EXP_IMBALANCE, alpha=alpha, lam=lam, clamp=clamp)
 
 
-def stefan_fd(clamp: float | None = None,
-              truncation_M: float | None = None) -> BoundaryFunctional:
-    return BoundaryFunctional(kind=STEFAN_FD, clamp=clamp, truncation_M=truncation_M)
+def stefan_fd(clamp: float | None = None) -> BoundaryFunctional:
+    return BoundaryFunctional(kind=STEFAN_FD, clamp=clamp)
 
 
 def zero_boundary() -> BoundaryFunctional:
@@ -65,8 +62,7 @@ def zero_boundary() -> BoundaryFunctional:
 
 
 def table_boundary(imbalance, speed, lam: float = 100.0,
-                   clamp: float | None = None,
-                   truncation_M: float | None = None) -> BoundaryFunctional:
+                   clamp: float | None = None) -> BoundaryFunctional:
     """Piecewise-linear (imbalance -> speed) rule, clamped to its endpoints.
 
     The imbalance statistic fed to the table is g_lam(v1 - v2).
@@ -75,7 +71,6 @@ def table_boundary(imbalance, speed, lam: float = 100.0,
     imb = tuple(float(v) for v in np.asarray(imbalance, dtype=float)[order])
     spd = tuple(float(v) for v in np.asarray(speed, dtype=float)[order])
     return BoundaryFunctional(kind=TABLE, lam=lam, clamp=clamp,
-                              truncation_M=truncation_M,
                               table_imbalance=imb, table_speed=spd)
 
 
@@ -131,7 +126,8 @@ def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
            grid: GridSpec):
     """Evaluate the boundary speed for a profile pair on a common grid.
 
-    Stacks of pairs (P, n_nodes) give one speed per row as an array.
+    The profiles are read as given, uncapped.  Stacks of pairs (P, n_nodes)
+    give one speed per row as an array.
     """
     v1 = grid.check_profile(v1)
     v2 = grid.check_profile(v2)
@@ -140,8 +136,6 @@ def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
     if fn.kind == ZERO:
         out = np.zeros(v1.shape[:-1])
     else:
-        v1 = cap_profile(v1, grid, fn.truncation_M)
-        v2 = cap_profile(v2, grid, fn.truncation_M)
         if fn.kind == EXP_IMBALANCE:
             out = fn.alpha * g_lambda(v1 - v2, grid, fn.lam)
         elif fn.kind == STEFAN_FD:

@@ -19,12 +19,12 @@ import numpy as np
 from . import config as cfgmod
 from .config import (boundary_from_config, coefficients_from_config, config_hash,
                      float_list, float_or_inf, get_field, grid_from_config,
-                     initial_from_config)
-from .errors import ConfigError, StefansimError
+                     initial_from_config, truncation_from_config)
+from .errors import ConfigError, FormatError, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
-from .lob import (MIN_BINS, FitResult, fit_coefficients, parse_events, price_series_to_csv,
-                  simulate_price)
+from .lob import (LOBSTER, MIN_BINS, NORMALIZED, FitResult, fit_coefficients, parse_events,
+                  price_series_to_csv, simulate_price)
 from .noise import sample_white_noise
 from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
@@ -52,7 +52,7 @@ def _input_file(field: str, path: str):
     """An input file that cannot be opened or parsed is a config error naming its field."""
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FormatError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"field {field!r}: cannot read {path!r}: {reason}") from None
 
@@ -68,7 +68,7 @@ def cmd_simulate(cfg: dict) -> int:
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
     seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    M = get_field(cfg, "run.M", default=np.inf, cast=float_or_inf)
+    M = truncation_from_config(cfg, "run.M")
     M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
     stride = get_field(cfg, "run.stride", default=0, cast=int)
@@ -134,7 +134,7 @@ def cmd_picard_check(cfg: dict) -> int:
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
     seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    M = get_field(cfg, "picard.M", default=2.0, cast=float_or_inf)
+    M = truncation_from_config(cfg, "picard.M", default=2.0)
     n_iters = get_field(cfg, "picard.n_iters", default=12, cast=int)
     noise_pair = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
     report = picard_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid,
@@ -170,7 +170,7 @@ def cmd_holder(cfg: dict) -> int:
     q = get_field(cfg, "holder.q", default=2, cast=float)
     lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=int)
     lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=int)
-    M = get_field(cfg, "run.M", default=np.inf, cast=float_or_inf)
+    M = truncation_from_config(cfg, "run.M")
     M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
     lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
     if q not in (1, 2):
@@ -207,6 +207,9 @@ def cmd_kernel_check(cfg: dict) -> int:
                    cast=float_list)
     if kernel not in ("G", "H"):
         raise ConfigError("field 'kernel_check.kernel' must be 'G' or 'H'")
+    if not all(0 <= x < np.inf for x in xs):
+        raise ConfigError(f"field 'kernel_check.x_samples' must hold finite numbers >= 0, "
+                          f"got {xs}")
     if not t_min > 0:
         raise ConfigError(f"field 'kernel_check.t_min' must be positive, got {t_min}")
     if not t_max >= t_min:
@@ -224,19 +227,26 @@ def cmd_kernel_check(cfg: dict) -> int:
 
 def cmd_fit_lob(cfg: dict) -> int:
     source = get_field(cfg, "lob.input", required=True, cast=str)
-    fmt = get_field(cfg, "lob.format", default="normalized", cast=str)
+    fmt = get_field(cfg, "lob.format", default=NORMALIZED, cast=str)
     n_bins = get_field(cfg, "lob.n_bins", default=16, cast=int)
     agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=float)
     if n_bins < MIN_BINS:
         raise ConfigError(f"field 'lob.n_bins' must be at least {MIN_BINS}, got {n_bins}")
     if not agg > 0:
         raise ConfigError(f"field 'lob.agg_interval' must be positive, got {agg}")
+    if fmt not in (NORMALIZED, LOBSTER):
+        raise ConfigError(f"field 'lob.format' must be {NORMALIZED!r} or {LOBSTER!r}, "
+                          f"got {fmt!r}")
     pool = bool(get_field(cfg, "lob.pool_sides", default=True))
     touch = None
     touch_file = get_field(cfg, "lob.touch_file", default=None)
     if touch_file is not None:
         with _input_file("lob.touch_file", touch_file):
             touch = np.loadtxt(touch_file, delimiter=",")
+            if touch.ndim != 2 or touch.shape[1] != 3:
+                raise FormatError("touch series must have rows (time, bid, ask)")
+    elif fmt == LOBSTER:
+        raise ConfigError(f"field 'lob.touch_file' is required by lob.format {LOBSTER!r}")
     with _input_file("lob.input", source):
         stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
     fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
@@ -249,6 +259,7 @@ def cmd_fit_lob(cfg: dict) -> int:
 def cmd_simulate_price(cfg: dict) -> int:
     grid = grid_from_config(cfg)
     fn = boundary_from_config(cfg)
+    truncation_from_config(cfg, None)    # the price simulation is untruncated
     seed = get_field(cfg, "noise.seed", default=0, cast=int)
     fit_path = get_field(cfg, "price.fit_csv", required=True, cast=str)
     lap_scale = get_field(cfg, "run.lap_scale", default=0.2, cast=float)

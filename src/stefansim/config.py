@@ -99,6 +99,22 @@ def float_list(value) -> list:
     return [float(x) for x in value]
 
 
+def truncation_from_config(cfg: dict, path: str | None, default: float = np.inf) -> float:
+    """The truncation level M a subcommand runs with: field ``path``, or inf when None.
+
+    ``boundary.truncation_M``, when set, must equal it.
+    """
+    M = np.inf if path is None else get_field(cfg, path, default=default, cast=float_or_inf)
+    trunc = get_field(cfg, "boundary.truncation_M", cast=float_or_inf)
+    for field, value in ((path, M), ("boundary.truncation_M", trunc)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"field {field!r} must be a positive number or inf, got {value}")
+    if trunc is not None and trunc != M:
+        raise ConfigError(f"field 'boundary.truncation_M' is {trunc}, "
+                          f"but the run's truncation M is {M}")
+    return M
+
+
 def grid_from_config(cfg: dict) -> GridSpec:
     domain = get_field(cfg, "grid.domain", default=COMPACT, cast=str)
     if domain not in (COMPACT, HALFLINE):
@@ -116,15 +132,14 @@ def boundary_from_config(cfg: dict) -> BoundaryFunctional:
     clamp = get_field(cfg, "boundary.clamp", cast=float)
     if clamp is not None and not clamp >= 0:
         raise ConfigError(f"field 'boundary.clamp' must be nonnegative, got {clamp}")
-    trunc = get_field(cfg, "boundary.truncation_M", cast=float_or_inf)
     if kind == "zero":
         return zero_boundary()
     if kind == "exp_imbalance":
         return exp_imbalance(alpha=get_field(cfg, "boundary.alpha", default=5.0, cast=float),
                              lam=get_field(cfg, "boundary.lambda", default=100.0, cast=float),
-                             clamp=clamp, truncation_M=trunc)
+                             clamp=clamp)
     if kind == "stefan_fd":
-        return stefan_fd(clamp=clamp, truncation_M=trunc)
+        return stefan_fd(clamp=clamp)
     if kind == "table":
         imb = get_field(cfg, "boundary.table_imbalance", required=True)
         spd = get_field(cfg, "boundary.table_speed", required=True)
@@ -134,7 +149,7 @@ def boundary_from_config(cfg: dict) -> BoundaryFunctional:
                               "'boundary.table_speed' must be lists of one nonzero length")
         return table_boundary(imb, spd,
                               lam=get_field(cfg, "boundary.lambda", default=100.0, cast=float),
-                              clamp=clamp, truncation_M=trunc)
+                              clamp=clamp)
     raise ConfigError(f"field 'boundary.kind' has unknown value {kind!r}")
 
 

@@ -120,9 +120,7 @@ def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
     )
 
 
-def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G",
-                            n_images: int = DEFAULT_N_IMAGES,
-                            rel_tol: float = 1e-9) -> float:
+def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G") -> float:
     """int exp(-r(x-y)) |dK/dy|(t, x, y) dy over the kernel's domain."""
     _check_time(t)
     if kernel_kind == "G":
@@ -133,9 +131,9 @@ def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G"
         a, b = 0.0, 1.0
 
     def integrand(ys):
-        return np.exp(-r * (x - ys)) * np.abs(deriv_y(kernel_kind, t, x, ys, n_images))
+        return np.exp(-r * (x - ys)) * np.abs(deriv_y(kernel_kind, t, x, ys))
 
-    return adaptive_trapezoid(integrand, a, b, rel_tol=rel_tol)
+    return adaptive_trapezoid(integrand, a, b)
 
 
 @dataclass
@@ -159,8 +157,7 @@ class BoundReport:
 
 
 def verify_kernel_bounds(t_values, x_values, r: float = 0.0,
-                         kernel_kind: str = "G",
-                         n_images: int = DEFAULT_N_IMAGES) -> BoundReport:
+                         kernel_kind: str = "G") -> BoundReport:
     """Sweep sup_x int exp(-r(x-y))|dK/dy| dy over t and report sqrt(t)-scaling.
 
     The estimate is declared bounded when sqrt(t) * value stays within a
@@ -171,7 +168,7 @@ def verify_kernel_bounds(t_values, x_values, r: float = 0.0,
         raise NonPositiveTime("bound sweep requires t_min > 0")
     sup_per_t = []
     for t in t_values:
-        vals = [weighted_deriv_integral(t, float(x), r, kernel_kind, n_images)
+        vals = [weighted_deriv_integral(t, float(x), r, kernel_kind)
                 for x in x_values]
         sup_per_t.append(max(vals))
     scaled = [math.sqrt(t) * v for t, v in zip(t_values, sup_per_t)]

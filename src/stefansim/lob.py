@@ -295,20 +295,13 @@ def _filled_coefficients(fit: FitResult):
 
 
 def simulate_price(fit: FitResult, boundary: BoundaryFunctional, grid: GridSpec,
-                   seed: int, lap_scale: float = 0.2, p0: float = 0.0,
-                   initial=None, M: float = np.inf, M_max: float = np.inf,
-                   store_stride: int = 0) -> Trajectory:
-    """Run the coupled simulator with fitted coefficients; p(t) is the price."""
+                   seed: int, lap_scale: float = 0.2, p0: float = 0.0) -> Trajectory:
+    """Run the untruncated coupled simulator from empty books; p(t) is the price."""
     f, sigma = _filled_coefficients(fit)
     coeffs = tabulated_coefficients(fit.x_centers, f, sigma)
-    if initial is None:
-        z = np.zeros(grid.n_nodes)
-        initial = (z, z.copy(), p0)
-    else:
-        initial = (initial[0], initial[1], p0)
-    return run_relative_frame(initial, coeffs, boundary, M=M, M_max=M_max,
-                              grid=grid, seed=seed, store_stride=store_stride,
-                              lap_scale=lap_scale)
+    z = np.zeros(grid.n_nodes)
+    return run_relative_frame((z, z.copy(), p0), coeffs, boundary, M=np.inf, M_max=np.inf,
+                              grid=grid, seed=seed, lap_scale=lap_scale)
 
 
 def price_series_to_csv(traj: Trajectory, path, header_comment: str | None = None) -> None:

@@ -67,23 +67,20 @@ def dump_csv(solution: ObstacleSolution, v: Field, path,
                  v.values, solution.eta], header_comment)
 
 
-def _validate_obstacle(v: Field, grid: GridSpec | None) -> GridSpec:
-    grid = grid or v.grid
-    if grid != v.grid:
-        raise GridMismatch("obstacle field lives on a different grid")
+def _validate_obstacle(v: Field) -> GridSpec:
     start = v.values[..., 0, :]
     if np.any(start > 0.0):
         raise ObstacleInitialPositive(
             f"obstacle must satisfy v(0, .) <= 0; max v(0, .) = {start.max():g}"
         )
-    return grid
+    return v.grid
 
 
-def solve_penalized(v: Field, epsilon: float, grid: GridSpec | None = None) -> ObstacleSolution:
+def solve_penalized(v: Field, epsilon: float) -> ObstacleSolution:
     """Explicit Euler integration of the arctan-penalised equation."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    grid = _validate_obstacle(v, grid)
+    grid = _validate_obstacle(v)
     dx, dt = grid.dx, grid.dt
     z = np.zeros(v.values.shape)
     eta = np.zeros(v.values.shape)
@@ -100,13 +97,13 @@ def solve_penalized(v: Field, epsilon: float, grid: GridSpec | None = None) -> O
                             method="penalized", epsilon=float(epsilon))
 
 
-def solve_projected(v: Field, grid: GridSpec | None = None) -> ObstacleSolution:
+def solve_projected(v: Field) -> ObstacleSolution:
     """Explicit heat step clipped at the obstacle each step.
 
     z >= v holds exactly and eta is supported exactly on the contact set,
     so the discrete complementarity sum vanishes at machine precision.
     """
-    grid = _validate_obstacle(v, grid)
+    grid = _validate_obstacle(v)
     dx, dt = grid.dx, grid.dt
     z = np.zeros(v.values.shape)
     eta = np.zeros(v.values.shape)
@@ -120,22 +117,20 @@ def solve_projected(v: Field, grid: GridSpec | None = None) -> ObstacleSolution:
     return ObstacleSolution(z=Field(grid, z), eta=eta, method="projected")
 
 
-def stability_gap(v1: Field, v2: Field, grid: GridSpec | None = None,
-                  norm: str = "sup", r: float | None = None) -> tuple[float, float]:
+def stability_gap(v1: Field, v2: Field, norm: str = "sup") -> tuple[float, float]:
     """Solve both obstacle problems (projected) and return (|z1-z2|, |v1-v2|).
 
     norm is "sup" or "weighted"; the weighted norm uses exp(-r x) with r
-    defaulting to the grid's weight.
+    the grid's weight.
     """
-    grid = grid or v1.grid
-    if v1.grid != v2.grid:
+    grid = v1.grid
+    if v2.grid != grid:
         raise GridMismatch("obstacles must share a grid")
-    z = solve_projected(Field(v1.grid, np.stack([v1.values, v2.values])), grid).z.values
+    z = solve_projected(Field(grid, np.stack([v1.values, v2.values]))).z.values
     dz = Field(grid, z[0] - z[1])
     dv = Field(grid, v1.values - v2.values)
     if norm == "sup":
         return dz.sup_norm(), dv.sup_norm()
     if norm == "weighted":
-        rr = grid.weight_r if r is None else float(r)
-        return dz.weighted_sup_norm(rr), dv.weighted_sup_norm(rr)
+        return dz.weighted_sup_norm(grid.weight_r), dv.weighted_sup_norm(grid.weight_r)
     raise ValueError(f"unknown norm {norm!r}")

@@ -9,12 +9,14 @@ representation
               + int_0^t int K(t-s, x, y) sigma(y, v_prev(s, y)) xi(s, y) dy ds
 
 (K = the Dirichlet heat kernel of [0, L], with L = 1 on the compact
-domain and the truncation length on the half-line; the advection sign
-is +dK/dy for side 1, whose transport term is -h d/dx(cap v), and -dK/dy
-for side 2), then restores the reflection by adding the solution of the
-obstacle problem with obstacle -w, and repeats.  The fixed point is the
-reflected solution, so the final pair cross-validates the direct
-finite-difference integrator driven by the same noise realisation.
+domain and the truncation length on the half-line; cap v_prev, capped
+once at the run's M, gives both h(s) = h(cap v1_prev, cap v2_prev)(s)
+and the transported profile; the advection sign is +dK/dy for side 1,
+whose transport term is -h d/dx(cap v), and -dK/dy for side 2), then
+restores the reflection by adding the solution of the obstacle problem
+with obstacle -w, and repeats.  The fixed point is the reflected
+solution, so the final pair cross-validates the direct finite-difference
+integrator driven by the same noise realisation.
 
 The iterate is carried as one (2, nt + 1, J) pair, side 1 first, the
 stepping core's layout: the side signs and per-side coefficients are
@@ -53,8 +55,7 @@ from .errors import ConfigError, DimensionMismatch, GridMismatch
 from .grids import Field, GridSpec
 from .noise import NoiseField
 from .obstacle import solve_projected
-from .spde import (SIDE_SIGN, ModelCoefficients, per_side, resolve_truncation,
-                   run_relative_frame)
+from .spde import SIDE_SIGN, ModelCoefficients, per_side, run_relative_frame
 
 #: modes are kept while lam_m dt / 2 <= MODE_CUTOFF; the first dropped
 #: one weighs below exp(-40) at the shortest kernel time
@@ -127,18 +128,19 @@ def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
         raise GridMismatch("previous iterates and noise must live on the grid")
     if tables is None:
         tables = build_kernel_tables(grid)
-    fn = resolve_truncation(boundary_fn, M)
 
     nt, J = grid.nt, grid.n_nodes
     x = grid.space_nodes()
     u = v_prev.values[:, :nt]
-    h = eval_h(fn, u[0], u[1], grid)[:, None]
     xi = np.stack([noise_pair[0].xi, noise_pair[1].xi])
     # per step and side, the advection against dK/dy next to the forcing
-    # against K; filled through its (2, nt, 2J) view
+    # against K; filled through its (2, nt, 2J) view.  The capped pair is
+    # written once, read by h, then scaled by the side's speed in place.
     signal = np.empty((nt, 2, 2 * J))
     sides = np.moveaxis(signal, 1, 0)
-    sides[..., :J] = SIDE_SIGN * h * cap_profile(u, grid, M)
+    sides[..., :J] = cap_profile(u, grid, M)
+    h = eval_h(boundary_fn, *sides[..., :J], grid)[:, None]
+    sides[..., :J] *= SIDE_SIGN * h
     sides[..., J:] = (per_side(coeffs.f1, coeffs.f2, x, u)
                       + per_side(coeffs.sigma1, coeffs.sigma2, x, u) * xi)
 

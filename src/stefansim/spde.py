@@ -22,7 +22,6 @@ stored.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,14 +54,14 @@ class ModelCoefficients:
     delta: float = 0.0
     growth_R: float | None = None
 
-    def validate_growth(self, grid: GridSpec, u_samples=(0.0, 0.5, 2.0, 10.0)) -> float:
-        """Max violation of the volatility growth envelope on sampled (x, u)."""
+    def validate_growth(self, grid: GridSpec) -> float:
+        """Max violation of the volatility growth envelope at u in {0, 0.5, 2, 10}."""
         if self.growth_R is None:
             return 0.0
         x = grid.space_nodes()
         worst = 0.0
         bound_base = self.growth_R * np.exp(-self.delta * x)
-        for u0 in u_samples:
+        for u0 in (0.0, 0.5, 2.0, 10.0):
             u = np.full_like(x, float(u0))
             bound = bound_base * (np.exp(self.r * x) + np.abs(u))
             for sig in (self.sigma1, self.sigma2):
@@ -142,18 +141,6 @@ def profile_norm(profile: np.ndarray, grid: GridSpec):
     return weighted_norm(profile, grid, grid.weight_r)
 
 
-def resolve_truncation(boundary_fn: BoundaryFunctional, M: float) -> BoundaryFunctional:
-    """Push the run-level truncation M into the functional; reject conflicts."""
-    if boundary_fn.truncation_M is not None and boundary_fn.truncation_M != M:
-        raise ConfigError(
-            f"boundary functional truncation {boundary_fn.truncation_M} "
-            f"differs from run truncation M={M}"
-        )
-    if boundary_fn.truncation_M is None and np.isfinite(M):
-        return dataclasses.replace(boundary_fn, truncation_M=float(M))
-    return boundary_fn
-
-
 def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
                    coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
                    M: float, grid: GridSpec, lap_scale: float = 1.0,
@@ -166,14 +153,13 @@ def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
     side 2 with -c, each upwinded by the sign of its own speed.  The new
     state, projected onto v >= 0 with the Dirichlet nodes re-zeroed, is
     written to ``out`` (a new array when None; never ``v`` itself) and
-    returned with its boundary speeds.  A path with |c| dt > dx raises
-    CflViolation naming it as ``paths[k]`` (its row k when None).
+    returned with its boundary speeds h(cap(v1), cap(v2)).  A path with
+    |c| dt > dx raises CflViolation naming it as ``paths[k]`` (its row k when None).
     """
     if v.ndim != 3 or v.shape[::2] != (2, grid.n_nodes) or noise.shape != v.shape:
         raise DimensionMismatch("state and noise must be (2, P, n_nodes) arrays")
     dx, dt = grid.dx, grid.dt
     x = grid.space_nodes()
-    fn = resolve_truncation(boundary_fn, M)
     limit = dx * (1 + 1e-12)
     if not np.max(np.abs(c)) * dt <= limit:
         fast = np.abs(c) * dt > limit
@@ -194,7 +180,7 @@ def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
 
     np.maximum(out, 0.0, out=out)
     out[..., ::grid.n_nodes - 1] = 0.0
-    return out, eval_h(fn, out[0], out[1], grid)
+    return out, eval_h(boundary_fn, *cap_profile(out, grid, M), grid)
 
 
 #: side 1 is advected with the boundary speed c, side 2 with -c
@@ -339,6 +325,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
         raise ConfigError("initial profiles must be nonnegative")
     if v1_0[0] != 0 or v2_0[0] != 0 or v1_0[-1] != 0 or v2_0[-1] != 0:
         raise ConfigError("initial profiles must vanish at Dirichlet nodes")
+    if not M > 0:
+        raise ConfigError(f"truncation M={M} must be a positive number")
     if not M <= M_max:
         raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
     if lap_scale * grid.dt > 0.5 * grid.dx**2 * (1 + 1e-12):
@@ -365,13 +353,12 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     if observer is None:
         observer = Recorder(grid, n_paths)
 
-    fn = resolve_truncation(boundary_fn, M)
     nt, dt = grid.nt, grid.dt
     v = np.empty((2, n_paths, grid.n_nodes))
     v[0], v[1] = v1_0, v2_0
     spare = np.empty_like(v)
     p = np.full(n_paths, float(p0))
-    pp = eval_h(fn, v[0], v[1], grid)
+    pp = eval_h(boundary_fn, *cap_profile(v, grid, M), grid)
     observer(slice(None), 0, 0.0, p, pp, profile_norm(v, grid), v)
 
     block = min(NOISE_BLOCK, nt)
@@ -393,7 +380,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                     for a, k in enumerate(rows):
                         xi[:n_rows, side, a] = streams[side][k].draw(n_rows)
             t_new = t + dt
-            new, pp_new = step_reflected(v, pp, xi[j], coeffs, fn, M, grid,
+            new, pp_new = step_reflected(v, pp, xi[j], coeffs, boundary_fn, M, grid,
                                          lap_scale=lap_scale, time=t, paths=labels,
                                          out=spare)
             p_new = advance_p(p, pp_new, dt)

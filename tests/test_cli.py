@@ -12,6 +12,7 @@ import yaml
 
 from helpers import synthetic_lob_rows
 from stefansim.cli import main
+from stefansim.lob import FitResult
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -129,6 +130,16 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     ("kernel-check", ["kernel_check.x_samples=[]"], "kernel_check.x_samples"),
     ("kernel-check", ["kernel_check.x_samples=[a]"], "kernel_check.x_samples"),
     ("kernel-check", ["kernel_check.x_samples=0.5"], "kernel_check.x_samples"),
+    ("simulate", ["run.M=-1"], "run.M"),
+    ("simulate", ["run.M=nan"], "run.M"),
+    ("holder", ["run.M=0"], "run.M"),
+    ("picard-check", ["picard.M=-1"], "picard.M"),
+    ("picard-check", ["picard.M=.nan"], "picard.M"),
+    ("simulate", ["run.M=1", "boundary.truncation_M=-1"], "boundary.truncation_M"),
+    ("simulate-price", ["boundary.truncation_M=.nan"], "boundary.truncation_M"),
+    ("kernel-check", ["kernel_check.x_samples=[0.5, -1.0]"], "kernel_check.x_samples"),
+    ("kernel-check", ["kernel_check.x_samples=[.nan]"], "kernel_check.x_samples"),
+    ("kernel-check", ["kernel_check.x_samples=[.inf]"], "kernel_check.x_samples"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, field):
     events = tmp_path / "events.csv"
@@ -150,6 +161,21 @@ def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, 
 _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n"}
 
+_EVENTS_HEADER = "time,side,event_type,relative_price,size\n"
+
+#: bad order-book input: the named file's content (None: no file) and the
+#: overrides that use it, in place of setting the named field to the file
+_BAD_LOB = {
+    "two_columns": ("0.0,1000000\n1.0,1000100\n",
+                    ["lob.format=lobster", "lob.touch_file={target}"]),
+    "no_touch_file": (None, ["lob.format=lobster"]),
+    "unknown_format": (None, ["lob.format=parquet"]),
+    "over_threshold": (_EVENTS_HEADER + "0.1,bid,limit,0.5,10\njunk,row\n",
+                       ["lob.input={target}"]),
+    "decreasing_times": (_EVENTS_HEADER + "1.0,bid,limit,0.5,10\n0.5,bid,limit,0.5,10\n",
+                         ["lob.input={target}"]),
+}
+
 
 @pytest.mark.parametrize("command, field, kind", [
     ("fit-lob", "lob.input", "missing"),
@@ -159,6 +185,11 @@ _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
     ("simulate-price", "price.fit_csv", "directory"),
     ("simulate-price", "price.fit_csv", "not_a_number"),
     ("simulate-price", "price.fit_csv", "short_row"),
+    ("fit-lob", "lob.touch_file", "two_columns"),
+    ("fit-lob", "lob.touch_file", "no_touch_file"),
+    ("fit-lob", "lob.format", "unknown_format"),
+    ("fit-lob", "lob.input", "over_threshold"),
+    ("fit-lob", "lob.input", "decreasing_times"),
 ])
 def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, field, kind):
     events = tmp_path / "events.csv"
@@ -169,10 +200,16 @@ def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, fie
         target.mkdir()
     elif kind in _BAD_FIT:
         target.write_text(_BAD_FIT[kind])
+    content, sets = _BAD_LOB.get(kind, (None, [f"{field}={{target}}"]))
+    if content is not None:
+        target.write_text(content)
     cfg = _holder_cfg(tmp_path)
     cfg.update(lob={"input": str(events), "n_bins": 4}, price={"fit_csv": str(target)})
     cfg_path = _write_cfg(tmp_path, cfg)
-    assert main([command, "-c", cfg_path, "--set", f"{field}={target}"]) == 1
+    args = [command, "-c", cfg_path]
+    for item in sets:
+        args += ["--set", item.format(target=target)]
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
 
@@ -235,11 +272,20 @@ def test_summary_of_a_completed_run_has_no_blowup_cause(tmp_path):
 
 @pytest.mark.parametrize("trunc, code", [(3.0, 0), ("inf", 0), (2.0, 1)])
 def test_boundary_truncation_M_config_key(tmp_path, trunc, code):
-    cfg = _base_cfg(tmp_path)
+    # checked against the M each subcommand runs with: run.M (simulate,
+    # holder), picard.M (picard-check), inf (simulate-price)
+    M = 3.0 if trunc != "inf" else "inf"
+    fit = tmp_path / "fit.csv"
+    FitResult(x_centers=np.array([0.25, 0.75]), f=np.zeros(2), sigma=np.full(2, 0.1),
+              counts=np.ones(2, dtype=int), symmetric=True).to_csv(fit)
+    cfg = _base_cfg(tmp_path, picard={"M": M, "n_iters": 2}, price={"fit_csv": str(fit)},
+                    holder={"n_paths": 2, "lag_min": 2, "lag_max": 32})
     cfg["boundary"]["truncation_M"] = trunc
-    cfg["run"]["M"] = 3.0 if trunc != "inf" else "inf"
+    cfg["run"]["M"] = M
     cfg_path = _write_cfg(tmp_path, cfg)
-    assert main(["simulate", "-c", cfg_path]) == code
+    for command in ("simulate", "holder", "picard-check"):
+        assert main([command, "-c", cfg_path]) == code, command
+    assert main(["simulate-price", "-c", cfg_path]) == (0 if trunc == "inf" else 1)
 
 
 def test_set_override(tmp_path):

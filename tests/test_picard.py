@@ -14,8 +14,7 @@ from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eva
 from stefansim.noise import NoiseField, sample_white_noise
 from stefansim.obstacle import solve_projected
 from stefansim.picard import build_kernel_tables, mild_solve_w, picard_iterate
-from stefansim.spde import (ModelCoefficients, constant_coefficients, resolve_truncation,
-                            run_relative_frame)
+from stefansim.spde import ModelCoefficients, constant_coefficients, run_relative_frame
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -317,7 +316,7 @@ def test_mild_solve_matches_direct_lag_sum(grid):
                           grid, tables=tables).values
 
     nt, dt = grid.nt, grid.dt
-    h = eval_h(resolve_truncation(fn, M), v1[:nt], v2[:nt], grid)[:, None]
+    h = eval_h(fn, cap_profile(v1[:nt], grid, M), cap_profile(v2[:nt], grid, M), grid)[:, None]
     for v, speed, xi, w in ((v1, h, noise[0].xi, w1), (v2, -h, noise[1].xi, w2)):
         advection = speed * cap_profile(v[:nt], grid, M)
         forcing = 0.3 + 0.7 * xi
@@ -369,7 +368,7 @@ def _per_side_mild(v1, v2, coeffs, fn, M, noise_pair, grid, tables):
     """One mild iterate side by side: own +-h sign and coefficients per side."""
     nt, J = grid.nt, grid.n_nodes
     x = grid.space_nodes()[None, :]
-    h = eval_h(resolve_truncation(fn, M), v1[:nt], v2[:nt], grid)[:, None]
+    h = eval_h(fn, cap_profile(v1[:nt], grid, M), cap_profile(v2[:nt], grid, M), grid)[:, None]
     signal = np.empty((nt, 2, 2 * J))
     for k, (u, speed, drift_fn, vol_fn, noise) in enumerate((
             (v1[:nt], h, coeffs.f1, coeffs.sigma1, noise_pair[0]),

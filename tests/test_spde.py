@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from stefansim.boundary import eval_h, exp_imbalance, table_boundary, zero_boundary
+from stefansim.boundary import cap_profile, eval_h, exp_imbalance, table_boundary, zero_boundary
 from stefansim.errors import CflViolation, ConfigError, GridMismatch
 from stefansim.grids import build_grid
 from stefansim.noise import sample_white_noise
 from stefansim.spde import (ModelCoefficients, absolute_coordinates,
-                            constant_coefficients, run_relative_frame,
+                            constant_coefficients, profile_norm, run_relative_frame,
                             step_reflected, tabulated_coefficients, weighted_norm)
 
 
@@ -133,12 +135,32 @@ def test_advection_cfl_guard():
                        np.inf, g)
 
 
-def test_inconsistent_truncation_rejected():
+@pytest.mark.parametrize("M", [0.0, -1.0, np.nan])
+def test_nonpositive_truncation_rejected(M):
     g = build_grid("compact", 16, 0.05, 256)
-    fn = exp_imbalance(truncation_M=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="must be a positive number"):
         run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
-                           fn, M=2.0, M_max=np.inf, grid=g, seed=0)
+                           exp_imbalance(), M=M, M_max=np.inf, grid=g, seed=0)
+
+
+@given(halfline=st.booleans(), a1=st.floats(0.5, 3.0), ratio=st.floats(0.0, 0.9),
+       frac=st.floats(0.2, 0.8), seed=st.integers(0, 2**32 - 1))
+def test_recorded_p_prime_reads_the_capped_state(halfline, a1, ratio, frac, seed):
+    # M below the initial norm, so the cap binds; every p'[k] is h of the
+    # k-th recorded state capped at M, bit for bit
+    g = (build_grid("halfline", 16, 0.01, 256, length=2.0, weight_r=0.5) if halfline
+         else build_grid("compact", 16, 0.01, 256))
+    shape = np.sin(np.pi * g.space_nodes() / g.length)
+    shape[[0, -1]] = 0.0
+    v1, v2 = a1 * shape, ratio * a1 * shape
+    M = frac * profile_norm(v1, g)
+    fn = exp_imbalance(alpha=5.0, lam=5.0)
+    traj = run_relative_frame((v1, v2, 0.0), constant_coefficients(sigma=0.5), fn, M, np.inf,
+                              g, seed=seed, store_stride=1)
+    assert len(traj.times) == g.nt + 1
+    for k, pk in enumerate(traj.p_prime):
+        pair = np.stack([traj.v1_snapshots[k], traj.v2_snapshots[k]])
+        assert pk == eval_h(fn, *cap_profile(pair, g, M), g)
 
 
 def test_bad_initial_data_rejected():
