@@ -12,14 +12,16 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .config import (boundary_from_config, coefficients_from_config, config_hash,
-                     float_list, float_or_inf, get_field, grid_from_config,
-                     initial_from_config, truncation_from_config)
+from .config import (boundary_from_config, choice, coefficients_from_config, config_hash,
+                     finite, get_field, grid_from_config, initial_from_config, list_of,
+                     nonnegative, nonpositive, positive, positive_or_inf,
+                     truncation_from_config, whole)
 from .errors import ConfigError, FormatError, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
@@ -35,6 +37,12 @@ from .spde import run_paths, run_relative_frame
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+
+# fields that several subcommands read, each with its one domain
+_seed = partial(get_field, path="noise.seed", default=0, cast=whole())
+_M_max = partial(get_field, path="run.M_max", default=np.inf, cast=positive_or_inf)
+_lap_scale = partial(get_field, path="run.lap_scale", default=1.0, cast=positive)
+_p0 = partial(get_field, path="run.p0", default=0.0, cast=finite)
 
 
 def _header(cfg_hash: str, seed) -> str:
@@ -67,18 +75,13 @@ def cmd_simulate(cfg: dict) -> int:
     coeffs = coefficients_from_config(cfg)
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
-    seed = get_field(cfg, "noise.seed", default=0, cast=int)
+    seed = _seed(cfg)
     M = truncation_from_config(cfg, "run.M")
-    M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
-    lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
-    stride = get_field(cfg, "run.stride", default=0, cast=int)
-    if stride < 0:
-        raise ConfigError(f"field 'run.stride' must be nonnegative, got {stride}")
-    p0 = get_field(cfg, "run.p0", default=0.0, cast=float)
+    stride = get_field(cfg, "run.stride", default=0, cast=whole(0))
 
-    traj = run_relative_frame((v1_0, v2_0, p0), coeffs, fn, M=M, M_max=M_max,
+    traj = run_relative_frame((v1_0, v2_0, _p0(cfg)), coeffs, fn, M=M, M_max=_M_max(cfg),
                               grid=grid, seed=seed, store_stride=stride,
-                              lap_scale=lap_scale)
+                              lap_scale=_lap_scale(cfg))
     out = _outdir(cfg)
     h = config_hash(cfg)
     traj.to_csv(out / "trajectory.csv", header_comment=_header(h, seed))
@@ -94,37 +97,28 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _obstacle_field(cfg: dict, grid) -> Field:
-    kind = get_field(cfg, "obstacle.kind", default="sine", cast=str)
+    kind = get_field(cfg, "obstacle.kind", default="sine", cast=choice("sine", "constant"))
     if kind == "sine":
-        amp = get_field(cfg, "obstacle.amplitude", default=5.0, cast=float)
-        ramp = get_field(cfg, "obstacle.ramp", default=0.02, cast=float)
+        amp = get_field(cfg, "obstacle.amplitude", default=5.0, cast=finite)
+        ramp = get_field(cfg, "obstacle.ramp", default=0.02, cast=positive_or_inf)
         return Field.from_function(
             grid, lambda t, x: amp * np.sin(np.pi * x / grid.length) * np.minimum(t, ramp))
-    if kind == "constant":
-        level = get_field(cfg, "obstacle.level", default=-1.0, cast=float)
-        if level > 0:
-            raise ConfigError("field 'obstacle.level' must be <= 0 at time zero")
-        return Field.from_function(grid, lambda t, x: np.full_like(x + t, level))
-    raise ConfigError(f"field 'obstacle.kind' has unknown value {kind!r}")
+    level = get_field(cfg, "obstacle.level", default=-1.0, cast=nonpositive)
+    return Field.from_function(grid, lambda t, x: np.full_like(x + t, level))
 
 
 def cmd_obstacle(cfg: dict) -> int:
     grid = grid_from_config(cfg)
     v = _obstacle_field(cfg, grid)
-    method = get_field(cfg, "obstacle.method", default="projected", cast=str)
+    method = get_field(cfg, "obstacle.method", default="projected",
+                       cast=choice("projected", "penalized"))
     if method == "projected":
         sol = solve_projected(v)
-    elif method == "penalized":
-        eps = get_field(cfg, "obstacle.epsilon", default=1e-5, cast=float)
-        if not eps > 0:
-            raise ConfigError(f"field 'obstacle.epsilon' must be positive, got {eps}")
-        sol = solve_penalized(v, eps)
     else:
-        raise ConfigError(f"field 'obstacle.method' has unknown value {method!r}")
+        sol = solve_penalized(v, get_field(cfg, "obstacle.epsilon", default=1e-5, cast=positive))
     out = _outdir(cfg)
-    seed = get_field(cfg, "noise.seed", default=0, cast=int)
     dump_csv(sol, v, out / "obstacle.csv",
-             header_comment=_header(config_hash(cfg), seed))
+             header_comment=_header(config_hash(cfg), _seed(cfg)))
     return EXIT_OK
 
 
@@ -133,9 +127,9 @@ def cmd_picard_check(cfg: dict) -> int:
     coeffs = coefficients_from_config(cfg)
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
-    seed = get_field(cfg, "noise.seed", default=0, cast=int)
+    seed = _seed(cfg)
     M = truncation_from_config(cfg, "picard.M", default=2.0)
-    n_iters = get_field(cfg, "picard.n_iters", default=12, cast=int)
+    n_iters = get_field(cfg, "picard.n_iters", default=12, cast=whole(2))
     noise_pair = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
     report = picard_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid,
                             n_iters=n_iters, compare_direct=True)
@@ -165,16 +159,12 @@ def cmd_holder(cfg: dict) -> int:
     coeffs = coefficients_from_config(cfg)
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
-    base_seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    n_paths = get_field(cfg, "holder.n_paths", default=4, cast=int)
-    q = get_field(cfg, "holder.q", default=2, cast=float)
-    lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=int)
-    lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=int)
+    base_seed = _seed(cfg)
+    n_paths = get_field(cfg, "holder.n_paths", default=4, cast=whole(1))
+    q = get_field(cfg, "holder.q", default=2, cast=choice(1.0, 2.0))
+    lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=whole(1))
+    lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=whole(1))
     M = truncation_from_config(cfg, "run.M")
-    M_max = get_field(cfg, "run.M_max", default=np.inf, cast=float_or_inf)
-    lap_scale = get_field(cfg, "run.lap_scale", default=1.0, cast=float)
-    if q not in (1, 2):
-        raise ConfigError(f"field 'holder.q' must be 1 or 2, got {q}")
     try:
         time_lags = dyadic_lags((lag_lo, lag_hi))
     except ValueError as exc:
@@ -183,9 +173,9 @@ def cmd_holder(cfg: dict) -> int:
 
     sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags=time_lags,
                          space_lags=dyadic_lags(space_range))
-    p_prime = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=M_max, grid=grid,
-                        seeds=range(base_seed, base_seed + n_paths), lap_scale=lap_scale,
-                        observer=_HolderObserver(sums, grid))
+    p_prime = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=_M_max(cfg), grid=grid,
+                        seeds=range(base_seed, base_seed + n_paths),
+                        lap_scale=_lap_scale(cfg), observer=_HolderObserver(sums, grid))
     rows = [
         estimate_holder_ensemble(sums, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
         estimate_holder_ensemble(sums, SPACE, q=q, lag_range=space_range).to_json_dict(),
@@ -198,61 +188,42 @@ def cmd_holder(cfg: dict) -> int:
 
 
 def cmd_kernel_check(cfg: dict) -> int:
-    kernel = get_field(cfg, "kernel_check.kernel", default="G", cast=str)
-    r = get_field(cfg, "kernel_check.r", default=0.0, cast=float)
-    t_min = get_field(cfg, "kernel_check.t_min", default=1e-4, cast=float)
-    t_max = get_field(cfg, "kernel_check.t_max", default=0.1, cast=float)
-    n_t = get_field(cfg, "kernel_check.n_t", default=7, cast=int)
+    kernel = get_field(cfg, "kernel_check.kernel", default="G", cast=choice("G", "H"))
+    r = get_field(cfg, "kernel_check.r", default=0.0, cast=finite)
+    t_min = get_field(cfg, "kernel_check.t_min", default=1e-4, cast=positive)
+    t_max = get_field(cfg, "kernel_check.t_max", default=0.1, cast=positive)
+    n_t = get_field(cfg, "kernel_check.n_t", default=7, cast=whole(1))
     xs = get_field(cfg, "kernel_check.x_samples", default=[0.25, 0.5, 1.0, 2.0, 4.0],
-                   cast=float_list)
-    if kernel not in ("G", "H"):
-        raise ConfigError("field 'kernel_check.kernel' must be 'G' or 'H'")
-    if not all(0 <= x < np.inf for x in xs):
-        raise ConfigError(f"field 'kernel_check.x_samples' must hold finite numbers >= 0, "
-                          f"got {xs}")
-    if not t_min > 0:
-        raise ConfigError(f"field 'kernel_check.t_min' must be positive, got {t_min}")
+                   cast=list_of(nonnegative))
     if not t_max >= t_min:
         raise ConfigError(f"field 'kernel_check.t_max' must be at least t_min, got {t_max}")
-    if n_t < 1:
-        raise ConfigError(f"field 'kernel_check.n_t' must be positive, got {n_t}")
     t_values = np.geomspace(t_min, t_max, n_t)
     report = verify_kernel_bounds(t_values, xs, r=r, kernel_kind=kernel)
-    out = _outdir(cfg)
-    seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    _write_json(out / "kernel_report.json", report.to_json_dict(),
-                config_hash(cfg), seed)
+    _write_json(_outdir(cfg) / "kernel_report.json", report.to_json_dict(),
+                config_hash(cfg), _seed(cfg))
     return EXIT_OK
 
 
 def cmd_fit_lob(cfg: dict) -> int:
     source = get_field(cfg, "lob.input", required=True, cast=str)
-    fmt = get_field(cfg, "lob.format", default=NORMALIZED, cast=str)
-    n_bins = get_field(cfg, "lob.n_bins", default=16, cast=int)
-    agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=float)
-    if n_bins < MIN_BINS:
-        raise ConfigError(f"field 'lob.n_bins' must be at least {MIN_BINS}, got {n_bins}")
-    if not agg > 0:
-        raise ConfigError(f"field 'lob.agg_interval' must be positive, got {agg}")
-    if fmt not in (NORMALIZED, LOBSTER):
-        raise ConfigError(f"field 'lob.format' must be {NORMALIZED!r} or {LOBSTER!r}, "
-                          f"got {fmt!r}")
-    pool = bool(get_field(cfg, "lob.pool_sides", default=True))
+    fmt = get_field(cfg, "lob.format", default=NORMALIZED, cast=choice(NORMALIZED, LOBSTER))
+    n_bins = get_field(cfg, "lob.n_bins", default=16, cast=whole(MIN_BINS))
+    agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=positive)
+    # a per-side fit needs a side, which only the library call takes
+    pool = get_field(cfg, "lob.pool_sides", default=True, cast=choice(True))
     touch = None
     touch_file = get_field(cfg, "lob.touch_file", default=None)
     if touch_file is not None:
         with _input_file("lob.touch_file", touch_file):
-            touch = np.loadtxt(touch_file, delimiter=",")
-            if touch.ndim != 2 or touch.shape[1] != 3:
+            touch = np.loadtxt(touch_file, delimiter=",", ndmin=2)
+            if touch.shape[1] != 3:
                 raise FormatError("touch series must have rows (time, bid, ask)")
     elif fmt == LOBSTER:
         raise ConfigError(f"field 'lob.touch_file' is required by lob.format {LOBSTER!r}")
     with _input_file("lob.input", source):
         stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
     fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
-    out = _outdir(cfg)
-    seed = get_field(cfg, "noise.seed", default=0, cast=int)
-    fit.to_csv(out / "fit.csv", header_comment=_header(config_hash(cfg), seed))
+    fit.to_csv(_outdir(cfg) / "fit.csv", header_comment=_header(config_hash(cfg), _seed(cfg)))
     return EXIT_OK
 
 
@@ -260,10 +231,10 @@ def cmd_simulate_price(cfg: dict) -> int:
     grid = grid_from_config(cfg)
     fn = boundary_from_config(cfg)
     truncation_from_config(cfg, None)    # the price simulation is untruncated
-    seed = get_field(cfg, "noise.seed", default=0, cast=int)
+    seed = _seed(cfg)
     fit_path = get_field(cfg, "price.fit_csv", required=True, cast=str)
-    lap_scale = get_field(cfg, "run.lap_scale", default=0.2, cast=float)
-    p0 = get_field(cfg, "run.p0", default=0.0, cast=float)
+    lap_scale = _lap_scale(cfg, default=0.2)
+    p0 = _p0(cfg)
     with _input_file("price.fit_csv", fit_path):
         fit = FitResult.from_csv(fit_path)
     traj = simulate_price(fit, fn, grid, seed=seed, lap_scale=lap_scale, p0=p0)

@@ -7,16 +7,18 @@ paths like ``run.lap_scale=0.2`` and win over file values.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import yaml
 
-from .boundary import (BoundaryFunctional, exp_imbalance, stefan_fd,
-                       table_boundary, zero_boundary)
+from .boundary import (EXP_IMBALANCE, STEFAN_FD, TABLE, ZERO, BoundaryFunctional,
+                       exp_imbalance, stefan_fd, table_boundary, zero_boundary)
 from .errors import ConfigError
-from .grids import COMPACT, HALFLINE, GridSpec, build_grid
+from .grids import COMPACT, HALFLINE, MIN_NT, MIN_NX, GridSpec, build_grid
 from .spde import ModelCoefficients, constant_coefficients, tabulated_coefficients
 
 
@@ -66,7 +68,7 @@ def config_hash(cfg: dict) -> str:
 
 def get_field(cfg: dict, path: str, default=None, required: bool = False,
               cast=None):
-    """Fetch a dotted field; ConfigError names the missing/invalid field."""
+    """Fetch a dotted field read by ``cast``; ConfigError names the missing/invalid field."""
     node = cfg
     for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
@@ -76,27 +78,65 @@ def get_field(cfg: dict, path: str, default=None, required: bool = False,
         node = node[key]
     if node is None:
         return default
-    if cast is int and isinstance(node, float) and not node.is_integer():
-        raise ConfigError(f"field {path!r} must be a whole number, got {node!r}")
-    if cast is not None:
-        try:
-            return cast(node)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {path!r} has invalid value {node!r}") from exc
-    return node
+    if cast is None:
+        return node
+    try:
+        return cast(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {path!r} has invalid value {node!r}: {exc}") from None
 
 
-def float_or_inf(value):
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", ".inf"):
-        return np.inf
-    return float(value)
+# Validating casts: each reads a value into its field's domain or raises
+# ValueError saying why not.
+
+def _number(test, reason: str, inf: bool = False):
+    """A float passing ``test``; never NaN, and inf (YAML ``.inf``) only when ``inf``."""
+    def cast(value) -> float:
+        x = np.inf if inf and value == ".inf" else float(value)
+        if not (test(x) and (inf or math.isfinite(x))):
+            raise ValueError(reason)
+        return x
+    return cast
 
 
-def float_list(value) -> list:
-    """A nonempty list of numbers, as floats."""
-    if not isinstance(value, list) or not value:
-        raise ValueError("expected a nonempty list")
-    return [float(x) for x in value]
+finite = _number(lambda x: True, "must be a finite number")
+positive = _number(lambda x: x > 0, "must be a finite number > 0")
+nonnegative = _number(lambda x: x >= 0, "must be a finite number >= 0")
+nonpositive = _number(lambda x: x <= 0, "must be a finite number <= 0")
+positive_or_inf = _number(lambda x: x > 0, "must be a number > 0 or inf", inf=True)
+
+
+def whole(lo=-math.inf):
+    """A whole number >= lo: ``64.0`` reads as 64, ``2.7`` or ``"3.5"`` is refused."""
+    def cast(value) -> int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError("must be a whole number")
+        if int(value) < lo:
+            raise ValueError(f"must be at least {lo}")
+        return int(value)
+    return cast
+
+
+def choice(*values):
+    """One of ``values``, returned as declared there."""
+    def cast(value):
+        if value not in values:
+            raise ValueError(f"must be one of {', '.join(map(repr, values))}")
+        return values[values.index(value)]
+    return cast
+
+
+def list_of(each):
+    """A nonempty list, every entry read by the cast ``each``."""
+    def cast(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError("must be a nonempty list")
+        return [each(x) for x in value]
+    return cast
+
+
+#: a nonempty list of finite numbers, as floats
+numbers = list_of(finite)
 
 
 def truncation_from_config(cfg: dict, path: str | None, default: float = np.inf) -> float:
@@ -104,11 +144,8 @@ def truncation_from_config(cfg: dict, path: str | None, default: float = np.inf)
 
     ``boundary.truncation_M``, when set, must equal it.
     """
-    M = np.inf if path is None else get_field(cfg, path, default=default, cast=float_or_inf)
-    trunc = get_field(cfg, "boundary.truncation_M", cast=float_or_inf)
-    for field, value in ((path, M), ("boundary.truncation_M", trunc)):
-        if value is not None and not value > 0:
-            raise ConfigError(f"field {field!r} must be a positive number or inf, got {value}")
+    M = np.inf if path is None else get_field(cfg, path, default=default, cast=positive_or_inf)
+    trunc = get_field(cfg, "boundary.truncation_M", cast=positive_or_inf)
     if trunc is not None and trunc != M:
         raise ConfigError(f"field 'boundary.truncation_M' is {trunc}, "
                           f"but the run's truncation M is {M}")
@@ -116,87 +153,72 @@ def truncation_from_config(cfg: dict, path: str | None, default: float = np.inf)
 
 
 def grid_from_config(cfg: dict) -> GridSpec:
-    domain = get_field(cfg, "grid.domain", default=COMPACT, cast=str)
-    if domain not in (COMPACT, HALFLINE):
-        raise ConfigError(f"field 'grid.domain' must be 'compact' or 'halfline', got {domain!r}")
-    nx = get_field(cfg, "grid.nx", required=True, cast=int)
-    nt = get_field(cfg, "grid.nt", required=True, cast=int)
-    T = get_field(cfg, "grid.T", required=True, cast=float)
-    length = get_field(cfg, "grid.L", default=1.0, cast=float)
-    weight_r = get_field(cfg, "grid.weight_r", default=0.0, cast=float)
+    domain = get_field(cfg, "grid.domain", default=COMPACT, cast=choice(COMPACT, HALFLINE))
+    nx = get_field(cfg, "grid.nx", required=True, cast=whole(MIN_NX))
+    nt = get_field(cfg, "grid.nt", required=True, cast=whole(MIN_NT))
+    T = get_field(cfg, "grid.T", required=True, cast=positive)
+    length = get_field(cfg, "grid.L", default=1.0, cast=positive)
+    weight_r = get_field(cfg, "grid.weight_r", default=0.0, cast=finite)
     return build_grid(domain, nx, T, nt, length=length, weight_r=weight_r)
 
 
 def boundary_from_config(cfg: dict) -> BoundaryFunctional:
-    kind = get_field(cfg, "boundary.kind", default="zero", cast=str)
-    clamp = get_field(cfg, "boundary.clamp", cast=float)
-    if clamp is not None and not clamp >= 0:
-        raise ConfigError(f"field 'boundary.clamp' must be nonnegative, got {clamp}")
-    if kind == "zero":
+    kind = get_field(cfg, "boundary.kind", default=ZERO,
+                     cast=choice(ZERO, EXP_IMBALANCE, STEFAN_FD, TABLE))
+    clamp = get_field(cfg, "boundary.clamp", cast=nonnegative)
+    if kind == ZERO:
         return zero_boundary()
-    if kind == "exp_imbalance":
-        return exp_imbalance(alpha=get_field(cfg, "boundary.alpha", default=5.0, cast=float),
-                             lam=get_field(cfg, "boundary.lambda", default=100.0, cast=float),
-                             clamp=clamp)
-    if kind == "stefan_fd":
+    if kind == STEFAN_FD:
         return stefan_fd(clamp=clamp)
-    if kind == "table":
-        imb = get_field(cfg, "boundary.table_imbalance", required=True)
-        spd = get_field(cfg, "boundary.table_speed", required=True)
-        if not (isinstance(imb, list) and isinstance(spd, list) and imb
-                and len(imb) == len(spd)):
-            raise ConfigError("fields 'boundary.table_imbalance' and "
-                              "'boundary.table_speed' must be lists of one nonzero length")
-        return table_boundary(imb, spd,
-                              lam=get_field(cfg, "boundary.lambda", default=100.0, cast=float),
-                              clamp=clamp)
-    raise ConfigError(f"field 'boundary.kind' has unknown value {kind!r}")
+    lam = get_field(cfg, "boundary.lambda", default=100.0, cast=positive)
+    if kind == EXP_IMBALANCE:
+        return exp_imbalance(alpha=get_field(cfg, "boundary.alpha", default=5.0, cast=finite),
+                             lam=lam, clamp=clamp)
+    imb = get_field(cfg, "boundary.table_imbalance", required=True, cast=numbers)
+    spd = get_field(cfg, "boundary.table_speed", required=True, cast=numbers)
+    if len(imb) != len(spd):
+        raise ConfigError("fields 'boundary.table_imbalance' and "
+                          "'boundary.table_speed' must have one length")
+    return table_boundary(imb, spd, lam=lam, clamp=clamp)
 
 
 def coefficients_from_config(cfg: dict) -> ModelCoefficients:
-    kind = get_field(cfg, "coefficients.kind", default="constant", cast=str)
+    kind = get_field(cfg, "coefficients.kind", default="constant",
+                     cast=choice("constant", "tables", "exp_decay"))
     meta = {
-        "r": get_field(cfg, "coefficients.r", default=0.0, cast=float),
-        "delta": get_field(cfg, "coefficients.delta", default=0.0, cast=float),
-        "growth_R": get_field(cfg, "coefficients.growth_R", cast=float),
+        "r": get_field(cfg, "coefficients.r", default=0.0, cast=finite),
+        "delta": get_field(cfg, "coefficients.delta", default=0.0, cast=finite),
+        "growth_R": get_field(cfg, "coefficients.growth_R", cast=nonnegative),
     }
-    if kind == "constant":
-        return constant_coefficients(f=get_field(cfg, "coefficients.f", default=0.0, cast=float),
-                                     sigma=get_field(cfg, "coefficients.sigma", default=1.0, cast=float),
-                                     **meta)
     if kind == "tables":
-        xc = get_field(cfg, "coefficients.x_centers", required=True)
-        fv = get_field(cfg, "coefficients.f_values", required=True)
-        sv = get_field(cfg, "coefficients.sigma_values", required=True)
+        xc = get_field(cfg, "coefficients.x_centers", required=True, cast=numbers)
+        fv = get_field(cfg, "coefficients.f_values", required=True, cast=numbers)
+        sv = get_field(cfg, "coefficients.sigma_values", required=True, cast=numbers)
         if not (len(xc) == len(fv) == len(sv)):
-            raise ConfigError("coefficient tables must share one length")
+            raise ConfigError("fields 'coefficients.x_centers', 'coefficients.f_values' and "
+                              "'coefficients.sigma_values' must have one length")
         return tabulated_coefficients(xc, fv, sv, **meta)
-    if kind == "exp_decay":
-        # sigma(x, u) = sigma0 * exp(-decay * x), f constant
-        sigma0 = get_field(cfg, "coefficients.sigma", default=0.5, cast=float)
-        decay = get_field(cfg, "coefficients.decay", default=1.0, cast=float)
-        f0 = get_field(cfg, "coefficients.f", default=0.0, cast=float)
+    f0 = get_field(cfg, "coefficients.f", default=0.0, cast=float)
+    sigma0 = get_field(cfg, "coefficients.sigma", default=1.0 if kind == "constant" else 0.5,
+                       cast=finite)
+    coeffs = constant_coefficients(f=f0, sigma=sigma0, **meta)
+    if kind == "constant":
+        return coeffs
+    # exp_decay: sigma(x, u) = sigma0 * exp(-decay * x), f constant
+    decay = get_field(cfg, "coefficients.decay", default=1.0, cast=finite)
 
-        def drift(x, u):
-            return np.full_like(np.asarray(x, dtype=float), f0)
+    def vol(x, u):
+        return sigma0 * np.exp(-decay * np.asarray(x, dtype=float))
 
-        def vol(x, u):
-            return sigma0 * np.exp(-decay * np.asarray(x, dtype=float))
-
-        return ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol, **meta)
-    raise ConfigError(f"field 'coefficients.kind' has unknown value {kind!r}")
+    return dataclasses.replace(coeffs, sigma1=vol, sigma2=vol)
 
 
 def initial_from_config(cfg: dict, grid: GridSpec):
-    kind = get_field(cfg, "initial.kind", default="zero", cast=str)
-    amp = get_field(cfg, "initial.amplitude", default=0.0, cast=float)
-    x = grid.space_nodes()
-    if kind == "zero":
-        v = np.zeros(grid.n_nodes)
-    elif kind == "sine":
-        v = amp * np.sin(np.pi * x / grid.length)
+    kind = get_field(cfg, "initial.kind", default="zero", cast=choice("zero", "sine"))
+    amp = get_field(cfg, "initial.amplitude", default=0.0, cast=nonnegative)
+    v = np.zeros(grid.n_nodes)
+    if kind == "sine":
+        v = amp * np.sin(np.pi * grid.space_nodes() / grid.length)
         v[0] = v[-1] = 0.0
         v = np.maximum(v, 0.0)
-    else:
-        raise ConfigError(f"field 'initial.kind' has unknown value {kind!r}")
     return v, v.copy()

@@ -78,7 +78,7 @@ class _TouchSeries:
     """Step-function lookup of (bid touch, ask touch) prices over time."""
 
     def __init__(self, rows):
-        rows = np.asarray(rows, dtype=float)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))    # one row may come flat
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise FormatError("touch series must have rows (time, bid, ask)")
         order = np.argsort(rows[:, 0], kind="stable")

@@ -55,7 +55,7 @@ from .errors import ConfigError, DimensionMismatch, GridMismatch
 from .grids import Field, GridSpec
 from .noise import NoiseField
 from .obstacle import solve_projected
-from .spde import SIDE_SIGN, ModelCoefficients, per_side, run_relative_frame
+from .spde import SIDE_SIGN, ModelCoefficients, check_initial, per_side, run_relative_frame
 
 #: modes are kept while lam_m dt / 2 <= MODE_CUTOFF; the first dropped
 #: one weighs below exp(-40) at the shortest kernel time
@@ -197,7 +197,7 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
-    v0 = np.stack([grid.check_profile(v1_0), grid.check_profile(v2_0)])
+    v0 = check_initial(v1_0, v2_0, M, grid)
     if tables is None:
         tables = build_kernel_tables(grid)
 

@@ -299,6 +299,21 @@ class Recorder:
         return trajectories
 
 
+def check_initial(v1_0, v2_0, M: float, grid: GridSpec) -> np.ndarray:
+    """Initial data as a (2, n_nodes) pair: finite, >= 0, zero at the Dirichlet nodes; M > 0."""
+    v1_0, v2_0 = grid.check_profile(v1_0), grid.check_profile(v2_0)
+    if v1_0.ndim != 1 or v2_0.ndim != 1:
+        raise DimensionMismatch("initial data must be one profile per side")
+    v0 = np.stack([v1_0, v2_0])
+    if not (np.isfinite(v0) & (v0 >= 0)).all():
+        raise ConfigError("initial profiles must be finite and nonnegative")
+    if np.any(v0[:, [0, -1]] != 0):
+        raise ConfigError("initial profiles must vanish at Dirichlet nodes")
+    if not M > 0:
+        raise ConfigError(f"truncation M={M} must be a positive number")
+    return v0
+
+
 def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
               M: float, M_max: float, grid: GridSpec, seeds, lap_scale: float = 1.0,
               noise_pair=None, observer=None):
@@ -315,18 +330,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     one Trajectory per seed, in order.
     """
     v1_0, v2_0, p0 = initial
-    v1_0 = grid.check_profile(v1_0)
-    v2_0 = grid.check_profile(v2_0)
-    if v1_0.ndim != 1 or v2_0.ndim != 1:
-        raise DimensionMismatch("initial data must be one profile per side")
-    if not (np.isfinite(v1_0).all() and np.isfinite(v2_0).all()):
-        raise ConfigError("initial profiles must be finite")
-    if np.any(v1_0 < 0) or np.any(v2_0 < 0):
-        raise ConfigError("initial profiles must be nonnegative")
-    if v1_0[0] != 0 or v2_0[0] != 0 or v1_0[-1] != 0 or v2_0[-1] != 0:
-        raise ConfigError("initial profiles must vanish at Dirichlet nodes")
-    if not M > 0:
-        raise ConfigError(f"truncation M={M} must be a positive number")
+    v0 = check_initial(v1_0, v2_0, M, grid)
     if not M <= M_max:
         raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
     if lap_scale * grid.dt > 0.5 * grid.dx**2 * (1 + 1e-12):
@@ -355,11 +359,9 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
 
     nt, dt = grid.nt, grid.dt
     v = np.empty((2, n_paths, grid.n_nodes))
-    v[0], v[1] = v1_0, v2_0
+    v[:] = v0[:, None]
     spare = np.empty_like(v)
     p = np.full(n_paths, float(p0))
-    pp = eval_h(boundary_fn, *cap_profile(v, grid, M), grid)
-    observer(slice(None), 0, 0.0, p, pp, profile_norm(v, grid), v)
 
     block = min(NOISE_BLOCK, nt)
     xi = np.empty((block, 2, n_paths, grid.n_nodes))
@@ -370,8 +372,11 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
 
     t = 0.0
     # a step that overflows or meets inf - inf is flagged non-finite and
-    # discarded below, so numpy need not warn about it
+    # discarded below, so numpy need not warn about it; a non-finite h of
+    # the initial data is flagged at the first step
     with np.errstate(invalid="ignore", over="ignore"):
+        pp = eval_h(boundary_fn, *cap_profile(v, grid, M), grid)
+        observer(slice(None), 0, 0.0, p, pp, profile_norm(v, grid), v)
         for i in range(nt):
             j = i % block
             if j == 0:

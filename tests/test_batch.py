@@ -139,6 +139,59 @@ def test_batch_invariance_property(nx, steps_per_dx2, n_steps, n_paths, seed,
                               seeds=[seed + k for k in range(n_paths)], stride=stride)
 
 
+class _InvariantCheck:
+    """An observer asserting the README invariants on every state it is handed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, at, step, t, p, p_prime, norms, v):
+        assert np.isfinite(v).all() and np.isfinite(norms).all()
+        assert (v >= 0).all(), f"negative profile value at step {step}"
+        assert (v[..., [0, -1]] == 0).all(), f"nonzero Dirichlet node at step {step}"
+        self.calls += 1
+
+    def finish(self, finals):
+        return finals
+
+
+@given(halfline=st.booleans(), nx=st.integers(4, 16), steps_per_dx2=st.integers(2, 4),
+       n_steps=st.integers(8, 96), n_paths=st.integers(1, 3), seed=st.integers(0, 2**63),
+       kind=st.sampled_from(sorted(BOUNDARIES)), finite_M=st.booleans(),
+       a=st.floats(-20.0, 20.0), b=st.floats(0.0, 20.0), s=st.floats(0.0, 3.0),
+       amp=st.floats(0.0, 2.0))
+def test_profiles_stay_nonnegative_with_zero_dirichlet_nodes(
+        halfline, nx, steps_per_dx2, n_steps, n_paths, seed, kind, finite_M, a, b, s, amp):
+    length = 2.0 if halfline else 1.0
+    dx = length / nx
+    g = build_grid("halfline" if halfline else "compact", nx, n_steps * dx * dx / steps_per_dx2,
+                   n_steps, length=length, weight_r=0.5)
+    # keep |h| dt <= dx on every path
+    speed = 0.9 * g.dx / g.dt
+    fn = BOUNDARIES[kind]
+    if kind in ("exp_imbalance", "stefan_fd"):
+        fn = dataclasses.replace(fn, clamp=speed)
+    elif kind == "table":
+        fn = table_boundary([-1.0, 1.0], [-speed, speed])
+
+    # coefficients that depend on u, with a drift that pushes below zero
+    def drift1(xv, u):
+        return a - b * u
+
+    def drift2(xv, u):
+        return -a - b * u * u
+
+    def vol(xv, u):
+        return s * (1.0 + np.minimum(u, 3.0))
+
+    coeffs = ModelCoefficients(f1=drift1, f2=drift2, sigma1=vol, sigma2=vol)
+    v0 = _sine(g, amp)
+    check = _InvariantCheck()
+    finals = run_paths((v0, 0.5 * v0, 0.0), coeffs, fn, 0.5 if finite_M else np.inf, np.inf,
+                       g, [seed + k for k in range(n_paths)], observer=check)
+    assert check.calls == 1 + max(final.step for final in finals)
+
+
 def test_cfl_violation_names_the_offending_path():
     g = build_grid("compact", 16, 0.05, 256)
     v = np.zeros((2, 3, g.n_nodes))

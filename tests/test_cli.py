@@ -140,6 +140,59 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     ("kernel-check", ["kernel_check.x_samples=[0.5, -1.0]"], "kernel_check.x_samples"),
     ("kernel-check", ["kernel_check.x_samples=[.nan]"], "kernel_check.x_samples"),
     ("kernel-check", ["kernel_check.x_samples=[.inf]"], "kernel_check.x_samples"),
+    # one value outside each field's stated domain
+    ("simulate", ["grid.domain=ring"], "grid.domain"),
+    ("simulate", ["grid.nx=2"], "grid.nx"),
+    ("simulate", ["grid.nt=0"], "grid.nt"),
+    ("simulate", ["grid.T=0"], "grid.T"),
+    ("simulate", ["grid.domain=halfline", "grid.L=.nan"], "grid.L"),
+    ("simulate", ["grid.domain=halfline", "grid.L=2", "grid.weight_r=.inf"], "grid.weight_r"),
+    ("simulate", ["initial.kind=cosine"], "initial.kind"),
+    ("simulate", ["initial.amplitude=-1"], "initial.amplitude"),
+    ("simulate", ["coefficients.kind=spline"], "coefficients.kind"),
+    ("simulate", ["coefficients.sigma=.inf"], "coefficients.sigma"),
+    ("simulate", ["coefficients.r=.nan"], "coefficients.r"),
+    ("simulate", ["coefficients.delta=.inf"], "coefficients.delta"),
+    ("simulate", ["coefficients.growth_R=-1"], "coefficients.growth_R"),
+    ("simulate", ["coefficients.kind=exp_decay", "coefficients.decay=.nan"],
+     "coefficients.decay"),
+    ("simulate", ["coefficients.kind=tables", "coefficients.x_centers=1",
+                  "coefficients.f_values=[0]", "coefficients.sigma_values=[1]"],
+     "coefficients.x_centers"),
+    ("simulate", ["coefficients.kind=tables", "coefficients.x_centers=[0]",
+                  "coefficients.f_values=[a]", "coefficients.sigma_values=[1]"],
+     "coefficients.f_values"),
+    ("simulate", ["coefficients.kind=tables", "coefficients.x_centers=[0]",
+                  "coefficients.f_values=[0]", "coefficients.sigma_values=[]"],
+     "coefficients.sigma_values"),
+    ("simulate", ["coefficients.kind=tables", "coefficients.x_centers=[0, 1]",
+                  "coefficients.f_values=[0]", "coefficients.sigma_values=[1]"],
+     "coefficients.x_centers"),
+    ("simulate", ["boundary.kind=wall"], "boundary.kind"),
+    ("simulate", ["boundary.kind=exp_imbalance", "boundary.alpha=.inf"], "boundary.alpha"),
+    ("simulate", ["boundary.kind=exp_imbalance", "boundary.lambda=0"], "boundary.lambda"),
+    ("simulate", ["boundary.kind=table", "boundary.table_imbalance=[a]",
+                  "boundary.table_speed=[1]"], "boundary.table_imbalance"),
+    ("simulate", ["boundary.kind=table", "boundary.table_imbalance=[0]",
+                  "boundary.table_speed=[.nan]"], "boundary.table_speed"),
+    ("holder", ["run.M_max=0"], "run.M_max"),
+    ("simulate", ["run.lap_scale=-1"], "run.lap_scale"),
+    ("simulate", ["run.p0=.nan"], "run.p0"),
+    ("obstacle", ["obstacle.kind=box"], "obstacle.kind"),
+    ("obstacle", ["obstacle.amplitude=.inf"], "obstacle.amplitude"),
+    ("obstacle", ["obstacle.ramp=.nan"], "obstacle.ramp"),
+    ("obstacle", ["obstacle.kind=constant", "obstacle.level=0.5"], "obstacle.level"),
+    ("obstacle", ["obstacle.method=newton"], "obstacle.method"),
+    ("picard-check", ["picard.n_iters=1"], "picard.n_iters"),
+    ("holder", ["holder.n_paths=-1"], "holder.n_paths"),
+    ("holder", ["holder.n_paths=0"], "holder.n_paths"),
+    ("holder", ["holder.lag_min=0"], "holder.lag_min"),
+    ("holder", ["holder.lag_max=0"], "holder.lag_max"),
+    ("kernel-check", ["kernel_check.kernel=K"], "kernel_check.kernel"),
+    ("kernel-check", ["kernel_check.r=.nan"], "kernel_check.r"),
+    ("kernel-check", ["kernel_check.t_max=1e-4"], "kernel_check.t_max"),
+    ("fit-lob", ['lob.pool_sides="false"'], "lob.pool_sides"),
+    ("fit-lob", ["lob.pool_sides=false"], "lob.pool_sides"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, field):
     events = tmp_path / "events.csv"
@@ -212,6 +265,31 @@ def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, fie
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+
+
+def test_fit_lob_reads_a_one_row_touch_file(tmp_path):
+    # the message file holds the normalized events priced off one touch
+    # row, so both formats give the same fit
+    rows = synthetic_lob_rows([2.0, 1.0, 0.5, 0.25], [0.2, 0.15, 0.1, 0.05], 60.0, 2)
+    events = tmp_path / "events.csv"
+    events.write_text(_EVENTS_HEADER + "\n".join(rows) + "\n")
+    messages = tmp_path / "messages.csv"
+    messages.write_text("".join(
+        f"{t},{1 if kind == 'limit' else 2},{k},{size},{1_000_000 - float(x) * 1e4:.0f},1\n"
+        for k, (t, _, kind, x, size) in enumerate(row.split(",") for row in rows)))
+    touch = tmp_path / "touch.csv"
+    touch.write_text("0.0,1000000,1000100\n")
+    cfg_path = _write_cfg(tmp_path, {"lob": {"input": str(events), "n_bins": 4},
+                                     "output": {"dir": str(tmp_path / "out")}})
+    fits = []
+    for sets in ([], ["lob.format=lobster", f"lob.input={messages}",
+                      f"lob.touch_file={touch}"]):
+        args = ["fit-lob", "-c", cfg_path]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == 0
+        fits.append((tmp_path / "out" / "fit.csv").read_bytes().split(b"\n", 1)[1])
+    assert fits[0] == fits[1]
 
 
 def test_whole_float_integer_fields_read_as_integers(tmp_path):

@@ -70,6 +70,13 @@ def test_message_file_type_codes_and_ticks():
     assert stream.rel_prices[3] == pytest.approx(0.03)
 
 
+def test_touch_series_of_one_flat_row():
+    # one (time, bid, ask) row, as np.loadtxt returns it for a one-line file
+    one = parse_events(io.StringIO("0.1,1,11,100,999700,1"), fmt="lobster",
+                       book_reference_prices=np.array([0.0, 1_000_000, 1_000_100]))
+    assert one.n_events == 1 and one.rel_prices[0] == pytest.approx(0.03)
+
+
 def test_message_file_requires_touch_series():
     with pytest.raises(FormatError):
         parse_events(io.StringIO("0.1,1,11,100,999700,1"), fmt="lobster")

@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, zero_boundary
 from stefansim.config import grid_from_config, load_yaml
-from stefansim.errors import DimensionMismatch
+from stefansim.errors import ConfigError, DimensionMismatch
 from stefansim.grids import Field, build_grid
 from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
@@ -164,6 +164,27 @@ def test_shorter_horizon_contracts_faster():
         rep = picard_iterate(v0, v0.copy(), coeffs, fn, 2.0, noise, g, n_iters=3)
         d3[T] = rep.d[-1]
     assert d3[0.01] < d3[0.02] < d3[0.04]
+
+
+@pytest.mark.parametrize("node, value, M", [
+    (None, None, -1.0),       # truncation M <= 0
+    (0, 0.5, 2.0),            # nonzero at a Dirichlet node
+    (3, np.nan, 2.0),         # not finite
+    (3, -0.1, 2.0),           # negative
+])
+def test_picard_and_direct_run_share_the_initial_data_contract(node, value, M):
+    g = build_grid("compact", 8, 0.02, 48)
+    v0 = 0.3 * np.sin(np.pi * g.space_nodes())
+    v0[[0, -1]] = 0.0
+    bad = v0.copy()
+    if node is not None:
+        bad[node] = value
+    coeffs, fn = constant_coefficients(sigma=0.5), exp_imbalance(clamp=1.0)
+    noise = (sample_white_noise(g, 3, 0), sample_white_noise(g, 3, 1))
+    with pytest.raises(ConfigError):
+        picard_iterate(bad, v0, coeffs, fn, M, noise, g, n_iters=3)
+    with pytest.raises(ConfigError):
+        run_relative_frame((bad, v0, 0.0), coeffs, fn, M, np.inf, g, seed=3)
 
 
 def test_iteration_report_json(small_grid, small_tables):

@@ -163,6 +163,16 @@ def test_recorded_p_prime_reads_the_capped_state(halfline, a1, ratio, frac, seed
         assert pk == eval_h(fn, *cap_profile(pair, g, M), g)
 
 
+def test_non_finite_initial_speed_is_flagged_without_a_warning():
+    # h of equal sides is inf * 0 = nan at step 0; the run is flagged at its
+    # first step, and numpy does not warn (pytest.ini makes a warning an error)
+    g = build_grid("compact", 16, 0.01, 256)
+    traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
+                              exp_imbalance(alpha=np.inf), np.inf, np.inf, g, seed=0)
+    assert traj.blown_up and traj.blowup_cause == "non_finite"
+    assert len(traj.times) == 1 and traj.tau_estimate == g.dt
+
+
 def test_bad_initial_data_rejected():
     g = build_grid("compact", 16, 0.05, 256)
     bad = np.full(g.n_nodes, 0.1)
