@@ -109,6 +109,7 @@ def _obstacle_field(cfg: dict, grid) -> Field:
 
 def cmd_obstacle(cfg: dict) -> int:
     grid = grid_from_config(cfg)
+    seed = _seed(cfg)
     v = _obstacle_field(cfg, grid)
     method = get_field(cfg, "obstacle.method", default="projected",
                        cast=choice("projected", "penalized"))
@@ -117,8 +118,7 @@ def cmd_obstacle(cfg: dict) -> int:
     else:
         sol = solve_penalized(v, get_field(cfg, "obstacle.epsilon", default=1e-5, cast=positive))
     out = _outdir(cfg)
-    dump_csv(sol, v, out / "obstacle.csv",
-             header_comment=_header(config_hash(cfg), _seed(cfg)))
+    dump_csv(sol, v, out / "obstacle.csv", header_comment=_header(config_hash(cfg), seed))
     return EXIT_OK
 
 
@@ -195,12 +195,13 @@ def cmd_kernel_check(cfg: dict) -> int:
     n_t = get_field(cfg, "kernel_check.n_t", default=7, cast=whole(1))
     xs = get_field(cfg, "kernel_check.x_samples", default=[0.25, 0.5, 1.0, 2.0, 4.0],
                    cast=list_of(nonnegative))
+    seed = _seed(cfg)
     if not t_max >= t_min:
         raise ConfigError(f"field 'kernel_check.t_max' must be at least t_min, got {t_max}")
     t_values = np.geomspace(t_min, t_max, n_t)
     report = verify_kernel_bounds(t_values, xs, r=r, kernel_kind=kernel)
     _write_json(_outdir(cfg) / "kernel_report.json", report.to_json_dict(),
-                config_hash(cfg), _seed(cfg))
+                config_hash(cfg), seed)
     return EXIT_OK
 
 
@@ -211,6 +212,7 @@ def cmd_fit_lob(cfg: dict) -> int:
     agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=positive)
     # a per-side fit needs a side, which only the library call takes
     pool = get_field(cfg, "lob.pool_sides", default=True, cast=choice(True))
+    seed = _seed(cfg)
     touch = None
     touch_file = get_field(cfg, "lob.touch_file", default=None)
     if touch_file is not None:
@@ -223,7 +225,7 @@ def cmd_fit_lob(cfg: dict) -> int:
     with _input_file("lob.input", source):
         stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
     fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
-    fit.to_csv(_outdir(cfg) / "fit.csv", header_comment=_header(config_hash(cfg), _seed(cfg)))
+    fit.to_csv(_outdir(cfg) / "fit.csv", header_comment=_header(config_hash(cfg), seed))
     return EXIT_OK
 
 

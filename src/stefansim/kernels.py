@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NonPositiveTime, QuadratureFailure
 
@@ -82,12 +81,6 @@ def deriv_y(kernel_kind: str, t, x, y, n_images: int = DEFAULT_N_IMAGES):
         acc = acc + u * inv2t * np.exp(-(u * u) * inv4t)
         acc = acc + v * inv2t * np.exp(-(v * v) * inv4t)
     return acc / np.sqrt(4.0 * np.pi * t)
-
-
-def mass_G(t, x):
-    """Closed form of int_0^inf G(t, x, y) dy = erf(x / (2 sqrt(t)))."""
-    _check_time(t)
-    return erf(np.asarray(x) / (2.0 * np.sqrt(np.asarray(t))))
 
 
 def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,

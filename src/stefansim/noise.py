@@ -38,10 +38,6 @@ class NoiseField:
     stream: int
     xi: np.ndarray = field(repr=False)
 
-    @property
-    def cell_variance(self) -> float:
-        return 1.0 / (self.grid.dx * self.grid.dt)
-
 
 class NoiseStream:
     """One (seed, stream) realisation read forward in blocks of time rows.

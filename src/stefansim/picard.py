@@ -197,7 +197,7 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
-    v0 = check_initial(v1_0, v2_0, M, grid)
+    v0, _ = check_initial(v1_0, v2_0, M, grid, boundary_fn)
     if tables is None:
         tables = build_kernel_tables(grid)
 

@@ -66,48 +66,6 @@ def _as_values(path) -> np.ndarray:
     raise ValueError("path must be a Field, a 1-D series or a 2-D array")
 
 
-def _interior(values: np.ndarray) -> np.ndarray:
-    out = values
-    for axis in range(2):
-        n = out.shape[axis]
-        lo = int(np.floor(WINDOW_MARGIN * n))
-        hi = n - lo
-        if axis == 0:
-            out = out[lo:hi, :]
-        else:
-            # never trim away a degenerate second axis (1-D series)
-            if n > 1:
-                out = out[:, lo:hi]
-    return out
-
-
-def structure_function(path, axis: str, lags, q: float):
-    """Mean q-th absolute increment per lag, pooled over the interior window.
-
-    Returns a list of (lag, S_q(lag)) pairs; lags are in grid units.
-    """
-    if q not in (1, 2):
-        raise ValueError(f"supported moment orders are q in {{1, 2}}, got {q}")
-    values = _interior(_as_values(path))
-    ax = 0 if axis == TIME else 1
-    n = values.shape[ax]
-    out = []
-    for lag in lags:
-        lag = int(lag)
-        if lag < 1 or lag >= n:
-            raise InsufficientData(f"lag {lag} outside series of length {n}")
-        if ax == 0:
-            diffs = values[lag:, :] - values[:-lag, :]
-        else:
-            diffs = values[:, lag:] - values[:, :-lag]
-        if diffs.size < MIN_INCREMENTS:
-            raise InsufficientData(
-                f"only {diffs.size} increments at lag {lag}; need {MIN_INCREMENTS}"
-            )
-        out.append((lag, float(np.mean(np.abs(diffs) ** q))))
-    return out
-
-
 #: rows reduced at once; the row buffer is this much deeper than the largest time lag
 BLOCK_ROWS = 512
 
@@ -121,9 +79,8 @@ class StructureSums:
     are taken for each lag (a time lag L pairs row i with row i + L and
     is booked on row i; a space lag pairs nodes within a row), and the
     last ``max(time_lags)`` rows move to the front.  The interior window
-    is trimmed from the per-row sums at the end, with each path's own row
-    count, so ``structure_functions`` pools exactly what
-    ``structure_function`` pools on that path's stored rows.  Memory is
+    drops WINDOW_MARGIN of the columns at each end, rounded down, and at
+    the end as much of each path's own rows.  Memory is
     O(P (max lag + BLOCK_ROWS) n_cols + P n_lags n_rows).
     """
 
@@ -139,7 +96,7 @@ class StructureSums:
             raise ValueError("lags must be at least 1")
         self._max_lag = max(self.time_lags, default=0)
         self._buf = np.zeros((self._max_lag + BLOCK_ROWS, self.n_paths, n_cols))
-        edge = int(np.floor(WINDOW_MARGIN * n_cols)) if n_cols > 1 else 0
+        edge = int(np.floor(WINDOW_MARGIN * n_cols))
         self._cols = slice(edge, n_cols - edge)
         self._sums = {TIME: np.zeros((len(self.time_lags), n_rows, self.n_paths)),
                       SPACE: np.zeros((len(self.space_lags), n_rows, self.n_paths))}
@@ -213,7 +170,8 @@ class StructureSums:
     def structure_functions(self, axis: str, lags) -> np.ndarray:
         """(P, len(lags)) mean q-th absolute increments over each path's window.
 
-        Raises InsufficientData where ``structure_function`` would.
+        Raises InsufficientData where a lag spans a path's window or pools
+        fewer than MIN_INCREMENTS increments in it.
         """
         self._reduce()
         own = self.time_lags if axis == TIME else self.space_lags
@@ -239,6 +197,23 @@ class StructureSums:
                         f"only {count} increments at lag {lag}; need {MIN_INCREMENTS}")
                 out[k, j] = total / count
         return out
+
+
+def structure_function(path, axis: str, lags, q: float):
+    """Mean q-th absolute increment per lag, pooled over the interior window.
+
+    Returns a list of (lag, S_q(lag)) pairs; lags are in grid units.  This
+    is the one-path reading of ``StructureSums``.
+    """
+    lags = [int(lag) for lag in lags]
+    pooled = _reduced([path], axis, lags, q).structure_functions(axis, lags)[0]
+    return list(zip(lags, pooled.tolist()))
+
+
+def _reduced(paths, axis: str, lags, q: float) -> StructureSums:
+    """Stored paths pushed through one reducer at ``lags`` along ``axis``."""
+    return StructureSums.from_paths(paths, q, **{
+        "time_lags" if axis == TIME else "space_lags": lags})
 
 
 def dyadic_lags(lag_range) -> list:
@@ -277,11 +252,8 @@ def _fit_loglog(lags, s_values, q, axis, lag_range, n_paths) -> HolderEstimate:
 
 def estimate_holder(path, axis: str, q: float = 2,
                     lag_range=DEFAULT_LAG_RANGE) -> HolderEstimate:
-    """Least-squares scaling exponent of one path along an axis."""
-    lags = dyadic_lags(lag_range)
-    pairs = structure_function(path, axis, lags, q)
-    return _fit_loglog([p[0] for p in pairs], [p[1] for p in pairs],
-                       q, axis, lag_range, n_paths=1)
+    """Least-squares scaling exponent of one path along an axis: a one-path ensemble."""
+    return estimate_holder_ensemble([path], axis, q=q, lag_range=lag_range)
 
 
 def estimate_holder_ensemble(paths, axis: str, q: float = 2,
@@ -298,19 +270,9 @@ def estimate_holder_ensemble(paths, axis: str, q: float = 2,
         if sums.q != q:
             raise ValueError(f"structure sums were reduced with q={sums.q}, not {q}")
     else:
-        sums = StructureSums.from_paths(paths, q, **{
-            "time_lags" if axis == TIME else "space_lags": lags})
+        sums = _reduced(paths, axis, lags, q)
     pooled = sums.structure_functions(axis, lags).mean(axis=0)
     return _fit_loglog(lags, pooled, q, axis, lag_range, n_paths=sums.n_paths)
-
-
-def boundary_holder(p_prime_series, q: float = 2,
-                    lag_range=DEFAULT_LAG_RANGE) -> HolderEstimate:
-    """Exponent of the boundary-derivative series p'(t)."""
-    series = np.asarray(p_prime_series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("boundary series must be one-dimensional")
-    return estimate_holder(series, TIME, q=q, lag_range=lag_range)
 
 
 def boundary_holder_ensemble(series_list, q: float = 2,

@@ -83,11 +83,12 @@ def constant_coefficients(f: float = 0.0, sigma: float = 1.0, **meta) -> ModelCo
 def tabulated_coefficients(x_centers, f_values, sigma_values, **meta) -> ModelCoefficients:
     """Coefficients depending on the relative price only, linearly interpolated.
 
-    Outside the tabulated range the end values are held constant.
+    The table is sorted by x; outside its range the end values are held
+    constant.
     """
-    xc = np.asarray(x_centers, dtype=float)
-    fv = np.asarray(f_values, dtype=float)
-    sv = np.asarray(sigma_values, dtype=float)
+    # three lists of one length (or a ValueError), then sorted together by x
+    table = np.array([x_centers, f_values, sigma_values], dtype=float)
+    xc, fv, sv = table[:, np.argsort(table[0], kind="stable")]
 
     def drift(x, u):
         return np.interp(np.asarray(x, dtype=float), xc, fv)
@@ -299,8 +300,12 @@ class Recorder:
         return trajectories
 
 
-def check_initial(v1_0, v2_0, M: float, grid: GridSpec) -> np.ndarray:
-    """Initial data as a (2, n_nodes) pair: finite, >= 0, zero at the Dirichlet nodes; M > 0."""
+def check_initial(v1_0, v2_0, M: float, grid: GridSpec, boundary_fn: BoundaryFunctional):
+    """Initial data as a (2, n_nodes) pair and its boundary speed h(cap(v1_0), cap(v2_0)).
+
+    The profiles must be finite, >= 0 and zero at the Dirichlet nodes, M > 0
+    and the speed finite.
+    """
     v1_0, v2_0 = grid.check_profile(v1_0), grid.check_profile(v2_0)
     if v1_0.ndim != 1 or v2_0.ndim != 1:
         raise DimensionMismatch("initial data must be one profile per side")
@@ -311,7 +316,12 @@ def check_initial(v1_0, v2_0, M: float, grid: GridSpec) -> np.ndarray:
         raise ConfigError("initial profiles must vanish at Dirichlet nodes")
     if not M > 0:
         raise ConfigError(f"truncation M={M} must be a positive number")
-    return v0
+    # an overflow or inf * 0 in h is reported below, not warned about
+    with np.errstate(invalid="ignore", over="ignore"):
+        h0 = eval_h(boundary_fn, *cap_profile(v0, grid, M), grid)
+    if not np.isfinite(h0):
+        raise ConfigError(f"the boundary speed of the initial data is {h0}, not finite")
+    return v0, h0
 
 
 def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
@@ -330,7 +340,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     one Trajectory per seed, in order.
     """
     v1_0, v2_0, p0 = initial
-    v0 = check_initial(v1_0, v2_0, M, grid)
+    v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
     if not M <= M_max:
         raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
     if lap_scale * grid.dt > 0.5 * grid.dx**2 * (1 + 1e-12):
@@ -362,6 +372,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     v[:] = v0[:, None]
     spare = np.empty_like(v)
     p = np.full(n_paths, float(p0))
+    pp = np.full(n_paths, h0)
 
     block = min(NOISE_BLOCK, nt)
     xi = np.empty((block, 2, n_paths, grid.n_nodes))
@@ -372,10 +383,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
 
     t = 0.0
     # a step that overflows or meets inf - inf is flagged non-finite and
-    # discarded below, so numpy need not warn about it; a non-finite h of
-    # the initial data is flagged at the first step
+    # discarded below, so numpy need not warn about it
     with np.errstate(invalid="ignore", over="ignore"):
-        pp = eval_h(boundary_fn, *cap_profile(v, grid, M), grid)
         observer(slice(None), 0, 0.0, p, pp, profile_norm(v, grid), v)
         for i in range(nt):
             j = i % block
@@ -449,12 +458,3 @@ def run_relative_frame(initial, coeffs: ModelCoefficients,
                      lap_scale=lap_scale, noise_pair=noise_pair,
                      observer=Recorder(grid, 1, store_stride))[0]
 
-
-def absolute_coordinates(p: float, grid: GridSpec, side: int) -> np.ndarray:
-    """Map relative grid nodes to absolute positions: p - x (side 1), p + x (side 2)."""
-    x = grid.space_nodes()
-    if side == 1:
-        return p - x
-    if side == 2:
-        return p + x
-    raise ValueError("side must be 1 or 2")

@@ -1,7 +1,9 @@
 """Shared oracles and generators for the test suite."""
 import numpy as np
 
+from stefansim.errors import InsufficientData
 from stefansim.grids import Field, GridSpec
+from stefansim.regularity import MIN_INCREMENTS, TIME, WINDOW_MARGIN
 
 
 def fbm_path(hurst: float, n: int, seed: int, dt: float = 1.0) -> np.ndarray:
@@ -25,6 +27,30 @@ def fbm_path(hurst: float, n: int, seed: int, dt: float = 1.0) -> np.ndarray:
     noise = np.fft.fft(np.sqrt(eig / (2 * m)) * z)
     fgn = noise.real[:n] * np.sqrt(2.0)
     return np.concatenate([[0.0], np.cumsum(fgn)]) * dt**hurst
+
+
+def structure_function_reference(values, axis: str, lags, q: float) -> list:
+    """Mean q-th absolute increment per lag of one stored path, reduced directly.
+
+    ``values`` is a 1-D series or a 2-D (rows, columns) array.  The window
+    drops WINDOW_MARGIN of the rows and of the columns at each end; every
+    increment inside it is differenced and averaged at once.  Raises
+    InsufficientData where a reducer must.
+    """
+    values = np.asarray(values, dtype=float).reshape(len(values), -1)
+    r, c = (int(np.floor(WINDOW_MARGIN * n)) for n in values.shape)
+    values = values[r:len(values) - r, c:values.shape[1] - c]
+    out = []
+    for lag in lags:
+        n = values.shape[0 if axis == TIME else 1]
+        if lag >= n:
+            raise InsufficientData(f"lag {lag} outside series of length {n}")
+        diffs = (values[lag:] - values[:-lag] if axis == TIME
+                 else values[:, lag:] - values[:, :-lag])
+        if diffs.size < MIN_INCREMENTS:
+            raise InsufficientData(f"only {diffs.size} increments at lag {lag}")
+        out.append(float(np.mean(np.abs(diffs) ** q)))
+    return out
 
 
 def random_smooth_obstacle(grid: GridSpec, seed: int, amplitude: float = 1.0,

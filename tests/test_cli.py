@@ -341,6 +341,57 @@ def test_non_finite_blowup_reported_with_cause(tmp_path):
     assert np.isfinite(rows).all()
 
 
+@pytest.mark.parametrize("command", ["simulate", "holder", "picard-check"])
+def test_non_finite_initial_speed_is_config_error(tmp_path, capsys, command):
+    # lambda^2 overflows in h's weights, so the speed of the initial pair is nan
+    cfg = _base_cfg(tmp_path, picard={"M": 2.0, "n_iters": 2},
+                    holder={"n_paths": 2, "lag_min": 2, "lag_max": 16})
+    cfg_path = _write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "-c", cfg_path, "--set", "boundary.lambda=1e200"]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "boundary speed" in err
+
+
+def test_tabulated_coefficients_run_the_same_in_any_order(tmp_path):
+    # a table listed right to left is the same table
+    table = {"x_centers": [0.0, 0.5, 1.0], "f_values": [0.0, 20.0, 40.0],
+             "sigma_values": [0.5, 0.2, 0.1]}
+    runs = []
+    for step in (1, -1):
+        cfg = _base_cfg(tmp_path, coefficients={
+            "kind": "tables", **{key: values[::step] for key, values in table.items()}})
+        assert main(["simulate", "-c", _write_cfg(tmp_path, cfg)]) == 0
+        runs.append((tmp_path / "out" / "trajectory.csv").read_bytes().split(b"\n", 1)[1])
+    assert runs[0] == runs[1]
+
+
+#: the first computation of each subcommand, which a bad seed must not reach
+_COMPUTATION = {"simulate": "run_relative_frame", "obstacle": "solve_projected",
+                "picard-check": "sample_white_noise", "holder": "run_paths",
+                "kernel-check": "verify_kernel_bounds", "fit-lob": "parse_events",
+                "simulate-price": "simulate_price"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMPUTATION))
+def test_bad_seed_is_reported_before_any_computation(tmp_path, capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{command} computed before it read noise.seed")
+
+    monkeypatch.setattr(f"stefansim.cli.{_COMPUTATION[command]}", unreachable)
+    fit = tmp_path / "fit.csv"
+    FitResult(x_centers=np.array([0.25, 0.75]), f=np.zeros(2), sigma=np.full(2, 0.1),
+              counts=np.ones(2, dtype=int), symmetric=True).to_csv(fit)
+    cfg = _base_cfg(tmp_path, picard={"M": 2.0, "n_iters": 2}, holder={"n_paths": 2},
+                    lob={"input": str(tmp_path / "events.csv"), "n_bins": 4},
+                    price={"fit_csv": str(fit)})
+    assert main([command, "-c", _write_cfg(tmp_path, cfg), "--set", "noise.seed=2.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "noise.seed" in err
+
+
 def test_summary_of_a_completed_run_has_no_blowup_cause(tmp_path):
     cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
     assert main(["simulate", "-c", cfg_path]) == 0

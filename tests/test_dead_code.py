@@ -1,0 +1,45 @@
+"""Every module-level function and class in the package is used.
+
+A name defined at the top of a module in ``src/stefansim`` passes if code
+in ``src/`` refers to it outside its own definition, if the package
+exports it, or if the benchmark tracer wraps it by name
+(``perfbench/tracing.py``, ``WRAPS``).  Anything else is dead code: move
+it into the tests that use it, or delete it.
+"""
+import ast
+import importlib.util
+from pathlib import Path
+
+import stefansim
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "stefansim"
+
+
+def _wrapped():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {attr.split(".")[0] for _, attr, *_ in module.WRAPS}
+
+
+def _used_names(node) -> set:
+    """Names read under ``node``, as bare names or as attributes."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_module_level_definition_is_used():
+    # (module, statement index) -> names that top-level statement reads
+    reads, defined = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            reads[path.name, i] = _used_names(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, i, stmt.name))
+    kept = set(vars(stefansim)) | _wrapped()
+    unused = [f"{module}: {name}" for module, i, name in defined
+              if name not in kept
+              and not any(name in names for key, names in reads.items() if key != (module, i))]
+    assert unused == []

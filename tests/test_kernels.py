@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from stefansim.errors import NonPositiveTime
 from stefansim.kernels import (DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_G,
-                               eval_G_r, eval_H, free_kernel, mass_G,
-                               verify_kernel_bounds, weighted_deriv_integral)
+                               eval_G_r, eval_H, free_kernel, verify_kernel_bounds,
+                               weighted_deriv_integral)
 
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+
+
+def mass_G(t, x):
+    """Closed form of int_0^inf G(t, x, y) dy = erf(x / (2 sqrt(t)))."""
+    return math.erf(x / (2.0 * math.sqrt(t)))
 
 
 def test_H_dirichlet_boundary_zero():

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fbm_path
+from helpers import fbm_path, structure_function_reference
 from stefansim.errors import InsufficientData
-from stefansim.regularity import (BLOCK_ROWS, SPACE, TIME, StructureSums, boundary_holder,
-                                  dyadic_lags, estimate_holder, estimate_holder_ensemble,
-                                  structure_function)
+from stefansim.regularity import (BLOCK_ROWS, SPACE, TIME, StructureSums,
+                                  boundary_holder_ensemble, dyadic_lags, estimate_holder,
+                                  estimate_holder_ensemble, structure_function)
 
 
 def test_constant_series_degenerate():
@@ -79,7 +79,7 @@ def test_q_validation():
 
 def test_boundary_holder_on_series():
     path = fbm_path(0.25, 2**15, seed=77)
-    est = boundary_holder(path, q=2, lag_range=(2, 64))
+    est = boundary_holder_ensemble([path], q=2, lag_range=(2, 64))
     assert est.exponent == pytest.approx(0.25, abs=0.06)
     assert est.axis == TIME
 
@@ -108,10 +108,9 @@ def test_degenerate_json_row_is_null_and_flagged():
 
 
 def _reference(paths, axis, lags, q):
-    """(P, len(lags)) structure_function values per stored path, or None if one raises."""
+    """(P, len(lags)) reference values per stored path, or None if one raises."""
     try:
-        return np.array([[s for _, s in structure_function(path, axis, lags, q)]
-                         for path in paths])
+        return np.array([structure_function_reference(path, axis, lags, q) for path in paths])
     except InsufficientData:
         return None
 
@@ -163,9 +162,9 @@ def test_structure_sums_raise_where_structure_function_does():
     # the second path stops too early to pool 100 increments at lag 32
     paths = [fbm_path(0.5, 4096, seed=5), fbm_path(0.5, 150, seed=6)]
     lags = dyadic_lags((4, 32))
-    structure_function(paths[0], TIME, lags, 2)
+    structure_function_reference(paths[0], TIME, lags, 2)
     with pytest.raises(InsufficientData):
-        structure_function(paths[1], TIME, lags, 2)
+        structure_function_reference(paths[1], TIME, lags, 2)
     with pytest.raises(InsufficientData):
         estimate_holder_ensemble(paths, TIME, q=2, lag_range=(4, 32))
     with pytest.raises(InsufficientData):
@@ -190,7 +189,6 @@ def test_boundary_exponent_band_stable_under_doubling_lambda():
     # the p' roughness comes from the profiles, not from the probe weight
     from stefansim.boundary import exp_imbalance
     from stefansim.grids import build_grid
-    from stefansim.regularity import boundary_holder_ensemble
     from stefansim.spde import constant_coefficients, run_paths
 
     grid = build_grid("compact", 64, 0.25, 16384)

@@ -7,9 +7,10 @@ from stefansim.boundary import cap_profile, eval_h, exp_imbalance, table_boundar
 from stefansim.errors import CflViolation, ConfigError, GridMismatch
 from stefansim.grids import build_grid
 from stefansim.noise import sample_white_noise
-from stefansim.spde import (ModelCoefficients, absolute_coordinates,
-                            constant_coefficients, profile_norm, run_relative_frame,
-                            step_reflected, tabulated_coefficients, weighted_norm)
+from stefansim.picard import picard_iterate
+from stefansim.spde import (ModelCoefficients, constant_coefficients, profile_norm,
+                            run_relative_frame, step_reflected, tabulated_coefficients,
+                            weighted_norm)
 
 
 def _zeros(grid):
@@ -164,13 +165,16 @@ def test_recorded_p_prime_reads_the_capped_state(halfline, a1, ratio, frac, seed
 
 
 def test_non_finite_initial_speed_is_flagged_without_a_warning():
-    # h of equal sides is inf * 0 = nan at step 0; the run is flagged at its
-    # first step, and numpy does not warn (pytest.ini makes a warning an error)
+    # h of equal sides is inf * 0 = nan: the initial data are rejected before
+    # any step, and numpy does not warn (pytest.ini makes a warning an error)
     g = build_grid("compact", 16, 0.01, 256)
-    traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
-                              exp_imbalance(alpha=np.inf), np.inf, np.inf, g, seed=0)
-    assert traj.blown_up and traj.blowup_cause == "non_finite"
-    assert len(traj.times) == 1 and traj.tau_estimate == g.dt
+    fn = exp_imbalance(alpha=np.inf)
+    with pytest.raises(ConfigError, match="boundary speed"):
+        run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
+                           fn, np.inf, np.inf, g, seed=0)
+    noise = (sample_white_noise(g, 0, 0), sample_white_noise(g, 0, 1))
+    with pytest.raises(ConfigError, match="boundary speed"):
+        picard_iterate(_zeros(g), _zeros(g), constant_coefficients(), fn, 1.0, noise, g)
 
 
 def test_bad_initial_data_rejected():
@@ -251,10 +255,14 @@ def test_tabulated_coefficients_interpolate_and_clamp():
     assert np.allclose(co.sigma1(x, x), [0.5, 0.5, 0.3, 0.1, 0.1])
 
 
-def test_absolute_coordinates():
-    g = build_grid("compact", 4, 1e-5, 16)
-    assert np.allclose(absolute_coordinates(10.0, g, 1), 10.0 - g.space_nodes())
-    assert np.allclose(absolute_coordinates(10.0, g, 2), 10.0 + g.space_nodes())
+def test_tabulated_coefficients_sort_their_table():
+    # np.interp needs increasing abscissae; a table given in reverse is the same table
+    co = tabulated_coefficients([1.0, 0.0], [1.0, 0.0], [2.0, 1.0])
+    x = np.array([0.0, 0.25, 0.5, 1.0])
+    assert np.array_equal(co.f1(x, x), x)
+    assert np.array_equal(co.sigma2(x, x), 1.0 + x)
+    with pytest.raises(ValueError):
+        tabulated_coefficients([0.0, 1.0], [1.0, 2.0, 3.0], [1.0, 1.0])
 
 
 def test_trajectory_csv(tmp_path):
