@@ -7,8 +7,8 @@ heat-kernel diagnostics, Hölder-exponent estimation and an order-book
 fitting/simulation front end.
 """
 
-from .boundary import (BoundaryFunctional, F_Mr, advance_p, eval_h, exp_imbalance,
-                       g_lambda, stefan_fd, table_boundary, zero_boundary)
+from .boundary import (BoundaryFunctional, F_Mr, eval_h, exp_imbalance, g_lambda,
+                       stefan_fd, table_boundary, zero_boundary)
 from .grids import COMPACT, HALFLINE, Field, GridSpec, build_grid
 from .kernels import (BoundReport, deriv_y, eval_G, eval_G_r, eval_H,
                       verify_kernel_bounds)
@@ -20,7 +20,7 @@ from .picard import IterationReport, KernelTables, build_kernel_tables, mild_sol
 from .regularity import (HolderEstimate, StructureSums, estimate_holder,
                          estimate_holder_ensemble, structure_function)
 from .spde import (CoupledState, ModelCoefficients, Recorder, Trajectory,
-                   constant_coefficients, run_paths, run_relative_frame, step_reflected,
-                   tabulated_coefficients, weighted_norm)
+                   constant_coefficients, run_paths, run_relative_frame,
+                   tabulated_coefficients)
 
 __version__ = "0.1.0"

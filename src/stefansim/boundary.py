@@ -67,11 +67,11 @@ def table_boundary(imbalance, speed, lam: float = 100.0,
 
     The imbalance statistic fed to the table is g_lam(v1 - v2).
     """
-    order = np.argsort(np.asarray(imbalance, dtype=float))
-    imb = tuple(float(v) for v in np.asarray(imbalance, dtype=float)[order])
-    spd = tuple(float(v) for v in np.asarray(speed, dtype=float)[order])
+    # two lists of one length (or a ValueError), then sorted together by imbalance
+    table = np.array([imbalance, speed], dtype=float)
+    imb, spd = table[:, np.argsort(table[0])].tolist()
     return BoundaryFunctional(kind=TABLE, lam=lam, clamp=clamp,
-                              table_imbalance=imb, table_speed=spd)
+                              table_imbalance=tuple(imb), table_speed=tuple(spd))
 
 
 @lru_cache(maxsize=32)
@@ -149,7 +149,3 @@ def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
             out = np.minimum(np.maximum(out, -fn.clamp), fn.clamp)
     return float(out) if v1.ndim == 1 else out
 
-
-def advance_p(p, p_prime, dt: float):
-    """Explicit Euler step for the boundary position (scalars or one per path)."""
-    return p + dt * p_prime

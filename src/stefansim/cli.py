@@ -198,6 +198,9 @@ def cmd_kernel_check(cfg: dict) -> int:
     seed = _seed(cfg)
     if not t_max >= t_min:
         raise ConfigError(f"field 'kernel_check.t_max' must be at least t_min, got {t_max}")
+    if kernel == "H" and max(xs) > 1.0:
+        raise ConfigError(f"field 'kernel_check.x_samples' must lie in [0, 1] for kernel H, "
+                          f"got {xs}")
     t_values = np.geomspace(t_min, t_max, n_t)
     report = verify_kernel_bounds(t_values, xs, r=r, kernel_kind=kernel)
     _write_json(_outdir(cfg) / "kernel_report.json", report.to_json_dict(),

@@ -1,4 +1,4 @@
-"""Space-time grids and sampled fields.
+"""Space-time grids, sampled fields and the domain norm.
 
 Two spatial domains are supported: the unit interval with Dirichlet
 conditions at both ends, and a truncated half-line [0, L] carrying an
@@ -109,6 +109,18 @@ def build_grid(domain_kind: str, nx: int, T: float, nt: int,
                     length=float(length), weight_r=float(weight_r))
 
 
+def profile_norm(profile: np.ndarray, grid: GridSpec):
+    """The domain norm: sup |u| on the compact domain, sup exp(-r x) |u| on the half-line.
+
+    r is ``grid.weight_r``.  A stack of profiles gives one norm per row.
+    """
+    profile = np.abs(grid.check_profile(profile))
+    if grid.domain_kind != COMPACT:
+        profile = np.exp(-grid.weight_r * grid.space_nodes()) * profile
+    norm = np.maximum.reduce(profile, axis=-1)
+    return float(norm) if profile.ndim == 1 else norm
+
+
 @dataclass
 class Field:
     """A scalar function sampled on every (time, space) node of a grid, or a
@@ -135,11 +147,3 @@ class Field:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "Field":
         return cls(grid, np.zeros((grid.nt + 1, grid.n_nodes)))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def weighted_sup_norm(self, r: float) -> float:
-        """sup over nodes of exp(-r x) |u(t, x)|."""
-        w = np.exp(-r * self.grid.space_nodes())
-        return float(np.max(np.abs(self.values) * w[None, :]))

@@ -116,6 +116,8 @@ def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
 def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G") -> float:
     """int exp(-r(x-y)) |dK/dy|(t, x, y) dy over the kernel's domain."""
     _check_time(t)
+    if x == 0.0 or (kernel_kind == "H" and x == 1.0):
+        return 0.0    # a Dirichlet end, where K(t, x, .) vanishes identically
     if kernel_kind == "G":
         # Gaussian tails: beyond this window the integrand is negligible
         width = 12.0 * math.sqrt(t) + 12.0 * t * abs(r)

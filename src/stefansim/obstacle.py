@@ -25,7 +25,7 @@ import numpy as np
 from ._csv import write_table
 from ._fd import laplacian
 from .errors import GridMismatch, ObstacleInitialPositive
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, profile_norm
 
 
 @dataclass
@@ -117,20 +117,14 @@ def solve_projected(v: Field) -> ObstacleSolution:
     return ObstacleSolution(z=Field(grid, z), eta=eta, method="projected")
 
 
-def stability_gap(v1: Field, v2: Field, norm: str = "sup") -> tuple[float, float]:
+def stability_gap(v1: Field, v2: Field) -> tuple[float, float]:
     """Solve both obstacle problems (projected) and return (|z1-z2|, |v1-v2|).
 
-    norm is "sup" or "weighted"; the weighted norm uses exp(-r x) with r
-    the grid's weight.
+    Both are the grid's domain norm (``profile_norm``), maximised over time.
     """
     grid = v1.grid
     if v2.grid != grid:
         raise GridMismatch("obstacles must share a grid")
     z = solve_projected(Field(grid, np.stack([v1.values, v2.values]))).z.values
-    dz = Field(grid, z[0] - z[1])
-    dv = Field(grid, v1.values - v2.values)
-    if norm == "sup":
-        return dz.sup_norm(), dv.sup_norm()
-    if norm == "weighted":
-        return dz.weighted_sup_norm(grid.weight_r), dv.weighted_sup_norm(grid.weight_r)
-    raise ValueError(f"unknown norm {norm!r}")
+    return (float(np.max(profile_norm(z[0] - z[1], grid))),
+            float(np.max(profile_norm(v1.values - v2.values, grid))))

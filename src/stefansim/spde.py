@@ -14,7 +14,10 @@ boundary update p' = h and p <- p + dt p'.
 
 There is one stepping loop, ``run_paths``: it advances P independent
 paths together on (2, P, n_nodes) arrays, sides and paths stacked, and a
-single run is its P = 1 case.  Blow-up is a per-path flag, raised once
+single run is its P = 1 case.  ``step_reflected`` is the Euler increment
+alone; ``run_paths`` owns every per-state quantity: it checks
+|c| dt <= dx before each step and caps each new state once, for h and
+for the next step's advection.  Blow-up is a per-path flag, raised once
 the pair norm reaches M_max or a step yields a non-finite value; the
 path then stops with its last finite state, so no infinities are ever
 stored.
@@ -29,9 +32,9 @@ import numpy as np
 
 from ._csv import write_table
 from ._fd import laplacian, upwind_gradient
-from .boundary import BoundaryFunctional, advance_p, cap_profile, eval_h
+from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
-from .grids import COMPACT, GridSpec
+from .grids import COMPACT, GridSpec, profile_norm
 # sample_white_noise stays importable from here: the benchmark's tracer wraps it by name
 from .noise import NoiseStream, sample_white_noise  # noqa: F401
 
@@ -118,62 +121,25 @@ class CoupledState:
     blowup_cause: str | None = None
 
 
-def weighted_norm(profile: np.ndarray, grid: GridSpec, r: float):
-    """sup over grid nodes of exp(-r x) |u(x)| (half-line solution norm).
+def step_reflected(v: np.ndarray, capped: np.ndarray, c: np.ndarray, noise: np.ndarray,
+                   coeffs: ModelCoefficients, grid: GridSpec, lap_scale: float = 1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The explicit Euler increment of a batch of profile pairs over one step.
 
-    A stack of profiles gives one norm per row.
-    """
-    if grid.domain_kind == COMPACT:
-        raise GridMismatch("weighted norm is defined for half-line grids")
-    profile = grid.check_profile(profile)
-    norm = np.maximum.reduce(np.exp(-r * grid.space_nodes()) * np.abs(profile), axis=-1)
-    return float(norm) if profile.ndim == 1 else norm
-
-
-def profile_norm(profile: np.ndarray, grid: GridSpec):
-    """Domain-appropriate norm: sup on compact, weighted sup on half-line.
-
-    A stack of profiles gives one norm per row.
-    """
-    if grid.domain_kind == COMPACT:
-        profile = np.asarray(profile, dtype=float)
-        norm = np.maximum.reduce(np.abs(profile), axis=-1)
-        return float(norm) if profile.ndim == 1 else norm
-    return weighted_norm(profile, grid, grid.weight_r)
-
-
-def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
-                   coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-                   M: float, grid: GridSpec, lap_scale: float = 1.0,
-                   time: float = 0.0, paths=None, out: np.ndarray | None = None):
-    """Advance a batch of profile pairs by one explicit Euler step.
-
-    ``v`` is the state as (2, P, n_nodes), side 1 then side 2, ``c`` the
-    boundary speed h of each path at that state and ``noise`` the step's
-    (2, P, n_nodes) white noise.  Side 1 is advected with speed c and
-    side 2 with -c, each upwinded by the sign of its own speed.  The new
-    state, projected onto v >= 0 with the Dirichlet nodes re-zeroed, is
-    written to ``out`` (a new array when None; never ``v`` itself) and
-    returned with its boundary speeds h(cap(v1), cap(v2)).  A path with
-    |c| dt > dx raises CflViolation naming it as ``paths[k]`` (its row k when None).
+    ``v`` is the state as (2, P, n_nodes), side 1 then side 2, ``capped``
+    its cap at the run's M, ``c`` the boundary speed h of each path at that
+    state and ``noise`` the step's (2, P, n_nodes) white noise.  Side 1 is
+    advected with speed c and side 2 with -c, each upwinded by the sign of
+    its own speed; the caller keeps |c| dt <= dx.  The new state, projected
+    onto v >= 0 with the Dirichlet nodes re-zeroed, is written to ``out``
+    (a new array when None; never ``v`` itself) and returned.
     """
     if v.ndim != 3 or v.shape[::2] != (2, grid.n_nodes) or noise.shape != v.shape:
         raise DimensionMismatch("state and noise must be (2, P, n_nodes) arrays")
     dx, dt = grid.dx, grid.dt
     x = grid.space_nodes()
-    limit = dx * (1 + 1e-12)
-    if not np.max(np.abs(c)) * dt <= limit:
-        fast = np.abs(c) * dt > limit
-        if fast.any():
-            k = int(np.argmax(fast))
-            raise CflViolation(
-                f"path {k if paths is None else paths[k]}: advection speed "
-                f"|c|={abs(c[k]):.3g} violates dt*|c| <= dx at t={time:.6g}"
-            )
-
     speed = SIDE_SIGN * c[:, None]
-    rate = (lap_scale * laplacian(v, dx)
-            - speed * upwind_gradient(cap_profile(v, grid, M), dx, speed))
+    rate = lap_scale * laplacian(v, dx) - speed * upwind_gradient(capped, dx, speed)
     rate += per_side(coeffs.f1, coeffs.f2, x, v)
     rate *= dt
     out = np.add(v, rate, out=out)
@@ -181,7 +147,7 @@ def step_reflected(v: np.ndarray, c: np.ndarray, noise: np.ndarray,
 
     np.maximum(out, 0.0, out=out)
     out[..., ::grid.n_nodes - 1] = 0.0
-    return out, eval_h(boundary_fn, *cap_profile(out, grid, M), grid)
+    return out
 
 
 #: side 1 is advected with the boundary speed c, side 2 with -c
@@ -370,6 +336,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     nt, dt = grid.nt, grid.dt
     v = np.empty((2, n_paths, grid.n_nodes))
     v[:] = v0[:, None]
+    capped = cap_profile(v, grid, M)
     spare = np.empty_like(v)
     p = np.full(n_paths, float(p0))
     pp = np.full(n_paths, h0)
@@ -378,8 +345,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     xi = np.empty((block, 2, n_paths, grid.n_nodes))
     rows = np.arange(n_paths)              # path index of each batch row
     at = slice(None)                       # the batch rows, as handed to the observer
-    labels = [f"{k} (seed {s})" for k, s in enumerate(seeds)]
     finals = [None] * n_paths
+    cfl_limit = grid.dx * (1 + 1e-12)
 
     t = 0.0
     # a step that overflows or meets inf - inf is flagged non-finite and
@@ -393,11 +360,17 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                 for side in (0, 1):
                     for a, k in enumerate(rows):
                         xi[:n_rows, side, a] = streams[side][k].draw(n_rows)
+            if np.max(np.abs(pp)) * dt > cfl_limit:
+                a = int(np.argmax(np.abs(pp) * dt > cfl_limit))
+                raise CflViolation(
+                    f"path {rows[a]} (seed {seeds[rows[a]]}): advection speed "
+                    f"|c|={abs(pp[a]):.3g} violates dt*|c| <= dx at t={t:.6g}")
             t_new = t + dt
-            new, pp_new = step_reflected(v, pp, xi[j], coeffs, boundary_fn, M, grid,
-                                         lap_scale=lap_scale, time=t, paths=labels,
-                                         out=spare)
-            p_new = advance_p(p, pp_new, dt)
+            new = step_reflected(v, capped, pp, xi[j], coeffs, grid, lap_scale=lap_scale,
+                                 out=spare)
+            capped_new = cap_profile(new, grid, M)
+            pp_new = eval_h(boundary_fn, *capped_new, grid)
+            p_new = p + dt * pp_new
             norms = profile_norm(new, grid)
             step = i + 1
 
@@ -426,13 +399,12 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                          norms[:, finite], new[:, finite])
                 live = ~done
                 rows = at = rows[live]
-                labels = [lab for lab, keep in zip(labels, live) if keep]
-                new, v = new[:, live], v[:, live]
+                new, v, capped_new = new[:, live], v[:, live], capped_new[:, live]
                 p_new, pp_new = p_new[live], pp_new[live]
                 xi = xi[:, :, live]
                 if rows.size == 0:
                     break
-            v, spare = new, v
+            v, spare, capped = new, v, capped_new
             p, pp, t = p_new, pp_new, t_new
 
     for a, k in enumerate(rows):

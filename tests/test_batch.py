@@ -192,23 +192,27 @@ def test_profiles_stay_nonnegative_with_zero_dirichlet_nodes(
 
 
 def test_cfl_violation_names_the_offending_path():
-    g = build_grid("compact", 16, 0.05, 256)
-    v = np.zeros((2, 3, g.n_nodes))
-    c = np.array([0.0, 1e9, 0.0])
-    with pytest.raises(CflViolation, match=r"^path 1: "):
-        step_reflected(v, c, np.zeros_like(v), constant_coefficients(), zero_boundary(),
-                       np.inf, g)
-    with pytest.raises(CflViolation, match=r"^path b: "):
-        step_reflected(v, c, np.zeros_like(v), constant_coefficients(), zero_boundary(),
-                       np.inf, g, paths=["a", "b", "c"])
+    # path 0 leaves the batch at its threshold step; path 1, then batch row 0,
+    # violates |c| dt <= dx later and is named by its own index and seed
+    g = build_grid("compact", 32, 0.05, 512)
+    fn = exp_imbalance(alpha=50.0, lam=100.0)
+    coeffs = constant_coefficients(f=0.0, sigma=4.0)
+    z = np.zeros(g.n_nodes)
+    first = run_relative_frame((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, 81)
+    assert first.blowup_cause == "threshold"
+    with pytest.raises(CflViolation) as err:
+        run_relative_frame((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, 74)
+    assert float(re.search(r"at t=(\S+)$", str(err.value)).group(1)) > first.tau_estimate
+    with pytest.raises(CflViolation, match=r"^path 1 \(seed 74\): "):
+        run_paths((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, [81, 74])
 
 
 def test_step_rejects_noise_of_another_shape():
     g = build_grid("compact", 16, 0.05, 256)
     v = np.zeros((2, 2, g.n_nodes))
     with pytest.raises(DimensionMismatch):
-        step_reflected(v, np.zeros(2), np.zeros((2, 1, g.n_nodes)), constant_coefficients(),
-                       zero_boundary(), np.inf, g)
+        step_reflected(v, v, np.zeros(2), np.zeros((2, 1, g.n_nodes)),
+                       constant_coefficients(), g)
 
 
 def test_cfl_violation_in_a_run_names_the_first_path_to_violate():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from stefansim.boundary import (F_Mr, advance_p, cap_profile, eval_h, exp_imbalance,
-                                g_lambda, stefan_fd, table_boundary, zero_boundary)
+from stefansim.boundary import (F_Mr, cap_profile, eval_h, exp_imbalance, g_lambda,
+                                stefan_fd, table_boundary, zero_boundary)
 from stefansim.grids import build_grid
 
 
@@ -108,6 +108,13 @@ def test_table_kind_interpolates_and_clamps(grid):
     assert big == 3.0  # clamped to the last table point
 
 
+@pytest.mark.parametrize("speed", [[1.0, 2.0, 3.0], [1.0]])
+def test_table_of_unequal_lengths_rejected(speed):
+    # neither a longer speed list cut to fit nor a shorter one indexed past its end
+    with pytest.raises(ValueError):
+        table_boundary([0.0, 1.0], speed)
+
+
 def test_lipschitz_bound_randomized(grid):
     rng = np.random.default_rng(5)
     fn = exp_imbalance(alpha=5.0, lam=100.0)
@@ -142,11 +149,6 @@ def test_F_Mr_idempotent_bitwise():
     twice = F_Mr(once, g, 0.4, 0.5)
     assert np.array_equal(once, twice)
     assert np.any(once != u)
-
-
-def test_advance_p():
-    assert advance_p(7.0, 0.0, 1e-3) == 7.0
-    assert advance_p(100.0, 5.0, 1e-4) == pytest.approx(100.0005, rel=1e-12)
 
 
 def test_swap_antisymmetry(grid):

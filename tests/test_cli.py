@@ -533,6 +533,27 @@ def test_kernel_check_subcommand(tmp_path):
     assert report["scaled_sup"] == pytest.approx(1 / np.sqrt(np.pi), rel=0.1)
 
 
+def _kernel_check_H(tmp_path, *sets):
+    return main(["kernel-check", "-c", str(REPO / "configs" / "kernel_check.yaml"),
+                 "--set", "kernel_check.kernel=H", "--set", f"output.dir={tmp_path}",
+                 *[arg for value in sets for arg in ("--set", value)]])
+
+
+def test_kernel_check_H_rejects_samples_outside_its_domain(tmp_path, capsys):
+    # the bundled samples reach x = 4, outside H's domain [0, 1]
+    assert _kernel_check_H(tmp_path) == 1
+    assert capsys.readouterr().err.startswith("config error: field 'kernel_check.x_samples'")
+
+
+def test_kernel_check_H_reads_zero_at_the_dirichlet_ends(tmp_path):
+    # K(t, x, .) vanishes at x = 0 and x = 1, so the ends add nothing to the sup
+    sups = []
+    for samples in ("[0.0, 0.5, 1.0]", "[0.5]"):
+        assert _kernel_check_H(tmp_path, f"kernel_check.x_samples={samples}") == 0
+        sups.append(json.loads((tmp_path / "kernel_report.json").read_text())["sup_value"])
+    assert sups[0] == sups[1]
+
+
 def test_fit_lob_and_simulate_price(tmp_path):
     rows = synthetic_lob_rows([2.0, 1.0, 0.5, 0.25], [0.2, 0.15, 0.1, 0.05],
                               horizon=120.0, seed=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stefansim.errors import BadDimension, CflViolation, DimensionMismatch
-from stefansim.grids import COMPACT, HALFLINE, Field, build_grid
+from stefansim.grids import COMPACT, HALFLINE, Field, build_grid, profile_norm
 
 
 def test_compact_grid_spacing():
@@ -54,7 +54,8 @@ def test_field_shape_checked():
 def test_weighted_sup_norm():
     g = build_grid(HALFLINE, 64, 1e-4, 128, length=4.0, weight_r=1.0)
     f = Field.from_function(g, lambda t, x: np.exp(x) * np.ones_like(t + x))
-    assert f.weighted_sup_norm(1.0) == pytest.approx(1.0)
+    # one norm per time row, each exp(-x) e^x = 1 up to rounding
+    assert profile_norm(f.values, g) == pytest.approx(np.ones(g.nt + 1))
 
 
 def test_grids_hashable_and_equal():

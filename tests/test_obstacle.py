@@ -120,7 +120,9 @@ def test_weighted_stability_halfline():
     for k in range(10):
         v1 = random_smooth_obstacle(g, seed=300 + k)
         v2 = random_smooth_obstacle(g, seed=400 + k)
-        gz, gv = stability_gap(v1, v2, norm="weighted")
+        gz, gv = stability_gap(v1, v2)
+        # a half-line grid measures in its weighted norm
+        assert gv == np.max(np.exp(-0.5 * g.space_nodes()) * np.abs(v1.values - v2.values))
         if gv > 0:
             ratios.append(gz / gv)
     # discrete contraction constant tracks exp(r^2 T) ~ 1.013; pinned with slack

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stefansim.spde
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, table_boundary, zero_boundary
-from stefansim.errors import CflViolation, ConfigError, GridMismatch
-from stefansim.grids import build_grid
+from stefansim.errors import CflViolation, ConfigError
+from stefansim.grids import build_grid, profile_norm
 from stefansim.noise import sample_white_noise
 from stefansim.picard import picard_iterate
-from stefansim.spde import (ModelCoefficients, constant_coefficients, profile_norm,
-                            run_relative_frame, step_reflected, tabulated_coefficients,
-                            weighted_norm)
+from stefansim.spde import (ModelCoefficients, constant_coefficients, run_relative_frame,
+                            step_reflected, tabulated_coefficients)
 
 
 def _zeros(grid):
@@ -21,11 +21,9 @@ def test_step_fixed_point():
     g = build_grid("compact", 16, 1e-3, 16)
     v = np.zeros((2, 1, g.n_nodes))
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
-    out, p_prime = step_reflected(v, np.zeros(1), np.zeros_like(v), coeffs,
-                                  zero_boundary(), np.inf, g)
+    out = step_reflected(v, v, np.zeros(1), np.zeros_like(v), coeffs, g)
     assert out is not v
     assert np.array_equal(out, v)
-    assert p_prime.tolist() == [0.0]
 
 
 def test_constant_forcing_reaches_stationary_profile():
@@ -127,13 +125,43 @@ def test_blowup_flagging_and_monotonicity():
 
 
 def test_advection_cfl_guard():
+    # the initial speed already violates |c| dt <= dx: the run stops before its first step
     g = build_grid("compact", 16, 0.05, 256)
-    v = np.zeros((2, 1, g.n_nodes))
     fast = table_boundary([-1.0, 1.0], [9e9, 9e9])
-    c = np.array([eval_h(fast, v[0, 0], v[1, 0], g)])
-    with pytest.raises(CflViolation):
-        step_reflected(v, c, np.zeros_like(v), constant_coefficients(), fast,
-                       np.inf, g)
+    with pytest.raises(CflViolation, match=r"^path 0 \(seed 3\): .* at t=0$"):
+        run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(), fast,
+                           np.inf, np.inf, g, seed=3)
+
+
+@pytest.mark.parametrize("M", [0.3, np.inf])
+def test_each_state_is_capped_once(monkeypatch, M):
+    # the cap of each new state serves both its h and the next step's advection
+    g = build_grid("compact", 16, 0.01, 64)
+    v0 = 0.8 * np.sin(np.pi * g.space_nodes())
+    v0[[0, -1]] = 0.0
+    calls = []
+
+    def counting_cap(v, grid, level):
+        calls.append(level)
+        return cap_profile(v, grid, level)
+
+    monkeypatch.setattr(stefansim.spde, "cap_profile", counting_cap)
+    traj = run_relative_frame((v0, 0.5 * v0, 0.0), constant_coefficients(sigma=0.5),
+                              exp_imbalance(alpha=5.0, lam=5.0), M, np.inf, g, seed=2)
+    assert len(traj.times) == g.nt + 1
+    assert len(calls) <= g.nt + 2
+
+
+def test_boundary_position_advances_by_dt_times_the_new_speed():
+    g = build_grid("compact", 16, 0.01, 256)
+    v0 = np.sin(np.pi * g.space_nodes())
+    v0[[0, -1]] = 0.0
+    traj = run_relative_frame((v0, 0.2 * v0, 0.7), constant_coefficients(sigma=0.5),
+                              exp_imbalance(alpha=5.0, lam=5.0), 0.6, np.inf, g, seed=4)
+    assert len(traj.p) == g.nt + 1 and traj.p[0] == 0.7
+    assert np.all(traj.p_prime != 0.0)
+    for k in range(1, len(traj.p)):
+        assert traj.p[k] == traj.p[k - 1] + g.dt * traj.p_prime[k]
 
 
 @pytest.mark.parametrize("M", [0.0, -1.0, np.nan])
@@ -191,14 +219,14 @@ def test_bad_initial_data_rejected():
 
 
 def test_weighted_norm_examples():
+    # the half-line norm weighs by exp(-r x) with r = weight_r; the compact one is the sup
     g = build_grid("halfline", 256, 1e-4, 1024, length=4.0, weight_r=1.0)
     x = g.space_nodes()
-    assert weighted_norm(np.zeros_like(x), g, 1.0) == 0.0
-    assert weighted_norm(np.exp(x), g, 1.0) == pytest.approx(1.0)
+    assert profile_norm(np.zeros_like(x), g) == 0.0
+    assert profile_norm(np.exp(x), g) == pytest.approx(1.0)
     # max of x e^{-x} over [0, 4] is 1/e at x = 1 (a grid node here)
-    assert weighted_norm(x, g, 1.0) == pytest.approx(np.exp(-1.0), abs=1e-3)
-    with pytest.raises(GridMismatch):
-        weighted_norm(x[:17], build_grid("compact", 16, 1e-4, 128), 1.0)
+    assert profile_norm(x, g) == pytest.approx(np.exp(-1.0), abs=1e-3)
+    assert profile_norm(x[:17], build_grid("compact", 16, 1e-4, 128)) == x[16]
 
 
 def test_halfline_bounded_boundary_run_completes():
