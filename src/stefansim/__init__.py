@@ -19,8 +19,7 @@ from .obstacle import ObstacleSolution, solve_penalized, solve_projected, stabil
 from .picard import IterationReport, KernelTables, build_kernel_tables, mild_solve_w, picard_iterate
 from .regularity import (HolderEstimate, StructureSums, estimate_holder,
                          estimate_holder_ensemble, structure_function)
-from .spde import (CoupledState, ModelCoefficients, Recorder, Trajectory,
-                   constant_coefficients, run_paths, run_relative_frame,
-                   tabulated_coefficients)
+from .spde import (ModelCoefficients, Recorder, Trajectory, constant_coefficients,
+                   run_paths, run_relative_frame, tabulated_coefficients)
 
 __version__ = "0.1.0"

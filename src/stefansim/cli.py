@@ -150,8 +150,8 @@ class _HolderObserver:
         self.sums.push(at, v[:1])
         self.p_prime[at, step] = p_prime
 
-    def finish(self, finals) -> list:
-        return [self.p_prime[k, :final.step + 1] for k, final in enumerate(finals)]
+    def finish(self, ends) -> list:
+        return [self.p_prime[k, :last + 1] for k, (last, _) in enumerate(ends)]
 
 
 def cmd_holder(cfg: dict) -> int:

@@ -84,11 +84,12 @@ def deriv_y(kernel_kind: str, t, x, y, n_images: int = DEFAULT_N_IMAGES):
 
 
 def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
-                       n0: int = 64, max_doublings: int = 18) -> float:
+                       n0: int = 64, max_doublings: int = 18, floor: float = 1e-300) -> float:
     """Trapezoid rule with interval halving until successive estimates agree.
 
-    fn must accept a vector of abscissae.  Raises QuadratureFailure if the
-    refinement budget is exhausted before the relative tolerance is met.
+    fn must accept a vector of abscissae.  Estimates agree when they differ
+    by at most rel_tol * max(|estimate|, floor).  Raises QuadratureFailure
+    if the refinement budget is exhausted first.
     """
     if b <= a:
         return 0.0
@@ -104,7 +105,7 @@ def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
         n *= 2
         h *= 0.5
         xs = np.linspace(a, b, n + 1)
-        if abs(new_est - est) <= rel_tol * max(abs(new_est), 1e-300):
+        if abs(new_est - est) <= rel_tol * max(abs(new_est), floor):
             return float(new_est)
         est = new_est
     raise QuadratureFailure(
@@ -118,17 +119,20 @@ def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G"
     _check_time(t)
     if x == 0.0 or (kernel_kind == "H" and x == 1.0):
         return 0.0    # a Dirichlet end, where K(t, x, .) vanishes identically
-    if kernel_kind == "G":
-        # Gaussian tails: beyond this window the integrand is negligible
-        width = 12.0 * math.sqrt(t) + 12.0 * t * abs(r)
-        a, b = max(0.0, x - width), x + width
-    else:
-        a, b = 0.0, 1.0
+    # Gaussian tails: beyond this window the integrand is negligible (for H,
+    # every image term is at least as far off).  The window scales with
+    # sqrt(t), so the first trapezoid grid already samples the peak and the
+    # floor below cannot end a refinement that has not seen it.
+    width = 12.0 * math.sqrt(t) + 12.0 * t * abs(r)
+    a, b = max(0.0, x - width), x + width
+    if kernel_kind == "H":
+        b = min(1.0, b)
 
     def integrand(ys):
         return np.exp(-r * (x - ys)) * np.abs(deriv_y(kernel_kind, t, x, ys))
 
-    return adaptive_trapezoid(integrand, a, b)
+    # a thousandth of the 1/sqrt(t) bound settles it where the integrand is rounding noise
+    return adaptive_trapezoid(integrand, a, b, floor=1e-3 / math.sqrt(t))
 
 
 @dataclass

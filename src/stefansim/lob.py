@@ -15,7 +15,7 @@ dollar ticks, direction) given a companion touch-price series.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,12 +202,11 @@ class FitResult:
     f: np.ndarray
     sigma: np.ndarray
     counts: np.ndarray
-    symmetric: bool
-    flagged: np.ndarray = field(default=None)   # insufficient-data bins
 
-    def __post_init__(self):
-        if self.flagged is None:
-            self.flagged = self.counts == 0
+    @property
+    def flagged(self) -> np.ndarray:
+        """The insufficient-data bins: those without events."""
+        return self.counts == 0
 
     @property
     def n_bins(self) -> int:
@@ -221,8 +220,7 @@ class FitResult:
     @classmethod
     def from_csv(cls, path) -> "FitResult":
         x_centers, f, sigma, counts = read_table(path).T
-        return cls(x_centers=x_centers, f=f, sigma=sigma, counts=counts.astype(int),
-                   symmetric=True)
+        return cls(x_centers=x_centers, f=f, sigma=sigma, counts=counts.astype(int))
 
 
 def _signed_sizes(stream: LobEventStream) -> np.ndarray:
@@ -280,8 +278,7 @@ def fit_coefficients(stream: LobEventStream, n_bins: int, pool_sides: bool = Tru
     flagged = counts == 0
     f = np.where(flagged, 0.0, f)
     sigma = np.where(flagged, 0.0, sigma)
-    return FitResult(x_centers=centers, f=f, sigma=sigma, counts=counts,
-                     symmetric=bool(pool_sides), flagged=flagged)
+    return FitResult(x_centers=centers, f=f, sigma=sigma, counts=counts)
 
 
 def _filled_coefficients(fit: FitResult):

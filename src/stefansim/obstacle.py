@@ -42,8 +42,6 @@ class ObstacleSolution:
 
     z: Field
     eta: np.ndarray = field(repr=False)
-    method: str = "projected"
-    epsilon: float | None = None
 
     @property
     def grid(self) -> GridSpec:
@@ -93,8 +91,7 @@ def solve_penalized(v: Field, epsilon: float) -> ObstacleSolution:
         zn[..., ::grid.nx] = 0.0
         z[..., i + 1, :] = zn
         eta[..., i, :] = dt * dx * pen
-    return ObstacleSolution(z=Field(grid, z), eta=eta,
-                            method="penalized", epsilon=float(epsilon))
+    return ObstacleSolution(z=Field(grid, z), eta=eta)
 
 
 def solve_projected(v: Field) -> ObstacleSolution:
@@ -114,7 +111,7 @@ def solve_projected(v: Field) -> ObstacleSolution:
         eta[..., i + 1, :] = (zn - free) * dx
     # no reflection at the Dirichlet nodes (free is already 0 there)
     eta[..., ::grid.nx] = 0.0
-    return ObstacleSolution(z=Field(grid, z), eta=eta, method="projected")
+    return ObstacleSolution(z=Field(grid, z), eta=eta)
 
 
 def stability_gap(v1: Field, v2: Field) -> tuple[float, float]:

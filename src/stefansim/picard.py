@@ -112,22 +112,20 @@ def build_kernel_tables(grid: GridSpec) -> KernelTables:
 
 def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
                  boundary_fn: BoundaryFunctional, M: float,
-                 noise_pair: tuple[NoiseField, NoiseField], grid: GridSpec,
-                 tables: KernelTables | None = None) -> Field:
-    """Evaluate one unreflected mild iterate of both sides on the whole grid.
+                 noise_pair: tuple[NoiseField, NoiseField], tables: KernelTables) -> Field:
+    """Evaluate one unreflected mild iterate of both sides on the tables' grid.
 
     ``v_prev`` is the previous pair, side 1 first, as a (2, nt + 1, J)
     Field; side k is driven by ``noise_pair[k - 1]``.  Returns the pair
     w in the same layout: one product with the kernel factors and one
     recursion serve both sides.
     """
+    grid = tables.grid
     if v_prev.values.shape[:-2] != (2,):
         raise DimensionMismatch(
             f"previous iterate must be a (2, nt + 1, J) pair, got {v_prev.values.shape}")
     if v_prev.grid != grid or any(noise.grid != grid for noise in noise_pair):
-        raise GridMismatch("previous iterates and noise must live on the grid")
-    if tables is None:
-        tables = build_kernel_tables(grid)
+        raise GridMismatch("previous iterates and noise must live on the kernel tables' grid")
 
     nt, J = grid.nt, grid.n_nodes
     x = grid.space_nodes()
@@ -204,8 +202,7 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     v = Field(grid, np.repeat(v0[:, None], grid.nt + 1, axis=1))
     d_hist = []
     for _ in range(n_iters):
-        w = mild_solve_w(v, coeffs, boundary_fn, M, noise_pair, grid,
-                         tables=tables).values
+        w = mild_solve_w(v, coeffs, boundary_fn, M, noise_pair, tables).values
         v_new = Field(grid, w + solve_projected(Field(grid, -w)).z.values)
         d_hist.append(float(np.max(np.abs(v_new.values - v.values), axis=(1, 2)).sum()))
         v = v_new

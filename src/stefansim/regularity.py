@@ -35,7 +35,6 @@ class HolderEstimate:
 
     exponent: float
     stderr: float
-    lag_range: tuple
     q: float
     axis: str
     n_paths: int = 1
@@ -229,11 +228,10 @@ def dyadic_lags(lag_range) -> list:
     return lags
 
 
-def _fit_loglog(lags, s_values, q, axis, lag_range, n_paths) -> HolderEstimate:
+def _fit_loglog(lags, s_values, q, axis, n_paths) -> HolderEstimate:
     s = np.asarray(s_values, dtype=float)
     if np.any(s <= 0.0):
-        return HolderEstimate(exponent=float("nan"), stderr=float("nan"),
-                              lag_range=tuple(lag_range), q=q, axis=axis,
+        return HolderEstimate(exponent=float("nan"), stderr=float("nan"), q=q, axis=axis,
                               n_paths=n_paths, degenerate=True)
     lx = np.log(np.asarray(lags, dtype=float))
     ly = np.log(s)
@@ -246,8 +244,7 @@ def _fit_loglog(lags, s_values, q, axis, lag_range, n_paths) -> HolderEstimate:
     else:
         slope_se = 0.0
     return HolderEstimate(exponent=float(slope / q), stderr=float(slope_se / q),
-                          lag_range=tuple(lag_range), q=q, axis=axis,
-                          n_paths=n_paths)
+                          q=q, axis=axis, n_paths=n_paths)
 
 
 def estimate_holder(path, axis: str, q: float = 2,
@@ -272,7 +269,7 @@ def estimate_holder_ensemble(paths, axis: str, q: float = 2,
     else:
         sums = _reduced(paths, axis, lags, q)
     pooled = sums.structure_functions(axis, lags).mean(axis=0)
-    return _fit_loglog(lags, pooled, q, axis, lag_range, n_paths=sums.n_paths)
+    return _fit_loglog(lags, pooled, q, axis, n_paths=sums.n_paths)
 
 
 def boundary_holder_ensemble(series_list, q: float = 2,

@@ -102,25 +102,6 @@ def tabulated_coefficients(x_centers, f_values, sigma_values, **meta) -> ModelCo
     return ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol, **meta)
 
 
-@dataclass
-class CoupledState:
-    """One path's profile pair in the relative frame plus boundary bookkeeping.
-
-    The integrator works on (2, P, n_nodes) arrays; this record is the
-    state a path ends in, at its last recorded ``step``.
-    """
-
-    v1: np.ndarray
-    v2: np.ndarray
-    p: float
-    p_prime: float = 0.0
-    time: float = 0.0
-    blown_up: bool = False
-    tau_estimate: float | None = None
-    step: int = 0
-    blowup_cause: str | None = None
-
-
 def step_reflected(v: np.ndarray, capped: np.ndarray, c: np.ndarray, noise: np.ndarray,
                    coeffs: ModelCoefficients, grid: GridSpec, lap_scale: float = 1.0,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -191,13 +172,23 @@ class Trajectory:
     p_prime: np.ndarray = field(repr=False)
     norm1: np.ndarray = field(repr=False)
     norm2: np.ndarray = field(repr=False)
-    blown_up: bool = False
-    tau_estimate: float | None = None
     blowup_cause: str | None = None
     snapshot_times: np.ndarray | None = None
     v1_snapshots: np.ndarray | None = None
     v2_snapshots: np.ndarray | None = None
-    final_state: CoupledState | None = None
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_cause is not None
+
+    @property
+    def tau_estimate(self) -> float | None:
+        """Time of the stopping step: the last kept one, or the discarded non-finite one."""
+        if self.blowup_cause is None:
+            return None
+        if self.blowup_cause == BLOWUP_NON_FINITE:
+            return float(self.times[-1]) + self.grid.dt
+        return float(self.times[-1])
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         """Long-format per-step record (step, t, p, p_prime, norm1, norm2)."""
@@ -227,8 +218,9 @@ class Recorder:
     a blow-up): ``p`` and ``p_prime`` are (P_live,), ``norms`` (2,
     P_live) and ``v`` the (2, P_live, n_nodes) state, valid only during
     the call.  A path's threshold step is handed on; its discarded
-    non-finite step is not.  ``finish(finals)``, given each path's final
-    CoupledState, returns what ``run_paths`` returns.
+    non-finite step is not.  ``finish(ends)``, given each path's
+    ``(last_step, cause)`` pair (cause None for a path that ran to the
+    end), returns what ``run_paths`` returns.
     """
 
     def __init__(self, grid: GridSpec, n_paths: int, stride: int = 0):
@@ -249,20 +241,19 @@ class Recorder:
             self.snaps[:, at, len(self.snap_steps)] = v
             self.snap_steps.append(step)
 
-    def finish(self, finals) -> list:
+    def finish(self, ends) -> list:
         trajectories = []
-        for k, final in enumerate(finals):
+        for k, (step, cause) in enumerate(ends):
             stored = {}
             if self.stride:
-                n = bisect.bisect_right(self.snap_steps, final.step)
+                n = bisect.bisect_right(self.snap_steps, step)
                 stored = {"snapshot_times": self.times[self.snap_steps[:n]],
                           "v1_snapshots": self.snaps[0, k, :n],
                           "v2_snapshots": self.snaps[1, k, :n]}
-            p, p_prime, norm1, norm2 = self.record[:, k, :final.step + 1]
+            p, p_prime, norm1, norm2 = self.record[:, k, :step + 1]
             trajectories.append(Trajectory(
-                self.grid, self.times[:final.step + 1], p, p_prime, norm1, norm2,
-                blown_up=final.blown_up, tau_estimate=final.tau_estimate,
-                blowup_cause=final.blowup_cause, final_state=final, **stored))
+                self.grid, self.times[:step + 1], p, p_prime, norm1, norm2,
+                blowup_cause=cause, **stored))
         return trajectories
 
 
@@ -302,8 +293,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     go to ``observer`` (see Recorder), by default a Recorder without
     profiles.  An explicit (NoiseField, NoiseField) ``noise_pair`` drives
     a single path in place of the seeded streams.
-    Returns ``observer.finish`` of each path's final state, by default
-    one Trajectory per seed, in order.
+    Returns ``observer.finish`` of each path's (last_step, cause) pair,
+    by default one Trajectory per seed, in order.
     """
     v1_0, v2_0, p0 = initial
     v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
@@ -345,7 +336,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     xi = np.empty((block, 2, n_paths, grid.n_nodes))
     rows = np.arange(n_paths)              # path index of each batch row
     at = slice(None)                       # the batch rows, as handed to the observer
-    finals = [None] * n_paths
+    ends = [(nt, None)] * n_paths
     cfl_limit = grid.dx * (1 + 1e-12)
 
     t = 0.0
@@ -385,16 +376,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                 finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
                 done = ~finite | (total >= M_max)
                 for a in np.flatnonzero(done):
-                    if finite[a]:
-                        finals[rows[a]] = CoupledState(
-                            new[0, a].copy(), new[1, a].copy(), float(p_new[a]),
-                            float(pp_new[a]), t_new, blown_up=True, tau_estimate=t_new,
-                            step=step, blowup_cause=BLOWUP_THRESHOLD)
-                    else:
-                        finals[rows[a]] = CoupledState(
-                            v[0, a].copy(), v[1, a].copy(), float(p[a]), float(pp[a]), t,
-                            blown_up=True, tau_estimate=t_new, step=i,
-                            blowup_cause=BLOWUP_NON_FINITE)
+                    ends[rows[a]] = ((step, BLOWUP_THRESHOLD) if finite[a]
+                                     else (i, BLOWUP_NON_FINITE))
                 observer(rows[finite], step, t_new, p_new[finite], pp_new[finite],
                          norms[:, finite], new[:, finite])
                 live = ~done
@@ -406,10 +389,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                     break
             v, spare, capped = new, v, capped_new
             p, pp, t = p_new, pp_new, t_new
-
-    for a, k in enumerate(rows):
-        finals[k] = CoupledState(v[0, a], v[1, a], float(p[a]), float(pp[a]), t, step=nt)
-    return observer.finish(finals)
+    return observer.finish(ends)
 
 
 def run_relative_frame(initial, coeffs: ModelCoefficients,

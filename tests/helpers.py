@@ -118,5 +118,5 @@ class PushSide1:
     def __call__(self, at, step, t, p, p_prime, norms, v):
         self.sums.push(at, v[:1])
 
-    def finish(self, finals):
-        return finals
+    def finish(self, ends):
+        return ends

@@ -26,23 +26,41 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class _KeepsLast(Recorder):
+    """A Recorder that also hands back each path's last state, as ``traj.last``."""
+
+    def __init__(self, grid, n_paths, stride):
+        super().__init__(grid, n_paths, stride)
+        self.last = np.empty((2, n_paths, grid.n_nodes))
+
+    def __call__(self, at, step, t, p, p_prime, norms, v):
+        super().__call__(at, step, t, p, p_prime, norms, v)
+        self.last[:, at] = v
+
+    def finish(self, ends):
+        trajectories = super().finish(ends)
+        for k, traj in enumerate(trajectories):
+            traj.last = self.last[:, k]
+        return trajectories
+
+
 def assert_rows_match_singles(initial, coeffs, fn, M, M_max, grid, seeds,
                               stride, lap_scale=1.0):
     batch = run_paths(initial, coeffs, fn, M, M_max, grid, seeds, lap_scale=lap_scale,
-                      observer=Recorder(grid, len(seeds), stride))
+                      observer=_KeepsLast(grid, len(seeds), stride))
     assert len(batch) == len(seeds)
     for traj, seed in zip(batch, seeds):
-        one = run_relative_frame(initial, coeffs, fn, M, M_max, grid, seed,
-                                 store_stride=stride, lap_scale=lap_scale)
+        # a single run is the one-path batch (the body of run_relative_frame)
+        one, = run_paths(initial, coeffs, fn, M, M_max, grid, [seed], lap_scale=lap_scale,
+                         observer=_KeepsLast(grid, 1, stride))
         for name in ("times", "p", "p_prime", "norm1", "norm2"):
             assert _same_bytes(getattr(traj, name), getattr(one, name)), name
         if stride:
             for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
                 assert _same_bytes(getattr(traj, name), getattr(one, name)), name
-        assert _same_bytes(traj.final_state.v1, one.final_state.v1)
-        assert _same_bytes(traj.final_state.v2, one.final_state.v2)
-        assert (traj.final_state.p, traj.final_state.p_prime, traj.final_state.time) == \
-            (one.final_state.p, one.final_state.p_prime, one.final_state.time)
+        assert _same_bytes(traj.last, one.last)
+        assert (traj.p[-1], traj.p_prime[-1], traj.times[-1]) == \
+            (one.p[-1], one.p_prime[-1], one.times[-1])
         assert (traj.blown_up, traj.tau_estimate, traj.blowup_cause) == \
             (one.blown_up, one.tau_estimate, one.blowup_cause)
     return batch
@@ -150,8 +168,8 @@ class _InvariantCheck:
         assert (v[..., [0, -1]] == 0).all(), f"nonzero Dirichlet node at step {step}"
         self.calls += 1
 
-    def finish(self, finals):
-        return finals
+    def finish(self, ends):
+        return ends
 
 
 @given(halfline=st.booleans(), nx=st.integers(4, 16), steps_per_dx2=st.integers(2, 4),
@@ -186,9 +204,9 @@ def test_profiles_stay_nonnegative_with_zero_dirichlet_nodes(
     coeffs = ModelCoefficients(f1=drift1, f2=drift2, sigma1=vol, sigma2=vol)
     v0 = _sine(g, amp)
     check = _InvariantCheck()
-    finals = run_paths((v0, 0.5 * v0, 0.0), coeffs, fn, 0.5 if finite_M else np.inf, np.inf,
-                       g, [seed + k for k in range(n_paths)], observer=check)
-    assert check.calls == 1 + max(final.step for final in finals)
+    ends = run_paths((v0, 0.5 * v0, 0.0), coeffs, fn, 0.5 if finite_M else np.inf, np.inf,
+                     g, [seed + k for k in range(n_paths)], observer=check)
+    assert check.calls == 1 + max(last for last, _ in ends)
 
 
 def test_cfl_violation_names_the_offending_path():
@@ -236,14 +254,14 @@ def test_infinite_drift_flags_non_finite_and_stores_no_infinity():
     g = build_grid("compact", 16, 0.01, 256)
     v0 = _sine(g, 0.5)
     traj = run_relative_frame((v0, v0.copy(), 0.0), constant_coefficients(f=np.inf),
-                              zero_boundary(), np.inf, np.inf, g, seed=1)
+                              zero_boundary(), np.inf, np.inf, g, seed=1, store_stride=1)
     assert traj.blown_up and traj.blowup_cause == "non_finite"
     # the first step overflows, so the record keeps only the initial state
     assert len(traj.times) == 1 and traj.tau_estimate == g.dt
-    for arr in (traj.p, traj.p_prime, traj.norm1, traj.norm2,
-                traj.final_state.v1, traj.final_state.v2):
+    for arr in (traj.p, traj.p_prime, traj.norm1, traj.norm2, traj.v1_snapshots,
+                traj.v2_snapshots):
         assert np.isfinite(arr).all()
-    assert np.array_equal(traj.final_state.v1, v0)
+    assert np.array_equal(traj.v1_snapshots[-1], v0)
 
 
 def test_nan_volatility_is_flagged_instead_of_run_to_the_end():
@@ -255,7 +273,7 @@ def test_nan_volatility_is_flagged_instead_of_run_to_the_end():
     assert traj.blown_up and traj.blowup_cause == "non_finite"
     assert len(traj.times) < g.nt + 1
     assert np.isfinite(traj.norm1).all() and np.isfinite(traj.norm2).all()
-    assert np.isfinite(traj.v1_snapshots).all() and np.isfinite(traj.final_state.v2).all()
+    assert np.isfinite(traj.v1_snapshots).all() and np.isfinite(traj.v2_snapshots[-1]).all()
 
 
 class _Calls:
@@ -269,8 +287,8 @@ class _Calls:
             self.rows[k].append((step, t, p[a], p_prime[a], norms[:, a].copy(),
                                  v[:, a].copy()))
 
-    def finish(self, finals):
-        return finals
+    def finish(self, ends):
+        return ends
 
 
 def _stopping_batch(cause):
@@ -295,12 +313,12 @@ def test_observer_sees_each_kept_step_once_in_order():
     g, args = _stopping_batch("both")
     seeds = args[-1]
     calls = _Calls(len(seeds))
-    finals = run_paths(*args, observer=calls)
-    causes = [final.blowup_cause for final in finals]
+    ends = run_paths(*args, observer=calls)
+    causes = [cause for _, cause in ends]
     assert {"threshold", "non_finite", None} <= set(causes)
     recorded = run_paths(*args, observer=Recorder(g, len(seeds), 1))
-    for rows, final, traj in zip(calls.rows, finals, recorded):
-        assert [row[0] for row in rows] == list(range(final.step + 1))
+    for rows, (last, cause), traj in zip(calls.rows, ends, recorded):
+        assert [row[0] for row in rows] == list(range(last + 1))
         assert all(np.isfinite(x).all() for row in rows for x in row[1:])
         columns = list(zip(*rows))      # step, t, p, p', norms, v
         norms = np.array(columns[4])
@@ -310,7 +328,30 @@ def test_observer_sees_each_kept_step_once_in_order():
         profiles = np.array(columns[5])
         assert _same_bytes(profiles[:, 0], traj.v1_snapshots)
         assert _same_bytes(profiles[:, 1], traj.v2_snapshots)
-        assert traj.blowup_cause == final.blowup_cause
+        assert traj.blowup_cause == cause
+
+
+def test_a_stopped_path_keeps_its_stopping_time_and_last_state():
+    g, args = _stopping_batch("both")
+    seeds = args[-1]
+    calls = _Calls(len(seeds))
+    run_paths(*args, observer=calls)
+    recorded = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    for rows, traj in zip(calls.rows, recorded):
+        assert len(traj.v1_snapshots) == len(traj.times)
+        last = np.stack([traj.v1_snapshots[-1], traj.v2_snapshots[-1]])
+        assert _same_bytes(last, rows[-1][5])
+        if traj.blowup_cause is None:
+            assert traj.tau_estimate is None and not traj.blown_up
+            continue
+        # t_new of the stopping step, summed as the run sums it; a non-finite
+        # step is discarded, so it is the step after the last one kept
+        stop = len(traj.times) - (traj.blowup_cause == "threshold")
+        t_new = 0.0
+        for _ in range(stop):
+            t_new = t_new + g.dt
+        assert traj.blown_up and traj.tau_estimate == t_new
+    assert {t.blowup_cause for t in recorded} == {"threshold", "non_finite", None}
 
 
 @pytest.mark.parametrize("cause", ["threshold", "non_finite"])
@@ -324,8 +365,8 @@ def test_structure_sums_sink_matches_stored_snapshots(cause):
 
     time_lags, space_lags = dyadic_lags((1, 8)), dyadic_lags((1, 8))
     sums = StructureSums(len(seeds), g.n_nodes, g.nt + 1, 2, time_lags, space_lags)
-    finals = run_paths(*args, observer=PushSide1(sums))
-    assert [final.step + 1 for final in finals] == [len(t.times) for t in stored]
+    ends = run_paths(*args, observer=PushSide1(sums))
+    assert [last + 1 for last, _ in ends] == [len(t.times) for t in stored]
     fields = [t.v1_snapshots for t in stored]
     for axis, lags in ((TIME, time_lags), (SPACE, space_lags)):
         want = [structure_function_reference(f, axis, lags, 2) for f in fields]

@@ -383,7 +383,7 @@ def test_bad_seed_is_reported_before_any_computation(tmp_path, capsys, monkeypat
     monkeypatch.setattr(f"stefansim.cli.{_COMPUTATION[command]}", unreachable)
     fit = tmp_path / "fit.csv"
     FitResult(x_centers=np.array([0.25, 0.75]), f=np.zeros(2), sigma=np.full(2, 0.1),
-              counts=np.ones(2, dtype=int), symmetric=True).to_csv(fit)
+              counts=np.ones(2, dtype=int)).to_csv(fit)
     cfg = _base_cfg(tmp_path, picard={"M": 2.0, "n_iters": 2}, holder={"n_paths": 2},
                     lob={"input": str(tmp_path / "events.csv"), "n_bins": 4},
                     price={"fit_csv": str(fit)})
@@ -406,7 +406,7 @@ def test_boundary_truncation_M_config_key(tmp_path, trunc, code):
     M = 3.0 if trunc != "inf" else "inf"
     fit = tmp_path / "fit.csv"
     FitResult(x_centers=np.array([0.25, 0.75]), f=np.zeros(2), sigma=np.full(2, 0.1),
-              counts=np.ones(2, dtype=int), symmetric=True).to_csv(fit)
+              counts=np.ones(2, dtype=int)).to_csv(fit)
     cfg = _base_cfg(tmp_path, picard={"M": M, "n_iters": 2}, price={"fit_csv": str(fit)},
                     holder={"n_paths": 2, "lag_min": 2, "lag_max": 32})
     cfg["boundary"]["truncation_M"] = trunc
@@ -549,6 +549,15 @@ def test_kernel_check_H_reads_zero_at_the_dirichlet_ends(tmp_path):
     # K(t, x, .) vanishes at x = 0 and x = 1, so the ends add nothing to the sup
     sups = []
     for samples in ("[0.0, 0.5, 1.0]", "[0.5]"):
+        assert _kernel_check_H(tmp_path, f"kernel_check.x_samples={samples}") == 0
+        sups.append(json.loads((tmp_path / "kernel_report.json").read_text())["sup_value"])
+    assert sups[0] == sups[1]
+
+
+def test_kernel_check_H_settles_just_inside_the_dirichlet_ends(tmp_path):
+    # there the integrand is rounding noise; it once failed to converge
+    sups = []
+    for samples in ("[1e-12, 0.5, 0.999999999999]", "[0.5]"):
         assert _kernel_check_H(tmp_path, f"kernel_check.x_samples={samples}") == 0
         sups.append(json.loads((tmp_path / "kernel_report.json").read_text())["sup_value"])
     assert sups[0] == sups[1]

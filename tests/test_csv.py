@@ -90,7 +90,7 @@ def _fit():
     return FitResult(x_centers=(np.arange(16) + 0.5) / 16,
                      f=np.random.default_rng(3).normal(size=16) * 1e3,
                      sigma=np.abs(np.random.default_rng(4).normal(size=16)),
-                     counts=np.arange(16) * 977, symmetric=True)
+                     counts=np.arange(16) * 977)
 
 
 def test_trajectory_writers_match_reference(tmp_path):
@@ -129,7 +129,7 @@ def test_fit_and_price_writers_match_reference(tmp_path):
     fit = _fit()
     _same_bytes(tmp_path, type(fit).to_csv, _ref_fit, fit)
     traj = simulate_price(FitResult(x_centers=fit.x_centers, f=np.abs(fit.f) / 1e3,
-                                    sigma=fit.sigma, counts=fit.counts, symmetric=True),
+                                    sigma=fit.sigma, counts=fit.counts),
                           exp_imbalance(), build_grid("compact", 16, 0.005, 300), seed=2)
     _same_bytes(tmp_path, price_series_to_csv, _ref_price, traj)
 

@@ -4,7 +4,9 @@ A name defined at the top of a module in ``src/stefansim`` passes if code
 in ``src/`` refers to it outside its own definition, if the package
 exports it, or if the benchmark tracer wraps it by name
 (``perfbench/tracing.py``, ``WRAPS``).  Anything else is dead code: move
-it into the tests that use it, or delete it.
+it into the tests that use it, or delete it.  Likewise every dataclass
+field in the package must be read as an attribute somewhere in ``src/``,
+``tests/`` or ``perfbench/``.
 """
 import ast
 import importlib.util
@@ -43,3 +45,25 @@ def test_every_module_level_definition_is_used():
               if name not in kept
               and not any(name in names for key, names in reads.items() if key != (module, i))]
     assert unused == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # a field that is set but never read as an attribute states nothing
+    fields = [(path.name, cls.name, stmt.target.id)
+              for path in sorted(SRC.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text()))
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+    read = {node.attr
+            for root in ("src", "tests", "perfbench")
+            for path in sorted((REPO / root).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in fields if name not in read]
+    assert unread == []

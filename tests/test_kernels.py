@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stefansim import kernels
 from stefansim.errors import NonPositiveTime
 from stefansim.kernels import (DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_G,
                                eval_G_r, eval_H, free_kernel, verify_kernel_bounds,
@@ -182,3 +183,28 @@ def test_bound_report_json_fields():
     d = rep.to_json_dict()
     for key in ("estimate_name", "t_values", "sup_value", "scaled_sup"):
         assert key in d
+
+
+@pytest.mark.parametrize("x", [1e-12, 1.0 - 1e-12])
+def test_H_integral_just_inside_a_dirichlet_end_settles_at_once(monkeypatch, x):
+    # K(t, x, .) is of order x there and the integrand is rounding noise; the
+    # refinement stops once it is settled far below the 1/sqrt(t) bound
+    points = []
+
+    def counted(*args):
+        points.append(np.size(args[3]))
+        return deriv_y(*args)
+
+    monkeypatch.setattr(kernels, "deriv_y", counted)
+    value = weighted_deriv_integral(0.1, x, 0.0, "H")
+    assert 0.0 <= value <= 1e-10
+    assert sum(points) <= 64 * 2**4 + 1
+
+
+@pytest.mark.parametrize("x", [0.25, 0.5])
+def test_H_integral_resolves_its_peak_at_small_t(x):
+    # the integrand is a spike of width sqrt(t) at y = x; away from the ends
+    # it integrates to that of the free kernel, 2 / sqrt(4 pi t)
+    t = 1e-7
+    value = weighted_deriv_integral(t, x, 0.0, "H")
+    assert value == pytest.approx(2.0 / math.sqrt(4.0 * math.pi * t), rel=0.02)

@@ -138,13 +138,11 @@ def test_pooled_fit_is_average_of_sides_on_mirrored_data():
     # mirrored data make the per-side sigmas equal, so RMS pooling = average
     rms = np.sqrt(0.5 * (bid.sigma**2 + ask.sigma**2))
     assert np.allclose(pooled.sigma, rms, atol=1e-9)
-    assert pooled.symmetric and not bid.symmetric
 
 
 def test_fit_csv_round_trip(tmp_path):
     fit = FitResult(x_centers=np.array([0.25, 0.75]), f=np.array([1.0, -2.0]),
-                    sigma=np.array([0.5, 0.25]), counts=np.array([10, 20]),
-                    symmetric=True)
+                    sigma=np.array([0.5, 0.25]), counts=np.array([10, 20]))
     path = tmp_path / "fit.csv"
     fit.to_csv(path, header_comment="config_sha256=x seed=0")
     back = FitResult.from_csv(path)
@@ -157,7 +155,7 @@ def test_simulate_price_constant_without_noise():
     g = build_grid("compact", 16, 0.01, 256)
     fit = FitResult(x_centers=np.array([0.25, 0.5, 0.75, 1.0]),
                     f=np.zeros(4), sigma=np.zeros(4),
-                    counts=np.full(4, 10), symmetric=True)
+                    counts=np.full(4, 10))
     traj = simulate_price(fit, exp_imbalance(), g, seed=1, lap_scale=0.2, p0=50.0)
     assert np.all(traj.p == 50.0)
 
@@ -167,7 +165,7 @@ def test_simulate_price_deterministic():
     fit = FitResult(x_centers=np.array([0.25, 0.5, 0.75, 1.0]),
                     f=np.array([2.0, 1.0, 0.5, 0.2]),
                     sigma=np.array([0.4, 0.3, 0.2, 0.1]),
-                    counts=np.full(4, 10), symmetric=True)
+                    counts=np.full(4, 10))
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     a = simulate_price(fit, fn, g, seed=3, lap_scale=0.2)
     b = simulate_price(fit, fn, g, seed=3, lap_scale=0.2)
@@ -179,11 +177,11 @@ def test_simulate_price_invariant_under_redundant_bins():
     # dyadic values keep the refined interpolant bitwise identical
     base = FitResult(x_centers=np.array([0.25, 0.75]),
                      f=np.array([1.0, 3.0]), sigma=np.array([0.25, 0.75]),
-                     counts=np.full(2, 10), symmetric=True)
+                     counts=np.full(2, 10))
     refined = FitResult(x_centers=np.array([0.25, 0.5, 0.75]),
                         f=np.array([1.0, 2.0, 3.0]),
                         sigma=np.array([0.25, 0.5, 0.75]),
-                        counts=np.full(3, 10), symmetric=True)
+                        counts=np.full(3, 10))
     fn = zero_boundary()
     a = simulate_price(base, fn, g, seed=5)
     b = simulate_price(refined, fn, g, seed=5)
@@ -194,7 +192,7 @@ def test_price_csv(tmp_path):
     g = build_grid("compact", 16, 0.005, 128)
     fit = FitResult(x_centers=np.array([0.25, 0.5, 0.75, 1.0]),
                     f=np.ones(4), sigma=0.1 * np.ones(4),
-                    counts=np.full(4, 5), symmetric=True)
+                    counts=np.full(4, 5))
     traj = simulate_price(fit, exp_imbalance(), g, seed=2)
     path = tmp_path / "price.csv"
     price_series_to_csv(traj, path, header_comment="config_sha256=h seed=2")

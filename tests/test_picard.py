@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, zero_boundary
 from stefansim.config import grid_from_config, load_yaml
-from stefansim.errors import ConfigError, DimensionMismatch
+from stefansim.errors import ConfigError, DimensionMismatch, GridMismatch
 from stefansim.grids import Field, build_grid
 from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
@@ -61,7 +61,7 @@ def test_mild_zero_everything_is_zero(small_grid, small_tables):
     z = np.zeros(small_grid.n_nodes)
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     w = mild_solve_w(_const_pair(small_grid, z, z), coeffs, zero_boundary(), np.inf,
-                     _zero_noise_pair(small_grid), small_grid, tables=small_tables)
+                     _zero_noise_pair(small_grid), small_tables)
     assert np.max(np.abs(w.values)) == 0.0
 
 
@@ -70,7 +70,7 @@ def test_mild_initial_data_eigenfunction(small_grid, small_tables):
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     w = mild_solve_w(_const_pair(small_grid, v0, 0 * v0), coeffs, zero_boundary(),
-                     np.inf, _zero_noise_pair(small_grid), small_grid, tables=small_tables)
+                     np.inf, _zero_noise_pair(small_grid), small_tables)
     t = small_grid.time_nodes()[:, None]
     expected = np.exp(-np.pi**2 * t) * v0[None, :]
     assert np.max(np.abs(w.values[0] - expected)) <= 1e-3
@@ -80,7 +80,7 @@ def test_mild_constant_forcing_matches_direct(small_grid, small_tables):
     z = np.zeros(small_grid.n_nodes)
     coeffs = constant_coefficients(f=1.0, sigma=0.0)
     w = mild_solve_w(_const_pair(small_grid, z, z), coeffs, zero_boundary(), np.inf,
-                     _zero_noise_pair(small_grid), small_grid, tables=small_tables)
+                     _zero_noise_pair(small_grid), small_tables)
     traj = run_relative_frame((z, z.copy(), 0.0), coeffs, zero_boundary(),
                               np.inf, np.inf, small_grid, seed=0, store_stride=1)
     assert np.max(np.abs(w.values[0] - traj.v1_snapshots)) <= 2e-3
@@ -219,7 +219,7 @@ def test_halfline_mild_solver_runs():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     w = mild_solve_w(_const_pair(g, v0, 0 * v0), coeffs, zero_boundary(), np.inf,
-                     _zero_noise_pair(g), g, tables=tables).values[0]
+                     _zero_noise_pair(g), tables).values[0]
     # pure initial-data evolution stays bounded by the heat semigroup
     assert w.max() <= v0.max() + 1e-9
     assert np.max(np.abs(w[0] - v0)) == 0.0
@@ -333,8 +333,7 @@ def test_mild_solve_matches_direct_lag_sum(grid):
     coeffs = constant_coefficients(f=0.3, sigma=0.7)
     fn, M = exp_imbalance(alpha=5.0, lam=10.0, clamp=1.0), 0.8
     noise = (sample_white_noise(grid, 4, 0), sample_white_noise(grid, 4, 1))
-    w1, w2 = mild_solve_w(Field(grid, np.stack([v1, v2])), coeffs, fn, M, noise,
-                          grid, tables=tables).values
+    w1, w2 = mild_solve_w(Field(grid, np.stack([v1, v2])), coeffs, fn, M, noise, tables).values
 
     nt, dt = grid.nt, grid.dt
     h = eval_h(fn, cap_profile(v1[:nt], grid, M), cap_profile(v2[:nt], grid, M), grid)[:, None]
@@ -376,10 +375,8 @@ def test_swapping_sides_swaps_the_mild_pair(swap_grid, seed, f, sigma, alpha, cl
     coeffs = ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol)
     fn = exp_imbalance(alpha=alpha, lam=10.0, clamp=clamp)
     n1, n2 = (sample_white_noise(grid, seed, side) for side in (0, 1))
-    w = mild_solve_w(Field(grid, np.stack([v1, v2])), coeffs, fn, M, (n1, n2), grid,
-                     tables=tables)
-    s = mild_solve_w(Field(grid, np.stack([v2, v1])), coeffs, fn, M, (n2, n1), grid,
-                     tables=tables)
+    w = mild_solve_w(Field(grid, np.stack([v1, v2])), coeffs, fn, M, (n1, n2), tables)
+    s = mild_solve_w(Field(grid, np.stack([v2, v1])), coeffs, fn, M, (n2, n1), tables)
     assert np.array_equal(w.values, s.values[::-1])
 
 
@@ -476,5 +473,22 @@ def test_mild_solve_rejects_a_non_pair(swap_grid, shape):
     grid, tables = swap_grid
     with pytest.raises(DimensionMismatch):
         mild_solve_w(Field(grid, np.zeros(shape(grid))), constant_coefficients(),
-                     zero_boundary(), np.inf, _zero_noise_pair(grid), grid,
-                     tables=tables)
+                     zero_boundary(), np.inf, _zero_noise_pair(grid), tables)
+
+
+@pytest.mark.parametrize("other", [build_grid("compact", 32, 0.02, 1024),
+                                   build_grid("compact", 32, 0.01, 512)],
+                         ids=["other_nt", "other_T"])
+def test_tables_of_another_grid_are_refused(small_grid, other):
+    # same nx, so the shapes agree, but the tables hold the decay of another dt
+    tables = build_kernel_tables(other)
+    z = np.zeros(small_grid.n_nodes)
+    with pytest.raises(GridMismatch):
+        mild_solve_w(_const_pair(small_grid, z, z), constant_coefficients(), zero_boundary(),
+                     np.inf, _zero_noise_pair(small_grid), tables)
+    with pytest.raises(GridMismatch):
+        mild_solve_w(_const_pair(other, z, z), constant_coefficients(), zero_boundary(),
+                     np.inf, _zero_noise_pair(small_grid), tables)
+    with pytest.raises(GridMismatch):
+        picard_iterate(z, z, constant_coefficients(), zero_boundary(), np.inf,
+                       _zero_noise_pair(small_grid), small_grid, n_iters=2, tables=tables)

@@ -30,9 +30,9 @@ def test_constant_forcing_reaches_stationary_profile():
     g = build_grid("compact", 64, 1.0, 8192)
     coeffs = constant_coefficients(f=1.0, sigma=0.0)
     traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs,
-                              zero_boundary(), np.inf, np.inf, g, seed=1)
+                              zero_boundary(), np.inf, np.inf, g, seed=1, store_stride=1)
     x = g.space_nodes()
-    assert np.max(np.abs(traj.final_state.v1 - x * (1 - x) / 2)) <= 2e-3
+    assert np.max(np.abs(traj.v1_snapshots[-1] - x * (1 - x) / 2)) <= 2e-3
 
 
 def test_heat_eigenfunction_decay():
@@ -41,9 +41,9 @@ def test_heat_eigenfunction_decay():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     traj = run_relative_frame((v0, _zeros(g), 0.0), coeffs, zero_boundary(),
-                              np.inf, np.inf, g, seed=1)
+                              np.inf, np.inf, g, seed=1, store_stride=1)
     expected = np.exp(-np.pi**2 * 0.05) * v0
-    assert np.max(np.abs(traj.final_state.v1 - expected)) <= 1e-3
+    assert np.max(np.abs(traj.v1_snapshots[-1] - expected)) <= 1e-3
 
 
 def test_maximum_principle_zero_noise():
@@ -112,16 +112,16 @@ def test_blowup_flagging_and_monotonicity():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=500.0, sigma=0.0)
     t_low = run_relative_frame((v0, v0.copy(), 0.0), coeffs, zero_boundary(),
-                               10.0, 10.0, g, seed=5)
+                               10.0, 10.0, g, seed=5, store_stride=1)
     t_high = run_relative_frame((v0, v0.copy(), 0.0), coeffs, zero_boundary(),
                                 20.0, 20.0, g, seed=5)
     assert t_low.blown_up and t_high.blown_up
     assert t_low.tau_estimate <= t_high.tau_estimate
-    assert np.isfinite(t_low.final_state.v1).all()
+    assert np.isfinite(t_low.v1_snapshots[-1]).all()
     # a blown-up path is frozen: its record ends at the step that blew up
     assert t_low.blowup_cause == "threshold"
     assert len(t_low.times) < g.nt + 1
-    assert t_low.times[-1] == t_low.tau_estimate == t_low.final_state.time
+    assert t_low.times[-1] == t_low.tau_estimate
 
 
 def test_advection_cfl_guard():
