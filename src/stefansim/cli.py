@@ -201,6 +201,10 @@ def cmd_kernel_check(cfg: dict) -> int:
     if kernel == "H" and max(xs) > 1.0:
         raise ConfigError(f"field 'kernel_check.x_samples' must lie in [0, 1] for kernel H, "
                           f"got {xs}")
+    if kernel == "H" and t_max > 1.0:
+        # the image series is truncated for t <= 1 (kernels.DEFAULT_N_IMAGES)
+        raise ConfigError(f"field 'kernel_check.t_max' must be at most 1 for kernel H, "
+                          f"got {t_max}")
     t_values = np.geomspace(t_min, t_max, n_t)
     report = verify_kernel_bounds(t_values, xs, r=r, kernel_kind=kernel)
     _write_json(_outdir(cfg) / "kernel_report.json", report.to_json_dict(),

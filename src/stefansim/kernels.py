@@ -85,37 +85,59 @@ def deriv_y(kernel_kind: str, t, x, y, n_images: int = DEFAULT_N_IMAGES):
 
 def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
                        n0: int = 64, max_doublings: int = 18, floor: float = 1e-300) -> float:
-    """Trapezoid rule with interval halving until successive estimates agree.
+    """Romberg integration: trapezoid sums on halved steps, Richardson-extrapolated.
 
-    fn must accept a vector of abscissae.  Estimates agree when they differ
-    by at most rel_tol * max(|estimate|, floor).  Raises QuadratureFailure
-    if the refinement budget is exhausted first.
+    fn must accept a vector of abscissae and be smooth on [a, b]; each
+    halving evaluates it at the new midpoints only.  Successive diagonal
+    extrapolations agree when they differ by at most
+    rel_tol * max(|estimate|, floor).  Raises QuadratureFailure if the
+    refinement budget is exhausted first.
     """
     if b <= a:
         return 0.0
-    xs = np.linspace(a, b, n0 + 1)
-    fx = fn(xs)
     h = (b - a) / n0
-    est = h * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1])
+    fx = fn(np.linspace(a, b, n0 + 1))
+    row = [h * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1])]
     n = n0
     for _ in range(max_doublings):
-        mids = (xs[:-1] + xs[1:]) / 2.0
-        mid_sum = fn(mids).sum()
-        new_est = 0.5 * est + 0.5 * h * mid_sum
+        mid_sum = fn(a + h * (np.arange(n) + 0.5)).sum()
+        new_row = [0.5 * row[0] + 0.5 * h * mid_sum]
+        for j, prev in enumerate(row, start=1):
+            new_row.append(new_row[-1] + (new_row[-1] - prev) / (4.0 ** j - 1.0))
         n *= 2
         h *= 0.5
-        xs = np.linspace(a, b, n + 1)
-        if abs(new_est - est) <= rel_tol * max(abs(new_est), floor):
-            return float(new_est)
-        est = new_est
+        if abs(new_row[-1] - row[-1]) <= rel_tol * max(abs(new_row[-1]), floor):
+            return float(new_row[-1])
+        row = new_row
     raise QuadratureFailure(
         f"trapezoid refinement did not converge to rel_tol={rel_tol} "
         f"within {max_doublings} doublings"
     )
 
 
+def _peak(kernel_kind: str, t: float, x: float, a: float, b: float) -> float:
+    """Where dK/dy (t, x, .) changes sign from + to - in [a, b].
+
+    The Dirichlet heat kernel of an interval is log-concave in y, so it has
+    one peak; bracket it on 65 points per pass until the cell is ~1e-15 b.
+    """
+    while b - a > 1e-15 * b:
+        ys = np.linspace(a, b, 65)
+        falling = np.flatnonzero(deriv_y(kernel_kind, t, x, ys) <= 0.0)
+        if falling.size == 0:
+            return b
+        if falling[0] == 0:
+            return a
+        a, b = ys[falling[0] - 1], ys[falling[0]]
+    return a
+
+
 def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G") -> float:
-    """int exp(-r(x-y)) |dK/dy|(t, x, y) dy over the kernel's domain."""
+    """int exp(-r(x-y)) |dK/dy|(t, x, y) dy over the kernel's domain.
+
+    |dK/dy| has a kink at the kernel's peak; each side of it is smooth and
+    integrated by Romberg extrapolation.
+    """
     _check_time(t)
     if x == 0.0 or (kernel_kind == "H" and x == 1.0):
         return 0.0    # a Dirichlet end, where K(t, x, .) vanishes identically
@@ -127,12 +149,15 @@ def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G"
     a, b = max(0.0, x - width), x + width
     if kernel_kind == "H":
         b = min(1.0, b)
+    peak = _peak(kernel_kind, t, x, a, b)
 
     def integrand(ys):
         return np.exp(-r * (x - ys)) * np.abs(deriv_y(kernel_kind, t, x, ys))
 
     # a thousandth of the 1/sqrt(t) bound settles it where the integrand is rounding noise
-    return adaptive_trapezoid(integrand, a, b, floor=1e-3 / math.sqrt(t))
+    floor = 1e-3 / math.sqrt(t)
+    return (adaptive_trapezoid(integrand, a, peak, floor=floor)
+            + adaptive_trapezoid(integrand, peak, b, floor=floor))
 
 
 @dataclass

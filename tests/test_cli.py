@@ -545,6 +545,13 @@ def test_kernel_check_H_rejects_samples_outside_its_domain(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: field 'kernel_check.x_samples'")
 
 
+def test_kernel_check_H_rejects_times_beyond_its_image_series(tmp_path, capsys):
+    # the truncated image series is valid for t <= 1; at t = 10 it is off by 2.6e-5
+    assert _kernel_check_H(tmp_path, "kernel_check.t_min=1", "kernel_check.t_max=100",
+                           "kernel_check.x_samples=[0.25,0.5,0.75]") == 1
+    assert capsys.readouterr().err.startswith("config error: field 'kernel_check.t_max'")
+
+
 def test_kernel_check_H_reads_zero_at_the_dirichlet_ends(tmp_path):
     # K(t, x, .) vanishes at x = 0 and x = 1, so the ends add nothing to the sup
     sups = []

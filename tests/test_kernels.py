@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from stefansim import kernels
 from stefansim.errors import NonPositiveTime
@@ -10,6 +13,28 @@ from stefansim.kernels import (DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, ev
                                weighted_deriv_integral)
 
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+BUNDLED_TS = np.geomspace(1e-4, 0.1, 7)          # configs/kernel_check.yaml
+BUNDLED_XS = [0.25, 0.5, 1.0, 2.0, 4.0]
+KERNELS = {"G": eval_G, "H": eval_H}
+
+
+def window(kind, t, x):
+    """The r = 0 integration window of weighted_deriv_integral."""
+    width = 12.0 * math.sqrt(t)
+    return max(0.0, x - width), min(1.0, x + width) if kind == "H" else x + width
+
+
+@pytest.fixture
+def integrand_points(monkeypatch):
+    """The number of abscissae of each deriv_y call, as the sweeps make them."""
+    points = []
+
+    def counted(*args):
+        points.append(np.size(args[3]))
+        return deriv_y(*args)
+
+    monkeypatch.setattr(kernels, "deriv_y", counted)
+    return points
 
 
 def mass_G(t, x):
@@ -186,19 +211,12 @@ def test_bound_report_json_fields():
 
 
 @pytest.mark.parametrize("x", [1e-12, 1.0 - 1e-12])
-def test_H_integral_just_inside_a_dirichlet_end_settles_at_once(monkeypatch, x):
+def test_H_integral_just_inside_a_dirichlet_end_settles_at_once(integrand_points, x):
     # K(t, x, .) is of order x there and the integrand is rounding noise; the
     # refinement stops once it is settled far below the 1/sqrt(t) bound
-    points = []
-
-    def counted(*args):
-        points.append(np.size(args[3]))
-        return deriv_y(*args)
-
-    monkeypatch.setattr(kernels, "deriv_y", counted)
     value = weighted_deriv_integral(0.1, x, 0.0, "H")
     assert 0.0 <= value <= 1e-10
-    assert sum(points) <= 64 * 2**4 + 1
+    assert sum(integrand_points) <= 64 * 2**4 + 1
 
 
 @pytest.mark.parametrize("x", [0.25, 0.5])
@@ -208,3 +226,54 @@ def test_H_integral_resolves_its_peak_at_small_t(x):
     t = 1e-7
     value = weighted_deriv_integral(t, x, 0.0, "H")
     assert value == pytest.approx(2.0 / math.sqrt(4.0 * math.pi * t), rel=0.02)
+
+
+@pytest.mark.parametrize("kind, xs", [("G", BUNDLED_XS), ("H", [0.25, 0.5, 0.75])],
+                         ids=["G", "H"])
+def test_unweighted_integral_is_exact_from_the_peak(kind, xs):
+    # K(t, x, .) rises to its peak y* and falls after it, so for r = 0 the
+    # integral of |dK/dy| over [a, b] is 2 K(y*) - K(a) - K(b)
+    for t in BUNDLED_TS:
+        for x in xs:
+            a, b = window(kind, t, x)
+
+            def K(y):
+                return float(KERNELS[kind](t, x, y))
+
+            # search in y - x, so the tolerance is relative to the peak's shift
+            shift = minimize_scalar(lambda s: -K(x + s), bounds=(a - x, b - x),
+                                    method="bounded", options={"xatol": 1e-12}).x
+            exact = 2.0 * K(x + shift) - K(a) - K(b)
+            assert weighted_deriv_integral(t, x, 0.0, kind) == pytest.approx(exact, rel=1e-11)
+
+
+def test_bundled_sweep_reads_the_gaussian_constant():
+    # at x = 4 the mirror term is below rounding, so sqrt(t) * 2 K(y*) = 1/sqrt(pi)
+    rep = verify_kernel_bounds(BUNDLED_TS, BUNDLED_XS, r=0.0, kernel_kind="G")
+    assert abs(rep.scaled_sup - INV_SQRT_PI) <= 1e-12
+
+
+def _changes_sign_once_from_plus_to_minus(kind, t, x):
+    a, b = window(kind, t, x)
+    rising = deriv_y(kind, t, x, np.linspace(a, b, 4097)) > 0.0
+    return rising[0] and np.count_nonzero(rising[1:] != rising[:-1]) == 1
+
+
+# Within about 1e-10 of a Dirichlet end K(t, x, .) is a difference of nearly
+# equal exponentials and dK/dy is rounding noise (where the floor of
+# weighted_deriv_integral settles the integral); the property is stated off it.
+@given(t=st.floats(1e-7, 1.0), x=st.floats(1e-9, 4.0))
+def test_G_has_one_peak_in_its_window(t, x):
+    # the split of weighted_deriv_integral rests on this (log-concavity)
+    assert _changes_sign_once_from_plus_to_minus("G", t, x)
+
+
+@given(t=st.floats(1e-7, 1.0), x=st.floats(1e-9, 1.0 - 1e-9))
+def test_H_has_one_peak_in_its_window(t, x):
+    assert _changes_sign_once_from_plus_to_minus("H", t, x)
+
+
+def test_bundled_sweep_takes_few_integrand_points(integrand_points):
+    # a single trapezoid rule across the kink needs 13,221,923 points here
+    verify_kernel_bounds(BUNDLED_TS, BUNDLED_XS, r=0.0, kernel_kind="G")
+    assert sum(integrand_points) <= 100_000
