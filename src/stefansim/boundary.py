@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import DimensionMismatch
 from .grids import COMPACT, GridSpec
 
 EXP_IMBALANCE = "exp_imbalance"
@@ -91,15 +91,15 @@ def g_lambda(k: np.ndarray, grid: GridSpec, lam: float):
     On half-line grids only nodes with x <= 1 contribute (the weight makes
     the remainder negligible for the lam values of interest).  A stack of
     profiles (P, n_nodes) gives one value per row.  Each row is reduced by
-    its own ``np.dot``: a matrix product sums in another order, and a
+    its own dot product: a matrix product sums in another order, and a
     row's value must not depend on the batch it is part of.
     """
     k = grid.check_profile(k)
     w = _g_lambda_weights(grid, float(lam))
     if k.ndim == 1:
-        return float(np.dot(w, k))
+        return float(w.dot(k))
     rows = np.ascontiguousarray(k).reshape(-1, grid.n_nodes)
-    return np.array([np.dot(w, row) for row in rows]).reshape(k.shape[:-1])
+    return np.fromiter(map(w.dot, rows), float, len(rows)).reshape(k.shape[:-1])
 
 
 def F_Mr(u: np.ndarray, grid: GridSpec, M: float, r: float) -> np.ndarray:
@@ -126,13 +126,13 @@ def eval_h(fn: BoundaryFunctional, v1: np.ndarray, v2: np.ndarray,
            grid: GridSpec):
     """Evaluate the boundary speed for a profile pair on a common grid.
 
-    The profiles are read as given, uncapped.  Stacks of pairs (P, n_nodes)
-    give one speed per row as an array.
+    The profiles are float arrays, read as given, uncapped; only their
+    shapes are checked.  Stacks of pairs (P, n_nodes) give one speed per
+    row as an array.
     """
-    v1 = grid.check_profile(v1)
-    v2 = grid.check_profile(v2)
-    if v1.shape != v2.shape:
-        raise GridMismatch("profile pair has mismatched shapes")
+    if v1.shape != v2.shape or v1.shape[-1:] != (grid.n_nodes,):
+        raise DimensionMismatch(f"profile pair of shapes {v1.shape} and {v2.shape} "
+                                f"does not match the grid's {grid.n_nodes} nodes")
     if fn.kind == ZERO:
         out = np.zeros(v1.shape[:-1])
     else:

@@ -19,13 +19,21 @@ import numpy as np
 
 from .errors import NonPositiveTime, QuadratureFailure
 
-#: image-series truncation adequate for t <= 1 at tolerance 1e-12
+#: image-series truncation adequate for t <= 1 at tolerance 1e-12; n images
+#: cover t <= (n / 8)^2, where the first image left out is as far off
 DEFAULT_N_IMAGES = 8
 
 
 def _check_time(t):
     if np.any(np.asarray(t) <= 0.0):
         raise NonPositiveTime("heat kernel requires t > 0")
+
+
+def _check_images(t, n_images: int):
+    t_max = (n_images / DEFAULT_N_IMAGES) ** 2
+    if np.any(np.asarray(t) > t_max):
+        raise ValueError(f"the image series truncated at {n_images} images holds for "
+                         f"t <= {t_max:g}; more images are needed")
 
 
 def free_kernel(t, x, y):
@@ -56,6 +64,7 @@ def eval_G_r(t, x, y, r: float):
 def eval_H(t, x, y, n_images: int = DEFAULT_N_IMAGES):
     """Dirichlet heat kernel on [0, 1] via a truncated image series."""
     _check_time(t)
+    _check_images(t, n_images)
     t, x, y = np.broadcast_arrays(*map(np.asarray, (t, x, y)))
     acc = np.zeros(np.broadcast(t, x, y).shape)
     inv4t = 1.0 / (4.0 * t)
@@ -70,6 +79,8 @@ def deriv_y(kernel_kind: str, t, x, y, n_images: int = DEFAULT_N_IMAGES):
     _check_time(t)
     if kernel_kind not in ("H", "G"):
         raise ValueError(f"kernel_kind must be 'H' or 'G', got {kernel_kind!r}")
+    if kernel_kind == "H":
+        _check_images(t, n_images)
     t, x, y = np.broadcast_arrays(*map(np.asarray, (t, x, y)))
     shifts = range(-n_images, n_images + 1) if kernel_kind == "H" else (0,)
     acc = np.zeros(np.broadcast(t, x, y).shape)

@@ -45,7 +45,7 @@ class NoiseStream:
     Successive ``draw(rows)`` calls continue one Philox sequence, so the
     blocks concatenate bit for bit to the array ``sample_white_noise``
     returns, while only one block is held at a time.  Built from a
-    NoiseField (``from_field``), the blocks are slices of its array.
+    NoiseField (``from_field``), the blocks are copied from its array.
     """
 
     def __init__(self, grid: GridSpec, seed: int, stream: int = 0):
@@ -61,14 +61,20 @@ class NoiseStream:
         reader._xi = noise.xi
         return reader
 
-    def draw(self, rows: int) -> np.ndarray:
-        """The next ``rows`` time rows, shape (rows, n_nodes)."""
+    def draw(self, rows: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``rows`` time rows, written to ``out`` (a new array when None).
+
+        ``out`` is a C-contiguous float array of shape (rows, n_nodes).
+        """
+        if out is None:
+            out = np.empty((rows,) + self._shape)
         if self._xi is not None:
-            block = self._xi[self._row:self._row + rows]
+            out[...] = self._xi[self._row:self._row + rows]
         else:
-            block = self._gen.standard_normal((rows,) + self._shape) * self._scale
+            self._gen.standard_normal(out=out)
+            out *= self._scale
         self._row += rows
-        return block
+        return out
 
 
 def sample_white_noise(grid: GridSpec, seed: int, stream: int = 0) -> NoiseField:

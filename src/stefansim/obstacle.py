@@ -83,11 +83,12 @@ def solve_penalized(v: Field, epsilon: float) -> ObstacleSolution:
     z = np.zeros(v.values.shape)
     eta = np.zeros(v.values.shape)
     inv_eps = 1.0 / epsilon
+    lap = np.empty(v.values.shape[:-2] + (grid.n_nodes,))    # the stencil buffer
     for i in range(grid.nt):
         zi = z[..., i, :]
         deficit = np.minimum(zi - v.values[..., i, :], 0.0)
         pen = inv_eps * np.arctan(deficit * deficit)
-        zn = zi + dt * (laplacian(zi, dx) + pen)
+        zn = zi + dt * (laplacian(zi, dx, out=lap) + pen)
         zn[..., ::grid.nx] = 0.0
         z[..., i + 1, :] = zn
         eta[..., i, :] = dt * dx * pen
@@ -104,8 +105,11 @@ def solve_projected(v: Field) -> ObstacleSolution:
     dx, dt = grid.dx, grid.dt
     z = np.zeros(v.values.shape)
     eta = np.zeros(v.values.shape)
+    free = np.empty(v.values.shape[:-2] + (grid.n_nodes,))   # the stencil buffer
     for i in range(grid.nt):
-        free = z[..., i, :] + dt * laplacian(z[..., i, :], dx)
+        laplacian(z[..., i, :], dx, out=free)
+        free *= dt
+        free += z[..., i, :]
         zn = np.maximum(free, v.values[..., i + 1, :], out=z[..., i + 1, :])
         zn[..., ::grid.nx] = 0.0
         eta[..., i + 1, :] = (zn - free) * dx

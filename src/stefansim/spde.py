@@ -17,10 +17,12 @@ paths together on (2, P, n_nodes) arrays, sides and paths stacked, and a
 single run is its P = 1 case.  ``step_reflected`` is the Euler increment
 alone; ``run_paths`` owns every per-state quantity: it checks
 |c| dt <= dx before each step and caps each new state once, for h and
-for the next step's advection.  Blow-up is a per-path flag, raised once
-the pair norm reaches M_max or a step yields a non-finite value; the
-path then stops with its last finite state, so no infinities are ever
-stored.
+for the next step's advection.  It also owns the work arrays: the state,
+the step's scratch and the noise block are allocated once per run and
+written in place, and coefficients that ignore u are evaluated once.
+Blow-up is a per-path flag, raised once the pair norm reaches M_max or a
+step yields a non-finite value; the path then stops with its last finite
+state, so no infinities are ever stored.
 """
 from __future__ import annotations
 
@@ -47,6 +49,9 @@ class ModelCoefficients:
     r and delta describe the half-line growth/decay envelope of condition
     |sigma(x, u)| <= growth_R * exp(-delta x) * (exp(r x) + |u|); when
     growth_R is set the envelope is spot-checked before half-line runs.
+    ``u_free`` marks callables that ignore u (the constant, tabulated and
+    exponentially decaying kinds): ``run_paths`` then evaluates them once
+    per run instead of once per step.
     """
 
     f1: Callable
@@ -56,6 +61,13 @@ class ModelCoefficients:
     r: float = 0.0
     delta: float = 0.0
     growth_R: float | None = None
+    u_free: bool = False
+
+    def terms(self, v: np.ndarray, grid: GridSpec):
+        """Drift and dt * sigma at the (2, ..., n_nodes) stack v, each broadcastable to it."""
+        x = grid.space_nodes()
+        return (per_side(self.f1, self.f2, x, v),
+                grid.dt * per_side(self.sigma1, self.sigma2, x, v))
 
     def validate_growth(self, grid: GridSpec) -> float:
         """Max violation of the volatility growth envelope at u in {0, 0.5, 2, 10}."""
@@ -80,7 +92,7 @@ def constant_coefficients(f: float = 0.0, sigma: float = 1.0, **meta) -> ModelCo
     def vol(x, u):
         return np.full_like(np.asarray(x, dtype=float), sigma)
 
-    return ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol, **meta)
+    return ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol, u_free=True, **meta)
 
 
 def tabulated_coefficients(x_centers, f_values, sigma_values, **meta) -> ModelCoefficients:
@@ -99,32 +111,39 @@ def tabulated_coefficients(x_centers, f_values, sigma_values, **meta) -> ModelCo
     def vol(x, u):
         return np.interp(np.asarray(x, dtype=float), xc, sv)
 
-    return ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol, **meta)
+    return ModelCoefficients(f1=drift, f2=drift, sigma1=vol, sigma2=vol, u_free=True, **meta)
 
 
 def step_reflected(v: np.ndarray, capped: np.ndarray, c: np.ndarray, noise: np.ndarray,
-                   coeffs: ModelCoefficients, grid: GridSpec, lap_scale: float = 1.0,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   terms, grid: GridSpec, lap_scale: float = 1.0,
+                   out: np.ndarray | None = None, work=None) -> np.ndarray:
     """The explicit Euler increment of a batch of profile pairs over one step.
 
     ``v`` is the state as (2, P, n_nodes), side 1 then side 2, ``capped``
     its cap at the run's M, ``c`` the boundary speed h of each path at that
-    state and ``noise`` the step's (2, P, n_nodes) white noise.  Side 1 is
-    advected with speed c and side 2 with -c, each upwinded by the sign of
-    its own speed; the caller keeps |c| dt <= dx.  The new state, projected
-    onto v >= 0 with the Dirichlet nodes re-zeroed, is written to ``out``
-    (a new array when None; never ``v`` itself) and returned.
+    state, ``noise`` the step's (2, P, n_nodes) white noise and ``terms``
+    the (drift, dt * sigma) pair of ``ModelCoefficients.terms`` at v.
+    Side 1 is advected with speed c and side 2 with -c, each upwinded by
+    the sign of its own speed; the caller keeps |c| dt <= dx.  The new
+    state, projected onto v >= 0 with the Dirichlet nodes re-zeroed, is
+    written to ``out`` (a new array when None; never ``v`` itself) and
+    returned.  ``work`` is a pair of C-contiguous scratch arrays of v's
+    shape (new ones when None).
     """
     if v.ndim != 3 or v.shape[::2] != (2, grid.n_nodes) or noise.shape != v.shape:
         raise DimensionMismatch("state and noise must be (2, P, n_nodes) arrays")
-    dx, dt = grid.dx, grid.dt
-    x = grid.space_nodes()
+    drift, dt_sigma = terms
+    rate, kick = np.empty((2,) + v.shape) if work is None else work
     speed = SIDE_SIGN * c[:, None]
-    rate = lap_scale * laplacian(v, dx) - speed * upwind_gradient(capped, dx, speed)
-    rate += per_side(coeffs.f1, coeffs.f2, x, v)
-    rate *= dt
+    laplacian(v, grid.dx, out=rate)
+    rate *= lap_scale
+    upwind_gradient(capped, grid.dx, speed, out=kick)
+    kick *= speed
+    rate -= kick
+    rate += drift
+    rate *= grid.dt
     out = np.add(v, rate, out=out)
-    out += dt * per_side(coeffs.sigma1, coeffs.sigma2, x, v) * noise
+    out += np.multiply(dt_sigma, noise, out=kick)
 
     np.maximum(out, 0.0, out=out)
     out[..., ::grid.n_nodes - 1] = 0.0
@@ -325,15 +344,16 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
         observer = Recorder(grid, n_paths)
 
     nt, dt = grid.nt, grid.dt
-    v = np.empty((2, n_paths, grid.n_nodes))
+    # the run's work buffers: the state, the next state and two step scratch arrays
+    v, spare, *work = np.empty((4, 2, n_paths, grid.n_nodes))
     v[:] = v0[:, None]
     capped = cap_profile(v, grid, M)
-    spare = np.empty_like(v)
+    fixed = coeffs.terms(v[:, :1], grid) if coeffs.u_free else None
     p = np.full(n_paths, float(p0))
     pp = np.full(n_paths, h0)
 
     block = min(NOISE_BLOCK, nt)
-    xi = np.empty((block, 2, n_paths, grid.n_nodes))
+    xi = np.empty((2, n_paths, block, grid.n_nodes))
     rows = np.arange(n_paths)              # path index of each batch row
     at = slice(None)                       # the batch rows, as handed to the observer
     ends = [(nt, None)] * n_paths
@@ -350,15 +370,16 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                 n_rows = min(block, nt - i)
                 for side in (0, 1):
                     for a, k in enumerate(rows):
-                        xi[:n_rows, side, a] = streams[side][k].draw(n_rows)
-            if np.max(np.abs(pp)) * dt > cfl_limit:
-                a = int(np.argmax(np.abs(pp) * dt > cfl_limit))
+                        streams[side][k].draw(n_rows, out=xi[side, a, :n_rows])
+            if np.abs(pp).max() * dt > cfl_limit:
+                a = int((np.abs(pp) * dt > cfl_limit).argmax())
                 raise CflViolation(
                     f"path {rows[a]} (seed {seeds[rows[a]]}): advection speed "
                     f"|c|={abs(pp[a]):.3g} violates dt*|c| <= dx at t={t:.6g}")
             t_new = t + dt
-            new = step_reflected(v, capped, pp, xi[j], coeffs, grid, lap_scale=lap_scale,
-                                 out=spare)
+            terms = fixed if fixed is not None else coeffs.terms(v, grid)
+            new = step_reflected(v, capped, pp, xi[:, :, j], terms, grid, lap_scale=lap_scale,
+                                 out=spare, work=work)
             capped_new = cap_profile(new, grid, M)
             pp_new = eval_h(boundary_fn, *capped_new, grid)
             p_new = p + dt * pp_new
@@ -368,7 +389,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             # one test covers the usual step, where no path stops: the sum is
             # below M_max only if both norms and p are finite (0 * inf is nan)
             total = norms[0] + norms[1]
-            if np.all(total + 0.0 * p_new < M_max):
+            if (total + 0.0 * p_new < M_max).all():
                 observer(at, step, t_new, p_new, pp_new, norms, new)
             else:
                 # p' is finite whenever p is.  A threshold blow-up keeps its
@@ -382,11 +403,13 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
                          norms[:, finite], new[:, finite])
                 live = ~done
                 rows = at = rows[live]
-                new, v, capped_new = new[:, live], v[:, live], capped_new[:, live]
-                p_new, pp_new = p_new[live], pp_new[live]
-                xi = xi[:, :, live]
                 if rows.size == 0:
                     break
+                # the live rows move into smaller buffers of their own
+                new, capped_new, xi = (np.ascontiguousarray(a[:, live])
+                                       for a in (new, capped_new, xi))
+                v, *work = np.empty((3,) + new.shape)
+                p_new, pp_new = p_new[live], pp_new[live]
             v, spare, capped = new, v, capped_new
             p, pp, t = p_new, pp_new, t_new
     return observer.finish(ends)

@@ -120,3 +120,59 @@ class PushSide1:
 
     def finish(self, ends):
         return ends
+
+
+def _laplacian_reference(u, dx):
+    out = np.zeros_like(u)
+    out[..., 1:-1] = (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) / (dx * dx)
+    return out
+
+
+def _upwind_reference(u, dx, speed):
+    out = np.zeros_like(u)
+    diff = (u[..., 1:] - u[..., :-1]) / dx
+    out[..., 1:-1] = np.where(speed >= 0.0, diff[..., :-1], diff[..., 1:])
+    return out
+
+
+def reference_path(initial, coeffs, fn, M, M_max, grid: GridSpec, seed: int,
+                   lap_scale: float = 1.0):
+    """One path of ``run_paths``, stepped by the plain allocating formula.
+
+    Every quantity is a new array each step and the coefficients are
+    evaluated at every state.  Returns (rows, cause): one (t, p, p', norm1,
+    norm2, (2, n_nodes) state) row per kept step, and the blow-up cause.
+    """
+    from stefansim.boundary import cap_profile, eval_h
+    from stefansim.grids import profile_norm
+    from stefansim.noise import sample_white_noise
+    from stefansim.spde import SIDE_SIGN, per_side
+
+    x, dx, dt, n = grid.space_nodes(), grid.dx, grid.dt, grid.n_nodes
+    xi = np.stack([sample_white_noise(grid, seed, side).xi for side in (0, 1)])
+    v = np.stack(initial[:2])[:, None]            # (2, 1, n_nodes)
+    capped = cap_profile(v, grid, M)
+    c, p, t = eval_h(fn, *capped, grid), float(initial[2]), 0.0
+    rows = [(t, p, c[0], *profile_norm(v, grid)[:, 0], v[:, 0])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(grid.nt):
+            speed = SIDE_SIGN * c[:, None]
+            rate = (lap_scale * _laplacian_reference(v, dx)
+                    - speed * _upwind_reference(capped, dx, speed))
+            rate += per_side(coeffs.f1, coeffs.f2, x, v)
+            rate *= dt
+            new = v + rate
+            new += dt * per_side(coeffs.sigma1, coeffs.sigma2, x, v) * xi[:, i, None]
+            np.maximum(new, 0.0, out=new)
+            new[..., ::n - 1] = 0.0
+            capped = cap_profile(new, grid, M)
+            c = eval_h(fn, *capped, grid)
+            p, t = p + dt * c[0], t + dt
+            norms = profile_norm(new, grid)[:, 0]
+            if not (np.isfinite(norms).all() and np.isfinite(p)):
+                return rows, "non_finite"
+            rows.append((t, p, c[0], *norms, new[:, 0]))
+            if norms[0] + norms[1] >= M_max:
+                return rows, "threshold"
+            v = new
+    return rows, None

@@ -230,7 +230,7 @@ def test_step_rejects_noise_of_another_shape():
     v = np.zeros((2, 2, g.n_nodes))
     with pytest.raises(DimensionMismatch):
         step_reflected(v, v, np.zeros(2), np.zeros((2, 1, g.n_nodes)),
-                       constant_coefficients(), g)
+                       constant_coefficients().terms(v, g), g)
 
 
 def test_cfl_violation_in_a_run_names_the_first_path_to_violate():

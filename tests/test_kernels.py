@@ -67,6 +67,21 @@ def test_image_series_converged_at_default_truncation():
     assert np.max(np.abs(h1 - h2)) <= 1e-12
 
 
+def test_H_refuses_times_beyond_its_image_truncation():
+    # n images hold for t <= (n / 8)^2; at t = 10 eight images give 2.6e-5
+    # where the sine-mode series gives 2 exp(-10 pi^2) = 2.7e-43
+    for call in (lambda: eval_H(10.0, 0.5, 0.5), lambda: deriv_y("H", 10.0, 0.5, 0.4),
+                 lambda: eval_H(np.array([0.5, 1.5]), 0.5, 0.5),
+                 lambda: eval_H(1.5, 0.5, 0.5, n_images=9)):
+        with pytest.raises(ValueError, match="image series"):
+            call()
+    assert eval_H(1.0, 0.5, 0.5) > 0.0 and np.isfinite(deriv_y("H", 1.0, 0.5, 0.4))
+    assert deriv_y("G", 10.0, 0.5, 0.4) > 0.0
+    sine_mode = 2.0 * math.exp(-10.0 * math.pi ** 2)
+    assert eval_H(10.0, 0.5, 0.5, n_images=32) == pytest.approx(sine_mode, abs=1e-12)
+    assert np.isfinite(deriv_y("H", 10.0, 0.5, 0.4, n_images=32))
+
+
 def test_G_boundary_and_closed_form():
     assert eval_G(0.05, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     expected = (1.0 - np.exp(-20.0)) / np.sqrt(0.2 * np.pi)
