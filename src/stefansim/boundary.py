@@ -108,9 +108,8 @@ def F_Mr(u: np.ndarray, grid: GridSpec, M: float, r: float) -> np.ndarray:
     ``u`` may be one profile or a stack of them (last axis is space).
     """
     u = grid.check_profile(u)
-    x = grid.space_nodes()
-    scaled = np.exp(-r * x) * u
-    return np.where(scaled <= M, u, np.exp(r * x) * M)
+    decay, growth = grid.exp_weights(r)
+    return np.where(decay * u <= M, u, growth * M)
 
 
 def cap_profile(v: np.ndarray, grid: GridSpec, M: float | None) -> np.ndarray:

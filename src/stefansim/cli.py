@@ -146,9 +146,9 @@ class _HolderObserver:
         self.sums = sums
         self.p_prime = np.empty((sums.n_paths, grid.nt + 1))
 
-    def __call__(self, at, step, t, p, p_prime, norms, v):
-        self.sums.push(at, v[:1])
-        self.p_prime[at, step] = p_prime
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
+        self.sums.push(at, v[:, 0])
+        self.p_prime[at, steps] = p_prime.T
 
     def finish(self, ends) -> list:
         return [self.p_prime[k, :last + 1] for k, (last, _) in enumerate(ends)]

@@ -83,6 +83,14 @@ class GridSpec:
             self.__dict__["_space_nodes"] = nodes
         return nodes
 
+    def exp_weights(self, r: float):
+        """exp(-r x) and exp(r x) at the nodes; memoised per r, treat as read-only."""
+        memo = self.__dict__.setdefault("_exp_weights", {})
+        if r not in memo:
+            x = self.space_nodes()
+            memo[r] = (np.exp(-r * x), np.exp(r * x))
+        return memo[r]
+
     def time_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
 
@@ -117,7 +125,7 @@ def profile_norm(profile: np.ndarray, grid: GridSpec):
     """
     profile = np.abs(profile)
     if grid.domain_kind != COMPACT:
-        profile = np.exp(-grid.weight_r * grid.space_nodes()) * profile
+        profile *= grid.exp_weights(grid.weight_r)[0]
     norm = np.maximum.reduce(profile, axis=-1)
     return float(norm) if profile.ndim == 1 else norm
 

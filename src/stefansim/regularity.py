@@ -127,8 +127,8 @@ class StructureSums:
 
         ``at`` is a slice or an index array; a path left out has stopped
         and takes no more rows.  This is a ``run_paths`` sink when one
-        side is stored: each stored step's (1, P_live, n) profiles are
-        one row.
+        side is stored: a block's (m, P_live, n) profiles of that side
+        are m rows.
         """
         depth = len(self._buf)
         while len(rows):

@@ -15,14 +15,18 @@ boundary update p' = h and p <- p + dt p'.
 There is one stepping loop, ``run_paths``: it advances P independent
 paths together on (2, P, n_nodes) arrays, sides and paths stacked, and a
 single run is its P = 1 case.  ``step_reflected`` is the Euler increment
-alone; ``run_paths`` owns every per-state quantity: it checks
-|c| dt <= dx before each step and caps each new state once, for h and
-for the next step's advection.  It also owns the work arrays: the state,
-the step's scratch and the noise block are allocated once per run and
-written in place, and coefficients that ignore u are evaluated once.
-Blow-up is a per-path flag, raised once the pair norm reaches M_max or a
-step yields a non-finite value; the path then stops with its last finite
-state, so no infinities are ever stored.
+alone; ``run_paths`` owns every per-state quantity.  It steps in blocks
+of ``NOISE_BLOCK`` steps, and each step computes only what the next one
+reads: the increment, the cap of the new state (for h and for the next
+advection) and its h.  Once per block it takes the norms, p and t, checks
+|c| dt <= dx for every step a path was stepped from, finds each path's
+end and hands the block to the observer.  It owns the work arrays: the
+block's states and speeds, the step's scratch and the noise block are
+allocated once per run and written in place, and coefficients that
+ignore u are evaluated once.  Blow-up is a per-path flag, raised once
+the pair norm reaches M_max or a step yields a non-finite value; the
+path then stops with its last finite state, so no infinities are ever
+handed on.
 """
 from __future__ import annotations
 
@@ -170,9 +174,10 @@ def per_side(f1: Callable, f2: Callable, x: np.ndarray, v: np.ndarray):
 BLOWUP_THRESHOLD = "threshold"
 BLOWUP_NON_FINITE = "non_finite"
 
-#: time rows of noise drawn per path and side at once; bounds the noise
-#: held in memory without changing any draw
-NOISE_BLOCK = 256
+#: steps per block: the time rows of noise drawn per path and side at
+#: once, and the states held before the per-block checks and hand-off;
+#: bounds the memory held without changing any byte
+NOISE_BLOCK = 128
 
 
 @dataclass
@@ -231,15 +236,18 @@ class Recorder:
     It keeps t, p, p' and both norms at every step, and both profiles
     every ``stride`` steps and at the last step (none when stride is 0).
 
-    An observer is called as ``observer(at, step, t, p, p_prime, norms,
-    v)`` at step 0 and after every step, with the values of the live
-    paths ``at`` (a slice while every path is live, an index array after
-    a blow-up): ``p`` and ``p_prime`` are (P_live,), ``norms`` (2,
-    P_live) and ``v`` the (2, P_live, n_nodes) state, valid only during
-    the call.  A path's threshold step is handed on; its discarded
-    non-finite step is not.  ``finish(ends)``, given each path's
-    ``(last_step, cause)`` pair (cause None for a path that ran to the
-    end), returns what ``run_paths`` returns.
+    An observer is called as ``observer(at, steps, t, p, p_prime, norms,
+    v)`` for step 0 and then for each run of at most ``NOISE_BLOCK``
+    steps over which the live paths stay the same.  ``steps`` is the
+    slice of the m step numbers and ``at`` picks the paths (a slice while
+    every path is live, an index array after one stopped).  Every value
+    has a leading axis of those m steps: ``t`` is (m,), ``p`` and
+    ``p_prime`` (m, P_live), ``norms`` (m, 2, P_live) and ``v`` the (m, 2,
+    P_live, n_nodes) states, valid only during the call.  A path's
+    threshold step is handed on; its discarded non-finite step is not,
+    nor is anything stepped after its end.  ``finish(ends)``, given each
+    path's ``(last_step, cause)`` pair (cause None for a path that ran to
+    the end), returns what ``run_paths`` returns.
     """
 
     def __init__(self, grid: GridSpec, n_paths: int, stride: int = 0):
@@ -251,14 +259,16 @@ class Recorder:
             columns = -(-grid.nt // self.stride) + 1
             self.snaps = np.empty((2, n_paths, columns, grid.n_nodes))
 
-    def __call__(self, at, step, t, p, p_prime, norms, v):
-        self.times[step] = t
-        self.record[0, at, step] = p
-        self.record[1, at, step] = p_prime
-        self.record[2:, at, step] = norms
-        if self.stride and (step % self.stride == 0 or step == self.grid.nt):
-            self.snaps[:, at, len(self.snap_steps)] = v
-            self.snap_steps.append(step)
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
+        self.times[steps] = t
+        self.record[0, at, steps] = p.T
+        self.record[1, at, steps] = p_prime.T
+        self.record[2:, at, steps] = norms.transpose(1, 2, 0)
+        if self.stride:
+            for step in range(steps.start, steps.stop):
+                if step % self.stride == 0 or step == self.grid.nt:
+                    self.snaps[:, at, len(self.snap_steps)] = v[step - steps.start]
+                    self.snap_steps.append(step)
 
     def finish(self, ends) -> list:
         trajectories = []
@@ -308,10 +318,11 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     ``initial`` is (v1_0, v2_0, p0).  Path k is driven by the noise
     streams (seeds[k], 0) and (seeds[k], 1), and equals bit for bit the
     run of that seed alone: every operation acts on each row by itself.
-    A path that blows up leaves the batch, frozen.  Each step's values
-    go to ``observer`` (see Recorder), by default a Recorder without
-    profiles.  An explicit (NoiseField, NoiseField) ``noise_pair`` drives
-    a single path in place of the seeded streams.
+    A path that blows up leaves the batch, frozen, at the end of its
+    block.  Each block's values go to ``observer`` (see Recorder), by
+    default a Recorder without profiles.  An explicit (NoiseField,
+    NoiseField) ``noise_pair`` drives a single path in place of the
+    seeded streams.
     Returns ``observer.finish`` of each path's (last_step, cause) pair,
     by default one Trajectory per seed, in order.
     """
@@ -344,74 +355,87 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
         observer = Recorder(grid, n_paths)
 
     nt, dt = grid.nt, grid.dt
-    # the run's work buffers: the state, the next state and two step scratch arrays
-    v, spare, *work = np.empty((4, 2, n_paths, grid.n_nodes))
-    v[:] = v0[:, None]
-    capped = cap_profile(v, grid, M)
-    fixed = coeffs.terms(v[:, :1], grid) if coeffs.u_free else None
-    p = np.full(n_paths, float(p0))
-    pp = np.full(n_paths, h0)
-
     block = min(NOISE_BLOCK, nt)
-    xi = np.empty((2, n_paths, block, grid.n_nodes))
+
+    def buffers(n_rows):
+        """A block's states and speeds, the step scratch and the noise block."""
+        return (np.empty((block + 1, 2, n_rows, grid.n_nodes)), np.empty((block + 1, n_rows)),
+                np.empty((2, 2, n_rows, grid.n_nodes)), np.empty((2, n_rows, block, grid.n_nodes)))
+
+    states, speeds, work, xi = buffers(n_paths)
+    states[0] = v0[:, None]
+    speeds[0] = h0
+    capped = cap_profile(states[0], grid, M)
+    fixed = coeffs.terms(states[0, :, :1], grid) if coeffs.u_free else None
+    p, t = np.full(n_paths, float(p0)), 0.0
     rows = np.arange(n_paths)              # path index of each batch row
-    at = slice(None)                       # the batch rows, as handed to the observer
     ends = [(nt, None)] * n_paths
     cfl_limit = grid.dx * (1 + 1e-12)
 
-    t = 0.0
-    # a step that overflows or meets inf - inf is flagged non-finite and
-    # discarded below, so numpy need not warn about it
+    # rows step on past their end until the block does; their overflows and
+    # inf - inf are never handed on, so numpy need not warn about them
     with np.errstate(invalid="ignore", over="ignore"):
-        observer(slice(None), 0, 0.0, p, pp, profile_norm(v, grid), v)
-        for i in range(nt):
-            j = i % block
-            if j == 0:
-                n_rows = min(block, nt - i)
-                for side in (0, 1):
-                    for a, k in enumerate(rows):
-                        streams[side][k].draw(n_rows, out=xi[side, a, :n_rows])
-            if np.abs(pp).max() * dt > cfl_limit:
-                a = int((np.abs(pp) * dt > cfl_limit).argmax())
+        observer(slice(None), slice(0, 1), np.zeros(1), p[None], speeds[:1],
+                 profile_norm(states[:1], grid), states[:1])
+        for i0 in range(0, nt, block):
+            m = min(block, nt - i0)
+            for side in (0, 1):
+                for a, k in enumerate(rows):
+                    streams[side][k].draw(m, out=xi[side, a, :m])
+            for j in range(m):
+                terms = fixed if fixed is not None else coeffs.terms(states[j], grid)
+                step_reflected(states[j], capped, speeds[j], xi[:, :, j], terms, grid,
+                               lap_scale=lap_scale, out=states[j + 1], work=work)
+                capped = cap_profile(states[j + 1], grid, M)
+                speeds[j + 1] = eval_h(boundary_fn, *capped, grid)
+
+            norms = profile_norm(states[1:m + 1], grid)              # (m, 2, P)
+            # sequential sums, as p + dt p' and t + dt step by step
+            ps = np.cumsum(np.concatenate((p[None], dt * speeds[1:m + 1])), axis=0)
+            ts = np.cumsum(np.concatenate(([t], np.full(m, dt))))
+            # the sum is below M_max only if both norms and p are finite (0 * inf is nan)
+            done = ~(norms[:, 0] + norms[:, 1] + 0.0 * ps[1:] < M_max)
+            # each row's first stopping step in the block, m + 1 for a row that runs on
+            stop = np.where(done.any(axis=0), done.argmax(axis=0) + 1, m + 1)
+            # a row is stepped from each of its states before its stopping step
+            bad = (np.abs(speeds[:m]) * dt > cfl_limit) & (np.arange(m)[:, None] < stop)
+            if bad.any():
+                j, a = divmod(int(bad.argmax()), len(rows))     # earliest step, then row
                 raise CflViolation(
                     f"path {rows[a]} (seed {seeds[rows[a]]}): advection speed "
-                    f"|c|={abs(pp[a]):.3g} violates dt*|c| <= dx at t={t:.6g}")
-            t_new = t + dt
-            terms = fixed if fixed is not None else coeffs.terms(v, grid)
-            new = step_reflected(v, capped, pp, xi[:, :, j], terms, grid, lap_scale=lap_scale,
-                                 out=spare, work=work)
-            capped_new = cap_profile(new, grid, M)
-            pp_new = eval_h(boundary_fn, *capped_new, grid)
-            p_new = p + dt * pp_new
-            norms = profile_norm(new, grid)
-            step = i + 1
+                    f"|c|={abs(speeds[j, a]):.3g} violates dt*|c| <= dx at t={ts[j]:.6g}")
 
-            # one test covers the usual step, where no path stops: the sum is
-            # below M_max only if both norms and p are finite (0 * inf is nan)
-            total = norms[0] + norms[1]
-            if (total + 0.0 * p_new < M_max).all():
-                observer(at, step, t_new, p_new, pp_new, norms, new)
-            else:
-                # p' is finite whenever p is.  A threshold blow-up keeps its
-                # step; a non-finite one falls back to the last finite state.
-                finite = np.isfinite(norms).all(axis=0) & np.isfinite(p_new)
-                done = ~finite | (total >= M_max)
-                for a in np.flatnonzero(done):
-                    ends[rows[a]] = ((step, BLOWUP_THRESHOLD) if finite[a]
-                                     else (i, BLOWUP_NON_FINITE))
-                observer(rows[finite], step, t_new, p_new[finite], pp_new[finite],
-                         norms[:, finite], new[:, finite])
-                live = ~done
-                rows = at = rows[live]
+            # the last state kept of each row: a threshold step is kept, a
+            # non-finite one is discarded
+            kept = np.minimum(stop, m)
+            for a in np.flatnonzero(stop <= m):
+                j = int(stop[a])
+                if np.isfinite(norms[j - 1, :, a]).all() and np.isfinite(ps[j, a]):
+                    ends[rows[a]] = (i0 + j, BLOWUP_THRESHOLD)
+                else:
+                    ends[rows[a]] = (i0 + j - 1, BLOWUP_NON_FINITE)
+                    kept[a] = j - 1
+            # one hand-off per run of steps with the same live rows
+            cuts = sorted({0, *kept.tolist()})
+            for lo, hi in zip(cuts, cuts[1:]):
+                live = kept >= hi
+                sel = slice(None) if live.all() else live
+                at = slice(None) if live.all() and len(rows) == n_paths else rows[live]
+                observer(at, slice(i0 + lo + 1, i0 + hi + 1), ts[lo + 1:hi + 1],
+                         ps[lo + 1:hi + 1, sel], speeds[lo + 1:hi + 1, sel],
+                         norms[lo:hi, :, sel], states[lo + 1:hi + 1, :, sel])
+
+            # the last state opens the next block; rows that stopped leave the
+            # batch.  capped may view states[m]: the next block reads it at its
+            # first step, before that row is written again.
+            live = stop > m
+            last, c_last, p, t = states[m][:, live], speeds[m][live], ps[m][live], ts[m]
+            if not live.all():
+                rows, capped = rows[live], capped[:, live]
                 if rows.size == 0:
                     break
-                # the live rows move into smaller buffers of their own
-                new, capped_new, xi = (np.ascontiguousarray(a[:, live])
-                                       for a in (new, capped_new, xi))
-                v, *work = np.empty((3,) + new.shape)
-                p_new, pp_new = p_new[live], pp_new[live]
-            v, spare, capped = new, v, capped_new
-            p, pp, t = p_new, pp_new, t_new
+                states, speeds, work, xi = buffers(rows.size)
+            states[0], speeds[0] = last, c_last
     return observer.finish(ends)
 
 

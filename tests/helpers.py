@@ -115,8 +115,8 @@ class PushSide1:
     def __init__(self, sums):
         self.sums = sums
 
-    def __call__(self, at, step, t, p, p_prime, norms, v):
-        self.sums.push(at, v[:1])
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
+        self.sums.push(at, v[:, 0])
 
     def finish(self, ends):
         return ends

@@ -1,12 +1,14 @@
 """One batch of P paths against P single runs, and the per-path blow-up rules."""
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stefansim.spde
 from helpers import PushSide1, structure_function_reference
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.errors import CflViolation, DimensionMismatch
@@ -33,9 +35,9 @@ class _KeepsLast(Recorder):
         super().__init__(grid, n_paths, stride)
         self.last = np.empty((2, n_paths, grid.n_nodes))
 
-    def __call__(self, at, step, t, p, p_prime, norms, v):
-        super().__call__(at, step, t, p, p_prime, norms, v)
-        self.last[:, at] = v
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
+        super().__call__(at, steps, t, p, p_prime, norms, v)
+        self.last[:, at] = v[-1]
 
     def finish(self, ends):
         trajectories = super().finish(ends)
@@ -160,13 +162,13 @@ class _InvariantCheck:
     """An observer asserting the README invariants on every state it is handed."""
 
     def __init__(self):
-        self.calls = 0
+        self.steps = 0
 
-    def __call__(self, at, step, t, p, p_prime, norms, v):
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
         assert np.isfinite(v).all() and np.isfinite(norms).all()
-        assert (v >= 0).all(), f"negative profile value at step {step}"
-        assert (v[..., [0, -1]] == 0).all(), f"nonzero Dirichlet node at step {step}"
-        self.calls += 1
+        assert (v >= 0).all(), f"negative profile value in steps {steps}"
+        assert (v[..., [0, -1]] == 0).all(), f"nonzero Dirichlet node in steps {steps}"
+        self.steps += len(t)
 
     def finish(self, ends):
         return ends
@@ -206,7 +208,7 @@ def test_profiles_stay_nonnegative_with_zero_dirichlet_nodes(
     check = _InvariantCheck()
     ends = run_paths((v0, 0.5 * v0, 0.0), coeffs, fn, 0.5 if finite_M else np.inf, np.inf,
                      g, [seed + k for k in range(n_paths)], observer=check)
-    assert check.calls == 1 + max(last for last, _ in ends)
+    assert check.steps == 1 + max(last for last, _ in ends)
 
 
 def test_cfl_violation_names_the_offending_path():
@@ -239,15 +241,37 @@ def test_cfl_violation_in_a_run_names_the_first_path_to_violate():
     coeffs = constant_coefficients(f=0.0, sigma=4.0)
     z = np.zeros(g.n_nodes)
     seeds = [70, 71, 72, 73]
-    first = {}
+    first, message = {}, {}
     for s in seeds:
         with pytest.raises(CflViolation) as err:
             run_relative_frame((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, g, s)
-        first[s] = float(re.search(r"at t=(\S+)$", str(err.value)).group(1))
+        message[s] = str(err.value)
+        first[s] = float(re.search(r"at t=(\S+)$", message[s]).group(1))
     k = min(range(len(seeds)), key=lambda i: (first[seeds[i]], i))
     assert k != 0
-    with pytest.raises(CflViolation, match=rf"^path {k} \(seed {seeds[k]}\): "):
-        run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, g, seeds)
+    # row 0 violates later, in the same block when one block covers the run
+    want = message[seeds[k]].replace("path 0 ", f"path {k} ", 1)
+    for block in (1, 7, stefansim.spde.NOISE_BLOCK, g.nt):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stefansim.spde, "NOISE_BLOCK", block)
+            with pytest.raises(CflViolation) as err:
+                run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, g, seeds)
+        assert str(err.value) == want, block
+
+
+def test_a_stopped_paths_later_speeds_raise_nothing():
+    # seed 81 stops at its threshold at step 6.  Run on past it, as its
+    # block runs on, its speed breaks |c| dt <= dx at step 8.
+    g = build_grid("compact", 32, 0.05, 512)
+    fn = exp_imbalance(alpha=50.0, lam=100.0)
+    coeffs = constant_coefficients(f=0.0, sigma=4.0)
+    z = np.zeros(g.n_nodes)
+    with pytest.raises(CflViolation) as err:
+        run_relative_frame((z, z.copy(), 0.0), coeffs, fn, 2.0, np.inf, g, 81)
+    t = float(re.search(r"at t=(\S+)$", str(err.value)).group(1))
+    assert round(t / g.dt) == 8 <= stefansim.spde.NOISE_BLOCK
+    traj = run_relative_frame((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, 81)
+    assert (len(traj.times) - 1, traj.blowup_cause) == (6, "threshold")
 
 
 def test_infinite_drift_flags_non_finite_and_stores_no_infinity():
@@ -282,10 +306,11 @@ class _Calls:
     def __init__(self, n_paths):
         self.rows = [[] for _ in range(n_paths)]   # per path: (step, t, p, p', norms, v)
 
-    def __call__(self, at, step, t, p, p_prime, norms, v):
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
         for a, k in enumerate(np.arange(len(self.rows))[at]):
-            self.rows[k].append((step, t, p[a], p_prime[a], norms[:, a].copy(),
-                                 v[:, a].copy()))
+            for j, step in enumerate(range(steps.start, steps.stop)):
+                self.rows[k].append((step, t[j], p[j, a], p_prime[j, a], norms[j, :, a].copy(),
+                                     v[j, :, a].copy()))
 
     def finish(self, ends):
         return ends
@@ -307,6 +332,21 @@ def _stopping_batch(cause):
     M_max = np.inf if cause == "non_finite" else 6.25
     return g, ((v0, v0.copy(), 0.0), coeffs, zero_boundary(), M_max, M_max, g,
                list(range(40, 46)))
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARIES))
+def test_rows_stepped_past_a_non_finite_end_warn_nothing(kind, monkeypatch):
+    # one block covers the run, so a row that turns non-finite is stepped,
+    # capped and has its h and norms taken to the end of the run
+    g, args = _stopping_batch("non_finite")
+    monkeypatch.setattr(stefansim.spde, "NOISE_BLOCK", g.nt)
+    args = args[:2] + (BOUNDARIES[kind],) + args[3:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajs = run_paths(*args, observer=Recorder(g, len(args[-1]), 1))
+    assert "non_finite" in {t.blowup_cause for t in trajs}
+    for t in trajs:
+        assert np.isfinite(t.p).all() and np.isfinite(t.v1_snapshots).all()
 
 
 def test_observer_sees_each_kept_step_once_in_order():

@@ -116,7 +116,7 @@ def _reference(paths, axis, lags, q):
 
 
 def _fed_row_by_row(paths, n_cols, q, time_lags, space_lags):
-    """Push the paths one row at a time, as a run_paths observer does."""
+    """Push the paths one row at a time, the shortest block a run_paths observer is handed."""
     lengths = np.array([len(path) for path in paths])
     sums = StructureSums(len(paths), n_cols, int(lengths.max()), q, time_lags, space_lags)
     for i in range(lengths.max()):
