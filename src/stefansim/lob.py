@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -86,22 +87,100 @@ class _TouchSeries:
         self.bid = rows[order, 1]
         self.ask = rows[order, 2]
 
-    def at(self, t: float) -> tuple:
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        if idx < 0:
-            idx = 0
-        return self.bid[idx], self.ask[idx]
+    def relative(self, t, ask_side, price_ticks) -> np.ndarray:
+        """Dollars from the touch in force at each time ``t``, positive away from the spread."""
+        idx = np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            signed = np.where(ask_side, price_ticks - self.ask[idx], self.bid[idx] - price_ticks)
+            return signed / TICKS_PER_DOLLAR
+
+
+#: lines read per parse chunk; bounds the text and Python fields held at once
+CHUNK = 8192
+
+_SIDE_CODES = {BID: 0, ASK: 1}
+_TYPE_CODES = {LIMIT: 0, CANCEL: 1, MARKET: 2}
+_MESSAGE_CODES = {code: _TYPE_CODES[etype] for code, etype in _MESSAGE_TYPE_MAP.items()}
+
+
+def _columns(lines, fh, width: int, header):
+    """A chunk's non-blank rows as ``width`` columns of field strings.
+
+    Returns the columns and whether a non-blank row was seen.  The first
+    such row is dropped when it reads ``header``.  Plain lines of exactly
+    ``width`` fields split in one call; any other chunk goes through
+    ``csv.reader``, which honours quoting (a quoted field still open at
+    the chunk's end reads on into ``fh``).  Extra fields are dropped, and
+    a short row is padded with "", which no column accepts.
+    """
+    text = ",".join(lines)
+    if '"' not in text and set(map(str.count, lines, repeat(","))) == {width - 1}:
+        fields = text.split(",")
+        if header and [f.strip().lower() for f in fields[:width]] == header:
+            fields = fields[width:]
+        return [fields[j::width] for j in range(width)], True
+    reader = csv.reader(chain(lines, fh))
+    rows = []
+    for row in reader:
+        if row and (len(row) > 1 or row[0].strip()):
+            if not (header and [c.strip().lower() for c in row] == header):
+                rows.append((row + [""] * width)[:width])
+            header = None
+        if reader.line_num >= len(lines):
+            break
+    return list(zip(*rows)) or [()] * width, header is None
+
+
+def _convert(fields, convert, bad: np.ndarray) -> list:
+    """``convert`` of each field; a field it rejects reads 0 and is marked in ``bad``."""
+    try:
+        return list(map(convert, fields))
+    except ValueError:
+        out = []
+        for i, field in enumerate(fields):
+            try:
+                out.append(convert(field))
+            except ValueError:
+                out.append(0)
+                bad[i] = True
+        return out
+
+
+def _floats(fields, bad: np.ndarray) -> np.ndarray:
+    return np.array(_convert(fields, float, bad), dtype=float)
+
+
+def _codes(values, lookup) -> np.ndarray:
+    """int8 codes of ``values`` by ``lookup``, -1 where it has none."""
+    return np.array(list(map(lookup.get, values, repeat(-1))), dtype=np.int8)
+
+
+def _labels(fields, codes) -> np.ndarray:
+    """Codes of trimmed, lower-cased labels, through a table of the chunk's distinct fields."""
+    return _codes(fields, {f: codes.get(f.strip().lower(), -1) for f in set(fields)})
+
+
+def _concat(chunks, i: int) -> np.ndarray:
+    """Column ``i`` of the chunks joined; the chunks' parts are released."""
+    column = np.concatenate([chunk[i] for chunk in chunks])
+    for chunk in chunks:
+        chunk[i] = None
+    return column
 
 
 def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
                  horizon=None, malformed_threshold: float = 0.05) -> LobEventStream:
     """Read an event CSV into a normalised stream.
 
-    ``source`` is a path or an open text stream.  Malformed rows are
-    counted and skipped; more than ``malformed_threshold`` (as a fraction
-    of data rows) raises FormatError.  Events whose relative price falls
-    outside [0, 1] are filtered (counted separately).  Timestamps must be
-    nondecreasing.
+    ``source`` is a path or a text stream opened with ``newline=""``.
+    Blank rows are skipped, and in the normalized format so is a header
+    as the first non-blank row.  Malformed rows are counted and skipped;
+    more than ``malformed_threshold`` (as a fraction of data rows) raises
+    FormatError.  Events whose relative price falls outside [0, 1], and
+    message-file rows of other type codes, are filtered (counted
+    separately).  Timestamps must be nondecreasing over the rows that are
+    not malformed.  The text is read in chunks of CHUNK lines and
+    converted a column at a time.
     """
     if fmt not in (NORMALIZED, LOBSTER):
         raise FormatError(f"unknown event format {fmt!r}")
@@ -110,6 +189,8 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
         if book_reference_prices is None:
             raise FormatError("message-file parsing needs a companion touch-price series")
         touch = _TouchSeries(book_reference_prices)
+    width = 5 if fmt == NORMALIZED else 6
+    header = NORMALIZED_HEADER if fmt == NORMALIZED else None
 
     close_after = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -118,62 +199,46 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     else:
         fh = source
     try:
-        reader = csv.reader(fh)
-        times, sides, types, rels, sizes = [], [], [], [], []
-        malformed = 0
-        filtered = 0
-        total = 0
+        kept = []           # per chunk: times, side codes, type codes, rel prices, sizes
+        malformed = filtered = total = 0
         last_time = -np.inf
-        first = True
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if first and fmt == NORMALIZED:
-                first = False
-                if [c.strip().lower() for c in row] == NORMALIZED_HEADER:
-                    continue
-            first = False
-            total += 1
-            try:
-                if fmt == NORMALIZED:
-                    t = float(row[0])
-                    side = row[1].strip().lower()
-                    etype = row[2].strip().lower()
-                    rel = float(row[3])
-                    size = float(row[4])
-                    if side not in (BID, ASK) or etype not in (LIMIT, CANCEL, MARKET):
-                        raise ValueError(side)
-                else:
-                    t = float(row[0])
-                    code = int(row[1])
-                    size = float(row[3])
-                    price_ticks = float(row[4])
-                    direction = int(row[5])
-                    if code not in _MESSAGE_TYPE_MAP:
-                        filtered += 1
-                        continue
-                    etype = _MESSAGE_TYPE_MAP[code]
-                    side = BID if direction == 1 else ASK
-                    bid_touch, ask_touch = touch.at(t)
-                    ref = bid_touch if side == BID else ask_touch
-                    signed = (ref - price_ticks) if side == BID else (price_ticks - ref)
-                    rel = signed / TICKS_PER_DOLLAR
-                if size <= 0 or not np.isfinite(t) or not np.isfinite(rel):
-                    raise ValueError("bad numeric field")
-            except (ValueError, IndexError):
-                malformed += 1
-                continue
-            if t < last_time:
-                raise NonMonotoneTime(f"event time {t} after {last_time}")
-            last_time = t
-            if not 0.0 <= rel <= 1.0:
-                filtered += 1
-                continue
-            times.append(t)
-            sides.append(side)
-            types.append(etype)
-            rels.append(rel)
-            sizes.append(size)
+        while lines := list(islice(fh, CHUNK)):
+            columns, seen = _columns(lines, fh, width, header)
+            if seen:
+                header = None
+            n = len(columns[0])
+            total += n
+            bad = np.zeros(n, dtype=bool)
+            t = _floats(columns[0], bad)
+            if fmt == NORMALIZED:
+                sides = _labels(columns[1], _SIDE_CODES)
+                types = _labels(columns[2], _TYPE_CODES)
+                rel, size = _floats(columns[3], bad), _floats(columns[4], bad)
+                bad |= (sides < 0) | (types < 0)
+                unknown = np.zeros(n, dtype=bool)
+            else:
+                types = _codes(_convert(columns[1], int, bad), _MESSAGE_CODES)
+                size, price = _floats(columns[3], bad), _floats(columns[4], bad)
+                # direction 1 is the bid side (code 0), any other the ask side
+                sides = np.array(list(map((1).__ne__, _convert(columns[5], int, bad))),
+                                 dtype=np.int8)
+                unknown = ~bad & (types < 0)
+                rel = touch.relative(t, sides == 1, price)
+            # a message-file row of another type code is filtered before any test
+            bad |= ~unknown & ~((size > 0) & np.isfinite(size) & np.isfinite(t)
+                                & np.isfinite(rel))
+            good = ~bad & ~unknown
+            seq = np.concatenate(([last_time], t[good]))
+            drops = np.flatnonzero(seq[1:] < seq[:-1])
+            if drops.size:
+                i = drops[0]
+                raise NonMonotoneTime(f"event time {float(seq[i + 1])} after {float(seq[i])}")
+            last_time = seq[-1]
+            inside = good & (rel >= 0.0) & (rel <= 1.0)
+            malformed += int(np.count_nonzero(bad))
+            filtered += int(np.count_nonzero(unknown)) + int(np.count_nonzero(good & ~inside))
+            if inside.any():
+                kept.append([t[inside], sides[inside], types[inside], rel[inside], size[inside]])
     finally:
         if close_after:
             fh.close()
@@ -181,16 +246,18 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     if total and malformed > malformed_threshold * total:
         raise FormatError(f"{malformed} of {total} rows malformed "
                           f"(threshold {malformed_threshold:.0%})")
-    if not times:
+    if not kept:
         stream = _empty_stream(horizon)
         stream.malformed_count = malformed
         stream.filtered_count = filtered
         return stream
+    # float columns first: each object column then replaces a smaller int8 one
+    times, rels, sizes = (_concat(kept, i) for i in (0, 3, 4))
     if horizon is None:
-        horizon = (float(times[0]), float(times[-1]))
-    return LobEventStream(np.asarray(times), np.asarray(sides, dtype=object),
-                          np.asarray(types, dtype=object), np.asarray(rels),
-                          np.asarray(sizes), horizon=tuple(map(float, horizon)),
+        horizon = (times[0], times[-1])
+    return LobEventStream(times, np.array([BID, ASK], dtype=object)[_concat(kept, 1)],
+                          np.array([LIMIT, CANCEL, MARKET], dtype=object)[_concat(kept, 2)],
+                          rels, sizes, horizon=tuple(map(float, horizon)),
                           malformed_count=malformed, filtered_count=filtered)
 
 

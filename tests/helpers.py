@@ -1,4 +1,6 @@
 """Shared oracles and generators for the test suite."""
+import csv
+
 import numpy as np
 
 from stefansim.errors import InsufficientData
@@ -107,6 +109,95 @@ def synthetic_lob_rows(f_bins, sigma_bins, horizon: float, seed: int,
                 etype = "limit" if net > 0 else "cancel"
                 rows.append(f"{t},{side},{etype},{xc},{abs(net)}")
     return rows
+
+
+def parse_events_reference(source, fmt="normalized", book_reference_prices=None,
+                           horizon=None, malformed_threshold=0.05):
+    """``lob.parse_events`` as one ``csv.reader`` loop, a row at a time.
+
+    Every rule is applied to each row in turn: blank rows skipped, a
+    header only as the first non-blank normalized row, a row malformed on
+    a short row, a field its conversion rejects, an unknown label, a size
+    that is not a positive finite number or a non-finite time or relative
+    price; message-file rows of another type code filtered before those
+    tests and the time check; the [0, 1] filter after it.  ``source`` is
+    an open text stream.
+    """
+    from stefansim.errors import FormatError, NonMonotoneTime
+    from stefansim.lob import (_MESSAGE_TYPE_MAP, ASK, BID, CANCEL, LIMIT, MARKET,
+                               NORMALIZED, NORMALIZED_HEADER, TICKS_PER_DOLLAR,
+                               LobEventStream)
+
+    if fmt == NORMALIZED:
+        touch = None
+    else:
+        if book_reference_prices is None:
+            raise FormatError("message-file parsing needs a companion touch-price series")
+        touch = np.atleast_2d(np.asarray(book_reference_prices, dtype=float))
+        touch = touch[np.argsort(touch[:, 0], kind="stable")]
+    times, sides, types, rels, sizes = [], [], [], [], []
+    malformed = filtered = total = 0
+    last_time = -np.inf
+    first = True
+    for row in csv.reader(source):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if first and fmt == NORMALIZED:
+            first = False
+            if [c.strip().lower() for c in row] == NORMALIZED_HEADER:
+                continue
+        first = False
+        total += 1
+        try:
+            if fmt == NORMALIZED:
+                t = float(row[0])
+                side = row[1].strip().lower()
+                etype = row[2].strip().lower()
+                rel = float(row[3])
+                size = float(row[4])
+                if side not in (BID, ASK) or etype not in (LIMIT, CANCEL, MARKET):
+                    raise ValueError(side)
+            else:
+                t = float(row[0])
+                code = int(row[1])
+                size = float(row[3])
+                price_ticks = float(row[4])
+                direction = int(row[5])
+                if code not in _MESSAGE_TYPE_MAP:
+                    filtered += 1
+                    continue
+                etype = _MESSAGE_TYPE_MAP[code]
+                side = BID if direction == 1 else ASK
+                idx = max(np.searchsorted(touch[:, 0], t, side="right") - 1, 0)
+                ref = touch[idx, 1] if side == BID else touch[idx, 2]
+                signed = (ref - price_ticks) if side == BID else (price_ticks - ref)
+                rel = signed / TICKS_PER_DOLLAR
+            if size <= 0 or not np.isfinite(size) or not np.isfinite(t) or not np.isfinite(rel):
+                raise ValueError("bad numeric field")
+        except (ValueError, IndexError):
+            malformed += 1
+            continue
+        if t < last_time:
+            raise NonMonotoneTime(f"event time {t} after {last_time}")
+        last_time = t
+        if not 0.0 <= rel <= 1.0:
+            filtered += 1
+            continue
+        times.append(t)
+        sides.append(side)
+        types.append(etype)
+        rels.append(rel)
+        sizes.append(size)
+    if total and malformed > malformed_threshold * total:
+        raise FormatError(f"{malformed} of {total} rows malformed "
+                          f"(threshold {malformed_threshold:.0%})")
+    if times and horizon is None:
+        horizon = (float(times[0]), float(times[-1]))
+    return LobEventStream(np.asarray(times, dtype=float), np.asarray(sides, dtype=object),
+                          np.asarray(types, dtype=object), np.asarray(rels, dtype=float),
+                          np.asarray(sizes, dtype=float),
+                          horizon=tuple(map(float, horizon)) if times else horizon or (0.0, 0.0),
+                          malformed_count=malformed, filtered_count=filtered)
 
 
 class PushSide1:

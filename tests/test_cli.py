@@ -292,6 +292,24 @@ def test_fit_lob_reads_a_one_row_touch_file(tmp_path):
     assert fits[0] == fits[1]
 
 
+def test_fit_lob_reads_quoted_crlf_events_as_plain(tmp_path):
+    # every field quoted and every line CRLF-terminated: the same events
+    rows = synthetic_lob_rows([2.0, 1.0, 0.5, 0.25], [0.2, 0.15, 0.1, 0.05], 60.0, 2)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text(_EVENTS_HEADER + "\n".join(rows) + "\n")
+    with open(quoted, "w", newline="") as fh:
+        fh.writelines(",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
+                      for line in [_EVENTS_HEADER.strip()] + rows)
+    fits = []
+    for events in (plain, quoted):
+        cfg_path = _write_cfg(tmp_path, {"lob": {"input": str(events), "n_bins": 4},
+                                         "output": {"dir": str(tmp_path / events.stem)}})
+        assert main(["fit-lob", "-c", cfg_path]) == 0
+        # the first line is the comment with the config hash, which names the input
+        fits.append((tmp_path / events.stem / "fit.csv").read_bytes().split(b"\n", 1)[1])
+    assert fits[0] == fits[1]
+
+
 def test_whole_float_integer_fields_read_as_integers(tmp_path):
     cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
     out = tmp_path / "out"
