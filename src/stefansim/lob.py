@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class _TouchSeries:
             return signed / TICKS_PER_DOLLAR
 
 
-#: lines read per parse chunk; bounds the text and Python fields held at once
+#: csv rows read per parse chunk; bounds the Python fields held at once
 CHUNK = 8192
 
 _SIDE_CODES = {BID: 0, ASK: 1}
@@ -103,32 +104,32 @@ _TYPE_CODES = {LIMIT: 0, CANCEL: 1, MARKET: 2}
 _MESSAGE_CODES = {code: _TYPE_CODES[etype] for code, etype in _MESSAGE_TYPE_MAP.items()}
 
 
-def _columns(lines, fh, width: int, header):
-    """A chunk's non-blank rows as ``width`` columns of field strings.
+def _columns(rows, width: int, header):
+    """A chunk's non-blank ``csv.reader`` rows as ``width`` columns of field strings.
 
-    Returns the columns and whether a non-blank row was seen.  The first
-    such row is dropped when it reads ``header``.  Plain lines of exactly
-    ``width`` fields split in one call; any other chunk goes through
-    ``csv.reader``, which honours quoting (a quoted field still open at
-    the chunk's end reads on into ``fh``).  Extra fields are dropped, and
-    a short row is padded with "", which no column accepts.
+    The first non-blank row is dropped when it reads ``header`` (None once
+    the input has had a non-blank row); returns the columns and the header
+    still pending.  Extra fields are dropped, and a short row is padded
+    with "", which no column accepts.
     """
-    text = ",".join(lines)
-    if '"' not in text and set(map(str.count, lines, repeat(","))) == {width - 1}:
-        fields = text.split(",")
-        if header and [f.strip().lower() for f in fields[:width]] == header:
-            fields = fields[width:]
-        return [fields[j::width] for j in range(width)], True
-    reader = csv.reader(chain(lines, fh))
-    rows = []
-    for row in reader:
-        if row and (len(row) > 1 or row[0].strip()):
-            if not (header and [c.strip().lower() for c in row] == header):
-                rows.append((row + [""] * width)[:width])
-            header = None
-        if reader.line_num >= len(lines):
-            break
-    return list(zip(*rows)) or [()] * width, header is None
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    for i in np.flatnonzero(lengths < width):
+        row = rows[i]
+        rows[i] = (row + [""] * width)[:width] if len(row) > 1 or row and row[0].strip() else []
+    rows = list(filter(None, rows))
+    if rows and header:
+        if [c.strip().lower() for c in rows[0]] == header:
+            del rows[0]
+        header = None
+    return [list(map(itemgetter(j), rows)) for j in range(width)], header
+
+
+def _read(reader) -> list:
+    """The next CHUNK rows of ``reader``; text it cannot read is a FormatError."""
+    try:
+        return list(islice(reader, CHUNK))
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _convert(fields, convert, bad: np.ndarray) -> list:
@@ -179,8 +180,10 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     FormatError.  Events whose relative price falls outside [0, 1], and
     message-file rows of other type codes, are filtered (counted
     separately).  Timestamps must be nondecreasing over the rows that are
-    not malformed.  The text is read in chunks of CHUNK lines and
-    converted a column at a time.
+    not malformed.  Text ``csv`` cannot read (a field longer than
+    ``csv.field_size_limit()``, a line break in an unquoted field) raises
+    FormatError.  The rows are read in chunks of CHUNK and converted a
+    column at a time.
     """
     if fmt not in (NORMALIZED, LOBSTER):
         raise FormatError(f"unknown event format {fmt!r}")
@@ -202,10 +205,9 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
         kept = []           # per chunk: times, side codes, type codes, rel prices, sizes
         malformed = filtered = total = 0
         last_time = -np.inf
-        while lines := list(islice(fh, CHUNK)):
-            columns, seen = _columns(lines, fh, width, header)
-            if seen:
-                header = None
+        reader = csv.reader(fh)
+        while rows := _read(reader):
+            columns, header = _columns(rows, width, header)
             n = len(columns[0])
             total += n
             bad = np.zeros(n, dtype=bool)

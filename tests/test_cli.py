@@ -227,6 +227,8 @@ _BAD_LOB = {
                        ["lob.input={target}"]),
     "decreasing_times": (_EVENTS_HEADER + "1.0,bid,limit,0.5,10\n0.5,bid,limit,0.5,10\n",
                          ["lob.input={target}"]),
+    "overlong_field": (_EVENTS_HEADER + '0.1,"' + "b" * 200_000 + '",limit,0.5,10\n',
+                       ["lob.input={target}"]),
 }
 
 
@@ -243,6 +245,7 @@ _BAD_LOB = {
     ("fit-lob", "lob.format", "unknown_format"),
     ("fit-lob", "lob.input", "over_threshold"),
     ("fit-lob", "lob.input", "decreasing_times"),
+    ("fit-lob", "lob.input", "overlong_field"),
 ])
 def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, field, kind):
     events = tmp_path / "events.csv"

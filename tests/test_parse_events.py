@@ -1,10 +1,11 @@
 """parse_events against the row-at-a-time reference loop, and what it holds in memory.
 
-``parse_events`` reads its input in chunks of ``lob.CHUNK`` lines and
+``parse_events`` reads its input in chunks of ``lob.CHUNK`` csv rows and
 converts a column at a time; the reference in ``helpers`` applies every
 rule to one ``csv.reader`` row at a time.  Both must give the same arrays,
 counts and horizon, or raise the same exception with the same message.
 """
+import csv
 import io
 import tracemalloc
 from unittest import mock
@@ -160,3 +161,17 @@ def test_non_finite_size_is_malformed(row):
                                         "0.3,1,13,4,999700,1\n"), fmt="lobster",
                             book_reference_prices=TOUCH, malformed_threshold=1.0)
     assert messages.malformed_count == 2 and messages.sizes.tolist() == [4.0]
+
+
+#: a field over ``csv.field_size_limit()``, quoted or plain
+_LONG = "b" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("text, newline, line", [
+    (f'0.1,bid,limit,0.5,1\n0.2,"{_LONG}",limit,0.5,1\n', "", 2),
+    (f"0.1,bid,limit,0.5,1\n0.2,{_LONG},limit,0.5,1\n", "", 2),
+    ("0.1,bid,limit,0.5,1\r0.2,bid,limit,0.5,1\n", "\n", 1),   # a lone CR inside a line
+])
+def test_text_csv_cannot_read_is_a_format_error(text, newline, line):
+    with mock.patch.object(lob, "CHUNK", 1), pytest.raises(lob.FormatError, match=f"^line {line}: "):
+        parse_events(io.StringIO(text, newline=newline), malformed_threshold=1.0)
