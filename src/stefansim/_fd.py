@@ -4,26 +4,24 @@ Both act along the last axis, so a stack of profiles (one per row) is
 differenced in one call.  They run along the flattened array, one pass
 however many rows there are: the values this computes across the end of
 a row land on boundary nodes, which are then zeroed.  Both write into
-``out`` when it is given (a C-contiguous float array of ``u``'s shape,
-not ``u`` itself).
+``out``, a C-contiguous float array of ``u``'s shape (not ``u`` itself),
+and return it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def _flat_pair(u: np.ndarray, out: np.ndarray | None):
-    """``out`` (new when None) and flat views of ``u`` and of ``out``."""
-    if out is None:
-        out = np.empty(u.shape)
-    elif not out.flags.c_contiguous:
+def _flat_pair(u: np.ndarray, out: np.ndarray):
+    """Flat views of ``u`` and of ``out``."""
+    if not out.flags.c_contiguous:
         raise ValueError("a stencil's out= array must be C-contiguous")
-    return out, u.ravel(), out.ravel()
+    return u.ravel(), out.ravel()
 
 
-def laplacian(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+def laplacian(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Three-point Laplacian; zero at both boundary nodes."""
-    out, u_flat, out_flat = _flat_pair(u, out)
+    u_flat, out_flat = _flat_pair(u, out)
     inner = out_flat[1:-1]
     np.multiply(2.0, u_flat[1:-1], out=inner)
     np.subtract(u_flat[:-2], inner, out=inner)
@@ -33,8 +31,7 @@ def laplacian(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def upwind_gradient(u: np.ndarray, dx: float, speed,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def upwind_gradient(u: np.ndarray, dx: float, speed, out: np.ndarray) -> np.ndarray:
     """One-sided du/dx biased against the transport direction of ``speed``.
 
     For a term -speed * du/dx the donor cell sits upstream: backward
@@ -43,7 +40,7 @@ def upwind_gradient(u: np.ndarray, dx: float, speed,
     so each row picks its own direction.  Boundary nodes are set to zero
     (they are Dirichlet-pinned by the callers).
     """
-    out, u_flat, out_flat = _flat_pair(u, out)
+    u_flat, out_flat = _flat_pair(u, out)
     diff = out_flat[1:]
     np.subtract(u_flat[1:], u_flat[:-1], out=diff)
     diff /= dx

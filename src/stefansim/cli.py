@@ -22,7 +22,7 @@ from .config import (boundary_from_config, choice, coefficients_from_config, con
                      finite, get_field, grid_from_config, initial_from_config, list_of,
                      nonnegative, nonpositive, positive, positive_or_inf,
                      truncation_from_config, whole)
-from .errors import ConfigError, FormatError, StefansimError
+from .errors import ConfigError, FormatError, InsufficientData, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
 from .lob import (LOBSTER, MIN_BINS, NORMALIZED, FitResult, fit_coefficients, parse_events,
@@ -31,7 +31,7 @@ from .noise import sample_white_noise
 from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
 from .regularity import (SPACE, TIME, StructureSums, boundary_holder_ensemble,
-                         dyadic_lags, estimate_holder_ensemble)
+                         dyadic_lags, estimate_holder_ensemble, pooled_increments)
 from .spde import run_paths, run_relative_frame
 
 EXIT_OK = 0
@@ -170,9 +170,19 @@ def cmd_holder(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"fields 'holder.lag_min' and 'holder.lag_max': {exc}") from None
     space_range = (1, max(8, grid.nx // 8))
+    space_lags = dyadic_lags(space_range)
+    # a lag that a path of all nt + 1 steps cannot fit is refused before any
+    # step: the time lags on p', one column, and the space lags on the profiles
+    for name, axis, lag, n_cols in (("holder.lag_max", TIME, time_lags[-1], 1),
+                                    ("grid.nx", SPACE, space_lags[-1], grid.n_nodes)):
+        try:
+            pooled_increments(axis, lag, grid.nt + 1, n_cols)
+        except InsufficientData as exc:
+            raise ConfigError(f"field {name!r}: {exc} on a full-length path "
+                              f"({grid.nt + 1} rows)") from None
 
     sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags=time_lags,
-                         space_lags=dyadic_lags(space_range))
+                         space_lags=space_lags)
     p_prime = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=_M_max(cfg), grid=grid,
                         seeds=range(base_seed, base_seed + n_paths),
                         lap_scale=_lap_scale(cfg), observer=_HolderObserver(sums, grid))
@@ -229,9 +239,10 @@ def cmd_fit_lob(cfg: dict) -> int:
                 raise FormatError("touch series must have rows (time, bid, ask)")
     elif fmt == LOBSTER:
         raise ConfigError(f"field 'lob.touch_file' is required by lob.format {LOBSTER!r}")
+    # events without a time span (none, or one) cannot be fitted
     with _input_file("lob.input", source):
         stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
-    fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
+        fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
     fit.to_csv(_outdir(cfg) / "fit.csv", header_comment=_header(config_hash(cfg), seed))
     return EXIT_OK
 

@@ -288,7 +288,10 @@ class FitResult:
 
     @classmethod
     def from_csv(cls, path) -> "FitResult":
-        x_centers, f, sigma, counts = read_table(path).T
+        table = read_table(path)
+        if not len(table):
+            raise FormatError("fit table has no rows")
+        x_centers, f, sigma, counts = table.T
         return cls(x_centers=x_centers, f=f, sigma=sigma, counts=counts.astype(int))
 
 

@@ -29,6 +29,29 @@ DEFAULT_LAG_RANGE = (2, 64)
 MIN_INCREMENTS = 100
 
 
+def window(n: int) -> slice:
+    """The interior of n rows or columns: WINDOW_MARGIN of n dropped at each end, rounded down."""
+    edge = int(np.floor(WINDOW_MARGIN * n))
+    return slice(edge, n - edge)
+
+
+def pooled_increments(axis: str, lag: int, n_rows: int, n_cols: int) -> int:
+    """The increments at ``lag`` along ``axis`` in the window of an (n_rows, n_cols) path.
+
+    Raises InsufficientData where the lag spans the window or pools fewer
+    than MIN_INCREMENTS increments; then so does every larger lag.
+    """
+    rows, cols = window(n_rows), window(n_cols)
+    n_r, n_c = rows.stop - rows.start, cols.stop - cols.start
+    n = n_r if axis == TIME else n_c
+    if lag >= n:
+        raise InsufficientData(f"lag {lag} outside series of length {n}")
+    count = (n_r - lag) * n_c if axis == TIME else n_r * (n_c - lag)
+    if count < MIN_INCREMENTS:
+        raise InsufficientData(f"only {count} increments at lag {lag}; need {MIN_INCREMENTS}")
+    return count
+
+
 @dataclass
 class HolderEstimate:
     """Fitted scaling exponent with its regression standard error."""
@@ -77,10 +100,9 @@ class StructureSums:
     every path's per-row sums of |increment|^q over the interior columns
     are taken for each lag (a time lag L pairs row i with row i + L and
     is booked on row i; a space lag pairs nodes within a row), and the
-    last ``max(time_lags)`` rows move to the front.  The interior window
-    drops WINDOW_MARGIN of the columns at each end, rounded down, and at
-    the end as much of each path's own rows.  Memory is
-    O(P (max lag + BLOCK_ROWS) n_cols + P n_lags n_rows).
+    last ``max(time_lags)`` rows move to the front.  The sums run over the
+    ``window`` of the columns and, at the end, of each path's own rows.
+    Memory is O(P (max lag + BLOCK_ROWS) n_cols + P n_lags n_rows).
     """
 
     def __init__(self, n_paths: int, n_cols: int, n_rows: int, q: float,
@@ -95,8 +117,7 @@ class StructureSums:
             raise ValueError("lags must be at least 1")
         self._max_lag = max(self.time_lags, default=0)
         self._buf = np.zeros((self._max_lag + BLOCK_ROWS, self.n_paths, n_cols))
-        edge = int(np.floor(WINDOW_MARGIN * n_cols))
-        self._cols = slice(edge, n_cols - edge)
+        self._cols = window(n_cols)
         self._sums = {TIME: np.zeros((len(self.time_lags), n_rows, self.n_paths)),
                       SPACE: np.zeros((len(self.space_lags), n_rows, self.n_paths))}
         self._count = np.zeros(self.n_paths, dtype=int)
@@ -174,26 +195,17 @@ class StructureSums:
         """
         self._reduce()
         own = self.time_lags if axis == TIME else self.space_lags
-        n_cols = self._cols.stop - self._cols.start
         out = np.empty((self.n_paths, len(lags)))
         for k, n_rows in enumerate(self._count.tolist()):
-            lo = int(np.floor(WINDOW_MARGIN * n_rows))
-            hi = n_rows - lo
+            rows = window(n_rows)
             for j, lag in enumerate(lags):
                 lag = int(lag)
                 if lag not in own:
                     raise ValueError(f"lag {lag} was not reduced along {axis}")
+                count = pooled_increments(axis, lag, n_rows, self._buf.shape[-1])
                 sums = self._sums[axis][own.index(lag), :, k]
-                n = hi - lo if axis == TIME else n_cols
-                if lag >= n:
-                    raise InsufficientData(f"lag {lag} outside series of length {n}")
-                if axis == TIME:
-                    count, total = (hi - lo - lag) * n_cols, np.sum(sums[lo:hi - lag])
-                else:
-                    count, total = (hi - lo) * (n_cols - lag), np.sum(sums[lo:hi])
-                if count < MIN_INCREMENTS:
-                    raise InsufficientData(
-                        f"only {count} increments at lag {lag}; need {MIN_INCREMENTS}")
+                # a time lag's sum is booked on the earlier row of each pair
+                total = np.sum(sums[rows.start:rows.stop - lag] if axis == TIME else sums[rows])
                 out[k, j] = total / count
         return out
 

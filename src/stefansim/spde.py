@@ -26,7 +26,8 @@ allocated once per run and written in place, and coefficients that
 ignore u are evaluated once.  Blow-up is a per-path flag, raised once
 the pair norm reaches M_max or a step yields a non-finite value; the
 path then stops with its last finite state, so no infinities are ever
-handed on.
+handed on.  A stopped path keeps its batch row, which is stepped on with
+the others but never drawn for, checked or handed on again.
 """
 from __future__ import annotations
 
@@ -318,8 +319,10 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     ``initial`` is (v1_0, v2_0, p0).  Path k is driven by the noise
     streams (seeds[k], 0) and (seeds[k], 1), and equals bit for bit the
     run of that seed alone: every operation acts on each row by itself.
-    A path that blows up leaves the batch, frozen, at the end of its
-    block.  Each block's values go to ``observer`` (see Recorder), by
+    A path that blows up keeps its batch row to the end of the run: the
+    row is stepped on with the others, but after the path's end its
+    streams are not drawn, its speeds are not checked and nothing of it is
+    handed on.  Each block's values go to ``observer`` (see Recorder), by
     default a Recorder without profiles.  An explicit (NoiseField,
     NoiseField) ``noise_pair`` drives a single path in place of the
     seeded streams.
@@ -356,32 +359,30 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
 
     nt, dt = grid.nt, grid.dt
     block = min(NOISE_BLOCK, nt)
-
-    def buffers(n_rows):
-        """A block's states and speeds, the step scratch and the noise block."""
-        return (np.empty((block + 1, 2, n_rows, grid.n_nodes)), np.empty((block + 1, n_rows)),
-                np.empty((2, 2, n_rows, grid.n_nodes)), np.empty((2, n_rows, block, grid.n_nodes)))
-
-    states, speeds, work, xi = buffers(n_paths)
+    # a block's states and speeds, the step scratch and the noise block: one row per path
+    states = np.empty((block + 1, 2, n_paths, grid.n_nodes))
+    speeds = np.empty((block + 1, n_paths))
+    work = np.empty((2, 2, n_paths, grid.n_nodes))
+    xi = np.empty((2, n_paths, block, grid.n_nodes))
     states[0] = v0[:, None]
     speeds[0] = h0
     capped = cap_profile(states[0], grid, M)
     fixed = coeffs.terms(states[0, :, :1], grid) if coeffs.u_free else None
     p, t = np.full(n_paths, float(p0)), 0.0
-    rows = np.arange(n_paths)              # path index of each batch row
+    live = np.ones(n_paths, dtype=bool)
     ends = [(nt, None)] * n_paths
     cfl_limit = grid.dx * (1 + 1e-12)
 
-    # rows step on past their end until the block does; their overflows and
-    # inf - inf are never handed on, so numpy need not warn about them
+    # a stopped path's row is stepped on to the end of the run, but its
+    # overflows and inf - inf are never read, so numpy need not warn about them
     with np.errstate(invalid="ignore", over="ignore"):
         observer(slice(None), slice(0, 1), np.zeros(1), p[None], speeds[:1],
                  profile_norm(states[:1], grid), states[:1])
         for i0 in range(0, nt, block):
             m = min(block, nt - i0)
             for side in (0, 1):
-                for a, k in enumerate(rows):
-                    streams[side][k].draw(m, out=xi[side, a, :m])
+                for k in np.flatnonzero(live):
+                    streams[side][k].draw(m, out=xi[side, k, :m])
             for j in range(m):
                 terms = fixed if fixed is not None else coeffs.terms(states[j], grid)
                 step_reflected(states[j], capped, speeds[j], xi[:, :, j], terms, grid,
@@ -395,47 +396,42 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             ts = np.cumsum(np.concatenate(([t], np.full(m, dt))))
             # the sum is below M_max only if both norms and p are finite (0 * inf is nan)
             done = ~(norms[:, 0] + norms[:, 1] + 0.0 * ps[1:] < M_max)
-            # each row's first stopping step in the block, m + 1 for a row that runs on
-            stop = np.where(done.any(axis=0), done.argmax(axis=0) + 1, m + 1)
-            # a row is stepped from each of its states before its stopping step
+            # each live path's first stopping step in the block, m + 1 for one
+            # that runs on, 0 for one that stopped before the block
+            stop = np.where(live, np.where(done.any(axis=0), done.argmax(axis=0) + 1, m + 1), 0)
+            # a path is stepped from each of its states before its stopping step
             bad = (np.abs(speeds[:m]) * dt > cfl_limit) & (np.arange(m)[:, None] < stop)
             if bad.any():
-                j, a = divmod(int(bad.argmax()), len(rows))     # earliest step, then row
+                j, k = divmod(int(bad.argmax()), n_paths)       # earliest step, then path
                 raise CflViolation(
-                    f"path {rows[a]} (seed {seeds[rows[a]]}): advection speed "
-                    f"|c|={abs(speeds[j, a]):.3g} violates dt*|c| <= dx at t={ts[j]:.6g}")
+                    f"path {k} (seed {seeds[k]}): advection speed "
+                    f"|c|={abs(speeds[j, k]):.3g} violates dt*|c| <= dx at t={ts[j]:.6g}")
 
-            # the last state kept of each row: a threshold step is kept, a
+            # the last state kept of each path: a threshold step is kept, a
             # non-finite one is discarded
             kept = np.minimum(stop, m)
-            for a in np.flatnonzero(stop <= m):
-                j = int(stop[a])
-                if np.isfinite(norms[j - 1, :, a]).all() and np.isfinite(ps[j, a]):
-                    ends[rows[a]] = (i0 + j, BLOWUP_THRESHOLD)
+            for k in np.flatnonzero(live & (stop <= m)):
+                j = int(stop[k])
+                if np.isfinite(norms[j - 1, :, k]).all() and np.isfinite(ps[j, k]):
+                    ends[k] = (i0 + j, BLOWUP_THRESHOLD)
                 else:
-                    ends[rows[a]] = (i0 + j - 1, BLOWUP_NON_FINITE)
-                    kept[a] = j - 1
-            # one hand-off per run of steps with the same live rows
+                    ends[k] = (i0 + j - 1, BLOWUP_NON_FINITE)
+                    kept[k] = j - 1
+            # one hand-off per run of steps with the same paths
             cuts = sorted({0, *kept.tolist()})
             for lo, hi in zip(cuts, cuts[1:]):
-                live = kept >= hi
-                sel = slice(None) if live.all() else live
-                at = slice(None) if live.all() and len(rows) == n_paths else rows[live]
+                on = kept >= hi
+                at = slice(None) if on.all() else np.flatnonzero(on)
                 observer(at, slice(i0 + lo + 1, i0 + hi + 1), ts[lo + 1:hi + 1],
-                         ps[lo + 1:hi + 1, sel], speeds[lo + 1:hi + 1, sel],
-                         norms[lo:hi, :, sel], states[lo + 1:hi + 1, :, sel])
+                         ps[lo + 1:hi + 1, at], speeds[lo + 1:hi + 1, at],
+                         norms[lo:hi, :, at], states[lo + 1:hi + 1, :, at])
 
-            # the last state opens the next block; rows that stopped leave the
-            # batch.  capped may view states[m]: the next block reads it at its
-            # first step, before that row is written again.
             live = stop > m
-            last, c_last, p, t = states[m][:, live], speeds[m][live], ps[m][live], ts[m]
-            if not live.all():
-                rows, capped = rows[live], capped[:, live]
-                if rows.size == 0:
-                    break
-                states, speeds, work, xi = buffers(rows.size)
-            states[0], speeds[0] = last, c_last
+            if not live.any():
+                break
+            # the last state opens the next block.  capped may view states[m]:
+            # the next block reads it at its first step, before it is written again.
+            states[0], speeds[0], p, t = states[m], speeds[m], ps[m], ts[m]
     return observer.finish(ends)
 
 

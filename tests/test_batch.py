@@ -13,6 +13,7 @@ from helpers import PushSide1, structure_function_reference
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.errors import CflViolation, DimensionMismatch
 from stefansim.grids import build_grid
+from stefansim.noise import NoiseStream
 from stefansim.regularity import SPACE, TIME, StructureSums, dyadic_lags, estimate_holder_ensemble
 from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
                             run_relative_frame, step_reflected)
@@ -212,8 +213,8 @@ def test_profiles_stay_nonnegative_with_zero_dirichlet_nodes(
 
 
 def test_cfl_violation_names_the_offending_path():
-    # path 0 leaves the batch at its threshold step; path 1, then batch row 0,
-    # violates |c| dt <= dx later and is named by its own index and seed
+    # path 0 stops at its threshold step; path 1 violates |c| dt <= dx later
+    # and is named by its own index and seed
     g = build_grid("compact", 32, 0.05, 512)
     fn = exp_imbalance(alpha=50.0, lam=100.0)
     coeffs = constant_coefficients(f=0.0, sigma=4.0)
@@ -272,6 +273,26 @@ def test_a_stopped_paths_later_speeds_raise_nothing():
     assert round(t / g.dt) == 8 <= stefansim.spde.NOISE_BLOCK
     traj = run_relative_frame((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, 81)
     assert (len(traj.times) - 1, traj.blowup_cause) == (6, "threshold")
+
+
+def test_a_stopped_rows_speeds_in_later_blocks_raise_nothing():
+    # side 1 runs away once it passes 2.5.  Seed 46 then stops at its
+    # threshold; its row, stepped on to the end of the run, breaks
+    # |c| dt <= dx blocks later.  Seeds 41 and 42 run to the end.
+    g = build_grid("compact", 16, 0.08, 1024)
+    v0 = _sine(g, 0.5)
+    vol = lambda x, u: np.full_like(u, 3.0)  # noqa: E731
+    coeffs = ModelCoefficients(f1=lambda x, u: np.where(u > 2.5, 1e5, 2.0),
+                               f2=lambda x, u: np.zeros_like(u), sigma1=vol, sigma2=vol)
+    args = ((v0, v0.copy(), 0.0), coeffs, exp_imbalance(alpha=100.0, lam=100.0), 60.0)
+    with pytest.raises(CflViolation) as err:
+        run_relative_frame(*args, np.inf, g, 46)
+    violation = round(float(re.search(r"at t=(\S+)$", str(err.value)).group(1)) / g.dt)
+    stop = len(run_relative_frame(*args, 60.0, g, 46).times) - 1
+    block = stefansim.spde.NOISE_BLOCK
+    assert (stop - 1) // block < violation // block
+    batch = assert_rows_match_singles(*args, 60.0, g, [41, 46, 42], stride=64)
+    assert [t.blowup_cause for t in batch] == [None, "threshold", None]
 
 
 def test_infinite_drift_flags_non_finite_and_stores_no_infinity():
@@ -392,6 +413,31 @@ def test_a_stopped_path_keeps_its_stopping_time_and_last_state():
             t_new = t_new + g.dt
         assert traj.blown_up and traj.tau_estimate == t_new
     assert {t.blowup_cause for t in recorded} == {"threshold", "non_finite", None}
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+def test_a_stopped_paths_streams_are_not_drawn_after_its_stopping_block(block, monkeypatch):
+    g, args = _stopping_batch("both")
+    monkeypatch.setattr(stefansim.spde, "NOISE_BLOCK", block)
+    rows = {}       # (seed, side) -> time rows drawn
+    init, draw = NoiseStream.__init__, NoiseStream.draw
+
+    def tagged(self, grid, seed, stream=0):
+        init(self, grid, seed, stream)
+        self.tag = (seed, stream)
+
+    def counted(self, n, out=None):
+        rows[self.tag] = rows.get(self.tag, 0) + n
+        return draw(self, n, out)
+    monkeypatch.setattr(NoiseStream, "__init__", tagged)
+    monkeypatch.setattr(NoiseStream, "draw", counted)
+    ends = run_paths(*args, observer=_Calls(len(args[-1])))
+    assert {"threshold", "non_finite", None} <= {cause for _, cause in ends}
+    for seed, (last, cause) in zip(args[-1], ends):
+        # the step that stopped the path: its last kept one, or the discarded one after it
+        stop = g.nt if cause is None else last + (cause == "non_finite")
+        want = min(g.nt, -(-stop // block) * block)
+        assert (rows[seed, 0], rows[seed, 1]) == (want, want), (seed, cause)
 
 
 @pytest.mark.parametrize("cause", ["threshold", "non_finite"])

@@ -210,9 +210,11 @@ def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, 
     assert err.startswith("config error: ") and field in err
 
 
-#: malformed fit tables: a field that is not a number, a row one column short
+#: malformed fit tables: a field that is not a number, a row one column
+#: short, a header without rows
 _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
-            "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n"}
+            "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n",
+            "no_rows": "x_center,f,sigma,count\r\n"}
 
 _EVENTS_HEADER = "time,side,event_type,relative_price,size\n"
 
@@ -229,6 +231,9 @@ _BAD_LOB = {
                          ["lob.input={target}"]),
     "overlong_field": (_EVENTS_HEADER + '0.1,"' + "b" * 200_000 + '",limit,0.5,10\n',
                        ["lob.input={target}"]),
+    # events that span no time: none, or a single one
+    "header_only": (_EVENTS_HEADER, ["lob.input={target}"]),
+    "one_event": (_EVENTS_HEADER + "0.1,bid,limit,0.5,10\n", ["lob.input={target}"]),
 }
 
 
@@ -240,12 +245,15 @@ _BAD_LOB = {
     ("simulate-price", "price.fit_csv", "directory"),
     ("simulate-price", "price.fit_csv", "not_a_number"),
     ("simulate-price", "price.fit_csv", "short_row"),
+    ("simulate-price", "price.fit_csv", "no_rows"),
     ("fit-lob", "lob.touch_file", "two_columns"),
     ("fit-lob", "lob.touch_file", "no_touch_file"),
     ("fit-lob", "lob.format", "unknown_format"),
     ("fit-lob", "lob.input", "over_threshold"),
     ("fit-lob", "lob.input", "decreasing_times"),
     ("fit-lob", "lob.input", "overlong_field"),
+    ("fit-lob", "lob.input", "header_only"),
+    ("fit-lob", "lob.input", "one_event"),
 ])
 def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, field, kind):
     events = tmp_path / "events.csv"
@@ -485,6 +493,25 @@ def test_holder_subcommand(tmp_path):
     axes = [row["axis"] for row in report["estimates"]]
     assert axes == ["time", "space", "boundary_derivative"]
     assert all(row["n_paths"] == 2 for row in report["estimates"])
+
+
+@pytest.mark.parametrize("sets, field", [
+    # lag 4096 outside the 1641-row window of a 2049-row path
+    (["grid.nt=2048", "grid.nx=16", "holder.lag_max=4096"], "holder.lag_max"),
+    # space lags 1-8 on 5 nodes
+    (["grid.nx=4"], "grid.nx"),
+])
+def test_holder_refuses_lags_no_path_can_fit_before_stepping(tmp_path, capsys, monkeypatch,
+                                                            sets, field):
+    def stepped(*args, **kwargs):
+        raise AssertionError("the paths were stepped")
+    monkeypatch.setattr("stefansim.cli.run_paths", stepped)
+    args = ["holder", "-c", _write_cfg(tmp_path, _holder_cfg(tmp_path))]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
 
 
 def test_holder_worker_fanout_deterministic(tmp_path):

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from helpers import fbm_path, structure_function_reference
 from stefansim.errors import InsufficientData
-from stefansim.regularity import (BLOCK_ROWS, SPACE, TIME, StructureSums,
+from stefansim.regularity import (BLOCK_ROWS, MIN_INCREMENTS, SPACE, TIME, StructureSums,
                                   boundary_holder_ensemble, dyadic_lags, estimate_holder,
-                                  estimate_holder_ensemble, structure_function)
+                                  estimate_holder_ensemble, pooled_increments,
+                                  structure_function)
 
 
 def test_constant_series_degenerate():
@@ -169,6 +170,19 @@ def test_structure_sums_raise_where_structure_function_does():
         estimate_holder_ensemble(paths, TIME, q=2, lag_range=(4, 32))
     with pytest.raises(InsufficientData):
         estimate_holder_ensemble([], TIME, q=2, lag_range=(4, 32))
+
+
+@given(n_rows=st.integers(1, 300), n_cols=st.integers(1, 40), lag=st.integers(1, 300),
+       axis=st.sampled_from([TIME, SPACE]))
+def test_pooled_increments_refuses_what_the_reference_refuses(n_rows, n_cols, lag, axis):
+    try:
+        structure_function_reference(np.zeros((n_rows, n_cols)), axis, [lag], 2)
+    except InsufficientData:
+        for wider in (lag, lag + 1):
+            with pytest.raises(InsufficientData):
+                pooled_increments(axis, wider, n_rows, n_cols)
+    else:
+        assert pooled_increments(axis, lag, n_rows, n_cols) >= MIN_INCREMENTS
 
 
 def test_structure_sums_reject_other_lags_and_orders():
