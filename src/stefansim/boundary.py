@@ -112,9 +112,9 @@ def F_Mr(u: np.ndarray, grid: GridSpec, M: float, r: float) -> np.ndarray:
     return np.where(decay * u <= M, u, growth * M)
 
 
-def cap_profile(v: np.ndarray, grid: GridSpec, M: float | None) -> np.ndarray:
-    """v ^ M on the compact domain, F_{M,r} on the half-line; no cap when M is None or inf."""
-    if M is None or not np.isfinite(M):
+def cap_profile(v: np.ndarray, grid: GridSpec, M: float) -> np.ndarray:
+    """v ^ M on the compact domain, F_{M,r} on the half-line; no cap when M is inf."""
+    if not np.isfinite(M):
         return v
     if grid.domain_kind == COMPACT:
         return np.minimum(v, M)

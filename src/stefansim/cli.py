@@ -57,12 +57,14 @@ def _outdir(cfg: dict) -> Path:
 
 @contextmanager
 def _input_file(field: str, path: str):
-    """An input file that cannot be opened or parsed is a config error naming its field."""
+    """An input file that cannot be opened, or whose content is refused, is a config error."""
     try:
         yield
-    except (OSError, ValueError, FormatError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"field {field!r}: cannot read {path!r}: {reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"field {field!r}: cannot read {path!r}: "
+                          f"{exc.strerror or exc}") from None
+    except (ValueError, FormatError) as exc:
+        raise ConfigError(f"field {field!r}: {path!r} is not valid: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict, cfg_hash: str, seed) -> None:
@@ -131,8 +133,7 @@ def cmd_picard_check(cfg: dict) -> int:
     M = truncation_from_config(cfg, "picard.M", default=2.0)
     n_iters = get_field(cfg, "picard.n_iters", default=12, cast=whole(2))
     noise_pair = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
-    report = picard_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid,
-                            n_iters=n_iters, compare_direct=True)
+    report = picard_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid, n_iters=n_iters)
     out = _outdir(cfg)
     _write_json(out / "picard_report.json", report.to_json_dict(),
                 config_hash(cfg), seed)
@@ -228,7 +229,7 @@ def cmd_fit_lob(cfg: dict) -> int:
     n_bins = get_field(cfg, "lob.n_bins", default=16, cast=whole(MIN_BINS))
     agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=positive)
     # a per-side fit needs a side, which only the library call takes
-    pool = get_field(cfg, "lob.pool_sides", default=True, cast=choice(True))
+    get_field(cfg, "lob.pool_sides", default=True, cast=choice(True))
     seed = _seed(cfg)
     touch = None
     touch_file = get_field(cfg, "lob.touch_file", default=None)
@@ -242,7 +243,7 @@ def cmd_fit_lob(cfg: dict) -> int:
     # events without a time span (none, or one) cannot be fitted
     with _input_file("lob.input", source):
         stream = parse_events(source, fmt=fmt, book_reference_prices=touch)
-        fit = fit_coefficients(stream, n_bins=n_bins, pool_sides=pool, agg_interval=agg)
+        fit = fit_coefficients(stream, n_bins=n_bins, agg_interval=agg)
     fit.to_csv(_outdir(cfg) / "fit.csv", header_comment=_header(config_hash(cfg), seed))
     return EXIT_OK
 

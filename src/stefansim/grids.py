@@ -152,7 +152,3 @@ class Field:
         t = grid.time_nodes()[:, None]
         x = grid.space_nodes()[None, :]
         return cls(grid, np.broadcast_to(fn(t, x), (grid.nt + 1, grid.n_nodes)).copy())
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "Field":
-        return cls(grid, np.zeros((grid.nt + 1, grid.n_nodes)))

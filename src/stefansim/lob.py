@@ -70,12 +70,6 @@ class LobEventStream:
                               self.sizes[mask], self.horizon)
 
 
-def _empty_stream(horizon) -> LobEventStream:
-    return LobEventStream(np.empty(0), np.empty(0, dtype=object),
-                          np.empty(0, dtype=object), np.empty(0), np.empty(0),
-                          horizon=horizon or (0.0, 0.0))
-
-
 class _TouchSeries:
     """Step-function lookup of (bid touch, ask touch) prices over time."""
 
@@ -183,7 +177,8 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     not malformed.  Text ``csv`` cannot read (a field longer than
     ``csv.field_size_limit()``, a line break in an unquoted field) raises
     FormatError.  The rows are read in chunks of CHUNK and converted a
-    column at a time.
+    column at a time.  ``horizon`` comes back as a pair of floats; by
+    default it spans the kept events, (0, 0) when none is kept.
     """
     if fmt not in (NORMALIZED, LOBSTER):
         raise FormatError(f"unknown event format {fmt!r}")
@@ -202,7 +197,8 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     else:
         fh = source
     try:
-        kept = []           # per chunk: times, side codes, type codes, rel prices, sizes
+        # per chunk: times, side codes, type codes, rel prices, sizes; the first is empty
+        kept = [[np.empty(0), *np.empty((2, 0), dtype=np.int8), np.empty(0), np.empty(0)]]
         malformed = filtered = total = 0
         last_time = -np.inf
         reader = csv.reader(fh)
@@ -248,15 +244,10 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     if total and malformed > malformed_threshold * total:
         raise FormatError(f"{malformed} of {total} rows malformed "
                           f"(threshold {malformed_threshold:.0%})")
-    if not kept:
-        stream = _empty_stream(horizon)
-        stream.malformed_count = malformed
-        stream.filtered_count = filtered
-        return stream
     # float columns first: each object column then replaces a smaller int8 one
     times, rels, sizes = (_concat(kept, i) for i in (0, 3, 4))
     if horizon is None:
-        horizon = (times[0], times[-1])
+        horizon = (times[0], times[-1]) if len(times) else (0.0, 0.0)
     return LobEventStream(times, np.array([BID, ASK], dtype=object)[_concat(kept, 1)],
                           np.array([LIMIT, CANCEL, MARKET], dtype=object)[_concat(kept, 2)],
                           rels, sizes, horizon=tuple(map(float, horizon)),
@@ -288,10 +279,15 @@ class FitResult:
 
     @classmethod
     def from_csv(cls, path) -> "FitResult":
+        """Read a written fit table; every value must be finite and every count whole and >= 0."""
         table = read_table(path)
         if not len(table):
             raise FormatError("fit table has no rows")
         x_centers, f, sigma, counts = table.T
+        bad = ~(np.isfinite(table).all(axis=1) & (counts >= 0) & (counts == np.round(counts)))
+        if bad.any():
+            raise FormatError(f"fit table row {bad.argmax() + 1}: x_center, f and sigma must be "
+                              "finite and count a whole number >= 0")
         return cls(x_centers=x_centers, f=f, sigma=sigma, counts=counts.astype(int))
 
 
@@ -300,16 +296,17 @@ def _signed_sizes(stream: LobEventStream) -> np.ndarray:
     return sign * stream.sizes
 
 
-def fit_coefficients(stream: LobEventStream, n_bins: int, pool_sides: bool = True,
-                     side: str | None = None, agg_interval: float = 1.0) -> FitResult:
+def fit_coefficients(stream: LobEventStream, n_bins: int, side: str | None = None,
+                     agg_interval: float = 1.0) -> FitResult:
     """Binned net-flow estimator for (f, sigma) over relative price.
 
     Per bin of width D = 1/n_bins: f is the signed volume (+limit,
     -cancel, -market) per second per unit price; sigma is the root mean
     square fluctuation of per-interval net volume around its mean, scaled
     by 1/sqrt(horizon * D) so that it estimates the white-noise loading.
-    A pooled fit estimates the common per-side coefficient, so when both
-    sides are present the totals are split evenly between them (the
+    ``side`` "bid" or "ask" fits that side's events alone; None pools
+    both.  A pooled fit estimates the common per-side coefficient, so when
+    both sides are present the totals are split evenly between them (the
     pooled fit then matches the average of the two per-side fits on
     balanced data).
     """
@@ -319,9 +316,9 @@ def fit_coefficients(stream: LobEventStream, n_bins: int, pool_sides: bool = Tru
     horizon = t1 - t0
     if not horizon > 0:
         raise ValueError("stream horizon must have positive length")
-    if not pool_sides:
+    if side is not None:
         if side not in (BID, ASK):
-            raise ValueError("per-side fit needs side='bid' or side='ask'")
+            raise ValueError(f"side must be 'bid', 'ask' or None, got {side!r}")
         stream = stream.subset(stream.sides == side)
     n_sides = max(1, len(set(stream.sides.tolist())))
     width = 1.0 / n_bins

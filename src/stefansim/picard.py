@@ -158,22 +158,20 @@ def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
 
 @dataclass
 class IterationReport:
-    """Convergence record of one iteration run; ``v`` is the final pair."""
+    """Distances ``d`` of successive iterates, the final pair ``v``, its gap to the direct run."""
 
     d: list
-    iters: int
     converged: bool
-    final_gap_vs_direct: float | None = None
-    v: Field | None = None
+    final_gap_vs_direct: float
+    v: Field
 
     def to_json_dict(self) -> dict:
         return {
             "schema": 1,
             "d": [float(v) for v in self.d],
-            "iters": int(self.iters),
+            "iters": len(self.d),
             "converged": bool(self.converged),
-            "final_gap_vs_direct": (None if self.final_gap_vs_direct is None
-                                    else float(self.final_gap_vs_direct)),
+            "final_gap_vs_direct": float(self.final_gap_vs_direct),
         }
 
 
@@ -183,21 +181,18 @@ CONVERGENCE_TOL = 1e-4
 def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
                    coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
                    M: float, noise_pair: tuple[NoiseField, NoiseField],
-                   grid: GridSpec, n_iters: int = 12,
-                   tables: KernelTables | None = None,
-                   compare_direct: bool = False) -> IterationReport:
+                   grid: GridSpec, n_iters: int = 12) -> IterationReport:
     """Iterate the mild/obstacle alternation from constant-in-time iterates.
 
     The zeroth iterates equal the initial data for all time.  d_n sums the
-    sides' sup-norm distances between successive iterates; when
-    ``compare_direct`` is set the final pair is compared against the
-    direct explicit integrator driven by the identical noise realisation.
+    sides' sup-norm distances between successive iterates, and the final
+    pair is compared against the direct explicit integrator driven by the
+    identical noise realisation.
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
     v0, _ = check_initial(v1_0, v2_0, M, grid, boundary_fn)
-    if tables is None:
-        tables = build_kernel_tables(grid)
+    tables = build_kernel_tables(grid)
 
     v = Field(grid, np.repeat(v0[:, None], grid.nt + 1, axis=1))
     d_hist = []
@@ -207,13 +202,10 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
         d_hist.append(float(np.max(np.abs(v_new.values - v.values), axis=(1, 2)).sum()))
         v = v_new
 
-    report = IterationReport(d=d_hist, iters=n_iters,
-                             converged=d_hist[-1] <= CONVERGENCE_TOL, v=v)
-    if compare_direct:
-        traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn,
-                                  M=M, M_max=np.inf, grid=grid,
-                                  seed=noise_pair[0].seed, store_stride=1,
-                                  noise_pair=noise_pair)
-        direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
-        report.final_gap_vs_direct = float(np.max(np.abs(direct - v.values)))
-    return report
+    traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn,
+                              M=M, M_max=np.inf, grid=grid,
+                              seed=noise_pair[0].seed, store_stride=1,
+                              noise_pair=noise_pair)
+    direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
+    return IterationReport(d=d_hist, converged=d_hist[-1] <= CONVERGENCE_TOL,
+                           final_gap_vs_direct=float(np.max(np.abs(direct - v.values))), v=v)

@@ -31,7 +31,6 @@ the others but never drawn for, checked or handed on again.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +40,7 @@ from ._csv import write_table
 from ._fd import laplacian, upwind_gradient
 from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
-from .grids import COMPACT, GridSpec, profile_norm
+from .grids import COMPACT, STABILITY_FACTOR, GridSpec, profile_norm
 # sample_white_noise stays importable from here: the benchmark's tracer wraps it by name
 from .noise import NoiseStream, sample_white_noise  # noqa: F401
 
@@ -120,8 +119,7 @@ def tabulated_coefficients(x_centers, f_values, sigma_values, **meta) -> ModelCo
 
 
 def step_reflected(v: np.ndarray, capped: np.ndarray, c: np.ndarray, noise: np.ndarray,
-                   terms, grid: GridSpec, lap_scale: float = 1.0,
-                   out: np.ndarray | None = None, work=None) -> np.ndarray:
+                   terms, grid: GridSpec, lap_scale: float, out: np.ndarray, work) -> np.ndarray:
     """The explicit Euler increment of a batch of profile pairs over one step.
 
     ``v`` is the state as (2, P, n_nodes), side 1 then side 2, ``capped``
@@ -131,14 +129,13 @@ def step_reflected(v: np.ndarray, capped: np.ndarray, c: np.ndarray, noise: np.n
     Side 1 is advected with speed c and side 2 with -c, each upwinded by
     the sign of its own speed; the caller keeps |c| dt <= dx.  The new
     state, projected onto v >= 0 with the Dirichlet nodes re-zeroed, is
-    written to ``out`` (a new array when None; never ``v`` itself) and
-    returned.  ``work`` is a pair of C-contiguous scratch arrays of v's
-    shape (new ones when None).
+    written to ``out`` (never ``v`` itself) and returned.  ``work`` is a
+    pair of C-contiguous scratch arrays of v's shape.
     """
     if v.ndim != 3 or v.shape[::2] != (2, grid.n_nodes) or noise.shape != v.shape:
         raise DimensionMismatch("state and noise must be (2, P, n_nodes) arrays")
     drift, dt_sigma = terms
-    rate, kick = np.empty((2,) + v.shape) if work is None else work
+    rate, kick = work
     speed = SIDE_SIGN * c[:, None]
     laplacian(v, grid.dx, out=rate)
     rate *= lap_scale
@@ -234,8 +231,8 @@ class Trajectory:
 class Recorder:
     """The default ``run_paths`` observer: one Trajectory per path.
 
-    It keeps t, p, p' and both norms at every step, and both profiles
-    every ``stride`` steps and at the last step (none when stride is 0).
+    It keeps t, p, p' and both norms at every step, and both profiles at
+    the steps 0, stride, 2 stride, ... and nt (none when stride is 0).
 
     An observer is called as ``observer(at, steps, t, p, p_prime, norms,
     v)`` for step 0 and then for each run of at most ``NOISE_BLOCK``
@@ -255,10 +252,9 @@ class Recorder:
         self.grid, self.stride = grid, max(int(stride), 0)
         self.times = np.zeros(grid.nt + 1)
         self.record = np.empty((4, n_paths, grid.nt + 1))   # p, p', norm1, norm2
-        self.snap_steps = []
         if self.stride:
-            columns = -(-grid.nt // self.stride) + 1
-            self.snaps = np.empty((2, n_paths, columns, grid.n_nodes))
+            self.snap_steps = np.union1d(np.arange(0, grid.nt + 1, self.stride), grid.nt)
+            self.snaps = np.empty((2, n_paths, len(self.snap_steps), grid.n_nodes))
 
     def __call__(self, at, steps, t, p, p_prime, norms, v):
         self.times[steps] = t
@@ -266,17 +262,15 @@ class Recorder:
         self.record[1, at, steps] = p_prime.T
         self.record[2:, at, steps] = norms.transpose(1, 2, 0)
         if self.stride:
-            for step in range(steps.start, steps.stop):
-                if step % self.stride == 0 or step == self.grid.nt:
-                    self.snaps[:, at, len(self.snap_steps)] = v[step - steps.start]
-                    self.snap_steps.append(step)
+            lo, hi = np.searchsorted(self.snap_steps, (steps.start, steps.stop))
+            self.snaps[:, at, lo:hi] = np.moveaxis(v[self.snap_steps[lo:hi] - steps.start], 0, 2)
 
     def finish(self, ends) -> list:
         trajectories = []
         for k, (step, cause) in enumerate(ends):
             stored = {}
             if self.stride:
-                n = bisect.bisect_right(self.snap_steps, step)
+                n = np.searchsorted(self.snap_steps, step, side="right")
                 stored = {"snapshot_times": self.times[self.snap_steps[:n]],
                           "v1_snapshots": self.snaps[0, k, :n],
                           "v2_snapshots": self.snaps[1, k, :n]}
@@ -333,8 +327,8 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
     if not M <= M_max:
         raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
-    if lap_scale * grid.dt > 0.5 * grid.dx**2 * (1 + 1e-12):
-        raise CflViolation("lap_scale * dt exceeds 0.5 * dx^2")
+    if lap_scale * grid.dt > STABILITY_FACTOR * grid.dx**2 * (1 + 1e-12):
+        raise CflViolation(f"lap_scale * dt exceeds {STABILITY_FACTOR} * dx^2")
     if grid.domain_kind != COMPACT and coeffs.growth_R is not None:
         violation = coeffs.validate_growth(grid)
         if violation > 1e-9:

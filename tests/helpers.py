@@ -191,12 +191,12 @@ def parse_events_reference(source, fmt="normalized", book_reference_prices=None,
     if total and malformed > malformed_threshold * total:
         raise FormatError(f"{malformed} of {total} rows malformed "
                           f"(threshold {malformed_threshold:.0%})")
-    if times and horizon is None:
-        horizon = (float(times[0]), float(times[-1]))
+    if horizon is None:
+        horizon = (times[0], times[-1]) if times else (0.0, 0.0)
     return LobEventStream(np.asarray(times, dtype=float), np.asarray(sides, dtype=object),
                           np.asarray(types, dtype=object), np.asarray(rels, dtype=float),
                           np.asarray(sizes, dtype=float),
-                          horizon=tuple(map(float, horizon)) if times else horizon or (0.0, 0.0),
+                          horizon=tuple(map(float, horizon)),
                           malformed_count=malformed, filtered_count=filtered)
 
 

@@ -233,7 +233,8 @@ def test_step_rejects_noise_of_another_shape():
     v = np.zeros((2, 2, g.n_nodes))
     with pytest.raises(DimensionMismatch):
         step_reflected(v, v, np.zeros(2), np.zeros((2, 1, g.n_nodes)),
-                       constant_coefficients().terms(v, g), g)
+                       constant_coefficients().terms(v, g), g, 1.0, np.empty_like(v),
+                       np.empty((2,) + v.shape))
 
 
 def test_cfl_violation_in_a_run_names_the_first_path_to_violate():
@@ -413,6 +414,27 @@ def test_a_stopped_path_keeps_its_stopping_time_and_last_state():
             t_new = t_new + g.dt
         assert traj.blown_up and traj.tau_estimate == t_new
     assert {t.blowup_cause for t in recorded} == {"threshold", "non_finite", None}
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+@pytest.mark.parametrize("cause", ["threshold", "non_finite"])
+def test_recorder_keeps_every_stride_th_step_and_the_last(cause, block, monkeypatch):
+    # strides that divide nt and strides that do not, one past nt
+    g, args = _stopping_batch(cause)
+    monkeypatch.setattr(stefansim.spde, "NOISE_BLOCK", block)
+    seeds = args[-1]
+    every = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    lasts = [len(traj.times) - 1 for traj in every]
+    assert cause in {t.blowup_cause for t in every}
+    # some path stops inside a block
+    assert block == 1 or any(0 < last % block for last in lasts if last < g.nt)
+    for stride in (1, 3, 7, g.nt, g.nt + 5):
+        trajs = run_paths(*args, observer=Recorder(g, len(seeds), stride))
+        for traj, full, last in zip(trajs, every, lasts):
+            rows = [k for k in sorted({*range(0, g.nt + 1, stride), g.nt}) if k <= last]
+            for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
+                assert _same_bytes(getattr(traj, name), getattr(full, name)[rows]), \
+                    (stride, name)
 
 
 @pytest.mark.parametrize("block", [1, 7, 128])

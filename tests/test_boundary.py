@@ -159,10 +159,10 @@ def test_swap_antisymmetry(grid):
     assert eval_h(fn, v1, v2, grid) == pytest.approx(-eval_h(fn, v2, v1, grid), abs=1e-12)
 
 
-@pytest.mark.parametrize("fn, M", [(zero_boundary(), None),
-                                   (exp_imbalance(alpha=5.0, lam=100.0, clamp=3.0), None),
-                                   (exp_imbalance(), 0.5), (stefan_fd(clamp=3.0), None),
-                                   (table_boundary([-1.0, 0.0, 1.0], [-3.0, 0.0, 3.0]), None)],
+@pytest.mark.parametrize("fn, M", [(zero_boundary(), np.inf),
+                                   (exp_imbalance(alpha=5.0, lam=100.0, clamp=3.0), np.inf),
+                                   (exp_imbalance(), 0.5), (stefan_fd(clamp=3.0), np.inf),
+                                   (table_boundary([-1.0, 0.0, 1.0], [-3.0, 0.0, 3.0]), np.inf)],
                          ids=["zero", "exp_imbalance", "exp_truncated", "stefan_fd", "table"])
 @pytest.mark.parametrize("domain", ["compact", "halfline"])
 def test_stacked_profiles_match_single_profiles_bitwise(fn, M, domain):

@@ -12,6 +12,7 @@ import yaml
 
 from helpers import synthetic_lob_rows
 from stefansim.cli import main
+from stefansim.errors import FormatError
 from stefansim.lob import FitResult
 
 REPO = Path(__file__).resolve().parents[1]
@@ -211,10 +212,17 @@ def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, 
 
 
 #: malformed fit tables: a field that is not a number, a row one column
-#: short, a header without rows
+#: short, a header without rows, a value that is not finite, a count that
+#: is not a whole number >= 0
 _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n",
-            "no_rows": "x_center,f,sigma,count\r\n"}
+            "no_rows": "x_center,f,sigma,count\r\n",
+            "nan_sigma": "x_center,f,sigma,count\r\n0.25,0.1,0.2,3\r\n0.75,0.1,nan,3\r\n",
+            "inf_f": "x_center,f,sigma,count\r\n0.25,-inf,0.2,3\r\n",
+            "nan_x_center": "x_center,f,sigma,count\r\nnan,0.1,0.2,3\r\n",
+            "fractional_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,2.5\r\n",
+            "negative_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,-1\r\n",
+            "inf_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,inf\r\n"}
 
 _EVENTS_HEADER = "time,side,event_type,relative_price,size\n"
 
@@ -246,6 +254,12 @@ _BAD_LOB = {
     ("simulate-price", "price.fit_csv", "not_a_number"),
     ("simulate-price", "price.fit_csv", "short_row"),
     ("simulate-price", "price.fit_csv", "no_rows"),
+    ("simulate-price", "price.fit_csv", "nan_sigma"),
+    ("simulate-price", "price.fit_csv", "inf_f"),
+    ("simulate-price", "price.fit_csv", "nan_x_center"),
+    ("simulate-price", "price.fit_csv", "fractional_count"),
+    ("simulate-price", "price.fit_csv", "negative_count"),
+    ("simulate-price", "price.fit_csv", "inf_count"),
     ("fit-lob", "lob.touch_file", "two_columns"),
     ("fit-lob", "lob.touch_file", "no_touch_file"),
     ("fit-lob", "lob.format", "unknown_format"),
@@ -276,6 +290,29 @@ def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, fie
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+
+
+def test_input_errors_say_cannot_read_only_for_a_file_that_was_not_read(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text(_EVENTS_HEADER)
+    missing = tmp_path / "missing.csv"
+    cfg_path = _write_cfg(tmp_path, {"lob": {"input": str(events), "n_bins": 4},
+                                     "output": {"dir": str(tmp_path / "out")}})
+    assert main(["fit-lob", "-c", cfg_path]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: field 'lob.input': {str(events)!r} is not valid: "
+        "stream horizon must have positive length\n")
+    assert main(["fit-lob", "-c", cfg_path, "--set", f"lob.input={missing}"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: field 'lob.input': cannot read {str(missing)!r}: "
+        "No such file or directory\n")
+
+
+def test_fit_with_a_bad_row_is_refused_by_row(tmp_path):
+    path = tmp_path / "fit.csv"
+    path.write_text(_BAD_FIT["nan_sigma"])
+    with pytest.raises(FormatError, match=r"^fit table row 2: "):
+        FitResult.from_csv(path)
 
 
 def test_fit_lob_reads_a_one_row_touch_file(tmp_path):
@@ -474,6 +511,7 @@ def test_picard_check_subcommand(tmp_path):
     report = json.loads((tmp_path / "out" / "picard_report.json").read_text())
     assert report["schema"] == 1
     assert len(report["d"]) == 4
+    assert report["iters"] == len(report["d"])
     assert report["final_gap_vs_direct"] is not None
 
 

@@ -22,6 +22,15 @@ def test_empty_input():
     assert stream.malformed_count == 0
 
 
+def test_input_that_keeps_no_event_returns_its_explicit_horizon_as_floats():
+    # a header and one event outside [0, 1]: nothing is kept
+    text = "time,side,event_type,relative_price,size\n0.1,bid,limit,1.5,10\n"
+    stream = parse_events(io.StringIO(text), horizon=[np.int64(0), np.float32(2.5)])
+    assert stream.n_events == 0 and stream.filtered_count == 1
+    assert stream.horizon == (0.0, 2.5)
+    assert [type(t) for t in stream.horizon] == [float, float]
+
+
 def test_single_row_identity_parse():
     stream = _stream_from_rows(["0.5,bid,limit,0.03,100"])
     assert stream.n_events == 1
@@ -132,12 +141,18 @@ def test_pooled_fit_is_average_of_sides_on_mirrored_data():
                               sides=("bid", "ask"))
     stream = _stream_from_rows(rows, horizon=(0.0, 300.0))
     pooled = fit_coefficients(stream, n_bins=4)
-    bid = fit_coefficients(stream, n_bins=4, pool_sides=False, side="bid")
-    ask = fit_coefficients(stream, n_bins=4, pool_sides=False, side="ask")
+    bid = fit_coefficients(stream, n_bins=4, side="bid")
+    ask = fit_coefficients(stream, n_bins=4, side="ask")
     assert np.allclose(pooled.f, 0.5 * (bid.f + ask.f), atol=1e-9)
     # mirrored data make the per-side sigmas equal, so RMS pooling = average
     rms = np.sqrt(0.5 * (bid.sigma**2 + ask.sigma**2))
     assert np.allclose(pooled.sigma, rms, atol=1e-9)
+
+
+def test_a_side_other_than_bid_ask_or_pooled_is_refused():
+    rows = synthetic_lob_rows([1.0, 0.5, 0.25, 0.1], [0.2, 0.1, 0.1, 0.05], 60.0, 3)
+    with pytest.raises(ValueError, match="side"):
+        fit_coefficients(_stream_from_rows(rows), n_bins=4, side="mid")
 
 
 def test_fit_csv_round_trip(tmp_path):

@@ -46,7 +46,7 @@ def test_projected_constraint_and_complementarity(grid, sine):
 
 
 def test_projected_lower_bound_with_zero_obstacle(grid):
-    v = Field.zeros(grid)
+    v = Field(grid, np.zeros((grid.nt + 1, grid.n_nodes)))
     sol = solve_projected(v)
     assert np.min(sol.z.values) >= 0.0
 

@@ -86,17 +86,17 @@ def test_mild_constant_forcing_matches_direct(small_grid, small_tables):
     assert np.max(np.abs(w.values[0] - traj.v1_snapshots)) <= 2e-3
 
 
-def test_trivial_fixed_point_converges_immediately(small_grid, small_tables):
+def test_trivial_fixed_point_converges_immediately(small_grid):
     z = np.zeros(small_grid.n_nodes)
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     noise = (_zero_noise(small_grid), _zero_noise(small_grid))
     rep = picard_iterate(z, z.copy(), coeffs, zero_boundary(), np.inf, noise,
-                         small_grid, n_iters=2, tables=small_tables)
+                         small_grid, n_iters=2)
     assert rep.d[0] == 0.0
     assert rep.converged
 
 
-def test_picard_contracts_and_matches_direct(small_grid, small_tables):
+def test_picard_contracts_and_matches_direct(small_grid):
     x = small_grid.space_nodes()
 
     def drift(xv, u):
@@ -114,7 +114,7 @@ def test_picard_contracts_and_matches_direct(small_grid, small_tables):
     noise = (sample_white_noise(small_grid, 21, 0),
              sample_white_noise(small_grid, 21, 1))
     rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, small_grid,
-                         n_iters=8, tables=small_tables, compare_direct=True)
+                         n_iters=8)
     d = rep.d
     assert all(np.isfinite(d))
     for i in range(1, 5):
@@ -137,8 +137,7 @@ def test_halfline_picard_contracts_and_matches_direct():
     coeffs = constant_coefficients(f=0.2, sigma=0.25)
     fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
     noise = (sample_white_noise(grid, 3, 0), sample_white_noise(grid, 3, 1))
-    rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, n_iters=8,
-                         compare_direct=True)
+    rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, n_iters=8)
     d = rep.d
     ratios = [d[i + 1] / d[i] for i in range(1, len(d) - 1) if d[i] > 1e-14]
     assert max(ratios) <= 0.8
@@ -187,27 +186,27 @@ def test_picard_and_direct_run_share_the_initial_data_contract(node, value, M):
         run_relative_frame((bad, v0, 0.0), coeffs, fn, M, np.inf, g, seed=3)
 
 
-def test_iteration_report_json(small_grid, small_tables):
+def test_iteration_report_json(small_grid):
     z = np.zeros(small_grid.n_nodes)
     noise = (_zero_noise(small_grid), _zero_noise(small_grid))
     rep = picard_iterate(z, z.copy(), constant_coefficients(f=0.0, sigma=0.0),
                          zero_boundary(), np.inf, noise, small_grid,
-                         n_iters=2, tables=small_tables)
+                         n_iters=2)
     payload = rep.to_json_dict()
     assert payload["schema"] == 1
     assert set(payload) >= {"d", "iters", "converged", "final_gap_vs_direct"}
 
 
-def test_determinism(small_grid, small_tables):
+def test_determinism(small_grid):
     z0 = 0.2 * np.sin(np.pi * small_grid.space_nodes())
     z0[0] = z0[-1] = 0.0
     coeffs = constant_coefficients(f=0.2, sigma=0.3)
     fn = exp_imbalance(clamp=1.0)
     noise = (sample_white_noise(small_grid, 9, 0), sample_white_noise(small_grid, 9, 1))
     r1 = picard_iterate(z0, z0.copy(), coeffs, fn, 1.0, noise, small_grid,
-                        n_iters=3, tables=small_tables)
+                        n_iters=3)
     r2 = picard_iterate(z0, z0.copy(), coeffs, fn, 1.0, noise, small_grid,
-                        n_iters=3, tables=small_tables)
+                        n_iters=3)
     assert r1.d == r2.d
     assert np.array_equal(r1.v.values, r2.v.values)
 
@@ -457,8 +456,7 @@ def test_stacked_iterate_equals_per_side_reference(grid):
     fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
     noise = (sample_white_noise(grid, 11, 0), sample_white_noise(grid, 11, 1))
     tables = build_kernel_tables(grid)
-    rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, n_iters=4,
-                         tables=tables, compare_direct=True)
+    rep = picard_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, n_iters=4)
     d, gap = _per_side_iterate(v1_0, v2_0, coeffs, fn, 2.0, noise, grid, 4, tables)
     assert rep.d == d
     assert rep.final_gap_vs_direct == gap
@@ -489,6 +487,3 @@ def test_tables_of_another_grid_are_refused(small_grid, other):
     with pytest.raises(GridMismatch):
         mild_solve_w(_const_pair(other, z, z), constant_coefficients(), zero_boundary(),
                      np.inf, _zero_noise_pair(small_grid), tables)
-    with pytest.raises(GridMismatch):
-        picard_iterate(z, z, constant_coefficients(), zero_boundary(), np.inf,
-                       _zero_noise_pair(small_grid), small_grid, n_iters=2, tables=tables)

@@ -21,7 +21,8 @@ def test_step_fixed_point():
     g = build_grid("compact", 16, 1e-3, 16)
     v = np.zeros((2, 1, g.n_nodes))
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
-    out = step_reflected(v, v, np.zeros(1), np.zeros_like(v), coeffs.terms(v, g), g)
+    out = step_reflected(v, v, np.zeros(1), np.zeros_like(v), coeffs.terms(v, g), g, 1.0,
+                         np.empty_like(v), np.empty((2,) + v.shape))
     assert out is not v
     assert np.array_equal(out, v)
 
