@@ -123,10 +123,10 @@ def profile_norm(profile: np.ndarray, grid: GridSpec):
     r is ``grid.weight_r``.  A stack of profiles gives one norm per row.
     ``profile`` is an array on the grid's nodes; its shape is not checked.
     """
-    profile = np.abs(profile)
     if grid.domain_kind != COMPACT:
-        profile *= grid.exp_weights(grid.weight_r)[0]
-    norm = np.maximum.reduce(profile, axis=-1)
+        profile = profile * grid.exp_weights(grid.weight_r)[0]
+    # sup |u| without a copy |u| of the block; + 0.0 turns an all-zero row's -0.0 into 0.0
+    norm = np.maximum(profile.max(axis=-1), -profile.min(axis=-1)) + 0.0
     return float(norm) if profile.ndim == 1 else norm
 
 

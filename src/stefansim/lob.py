@@ -279,15 +279,16 @@ class FitResult:
 
     @classmethod
     def from_csv(cls, path) -> "FitResult":
-        """Read a written fit table; every value must be finite and every count whole and >= 0."""
+        """Read a written fit table; values must be finite and counts whole, in [0, 2**63)."""
         table = read_table(path)
         if not len(table):
             raise FormatError("fit table has no rows")
         x_centers, f, sigma, counts = table.T
-        bad = ~(np.isfinite(table).all(axis=1) & (counts >= 0) & (counts == np.round(counts)))
+        bad = ~(np.isfinite(table).all(axis=1) & (counts >= 0) & (counts < 2.0**63)
+                & (counts == np.round(counts)))
         if bad.any():
             raise FormatError(f"fit table row {bad.argmax() + 1}: x_center, f and sigma must be "
-                              "finite and count a whole number >= 0")
+                              "finite and count a whole number in [0, 2**63)")
         return cls(x_centers=x_centers, f=f, sigma=sigma, counts=counts.astype(int))
 
 

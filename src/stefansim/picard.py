@@ -156,14 +156,20 @@ def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
     return Field(grid, w)
 
 
+CONVERGENCE_TOL = 1e-4
+
+
 @dataclass
 class IterationReport:
     """Distances ``d`` of successive iterates, the final pair ``v``, its gap to the direct run."""
 
     d: list
-    converged: bool
     final_gap_vs_direct: float
     v: Field
+
+    @property
+    def converged(self) -> bool:
+        return self.d[-1] <= CONVERGENCE_TOL
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,9 +179,6 @@ class IterationReport:
             "converged": bool(self.converged),
             "final_gap_vs_direct": float(self.final_gap_vs_direct),
         }
-
-
-CONVERGENCE_TOL = 1e-4
 
 
 def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
@@ -207,5 +210,4 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
                               seed=noise_pair[0].seed, store_stride=1,
                               noise_pair=noise_pair)
     direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
-    return IterationReport(d=d_hist, converged=d_hist[-1] <= CONVERGENCE_TOL,
-                           final_gap_vs_direct=float(np.max(np.abs(direct - v.values))), v=v)
+    return IterationReport(d_hist, float(np.max(np.abs(direct - v.values))), v)

@@ -88,21 +88,21 @@ def _as_values(path) -> np.ndarray:
     raise ValueError("path must be a Field, a 1-D series or a 2-D array")
 
 
-#: rows reduced at once; the row buffer is this much deeper than the largest time lag
+#: rows ``from_paths`` pushes at once, which bounds the temporaries of a push
 BLOCK_ROWS = 512
 
 
 class StructureSums:
-    """Structure functions of P paths, reduced while their rows arrive.
+    """Structure functions of P paths, reduced as their rows arrive.
 
-    Rows are pushed in order, all live paths at once (``push``), into a
-    buffer ``max(time_lags) + BLOCK_ROWS`` rows deep.  Each time it fills,
-    every path's per-row sums of |increment|^q over the interior columns
-    are taken for each lag (a time lag L pairs row i with row i + L and
-    is booked on row i; a space lag pairs nodes within a row), and the
-    last ``max(time_lags)`` rows move to the front.  The sums run over the
-    ``window`` of the columns and, at the end, of each path's own rows.
-    Memory is O(P (max lag + BLOCK_ROWS) n_cols + P n_lags n_rows).
+    Rows are pushed in order, all live paths at once (``push``), and
+    reduced at once: every path's per-row sums of |increment|^q over the
+    interior columns are taken for each lag (a time lag L pairs row i with
+    row i + L and is booked on row i; a space lag pairs nodes within a
+    row).  Only each path's last ``max(time_lags)`` rows are kept, for the
+    next push's time lags to pair with.  The sums run over the ``window``
+    of the columns and, at the end, of each path's own rows.
+    Memory is O(P max(time_lags) n_cols + P n_lags n_rows).
     """
 
     def __init__(self, n_paths: int, n_cols: int, n_rows: int, q: float,
@@ -115,15 +115,12 @@ class StructureSums:
         self.space_lags = [int(lag) for lag in space_lags]
         if min(self.time_lags + self.space_lags, default=1) < 1:
             raise ValueError("lags must be at least 1")
-        self._max_lag = max(self.time_lags, default=0)
-        self._buf = np.zeros((self._max_lag + BLOCK_ROWS, self.n_paths, n_cols))
+        self._tail = np.zeros((max(self.time_lags, default=0), self.n_paths, n_cols))
+        self._rows = 0       # rows pushed to each live path
         self._cols = window(n_cols)
         self._sums = {TIME: np.zeros((len(self.time_lags), n_rows, self.n_paths)),
                       SPACE: np.zeros((len(self.space_lags), n_rows, self.n_paths))}
         self._count = np.zeros(self.n_paths, dtype=int)
-        self._base = 0       # row number of buffer row 0
-        self._held = 0       # buffer rows already reduced
-        self._filled = 0     # buffer rows in use
 
     @classmethod
     def from_paths(cls, paths, q: float, time_lags=(), space_lags=()) -> "StructureSums":
@@ -144,43 +141,31 @@ class StructureSums:
         return sums
 
     def push(self, at, rows: np.ndarray) -> None:
-        """Append the next m rows, (m, P_live, n_cols), to the paths ``at``.
+        """Reduce the next m rows, (m, P_live, n_cols), of the paths ``at``.
 
         ``at`` is a slice or an index array; a path left out has stopped
-        and takes no more rows.  This is a ``run_paths`` sink when one
-        side is stored: a block's (m, P_live, n) profiles of that side
-        are m rows.
+        and takes no more rows, so the live paths share one row count.
+        This is a ``run_paths`` sink when one side is stored: a block's
+        (m, P_live, n) profiles of that side are m rows.
         """
-        depth = len(self._buf)
-        while len(rows):
-            f = self._filled
-            take = min(len(rows), depth - f)
-            self._buf[f:f + take, at] = rows[:take]
-            self._count[at] += take
-            self._filled = f + take
-            rows = rows[take:]
-            if self._filled == depth:
-                self._reduce()
-
-    def _reduce(self) -> None:
-        """Book the per-row sums of the rows not yet reduced, then shift."""
-        buf, f, h, base = self._buf, self._filled, self._held, self._base
+        held, start, m = len(self._tail), self._rows, len(rows)
+        # joined row i is row start - held + i; the rows before row 0 are never read
+        joined = np.concatenate([self._tail[:, at], rows])
         cols = self._cols
         # a time lag pairs each new row j >= lag with row j - lag
         for sums, lag in zip(self._sums[TIME], self.time_lags):
-            lo = max(h, lag)
-            if lo < f:
+            lo = max(start, lag)
+            if lo < start + m:
+                i = lo - start + held
                 # whole rows subtract faster than their interior columns
-                d = buf[lo:f] - buf[lo - lag:f - lag]
-                sums[base + lo - lag:base + f - lag] = self._row_sums(d[..., cols])
-        if h < f:
-            new = buf[h:f, :, cols]
-            for sums, lag in zip(self._sums[SPACE], self.space_lags):
-                sums[base + h:base + f] = self._row_sums(new[..., lag:] - new[..., :-lag])
-        keep = min(self._max_lag, f)
-        buf[:keep] = buf[f - keep:f]
-        self._base += f - keep
-        self._held = self._filled = keep
+                sums[lo - lag:start + m - lag, at] = self._row_sums(
+                    (joined[i:] - joined[i - lag:len(joined) - lag])[..., cols])
+        new = joined[held:, :, cols]
+        for sums, lag in zip(self._sums[SPACE], self.space_lags):
+            sums[start:start + m, at] = self._row_sums(new[..., lag:] - new[..., :-lag])
+        self._tail[:, at] = joined[len(joined) - held:]
+        self._rows = start + m
+        self._count[at] += m
 
     def _row_sums(self, d: np.ndarray) -> np.ndarray:
         if self.q == 2:
@@ -193,7 +178,6 @@ class StructureSums:
         Raises InsufficientData where a lag spans a path's window or pools
         fewer than MIN_INCREMENTS increments in it.
         """
-        self._reduce()
         own = self.time_lags if axis == TIME else self.space_lags
         out = np.empty((self.n_paths, len(lags)))
         for k, n_rows in enumerate(self._count.tolist()):
@@ -202,7 +186,7 @@ class StructureSums:
                 lag = int(lag)
                 if lag not in own:
                     raise ValueError(f"lag {lag} was not reduced along {axis}")
-                count = pooled_increments(axis, lag, n_rows, self._buf.shape[-1])
+                count = pooled_increments(axis, lag, n_rows, self._tail.shape[-1])
                 sums = self._sums[axis][own.index(lag), :, k]
                 # a time lag's sum is booked on the earlier row of each pair
                 total = np.sum(sums[rows.start:rows.stop - lag] if axis == TIME else sums[rows])

@@ -213,7 +213,7 @@ def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, 
 
 #: malformed fit tables: a field that is not a number, a row one column
 #: short, a header without rows, a value that is not finite, a count that
-#: is not a whole number >= 0
+#: is not a whole number in [0, 2**63)
 _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n",
             "no_rows": "x_center,f,sigma,count\r\n",
@@ -222,7 +222,8 @@ _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "nan_x_center": "x_center,f,sigma,count\r\nnan,0.1,0.2,3\r\n",
             "fractional_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,2.5\r\n",
             "negative_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,-1\r\n",
-            "inf_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,inf\r\n"}
+            "inf_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,inf\r\n",
+            "huge_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,3\r\n0.75,0.1,0.2,1e20\r\n"}
 
 _EVENTS_HEADER = "time,side,event_type,relative_price,size\n"
 
@@ -260,6 +261,7 @@ _BAD_LOB = {
     ("simulate-price", "price.fit_csv", "fractional_count"),
     ("simulate-price", "price.fit_csv", "negative_count"),
     ("simulate-price", "price.fit_csv", "inf_count"),
+    ("simulate-price", "price.fit_csv", "huge_count"),
     ("fit-lob", "lob.touch_file", "two_columns"),
     ("fit-lob", "lob.touch_file", "no_touch_file"),
     ("fit-lob", "lob.format", "unknown_format"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -197,6 +199,26 @@ def test_structure_sums_reject_other_lags_and_orders():
     pooled = estimate_holder_ensemble(sums, TIME, q=2, lag_range=(2, 16))
     single = estimate_holder(path, TIME, q=2, lag_range=(2, 16))
     assert pooled.exponent == pytest.approx(single.exponent, rel=1e-12)
+
+
+def test_structure_sums_hold_only_the_last_max_lag_rows():
+    # 8 paths pushed in run_paths-sized blocks: beyond the per-row sums, a
+    # push holds the last max_lag rows, the block it is given and a few
+    # block-sized temporaries, never a buffer of BLOCK_ROWS rows
+    n_paths, n_cols, block, n_rows = 8, 65, 128, 2048
+    time_lags, space_lags = dyadic_lags((16, 128)), dyadic_lags((1, 8))
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        sums = StructureSums(n_paths, n_cols, n_rows, 2, time_lags, space_lags)
+        for _ in range(n_rows // block):
+            sums.push(slice(None), rng.standard_normal((block, n_paths, n_cols)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_sums = 8 * (len(time_lags) + len(space_lags)) * n_rows * n_paths
+    row = 8 * n_paths * n_cols
+    assert peak - row_sums < (max(time_lags) + 5 * block) * row, (peak - row_sums) / row
 
 
 def test_boundary_exponent_band_stable_under_doubling_lambda():

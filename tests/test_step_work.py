@@ -312,4 +312,4 @@ def test_run_memory_does_not_grow_with_its_steps():
     assert abs(long - short) < 4096, (short, long)
     # one (2, P, NOISE_BLOCK, n_nodes) block of float64
     block = 8 * 2 * 8 * stefansim.spde.NOISE_BLOCK * 65
-    assert short < 4 * block, (short, block)
+    assert short < 3 * block, (short, block)
