@@ -17,8 +17,8 @@ from .lob import (FitResult, LobEventStream, fit_coefficients, parse_events,
 from .noise import NoiseField, NoiseStream, sample_white_noise
 from .obstacle import ObstacleSolution, solve_penalized, solve_projected, stability_gap
 from .picard import IterationReport, KernelTables, build_kernel_tables, mild_solve_w, picard_iterate
-from .regularity import (HolderEstimate, StructureSums, estimate_holder,
-                         estimate_holder_ensemble, structure_function)
+from .regularity import (HolderEstimate, StructureSums, estimate_holder_ensemble,
+                         structure_function)
 from .spde import (ModelCoefficients, Recorder, Trajectory, constant_coefficients,
                    run_paths, run_relative_frame, tabulated_coefficients)
 

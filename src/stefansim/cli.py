@@ -20,8 +20,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import (boundary_from_config, choice, coefficients_from_config, config_hash,
                      finite, get_field, grid_from_config, initial_from_config, list_of,
-                     nonnegative, nonpositive, positive, positive_or_inf,
-                     truncation_from_config, whole)
+                     nonnegative, nonpositive, positive, positive_or_inf, whole)
 from .errors import ConfigError, FormatError, InsufficientData, StefansimError
 from .grids import Field
 from .kernels import verify_kernel_bounds
@@ -39,7 +38,8 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 # fields that several subcommands read, each with its one domain
-_seed = partial(get_field, path="noise.seed", default=0, cast=whole())
+_seed = partial(get_field, path="noise.seed", default=0, cast=whole(0, 2**64))
+_M = partial(get_field, path="run.M", default=np.inf, cast=positive_or_inf)
 _M_max = partial(get_field, path="run.M_max", default=np.inf, cast=positive_or_inf)
 _lap_scale = partial(get_field, path="run.lap_scale", default=1.0, cast=positive)
 _p0 = partial(get_field, path="run.p0", default=0.0, cast=finite)
@@ -78,7 +78,7 @@ def cmd_simulate(cfg: dict) -> int:
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
     seed = _seed(cfg)
-    M = truncation_from_config(cfg, "run.M")
+    M = _M(cfg)
     stride = get_field(cfg, "run.stride", default=0, cast=whole(0))
 
     traj = run_relative_frame((v1_0, v2_0, _p0(cfg)), coeffs, fn, M=M, M_max=_M_max(cfg),
@@ -130,7 +130,7 @@ def cmd_picard_check(cfg: dict) -> int:
     fn = boundary_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
     seed = _seed(cfg)
-    M = truncation_from_config(cfg, "picard.M", default=2.0)
+    M = get_field(cfg, "picard.M", default=2.0, cast=positive_or_inf)
     n_iters = get_field(cfg, "picard.n_iters", default=12, cast=whole(2))
     noise_pair = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
     report = picard_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid, n_iters=n_iters)
@@ -165,7 +165,10 @@ def cmd_holder(cfg: dict) -> int:
     q = get_field(cfg, "holder.q", default=2, cast=choice(1.0, 2.0))
     lag_lo = get_field(cfg, "holder.lag_min", default=2, cast=whole(1))
     lag_hi = get_field(cfg, "holder.lag_max", default=64, cast=whole(1))
-    M = truncation_from_config(cfg, "run.M")
+    M = _M(cfg)
+    if base_seed + n_paths > 2**64:
+        raise ConfigError(f"fields 'noise.seed' and 'holder.n_paths': the last path's seed "
+                          f"{base_seed + n_paths - 1} must be less than 2**64")
     try:
         time_lags = dyadic_lags((lag_lo, lag_hi))
     except ValueError as exc:
@@ -228,11 +231,9 @@ def cmd_fit_lob(cfg: dict) -> int:
     fmt = get_field(cfg, "lob.format", default=NORMALIZED, cast=choice(NORMALIZED, LOBSTER))
     n_bins = get_field(cfg, "lob.n_bins", default=16, cast=whole(MIN_BINS))
     agg = get_field(cfg, "lob.agg_interval", default=1.0, cast=positive)
-    # a per-side fit needs a side, which only the library call takes
-    get_field(cfg, "lob.pool_sides", default=True, cast=choice(True))
     seed = _seed(cfg)
     touch = None
-    touch_file = get_field(cfg, "lob.touch_file", default=None)
+    touch_file = get_field(cfg, "lob.touch_file", cast=str)
     if touch_file is not None:
         with _input_file("lob.touch_file", touch_file):
             touch = np.loadtxt(touch_file, delimiter=",", ndmin=2)
@@ -251,7 +252,6 @@ def cmd_fit_lob(cfg: dict) -> int:
 def cmd_simulate_price(cfg: dict) -> int:
     grid = grid_from_config(cfg)
     fn = boundary_from_config(cfg)
-    truncation_from_config(cfg, None)    # the price simulation is untruncated
     seed = _seed(cfg)
     fit_path = get_field(cfg, "price.fit_csv", required=True, cast=str)
     lap_scale = _lap_scale(cfg, default=0.2)
@@ -276,8 +276,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error (exit 1), with argparse's message."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stefansim",
         description="Coupled reflected stochastic heat equations with a moving boundary",
     )
@@ -298,9 +306,10 @@ def main(argv=None) -> int:
         cfg = cfgmod.load_yaml(args.config)
         cfg = cfgmod.apply_overrides(cfg, args.set)
         if args.seed is not None:
-            cfg.setdefault("noise", {})["seed"] = args.seed
+            cfgmod.set_field(cfg, "noise.seed", args.seed)
         if args.output_dir is not None:
-            cfg.setdefault("output", {})["dir"] = args.output_dir
+            cfgmod.set_field(cfg, "output.dir", args.output_dir)
+        cfgmod.check_fields(cfg)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

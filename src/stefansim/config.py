@@ -2,8 +2,9 @@
 
 The config file is a single document with sections grid, noise, run,
 initial, coefficients, boundary, output plus per-subcommand sections;
-see README for the full schema.  Command-line overrides are dotted
-paths like ``run.lap_scale=0.2`` and win over file values.
+``FIELDS`` is the full schema (README states each field's domain), and a
+key outside it is refused.  Command-line overrides are dotted paths like
+``run.lap_scale=0.2`` and win over file values.
 """
 from __future__ import annotations
 
@@ -52,13 +53,51 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             value = yaml.safe_load(raw)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse override value {raw!r}: {exc}") from exc
-        node = cfg
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override path {path!r} crosses a non-mapping")
-        node[keys[-1]] = value
+        set_field(cfg, ".".join(keys), value)
     return cfg
+
+
+def set_field(cfg: dict, path: str, value) -> None:
+    """Set the dotted field ``path``; a missing or empty (null) section is made a mapping."""
+    *sections, leaf = path.split(".")
+    node = cfg
+    for key in sections:
+        if node.get(key) is None:
+            node[key] = {}
+        node = node[key]
+        if not isinstance(node, dict):
+            raise ConfigError(f"override path {path!r} crosses a non-mapping")
+    node[leaf] = value
+
+
+#: every dotted field some subcommand reads: the one schema of all of them
+#: (README "Config schema"); ``check_fields`` refuses any other key
+FIELDS = frozenset(f"{section}.{key}" for section, keys in (
+    ("grid", "domain nx nt T L weight_r"),
+    ("noise", "seed"),
+    ("initial", "kind amplitude"),
+    ("coefficients", "kind f sigma decay x_centers f_values sigma_values r delta growth_R"),
+    ("boundary", "kind alpha lambda clamp table_imbalance table_speed"),
+    ("run", "M M_max lap_scale stride p0"),
+    ("obstacle", "kind amplitude ramp level method epsilon"),
+    ("picard", "M n_iters"),
+    ("holder", "n_paths q lag_min lag_max"),
+    ("kernel_check", "kernel r t_min t_max n_t x_samples"),
+    ("lob", "input format n_bins agg_interval touch_file"),
+    ("price", "fit_csv"),
+    ("output", "dir"),
+) for key in keys.split())
+
+
+def check_fields(cfg: dict, prefix: str = "") -> None:
+    """Refuse a key whose dotted path is not in FIELDS; an empty (null) section passes."""
+    for key, value in cfg.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            check_fields(value, f"{path}.")
+        elif path not in FIELDS and not (
+                value is None and any(f.startswith(f"{path}.") for f in FIELDS)):
+            raise ConfigError(f"unknown field {path!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -66,20 +105,18 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def get_field(cfg: dict, path: str, default=None, required: bool = False,
-              cast=None):
-    """Fetch a dotted field read by ``cast``; ConfigError names the missing/invalid field."""
+def get_field(cfg: dict, path: str, default=None, required: bool = False, *, cast):
+    """Fetch a dotted field read by ``cast``; ConfigError names the missing/invalid field.
+
+    A field set to null (YAML ``nx:`` with nothing after it) counts as missing.
+    """
     node = cfg
     for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ConfigError(f"missing required field {path!r}")
-            return default
-        node = node[key]
+        node = node.get(key) if isinstance(node, dict) else None
     if node is None:
+        if required:
+            raise ConfigError(f"missing required field {path!r}")
         return default
-    if cast is None:
-        return node
     try:
         return cast(node)
     except (TypeError, ValueError) as exc:
@@ -106,13 +143,15 @@ nonpositive = _number(lambda x: x <= 0, "must be a finite number <= 0")
 positive_or_inf = _number(lambda x: x > 0, "must be a number > 0 or inf", inf=True)
 
 
-def whole(lo=-math.inf):
-    """A whole number >= lo: ``64.0`` reads as 64, ``2.7`` or ``"3.5"`` is refused."""
+def whole(lo, hi=math.inf):
+    """A whole number in [lo, hi): ``64.0`` reads as 64, ``2.7`` or ``"3.5"`` is refused."""
     def cast(value) -> int:
         if isinstance(value, float) and not value.is_integer():
             raise ValueError("must be a whole number")
         if int(value) < lo:
             raise ValueError(f"must be at least {lo}")
+        if int(value) >= hi:
+            raise ValueError(f"must be less than {hi}")
         return int(value)
     return cast
 
@@ -137,19 +176,6 @@ def list_of(each):
 
 #: a nonempty list of finite numbers, as floats
 numbers = list_of(finite)
-
-
-def truncation_from_config(cfg: dict, path: str | None, default: float = np.inf) -> float:
-    """The truncation level M a subcommand runs with: field ``path``, or inf when None.
-
-    ``boundary.truncation_M``, when set, must equal it.
-    """
-    M = np.inf if path is None else get_field(cfg, path, default=default, cast=positive_or_inf)
-    trunc = get_field(cfg, "boundary.truncation_M", cast=positive_or_inf)
-    if trunc is not None and trunc != M:
-        raise ConfigError(f"field 'boundary.truncation_M' is {trunc}, "
-                          f"but the run's truncation M is {M}")
-    return M
 
 
 def grid_from_config(cfg: dict) -> GridSpec:

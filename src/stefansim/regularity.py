@@ -243,12 +243,6 @@ def _fit_loglog(lags, s_values, q, axis, n_paths) -> HolderEstimate:
                           q=q, axis=axis, n_paths=n_paths)
 
 
-def estimate_holder(path, axis: str, q: float = 2,
-                    lag_range=DEFAULT_LAG_RANGE) -> HolderEstimate:
-    """Least-squares scaling exponent of one path along an axis: a one-path ensemble."""
-    return estimate_holder_ensemble([path], axis, q=q, lag_range=lag_range)
-
-
 def estimate_holder_ensemble(paths, axis: str, q: float = 2,
                              lag_range=DEFAULT_LAG_RANGE) -> HolderEstimate:
     """Pool structure functions across ensemble members, then fit once.

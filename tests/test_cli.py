@@ -194,6 +194,33 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     ("kernel-check", ["kernel_check.t_max=1e-4"], "kernel_check.t_max"),
     ("fit-lob", ['lob.pool_sides="false"'], "lob.pool_sides"),
     ("fit-lob", ["lob.pool_sides=false"], "lob.pool_sides"),
+    # a required field set to null is missing
+    ("simulate", ["grid.nx=null"], "grid.nx"),
+    ("simulate-price", ["price.fit_csv=null"], "price.fit_csv"),
+    ("fit-lob", ["lob.input=null"], "lob.input"),
+    # read as a path, which names no file
+    ("fit-lob", ["lob.touch_file=[1]"], "lob.touch_file"),
+    # seeds outside [0, 2**64), which the noise would alias
+    ("simulate", ["noise.seed=-1"], "noise.seed"),
+    ("simulate", [f"noise.seed={2**64}"], "noise.seed"),
+    ("holder", [f"noise.seed={2**64 - 1}"], "noise.seed"),   # path 1's seed is 2**64
+    # one key outside the schema per section, an unknown section, and a
+    # known field given as a mapping
+    ("simulate", ["grid.nx_typo=3"], "grid.nx_typo"),
+    ("simulate", ["noise.sed=3"], "noise.sed"),
+    ("simulate", ["initial.amp=0.1"], "initial.amp"),
+    ("simulate", ["coefficients.sigma1=0.1"], "coefficients.sigma1"),
+    ("simulate", ["boundary.lam=10"], "boundary.lam"),
+    ("simulate", ["run.m=0.001"], "run.m"),
+    ("obstacle", ["obstacle.eps=0.1"], "obstacle.eps"),
+    ("picard-check", ["picard.iters=3"], "picard.iters"),
+    ("holder", ["holder.workers=2"], "holder.workers"),
+    ("kernel-check", ["kernel_check.tmin=0.01"], "kernel_check.tmin"),
+    ("fit-lob", ["lob.pool=true"], "lob.pool"),
+    ("simulate-price", ["price.table=fit.csv"], "price.table"),
+    ("simulate", ["output.directory=out"], "output.directory"),
+    ("simulate", ["solver.tol=1"], "solver.tol"),
+    ("simulate", ["obstacle.level.value=-1"], "obstacle.level.value"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, field):
     events = tmp_path / "events.csv"
@@ -467,22 +494,32 @@ def test_summary_of_a_completed_run_has_no_blowup_cause(tmp_path):
     assert summary["blown_up"] is False and "blowup_cause" not in summary
 
 
-@pytest.mark.parametrize("trunc, code", [(3.0, 0), ("inf", 0), (2.0, 1)])
-def test_boundary_truncation_M_config_key(tmp_path, trunc, code):
-    # checked against the M each subcommand runs with: run.M (simulate,
-    # holder), picard.M (picard-check), inf (simulate-price)
-    M = 3.0 if trunc != "inf" else "inf"
-    fit = tmp_path / "fit.csv"
-    FitResult(x_centers=np.array([0.25, 0.75]), f=np.zeros(2), sigma=np.full(2, 0.1),
-              counts=np.ones(2, dtype=int)).to_csv(fit)
-    cfg = _base_cfg(tmp_path, picard={"M": M, "n_iters": 2}, price={"fit_csv": str(fit)},
-                    holder={"n_paths": 2, "lag_min": 2, "lag_max": 32})
-    cfg["boundary"]["truncation_M"] = trunc
-    cfg["run"]["M"] = M
-    cfg_path = _write_cfg(tmp_path, cfg)
-    for command in ("simulate", "holder", "picard-check"):
-        assert main([command, "-c", cfg_path]) == code, command
-    assert main(["simulate-price", "-c", cfg_path]) == (0 if trunc == "inf" else 1)
+def test_an_empty_section_is_accepted(tmp_path):
+    text = yaml.safe_dump(_base_cfg(tmp_path)).replace("noise:\n  seed: 5\n", "noise:\n")
+    assert "seed" not in text                    # YAML reads the section as null
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    for extra in ([], ["--seed", "3"], ["--set", "noise.seed=3"]):
+        assert main(["simulate", "-c", str(cfg_path), *extra]) == 0, extra
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_their_domain_run(tmp_path, seed):
+    cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
+    assert main(["simulate", "-c", cfg_path, "--set", f"noise.seed={seed}"]) == 0
+    assert f"seed={seed}" in (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["simulate"], 1),                                       # no config file
+    (["simulate", "-c", "cfg.yaml", "--seed", "2.5"], 1),
+    (["simulate", "--help"], 0),
+])
+def test_usage_errors_are_config_errors(capsys, args, code):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == code
+    assert ("error: " in capsys.readouterr().err) == (code == 1)
 
 
 def test_set_override(tmp_path):
@@ -527,7 +564,7 @@ def _holder_cfg(tmp_path, **holder):
 
 
 def test_holder_subcommand(tmp_path):
-    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path, workers=2))
+    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path))
     assert main(["holder", "-c", cfg_path]) == 0
     report = json.loads((tmp_path / "out" / "holder.json").read_text())
     axes = [row["axis"] for row in report["estimates"]]
@@ -555,12 +592,12 @@ def test_holder_refuses_lags_no_path_can_fit_before_stepping(tmp_path, capsys, m
 
 
 def test_holder_worker_fanout_deterministic(tmp_path):
-    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path, n_paths=3, workers=1))
-    main(["holder", "-c", cfg_path])
-    serial = (tmp_path / "out" / "holder.json").read_text()
-    main(["holder", "-c", cfg_path, "--set", "holder.workers=3"])
-    parallel = (tmp_path / "out" / "holder.json").read_text()
-    assert json.loads(serial)["estimates"] == json.loads(parallel)["estimates"]
+    # two runs of one config write the same holder.json
+    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path, n_paths=3))
+    assert main(["holder", "-c", cfg_path]) == 0
+    first = (tmp_path / "out" / "holder.json").read_text()
+    assert main(["holder", "-c", cfg_path]) == 0
+    assert (tmp_path / "out" / "holder.json").read_text() == first
 
 
 def _reject_constant(name):

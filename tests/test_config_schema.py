@@ -1,14 +1,16 @@
-"""README's config schema lists exactly the dotted fields the package reads."""
+"""One config schema: ``config.FIELDS``, the README's schema block and the fields read agree."""
 import ast
 import re
 from pathlib import Path
 
 import yaml
 
+from stefansim.config import FIELDS
+
 REPO = Path(__file__).resolve().parents[1]
 
 #: functions whose second positional argument is the dotted field they read
-_READERS = {"get_field", "truncation_from_config"}
+_READERS = {"get_field"}
 
 
 def _schema_keys() -> set:
@@ -44,5 +46,5 @@ def _fields_read() -> set:
 
 def test_readme_schema_lists_every_field_read():
     read = _fields_read()
-    assert "lob.pool_sides" in read and "coefficients.decay" in read
-    assert read == _schema_keys()
+    assert "coefficients.decay" in read and "output.dir" in read
+    assert read == _schema_keys() == FIELDS

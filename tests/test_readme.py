@@ -41,3 +41,12 @@ def test_module_map_names_resolve():
              and not _resolves(importlib.import_module(f"stefansim.{name}"), ident)
              and not _resolves(stefansim, ident)]
     assert stale == []
+
+
+def test_library_quick_start_runs(capsys):
+    text = README.read_text()
+    section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README quick start", "exec"), {})
+    _, blown_up, exponent = capsys.readouterr().out.split()
+    assert blown_up == "False" and float(exponent) > 0

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from helpers import fbm_path, structure_function_reference
 from stefansim.errors import InsufficientData
 from stefansim.regularity import (BLOCK_ROWS, MIN_INCREMENTS, SPACE, TIME, StructureSums,
-                                  boundary_holder_ensemble, dyadic_lags, estimate_holder,
+                                  boundary_holder_ensemble, dyadic_lags,
                                   estimate_holder_ensemble, pooled_increments,
                                   structure_function)
 
 
 def test_constant_series_degenerate():
-    est = estimate_holder(np.ones(4096), TIME, q=2, lag_range=(2, 64))
+    est = estimate_holder_ensemble([np.ones(4096)], TIME, q=2, lag_range=(2, 64))
     assert est.degenerate
     assert np.isnan(est.exponent)
 
@@ -25,7 +25,7 @@ def test_linear_ramp_exact_power_law():
     pairs = structure_function(series, TIME, [1, 2, 4, 8], q=1)
     for lag, s in pairs:
         assert s == pytest.approx(lag * dt, rel=1e-12)
-    est = estimate_holder(series, TIME, q=1, lag_range=(2, 64))
+    est = estimate_holder_ensemble([series], TIME, q=1, lag_range=(2, 64))
     assert est.exponent == pytest.approx(1.0, abs=1e-9)
     assert not est.degenerate
 
@@ -33,7 +33,7 @@ def test_linear_ramp_exact_power_law():
 def test_brownian_path_recovers_half():
     rng = np.random.default_rng(0)
     path = np.concatenate([[0.0], np.cumsum(rng.standard_normal(2**16))])
-    est = estimate_holder(path, TIME, q=2, lag_range=(2, 64))
+    est = estimate_holder_ensemble([path], TIME, q=2, lag_range=(2, 64))
     # slope of log S_2 is 2H = 1.0 +- 0.1
     assert 2 * est.exponent == pytest.approx(1.0, abs=0.1)
 
@@ -41,14 +41,14 @@ def test_brownian_path_recovers_half():
 @pytest.mark.parametrize("hurst", [0.25, 0.5])
 def test_fbm_exponent_recovered(hurst):
     path = fbm_path(hurst, 2**16, seed=12)
-    est = estimate_holder(path, TIME, q=2, lag_range=(2, 64))
+    est = estimate_holder_ensemble([path], TIME, q=2, lag_range=(2, 64))
     assert est.exponent == pytest.approx(hurst, abs=0.05)
 
 
 def test_affine_invariance():
     path = fbm_path(0.5, 2**14, seed=3)
-    a = estimate_holder(path, TIME, q=2, lag_range=(2, 64))
-    b = estimate_holder(7.5 * path - 3.0, TIME, q=2, lag_range=(2, 64))
+    a = estimate_holder_ensemble([path], TIME, q=2, lag_range=(2, 64))
+    b = estimate_holder_ensemble([7.5 * path - 3.0], TIME, q=2, lag_range=(2, 64))
     assert b.exponent == pytest.approx(a.exponent, abs=1e-9)
 
 
@@ -56,7 +56,7 @@ def test_space_axis_on_2d_field():
     # columns of iid Brownian-in-space rows: exponent 1/2 along space
     rng = np.random.default_rng(8)
     rows = np.cumsum(rng.standard_normal((256, 2048)), axis=1)
-    est = estimate_holder(rows, SPACE, q=2, lag_range=(2, 64))
+    est = estimate_holder_ensemble([rows], SPACE, q=2, lag_range=(2, 64))
     assert est.exponent == pytest.approx(0.5, abs=0.05)
 
 
@@ -72,7 +72,7 @@ def test_lag_range_needs_four_dyadic_lags():
         dyadic_lags((2, 8))
     assert dyadic_lags((2, 16)) == [2, 4, 8, 16]
     with pytest.raises(ValueError):
-        estimate_holder(np.arange(4096, dtype=float), TIME, q=2, lag_range=(4, 16))
+        estimate_holder_ensemble([np.arange(4096, dtype=float)], TIME, q=2, lag_range=(4, 16))
 
 
 def test_q_validation():
@@ -88,8 +88,8 @@ def test_boundary_holder_on_series():
 
 
 def test_ensemble_pooling_reduces_variance():
-    singles = [estimate_holder(fbm_path(0.5, 2**13, seed=100 + k), TIME,
-                               q=2, lag_range=(2, 64)).exponent
+    singles = [estimate_holder_ensemble([fbm_path(0.5, 2**13, seed=100 + k)], TIME,
+                                        q=2, lag_range=(2, 64)).exponent
                for k in range(8)]
     pooled = estimate_holder_ensemble(
         [fbm_path(0.5, 2**13, seed=100 + k) for k in range(8)],
@@ -99,13 +99,13 @@ def test_ensemble_pooling_reduces_variance():
 
 
 def test_estimate_json_row():
-    est = estimate_holder(fbm_path(0.5, 2**13, seed=1), TIME, q=2, lag_range=(2, 64))
+    est = estimate_holder_ensemble([fbm_path(0.5, 2**13, seed=1)], TIME, q=2, lag_range=(2, 64))
     row = est.to_json_dict()
     assert set(row) == {"axis", "q", "exponent", "stderr", "n_paths"}
 
 
 def test_degenerate_json_row_is_null_and_flagged():
-    row = estimate_holder(np.ones(4096), TIME, q=2, lag_range=(2, 64)).to_json_dict()
+    row = estimate_holder_ensemble([np.ones(4096)], TIME, q=2, lag_range=(2, 64)).to_json_dict()
     assert row["exponent"] is None and row["stderr"] is None
     assert row["degenerate"] is True
 
@@ -197,7 +197,7 @@ def test_structure_sums_reject_other_lags_and_orders():
     with pytest.raises(ValueError):
         StructureSums(1, 1, 10, q=3)
     pooled = estimate_holder_ensemble(sums, TIME, q=2, lag_range=(2, 16))
-    single = estimate_holder(path, TIME, q=2, lag_range=(2, 16))
+    single = estimate_holder_ensemble([path], TIME, q=2, lag_range=(2, 16))
     assert pooled.exponent == pytest.approx(single.exponent, rel=1e-12)
 
 
