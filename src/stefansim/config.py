@@ -185,6 +185,10 @@ def grid_from_config(cfg: dict) -> GridSpec:
     T = get_field(cfg, "grid.T", required=True, cast=positive)
     length = get_field(cfg, "grid.L", default=1.0, cast=positive)
     weight_r = get_field(cfg, "grid.weight_r", default=0.0, cast=finite)
+    for path, value, fixed in (("grid.L", length, 1.0), ("grid.weight_r", weight_r, 0.0)):
+        if domain == COMPACT and value != fixed:
+            raise ConfigError(f"field {path!r} must be {fixed:g} on the compact domain, "
+                              f"not {value:g}")
     return build_grid(domain, nx, T, nt, length=length, weight_r=weight_r)
 
 

@@ -279,8 +279,12 @@ class FitResult:
 
     @classmethod
     def from_csv(cls, path) -> "FitResult":
-        """Read a written fit table; values must be finite and counts whole, in [0, 2**63)."""
-        table = read_table(path)
+        """Read a written fit table: header ``x_center,f,sigma,count``, values finite,
+        counts whole and in [0, 2**63)."""
+        names, table = read_table(path)
+        if names != ["x_center", "f", "sigma", "count"]:
+            raise FormatError(f"fit table header is {','.join(names)!r}, "
+                              "expected 'x_center,f,sigma,count'")
         if not len(table):
             raise FormatError("fit table has no rows")
         x_centers, f, sigma, counts = table.T

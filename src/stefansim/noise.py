@@ -10,19 +10,13 @@ independent in relative coordinates).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .grids import GridSpec
-
-_UINT64_MASK = (1 << 64) - 1
-
-
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([int(seed) & _UINT64_MASK, int(stream) & _UINT64_MASK],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -46,10 +40,14 @@ class NoiseStream:
     blocks concatenate bit for bit to the array ``sample_white_noise``
     returns, while only one block is held at a time.  Built from a
     NoiseField (``from_field``), the blocks are copied from its array.
+    The seed must be a whole number in [0, 2**64), the Philox key's range.
     """
 
     def __init__(self, grid: GridSpec, seed: int, stream: int = 0):
-        self._gen = _generator(seed, stream)
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+            raise ConfigError(f"seed {seed!r} must be a whole number in [0, 2**64)")
+        key = np.array([seed, stream], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
         self._shape = (grid.n_nodes,)
         self._scale = 1.0 / np.sqrt(grid.dx * grid.dt)
         self._xi = None

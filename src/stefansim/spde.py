@@ -31,6 +31,7 @@ the others but never drawn for, checked or handed on again.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -310,9 +311,10 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
               noise_pair=None, observer=None):
     """Integrate one path per seed from common initial data, as one batch.
 
-    ``initial`` is (v1_0, v2_0, p0).  Path k is driven by the noise
-    streams (seeds[k], 0) and (seeds[k], 1), and equals bit for bit the
-    run of that seed alone: every operation acts on each row by itself.
+    ``initial`` is (v1_0, v2_0, p0); each seed is an integer in [0, 2**64).
+    Path k is driven by the noise streams (seeds[k], 0) and (seeds[k], 1),
+    and equals bit for bit the run of that seed alone: every operation
+    acts on each row by itself.
     A path that blows up keeps its batch row to the end of the run: the
     row is stepped on with the others, but after the path's end its
     streams are not drawn, its speeds are not checked and nothing of it is
@@ -335,7 +337,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             raise ConfigError(
                 f"volatility exceeds its growth envelope by {violation:.3g}"
             )
-    seeds = [int(s) for s in seeds]
+    seeds = [operator.index(s) for s in seeds]
     n_paths = len(seeds)
     if n_paths < 1:
         raise ConfigError("a run needs at least one path")

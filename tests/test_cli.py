@@ -221,6 +221,9 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     ("simulate", ["output.directory=out"], "output.directory"),
     ("simulate", ["solver.tol=1"], "solver.tol"),
     ("simulate", ["obstacle.level.value=-1"], "obstacle.level.value"),
+    # the compact domain is [0, 1] under the unweighted sup norm
+    ("simulate", ["grid.L=4"], "grid.L"),
+    ("simulate", ["grid.weight_r=3"], "grid.weight_r"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, field):
     events = tmp_path / "events.csv"
@@ -240,7 +243,7 @@ def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command, sets, 
 
 #: malformed fit tables: a field that is not a number, a row one column
 #: short, a header without rows, a value that is not finite, a count that
-#: is not a whole number in [0, 2**63)
+#: is not a whole number in [0, 2**63), another table's header
 _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "short_row": "x_center,f,sigma,count\r\n0.1,0.2,0.3\r\n",
             "no_rows": "x_center,f,sigma,count\r\n",
@@ -250,7 +253,8 @@ _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "fractional_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,2.5\r\n",
             "negative_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,-1\r\n",
             "inf_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,inf\r\n",
-            "huge_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,3\r\n0.75,0.1,0.2,1e20\r\n"}
+            "huge_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,3\r\n0.75,0.1,0.2,1e20\r\n",
+            "wrong_header": "t,p\r\n0,0.5\r\n0.01,0.25\r\n"}
 
 _EVENTS_HEADER = "time,side,event_type,relative_price,size\n"
 
@@ -297,6 +301,7 @@ _BAD_LOB = {
     ("fit-lob", "lob.input", "overlong_field"),
     ("fit-lob", "lob.input", "header_only"),
     ("fit-lob", "lob.input", "one_event"),
+    ("simulate-price", "price.fit_csv", "wrong_header"),
 ])
 def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, field, kind):
     events = tmp_path / "events.csv"
@@ -341,6 +346,14 @@ def test_fit_with_a_bad_row_is_refused_by_row(tmp_path):
     path = tmp_path / "fit.csv"
     path.write_text(_BAD_FIT["nan_sigma"])
     with pytest.raises(FormatError, match=r"^fit table row 2: "):
+        FitResult.from_csv(path)
+
+
+def test_fit_with_another_tables_header_is_refused_by_header(tmp_path):
+    path = tmp_path / "fit.csv"
+    path.write_text(_BAD_FIT["wrong_header"])
+    with pytest.raises(FormatError, match=r"^fit table header is 't,p', "
+                                          r"expected 'x_center,f,sigma,count'$"):
         FitResult.from_csv(path)
 
 

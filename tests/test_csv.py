@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stefansim import _csv
 from stefansim.boundary import exp_imbalance
@@ -148,18 +148,26 @@ SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-5, 1e-4, 1.
 values = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=1, max_size=40)
 
 
+#: few whole numbers, so a column resized from them repeats, as a fit table's zero counts do
+counts = st.lists(st.one_of(st.just(0), st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=4)
+
+
 @given(rows=st.integers(0, 50), inner=st.integers(1, 9), block=st.sampled_from([1, 5, 16, None]),
-       a=values, b=values, comment=st.sampled_from([None, "", "c=1"]))
-def test_write_table_matches_csv_writer(tmp_path_factory, rows, inner, block, a, b, comment):
+       a=values, b=values, n=counts, comment=st.sampled_from([None, "", "c=1"]))
+# 0.0 and -0.0 compare equal but are written apart, in one block and in one column
+@example(rows=6, inner=4, block=None, a=[0.0, -0.0, float("nan"), -0.0], b=[-0.0, 0.0, 1e-5],
+         n=[0, 0, -1, 2**63 - 1], comment=None)
+def test_write_table_matches_csv_writer(tmp_path_factory, rows, inner, block, a, b, n, comment):
     a, b = np.asarray(a), np.asarray(b)
+    n = np.resize(np.asarray(n, dtype=np.int64), rows)
     t = np.resize(a, rows)
     x = np.resize(b, inner)
     z = np.resize(b, (rows, inner))
     w = np.resize(a[::-1], (rows, inner))
     path = tmp_path_factory.mktemp("table") / "t.csv"
     with mock.patch.object(_csv, "BLOCK", block or _csv.BLOCK):
-        _csv.write_table(path, ["i", "t", "a"], ["%d", "%.10g", "%.17g"],
-                         [np.arange(rows), t, w[:, 0]], comment)
+        _csv.write_table(path, ["i", "t", "a", "n"], ["%d", "%.10g", "%.17g", "%d"],
+                         [np.arange(rows), t, w[:, 0], n], comment)
         flat = path.read_bytes()
         _csv.write_table(path, ["t", "x", "z", "w"], ["%.10g", "%.10g", "%.17g", "%r"],
                          [t[:, None], x, z, w], comment)
@@ -169,9 +177,9 @@ def test_write_table_matches_csv_writer(tmp_path_factory, rows, inner, block, a,
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["i", "t", "a"])
+        writer.writerow(["i", "t", "a", "n"])
         for i in range(rows):
-            writer.writerow([i, f"{t[i]:.10g}", f"{w[i, 0]:.17g}"])
+            writer.writerow([i, f"{t[i]:.10g}", f"{w[i, 0]:.17g}", int(n[i])])
     assert flat == path.read_bytes()
     with open(path, "w", newline="") as fh:
         if comment:

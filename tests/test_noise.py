@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from stefansim.boundary import zero_boundary
+from stefansim.errors import ConfigError
 from stefansim.grids import build_grid
 from stefansim.noise import NoiseStream, sample_white_noise
+from stefansim.spde import constant_coefficients, run_relative_frame
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +59,18 @@ def test_lag_one_autocorrelation_small(grid):
         assert abs(corr) <= 0.01
 
 
-def test_negative_seed_accepted(grid):
-    nf = sample_white_noise(grid, -5)
-    assert np.isfinite(nf.xi).all()
+def test_seeds_outside_the_philox_key_range_are_refused():
+    g = build_grid("compact", 8, 0.01, 16)
+    for seed in (-1, 2**64, np.int64(-1), 2.5, 3.0):
+        with pytest.raises(ConfigError, match="seed .* must be a whole number in"):
+            NoiseStream(g, seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert np.isfinite(sample_white_noise(g, seed).xi).all()
+    z = np.zeros(g.n_nodes)
+    # a run reads its seeds as integers: 2.5 is refused, never run as seed 2
+    with pytest.raises(TypeError):
+        run_relative_frame((z, z, 0.0), constant_coefficients(), zero_boundary(),
+                           np.inf, np.inf, g, seed=2.5)
 
 
 def test_blocks_concatenate_to_the_full_draw():
