@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import FormatError
+
 #: table rows formatted per write (at least one leading-axis row); bounds
 #: the Python floats and text held at once
 BLOCK = 4096
@@ -42,12 +44,18 @@ def write_table(path, names, formats, columns, header_comment: str | None = None
             fh.write((row * (fields.size // len(columns))) % tuple(fields.ravel().tolist()))
 
 
-def read_table(path) -> tuple[list[str], np.ndarray]:
-    """The column names and the (rows, columns) float body of a written table."""
+def read_table(path, names: list[str], what: str) -> np.ndarray:
+    """The (rows, columns) float body of a written table whose column names are ``names``.
+
+    The header is checked before any row is parsed; a table of another
+    layout raises FormatError naming ``what`` and the header found.
+    """
     with open(path, "r", newline="") as fh:
         line = fh.readline()
         while line.startswith("#"):
             line = fh.readline()
+        header, expected = line.rstrip("\r\n"), ",".join(names)
+        if header != expected:
+            raise FormatError(f"{what} header is {header!r}, expected {expected!r}")
         body = [[float(c) for c in text.split(",")] for text in fh if text.strip()]
-    names = line.rstrip("\r\n").split(",")
-    return names, np.array(body, dtype=float).reshape(-1, len(names))
+    return np.array(body, dtype=float).reshape(-1, len(names))

@@ -281,10 +281,7 @@ class FitResult:
     def from_csv(cls, path) -> "FitResult":
         """Read a written fit table: header ``x_center,f,sigma,count``, values finite,
         counts whole and in [0, 2**63)."""
-        names, table = read_table(path)
-        if names != ["x_center", "f", "sigma", "count"]:
-            raise FormatError(f"fit table header is {','.join(names)!r}, "
-                              "expected 'x_center,f,sigma,count'")
+        table = read_table(path, ["x_center", "f", "sigma", "count"], "fit table")
         if not len(table):
             raise FormatError("fit table has no rows")
         x_centers, f, sigma, counts = table.T

@@ -95,6 +95,23 @@ def solve_penalized(v: Field, epsilon: float) -> ObstacleSolution:
     return ObstacleSolution(z=Field(grid, z), eta=eta)
 
 
+def projected_steps(z: np.ndarray, obstacle: np.ndarray, grid: GridSpec) -> None:
+    """Fill z[..., 1:, :] from its first row by explicit heat steps clipped at the obstacle.
+
+    Row i + 1 is the heat step of row i, raised to ``obstacle[..., i, :]``
+    and zero at the Dirichlet nodes; ``obstacle`` has the shape of
+    ``z[..., 1:, :]``.  Leading axes are a stack, each row on its own.
+    """
+    dx, dt = grid.dx, grid.dt
+    free = np.empty(z.shape[:-2] + (grid.n_nodes,))          # the stencil buffer
+    for i in range(z.shape[-2] - 1):
+        laplacian(z[..., i, :], dx, out=free)
+        free *= dt
+        free += z[..., i, :]
+        zn = np.maximum(free, obstacle[..., i, :], out=z[..., i + 1, :])
+        zn[..., ::grid.nx] = 0.0
+
+
 def solve_projected(v: Field) -> ObstacleSolution:
     """Explicit heat step clipped at the obstacle each step.
 
@@ -102,18 +119,18 @@ def solve_projected(v: Field) -> ObstacleSolution:
     so the discrete complementarity sum vanishes at machine precision.
     """
     grid = _validate_obstacle(v)
-    dx, dt = grid.dx, grid.dt
     z = np.zeros(v.values.shape)
+    projected_steps(z, v.values[..., 1:, :], grid)
+    # eta is what the clip added to each free heat step, taken after the loop
+    before = z[..., :-1, :]
+    free = laplacian(before, grid.dx, out=np.empty(before.shape))
+    free *= grid.dt
+    free += before
+    lift = np.subtract(z[..., 1:, :], free, out=free)
+    lift *= grid.dx
     eta = np.zeros(v.values.shape)
-    free = np.empty(v.values.shape[:-2] + (grid.n_nodes,))   # the stencil buffer
-    for i in range(grid.nt):
-        laplacian(z[..., i, :], dx, out=free)
-        free *= dt
-        free += z[..., i, :]
-        zn = np.maximum(free, v.values[..., i + 1, :], out=z[..., i + 1, :])
-        zn[..., ::grid.nx] = 0.0
-        eta[..., i + 1, :] = (zn - free) * dx
-    # no reflection at the Dirichlet nodes (free is already 0 there)
+    eta[..., 1:, :] = lift
+    # no reflection at the Dirichlet nodes
     eta[..., ::grid.nx] = 0.0
     return ObstacleSolution(z=Field(grid, z), eta=eta)
 

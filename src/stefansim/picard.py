@@ -18,9 +18,9 @@ with obstacle -w, and repeats.  The fixed point is the reflected
 solution, so the final pair cross-validates the direct finite-difference
 integrator driven by the same noise realisation.
 
-The iterate is carried as one (2, nt + 1, J) pair, side 1 first, the
-stepping core's layout: the side signs and per-side coefficients are
-``spde``'s, and one stacked obstacle solve corrects both sides.
+Both sides are carried together, side 1 first, the stepping core's
+layout: the side signs and per-side coefficients are ``spde``'s, and one
+stacked obstacle loop corrects both sides.
 
 The kernel is taken in its sine modes,
 
@@ -40,8 +40,18 @@ MODE_CUTOFF are dropped.  One noise realisation drives every iterate.
 Cost and memory, for nt steps, J = nx + 1 nodes and K modes: the kernel
 is three (J, K) factors, built once.  In mode coordinates each Duhamel
 sum is one first-order recursion per mode, coef[n] = decay coef[n-1] +
-new term, so an iterate solves both sides in O(nt J K) time, and its
-obstacle correction is one time loop of nt steps over the pair.
+new term, so an iterate solves both sides in O(nt J K) time.  The
+iteration is causal: iterate k at step n + 1 reads iterate k - 1 only at
+steps <= n.  So all iterates sweep through time together, in blocks of
+B = ``spde.NOISE_BLOCK`` steps: in wave s, iterate k steps block
+s - k + 1, stacked with the other live iterates, through one product
+with the kernel factors, one recursion of B steps and one projected
+obstacle loop of B steps.  That is about nt + (n_iters - 1) B Python
+steps per loop in place of n_iters nt.  Each iterate keeps only its
+recursion carry, its obstacle state, its running distance and its last
+B + 1 rows, and only the final iterate is stored whole, so the sweep
+holds O(n_iters B K) floats where a whole-iterate solve holds O(nt K).
+The arithmetic is the same whatever B is, so the result is too.
 """
 from __future__ import annotations
 
@@ -54,8 +64,11 @@ from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import ConfigError, DimensionMismatch, GridMismatch
 from .grids import Field, GridSpec
 from .noise import NoiseField
-from .obstacle import solve_projected
-from .spde import SIDE_SIGN, ModelCoefficients, check_initial, per_side, run_relative_frame
+# solve_projected stays importable from here: the benchmark's tracer wraps it by
+# name, though the sweep steps its obstacles with projected_steps
+from .obstacle import projected_steps, solve_projected  # noqa: F401
+from .spde import (NOISE_BLOCK, SIDE_SIGN, ModelCoefficients, check_initial, per_side,
+                   run_relative_frame)
 
 #: modes are kept while lam_m dt / 2 <= MODE_CUTOFF; the first dropped
 #: one weighs below exp(-40) at the shortest kernel time
@@ -110,6 +123,47 @@ def build_kernel_tables(grid: GridSpec) -> KernelTables:
                         mid_der=norm * half * der)
 
 
+def _mild_block(u: np.ndarray, xi: np.ndarray, carry: np.ndarray,
+                coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional, M: float,
+                tables: KernelTables) -> np.ndarray:
+    """One block of B steps of a stack of unreflected mild iterates, both sides.
+
+    ``u`` and ``xi`` are (2, a, B, J): for each of a iterates, its previous
+    iterate and the noise at the block's steps n, ..., n + B - 1.
+    ``carry`` (a, 2, K) holds each iterate's Duhamel mode coefficients of
+    step n - 1 (decay times them feeds step n; the initial data's
+    coefficients before the first block) and is advanced in place to step
+    n + B - 1.  Returns w at steps n + 1, ..., n + B as (2, a, B, J).
+    """
+    grid = tables.grid
+    _, a, B, J = u.shape
+    x = grid.space_nodes()
+    # the stack's rows step by step, side first as the stepping core lays
+    # them out: a step's coefficients are then contiguous for the recursion
+    u, xi = (np.swapaxes(arr, 1, 2).reshape(2, B * a, J) for arr in (u, xi))
+    # per row and side, the advection against dK/dy next to the forcing
+    # against K; filled through its (2, Ba, 2J) view.  The capped pair is
+    # written once, read by h, then scaled by the side's speed in place.
+    signal = np.empty((B * a, 2, 2 * J))
+    sides = np.moveaxis(signal, 1, 0)
+    sides[..., :J] = cap_profile(u, grid, M)
+    h = eval_h(boundary_fn, *sides[..., :J], grid)[:, None]
+    sides[..., :J] *= SIDE_SIGN * h
+    sides[..., J:] = (per_side(coeffs.f1, coeffs.f2, x, u)
+                      + per_side(coeffs.sigma1, coeffs.sigma2, x, u) * xi)
+
+    # mode coefficients of the Duhamel sums, (B, a, 2, K)
+    coef = (signal @ np.concatenate([tables.mid_der, tables.mid_val])).reshape(B, a, 2, -1)
+    coef *= grid.dt
+    coef[0] += tables.decay * carry
+    for n in range(1, B):
+        coef[n] += tables.decay * coef[n - 1]
+    carry[...] = coef[-1]
+    w = (coef @ tables.modes.T).transpose(2, 1, 0, 3)
+    w[..., [0, -1]] = 0.0
+    return w
+
+
 def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
                  boundary_fn: BoundaryFunctional, M: float,
                  noise_pair: tuple[NoiseField, NoiseField], tables: KernelTables) -> Field:
@@ -117,8 +171,8 @@ def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
 
     ``v_prev`` is the previous pair, side 1 first, as a (2, nt + 1, J)
     Field; side k is driven by ``noise_pair[k - 1]``.  Returns the pair
-    w in the same layout: one product with the kernel factors and one
-    recursion serve both sides.
+    w in the same layout: the sweep's block step, with one iterate and
+    one block of nt steps.
     """
     grid = tables.grid
     if v_prev.values.shape[:-2] != (2,):
@@ -127,31 +181,12 @@ def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
     if v_prev.grid != grid or any(noise.grid != grid for noise in noise_pair):
         raise GridMismatch("previous iterates and noise must live on the kernel tables' grid")
 
-    nt, J = grid.nt, grid.n_nodes
-    x = grid.space_nodes()
-    u = v_prev.values[:, :nt]
-    xi = np.stack([noise_pair[0].xi, noise_pair[1].xi])
-    # per step and side, the advection against dK/dy next to the forcing
-    # against K; filled through its (2, nt, 2J) view.  The capped pair is
-    # written once, read by h, then scaled by the side's speed in place.
-    signal = np.empty((nt, 2, 2 * J))
-    sides = np.moveaxis(signal, 1, 0)
-    sides[..., :J] = cap_profile(u, grid, M)
-    h = eval_h(boundary_fn, *sides[..., :J], grid)[:, None]
-    sides[..., :J] *= SIDE_SIGN * h
-    sides[..., J:] = (per_side(coeffs.f1, coeffs.f2, x, u)
-                      + per_side(coeffs.sigma1, coeffs.sigma2, x, u) * xi)
-
     v0 = v_prev.values[:, 0]                                       # (2, J)
-    # mode coefficients of the Duhamel sums, (nt, 2, K)
-    coef = signal @ np.concatenate([tables.mid_der, tables.mid_val])
-    coef *= grid.dt
-    coef[0] += tables.decay * (v0 @ tables.init)
-    for n in range(1, nt):
-        coef[n] += tables.decay * coef[n - 1]
-    w = np.empty((2, nt + 1, J))
-    w[:, 1:] = np.moveaxis(coef @ tables.modes.T, 1, 0)
-    w[:, :, [0, -1]] = 0.0
+    xi = np.stack([noise_pair[0].xi, noise_pair[1].xi])
+    carry = (v0 @ tables.init)[None]
+    w = np.empty(v_prev.values.shape)
+    w[:, 1:] = _mild_block(v_prev.values[:, None, :grid.nt], xi[:, None], carry,
+                           coeffs, boundary_fn, M, tables)[:, 0]
     w[:, 0] = v0
     return Field(grid, w)
 
@@ -195,19 +230,54 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
     v0, _ = check_initial(v1_0, v2_0, M, grid, boundary_fn)
+    if any(noise.grid != grid for noise in noise_pair):
+        raise GridMismatch("the noise must live on the iteration's grid")
     tables = build_kernel_tables(grid)
+    nt, J = grid.nt, grid.n_nodes
+    B = min(NOISE_BLOCK, nt)
+    n_blocks = -(-nt // B)
 
-    v = Field(grid, np.repeat(v0[:, None], grid.nt + 1, axis=1))
-    d_hist = []
-    for _ in range(n_iters):
-        w = mild_solve_w(v, coeffs, boundary_fn, M, noise_pair, tables).values
-        v_new = Field(grid, w + solve_projected(Field(grid, -w)).z.values)
-        d_hist.append(float(np.max(np.abs(v_new.values - v.values), axis=(1, 2)).sum()))
-        v = v_new
+    # the noise in blocks, the last one zero-padded to B steps
+    xi = np.zeros((2, n_blocks * B, J))
+    xi[:, :nt] = np.stack([noise_pair[0].xi, noise_pair[1].xi])
+    xi = xi.reshape(2, n_blocks, B, J)
+    # per iterate, the B + 1 rows of its latest block, starting at the row
+    # the block steps from; iterate 0 is v0 for all time
+    rows = np.empty((2, n_iters + 1, B + 1, J))
+    rows[...] = v0[:, None, None]
+    carry = np.repeat((v0 @ tables.init)[None], n_iters, axis=0)
+    z = np.zeros((2, n_iters, J))                # each iterate's obstacle state
+    dist = np.zeros((2, n_iters))                # each iterate's running sup distance
+    v = np.empty((2, nt + 1, J))                 # the final iterate
+    v[:, 0] = v0
+    # iterate k + 1 reads iterate k only at earlier steps, so in wave s
+    # iterate k + 1 steps block s - k, stacked with every other live iterate
+    for s in range(n_blocks + n_iters - 1):
+        lo, hi = max(0, s - n_blocks + 1), min(n_iters, s + 1)
+        blocks = s - np.arange(lo, hi)
+        w = _mild_block(rows[:, lo:hi, :B], xi[:, blocks], carry[lo:hi],
+                        coeffs, boundary_fn, M, tables)
+        # each iterate's obstacle correction over the block, from its state
+        zb = np.empty(w.shape[:-2] + (B + 1, J))
+        zb[..., 0, :] = z[:, lo:hi]
+        projected_steps(zb, -w, grid)
+        z[:, lo:hi] = zb[..., -1, :]
+        new = w + zb[..., 1:, :]
+        # only the oldest live iterate can be in the last, padded block
+        valid = min(B, nt - blocks[0] * B)
+        change = np.abs(new - rows[:, lo:hi, 1:])
+        change[:, 0, valid:] = 0.0
+        np.maximum(dist[:, lo:hi], change.max(axis=(2, 3)), out=dist[:, lo:hi])
+        rows[:, lo + 1:hi + 1, 0] = rows[:, lo + 1:hi + 1, B]
+        rows[:, lo + 1:hi + 1, 1:] = new
+        if hi == n_iters:
+            first = 1 + blocks[-1] * B
+            v[:, first:first + B] = new[:, -1, :nt + 1 - first]
+    d_hist = [float(d) for d in dist.sum(axis=0)]
 
     traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn,
                               M=M, M_max=np.inf, grid=grid,
                               seed=noise_pair[0].seed, store_stride=1,
                               noise_pair=noise_pair)
     direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
-    return IterationReport(d_hist, float(np.max(np.abs(direct - v.values))), v)
+    return IterationReport(d_hist, float(np.max(np.abs(direct - v))), Field(grid, v))

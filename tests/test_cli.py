@@ -254,7 +254,9 @@ _BAD_FIT = {"not_a_number": "x_center,f,sigma,count\r\n0.1,a,0.2,3\r\n",
             "negative_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,-1\r\n",
             "inf_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,inf\r\n",
             "huge_count": "x_center,f,sigma,count\r\n0.25,0.1,0.2,3\r\n0.75,0.1,0.2,1e20\r\n",
-            "wrong_header": "t,p\r\n0,0.5\r\n0.01,0.25\r\n"}
+            "wrong_header": "t,p\r\n0,0.5\r\n0.01,0.25\r\n",
+            # a table with text fields is refused by its header, not its first word
+            "events_table": "time,side,event_type,relative_price,size\n0.1,bid,limit,0.5,10\n"}
 
 _EVENTS_HEADER = "time,side,event_type,relative_price,size\n"
 
@@ -302,6 +304,7 @@ _BAD_LOB = {
     ("fit-lob", "lob.input", "header_only"),
     ("fit-lob", "lob.input", "one_event"),
     ("simulate-price", "price.fit_csv", "wrong_header"),
+    ("simulate-price", "price.fit_csv", "events_table"),
 ])
 def test_unreadable_input_files_are_config_errors(tmp_path, capsys, command, field, kind):
     events = tmp_path / "events.csv"
@@ -351,10 +354,12 @@ def test_fit_with_a_bad_row_is_refused_by_row(tmp_path):
 
 def test_fit_with_another_tables_header_is_refused_by_header(tmp_path):
     path = tmp_path / "fit.csv"
-    path.write_text(_BAD_FIT["wrong_header"])
-    with pytest.raises(FormatError, match=r"^fit table header is 't,p', "
-                                          r"expected 'x_center,f,sigma,count'$"):
-        FitResult.from_csv(path)
+    for kind, header in (("wrong_header", "t,p"),
+                         ("events_table", "time,side,event_type,relative_price,size")):
+        path.write_text(_BAD_FIT[kind])
+        with pytest.raises(FormatError, match=rf"^fit table header is '{header}', "
+                                              r"expected 'x_center,f,sigma,count'$"):
+            FitResult.from_csv(path)
 
 
 def test_fit_lob_reads_a_one_row_touch_file(tmp_path):

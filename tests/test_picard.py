@@ -13,6 +13,7 @@ from stefansim.grids import Field, build_grid
 from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
 from stefansim.obstacle import solve_projected
+from stefansim import picard
 from stefansim.picard import build_kernel_tables, mild_solve_w, picard_iterate
 from stefansim.spde import ModelCoefficients, constant_coefficients, run_relative_frame
 
@@ -461,6 +462,56 @@ def test_stacked_iterate_equals_per_side_reference(grid):
     assert rep.d == d
     assert rep.final_gap_vs_direct == gap
     assert rep.d[0] > 0.0 and rep.final_gap_vs_direct > 0.0
+
+
+# ------------------------------------------- the sweep against the plain loop
+
+def _plain_iterate(v0, coeffs, fn, M, noise_pair, grid, n_iters):
+    """The iteration one whole iterate at a time: mild_solve_w, then solve_projected."""
+    tables = build_kernel_tables(grid)
+    v = Field(grid, np.repeat(v0[:, None], grid.nt + 1, axis=1))
+    d = []
+    for _ in range(n_iters):
+        w = mild_solve_w(v, coeffs, fn, M, noise_pair, tables).values
+        v_new = w + solve_projected(Field(grid, -w)).z.values
+        d.append(float(np.max(np.abs(v_new - v.values), axis=(1, 2)).sum()))
+        v = Field(grid, v_new)
+    return d, v.values
+
+
+@pytest.mark.parametrize("n_iters", [2, 5])
+@pytest.mark.parametrize("M", [0.2, np.inf], ids=["finite_M", "inf_M"])
+@pytest.mark.parametrize("block", [None, 1, 7, "nt"])
+@pytest.mark.parametrize("grid", [
+    build_grid("compact", 8, 0.02, 129),
+    build_grid("halfline", 8, 0.04, 300, length=1.5, weight_r=0.5),
+    build_grid("compact", 8, 0.02, 48),
+], ids=["compact_129", "halfline_300", "compact_48"])
+def test_sweep_equals_the_plain_loop(monkeypatch, grid, block, M, n_iters):
+    # blocks that do not divide nt (the last one padded), more iterates
+    # than blocks, one step per block and one block for the whole run
+    if block is not None:
+        monkeypatch.setattr(picard, "NOISE_BLOCK", grid.nt if block == "nt" else block)
+    x = grid.space_nodes()
+    v0 = np.stack([0.3 * np.sin(np.pi * x / grid.length),
+                   0.25 * np.sin(np.pi * x / grid.length) ** 2])
+    v0[:, [0, -1]] = 0.0
+    coeffs = _side_distinct_coefficients()
+    fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
+    noise = (sample_white_noise(grid, 13, 0), sample_white_noise(grid, 13, 1))
+    rep = picard_iterate(v0[0], v0[1], coeffs, fn, M, noise, grid, n_iters=n_iters)
+    d, v = _plain_iterate(v0, coeffs, fn, M, noise, grid, n_iters)
+    assert rep.d == d
+    assert np.array_equal(rep.v.values, v)
+    assert d[-1] > 0.0
+
+
+def test_picard_refuses_noise_of_another_grid(small_grid):
+    z = np.zeros(small_grid.n_nodes)
+    other = build_grid("compact", 32, 0.02, 1024)
+    with pytest.raises(GridMismatch):
+        picard_iterate(z, z.copy(), constant_coefficients(), zero_boundary(), np.inf,
+                       _zero_noise_pair(other), small_grid, n_iters=2)
 
 
 @pytest.mark.parametrize("shape", [lambda g: (g.nt + 1, g.n_nodes),
