@@ -48,14 +48,23 @@ def read_table(path, names: list[str], what: str) -> np.ndarray:
     """The (rows, columns) float body of a written table whose column names are ``names``.
 
     The header is checked before any row is parsed; a table of another
-    layout raises FormatError naming ``what`` and the header found.
+    layout raises FormatError naming ``what`` and the header found, a row
+    of another width or with a field that is not a number ``what`` and
+    its line.
     """
     with open(path, "r", newline="") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            line = fh.readline()
-        header, expected = line.rstrip("\r\n"), ",".join(names)
-        if header != expected:
-            raise FormatError(f"{what} header is {header!r}, expected {expected!r}")
-        body = [[float(c) for c in text.split(",")] for text in fh if text.strip()]
+        lines = enumerate(fh, start=1)
+        header = next((text.rstrip("\r\n") for _, text in lines if not text.startswith("#")), "")
+        if header != ",".join(names):
+            raise FormatError(f"{what} header is {header!r}, expected {','.join(names)!r}")
+        body = []
+        for number, text in lines:
+            fields = text.rstrip("\r\n").split(",")
+            try:
+                if len(fields) != len(names):
+                    raise ValueError(f"{len(fields)} fields, expected {len(names)}")
+                body.append([float(c) for c in fields])
+            except ValueError as err:
+                if text.strip():                                # a blank line is skipped
+                    raise FormatError(f"{what} line {number}: {err}") from None
     return np.array(body, dtype=float).reshape(-1, len(names))

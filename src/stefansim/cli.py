@@ -82,7 +82,7 @@ def cmd_simulate(cfg: dict) -> int:
     stride = get_field(cfg, "run.stride", default=0, cast=whole(0))
 
     traj = run_relative_frame((v1_0, v2_0, _p0(cfg)), coeffs, fn, M=M, M_max=_M_max(cfg),
-                              grid=grid, seed=seed, store_stride=stride,
+                              grid=grid, noise=seed, store_stride=stride,
                               lap_scale=_lap_scale(cfg))
     out = _outdir(cfg)
     h = config_hash(cfg)
@@ -188,7 +188,7 @@ def cmd_holder(cfg: dict) -> int:
     sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags=time_lags,
                          space_lags=space_lags)
     p_prime = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=_M_max(cfg), grid=grid,
-                        seeds=range(base_seed, base_seed + n_paths),
+                        noises=range(base_seed, base_seed + n_paths),
                         lap_scale=_lap_scale(cfg), observer=_HolderObserver(sums, grid))
     rows = [
         estimate_holder_ensemble(sums, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),

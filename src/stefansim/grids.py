@@ -111,8 +111,6 @@ class GridSpec:
 def build_grid(domain_kind: str, nx: int, T: float, nt: int,
                length: float = 1.0, weight_r: float = 0.0) -> GridSpec:
     """Construct a validated grid; rejects CFL violations and bad sizes."""
-    if domain_kind == COMPACT:
-        length = 1.0
     return GridSpec(domain_kind=domain_kind, nx=int(nx), nt=int(nt), T=float(T),
                     length=float(length), weight_r=float(weight_r))
 

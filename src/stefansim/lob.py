@@ -369,7 +369,7 @@ def simulate_price(fit: FitResult, boundary: BoundaryFunctional, grid: GridSpec,
     coeffs = tabulated_coefficients(fit.x_centers, f, sigma)
     z = np.zeros(grid.n_nodes)
     return run_relative_frame((z, z.copy(), p0), coeffs, boundary, M=np.inf, M_max=np.inf,
-                              grid=grid, seed=seed, lap_scale=lap_scale)
+                              grid=grid, noise=seed, lap_scale=lap_scale)
 
 
 def price_series_to_csv(traj: Trajectory, path, header_comment: str | None = None) -> None:

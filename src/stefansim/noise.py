@@ -28,18 +28,17 @@ class NoiseField:
     """
 
     grid: GridSpec
-    seed: int
-    stream: int
     xi: np.ndarray = field(repr=False)
 
 
 class NoiseStream:
     """One (seed, stream) realisation read forward in blocks of time rows.
 
-    Successive ``draw(rows)`` calls continue one Philox sequence, so the
+    Successive ``draw`` calls continue one Philox sequence, so the
     blocks concatenate bit for bit to the array ``sample_white_noise``
     returns, while only one block is held at a time.  Built from a
-    NoiseField (``from_field``), the blocks are copied from its array.
+    NoiseField (``from_field``), the blocks are copied from its array and
+    nothing is drawn.
     The seed must be a whole number in [0, 2**64), the Philox key's range.
     """
 
@@ -48,24 +47,20 @@ class NoiseStream:
             raise ConfigError(f"seed {seed!r} must be a whole number in [0, 2**64)")
         key = np.array([seed, stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._shape = (grid.n_nodes,)
         self._scale = 1.0 / np.sqrt(grid.dx * grid.dt)
-        self._xi = None
-        self._row = 0
+        self._xi, self._row = None, 0
 
     @classmethod
     def from_field(cls, noise: NoiseField) -> "NoiseStream":
-        reader = cls(noise.grid, noise.seed, noise.stream)
-        reader._xi = noise.xi
+        reader = cls.__new__(cls)
+        reader._xi, reader._row = noise.xi, 0
         return reader
 
-    def draw(self, rows: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next ``rows`` time rows, written to ``out`` (a new array when None).
+    def draw(self, rows: int, out: np.ndarray) -> np.ndarray:
+        """Write the next ``rows`` time rows to ``out`` and return it.
 
-        ``out`` is a C-contiguous float array of shape (rows, n_nodes).
+        ``out`` is a C-contiguous float array of shape (rows, n_nodes), which every caller owns.
         """
-        if out is None:
-            out = np.empty((rows,) + self._shape)
         if self._xi is not None:
             out[...] = self._xi[self._row:self._row + rows]
         else:
@@ -77,5 +72,5 @@ class NoiseStream:
 
 def sample_white_noise(grid: GridSpec, seed: int, stream: int = 0) -> NoiseField:
     """Draw the full noise array for a grid; bit-reproducible per (grid, seed, stream)."""
-    xi = NoiseStream(grid, seed, stream).draw(grid.nt)
-    return NoiseField(grid=grid, seed=int(seed), stream=int(stream), xi=xi)
+    xi = NoiseStream(grid, seed, stream).draw(grid.nt, np.empty((grid.nt, grid.n_nodes)))
+    return NoiseField(grid=grid, xi=xi)

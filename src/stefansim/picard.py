@@ -180,6 +180,8 @@ def mild_solve_w(v_prev: Field, coeffs: ModelCoefficients,
             f"previous iterate must be a (2, nt + 1, J) pair, got {v_prev.values.shape}")
     if v_prev.grid != grid or any(noise.grid != grid for noise in noise_pair):
         raise GridMismatch("previous iterates and noise must live on the kernel tables' grid")
+    if not M > 0:
+        raise ConfigError(f"truncation M={M} must be a positive number")
 
     v0 = v_prev.values[:, 0]                                       # (2, J)
     xi = np.stack([noise_pair[0].xi, noise_pair[1].xi])
@@ -275,9 +277,7 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
             v[:, first:first + B] = new[:, -1, :nt + 1 - first]
     d_hist = [float(d) for d in dist.sum(axis=0)]
 
-    traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn,
-                              M=M, M_max=np.inf, grid=grid,
-                              seed=noise_pair[0].seed, store_stride=1,
-                              noise_pair=noise_pair)
+    traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn, M=M, M_max=np.inf,
+                              grid=grid, noise=tuple(noise_pair), store_stride=1)
     direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
     return IterationReport(d_hist, float(np.max(np.abs(direct - v))), Field(grid, v))

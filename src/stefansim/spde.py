@@ -306,50 +306,50 @@ def check_initial(v1_0, v2_0, M: float, grid: GridSpec, boundary_fn: BoundaryFun
     return v0, h0
 
 
-def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-              M: float, M_max: float, grid: GridSpec, seeds, lap_scale: float = 1.0,
-              noise_pair=None, observer=None):
-    """Integrate one path per seed from common initial data, as one batch.
+def _path_noise(noise, grid: GridSpec):
+    """One path's two noise streams, side 1 first, and its name in messages."""
+    if isinstance(noise, tuple):
+        first, second = noise
+        if first.grid != grid or second.grid != grid:
+            raise GridMismatch("supplied noise does not live on the run grid")
+        return (NoiseStream.from_field(first), NoiseStream.from_field(second)), "explicit noise"
+    seed = operator.index(noise)
+    return (NoiseStream(grid, seed, 0), NoiseStream(grid, seed, 1)), f"seed {seed}"
 
-    ``initial`` is (v1_0, v2_0, p0); each seed is an integer in [0, 2**64).
-    Path k is driven by the noise streams (seeds[k], 0) and (seeds[k], 1),
-    and equals bit for bit the run of that seed alone: every operation
+
+def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+              M: float, M_max: float, grid: GridSpec, noises, lap_scale: float = 1.0,
+              observer=None):
+    """Integrate one path per noise from common initial data, as one batch.
+
+    ``initial`` is (v1_0, v2_0, p0).  ``noises`` names each path's noise:
+    a seed, an integer in [0, 2**64) read from the streams (seed, 0) and
+    (seed, 1), or a (NoiseField, NoiseField) pair on the run grid.  Path
+    k equals bit for bit the run of ``noises[k]`` alone: every operation
     acts on each row by itself.
     A path that blows up keeps its batch row to the end of the run: the
     row is stepped on with the others, but after the path's end its
     streams are not drawn, its speeds are not checked and nothing of it is
     handed on.  Each block's values go to ``observer`` (see Recorder), by
-    default a Recorder without profiles.  An explicit (NoiseField,
-    NoiseField) ``noise_pair`` drives a single path in place of the
-    seeded streams.
+    default a Recorder without profiles.
     Returns ``observer.finish`` of each path's (last_step, cause) pair,
-    by default one Trajectory per seed, in order.
+    by default one Trajectory per path, in order.
     """
     v1_0, v2_0, p0 = initial
     v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
     if not M <= M_max:
         raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
+    if not 0 < lap_scale < np.inf:
+        raise ConfigError(f"lap_scale={lap_scale} must be a finite positive number")
     if lap_scale * grid.dt > STABILITY_FACTOR * grid.dx**2 * (1 + 1e-12):
         raise CflViolation(f"lap_scale * dt exceeds {STABILITY_FACTOR} * dx^2")
-    if grid.domain_kind != COMPACT and coeffs.growth_R is not None:
-        violation = coeffs.validate_growth(grid)
-        if violation > 1e-9:
-            raise ConfigError(
-                f"volatility exceeds its growth envelope by {violation:.3g}"
-            )
-    seeds = [operator.index(s) for s in seeds]
-    n_paths = len(seeds)
-    if n_paths < 1:
+    if grid.domain_kind != COMPACT and (violation := coeffs.validate_growth(grid)) > 1e-9:
+        raise ConfigError(f"volatility exceeds its growth envelope by {violation:.3g}")
+    noises = list(noises)
+    if not noises:
         raise ConfigError("a run needs at least one path")
-    if noise_pair is None:
-        streams = [[NoiseStream(grid, s, side) for s in seeds] for side in (0, 1)]
-    else:
-        if n_paths != 1:
-            raise ConfigError("an explicit noise pair drives exactly one path")
-        if noise_pair[0].grid != grid or noise_pair[1].grid != grid:
-            raise GridMismatch("supplied noise does not live on the run grid")
-        streams = [[NoiseStream.from_field(noise_pair[0])],
-                   [NoiseStream.from_field(noise_pair[1])]]
+    streams, names = zip(*[_path_noise(noise, grid) for noise in noises])
+    n_paths = len(noises)
     if observer is None:
         observer = Recorder(grid, n_paths)
 
@@ -378,7 +378,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             m = min(block, nt - i0)
             for side in (0, 1):
                 for k in np.flatnonzero(live):
-                    streams[side][k].draw(m, out=xi[side, k, :m])
+                    streams[k][side].draw(m, out=xi[side, k, :m])
             for j in range(m):
                 terms = fixed if fixed is not None else coeffs.terms(states[j], grid)
                 step_reflected(states[j], capped, speeds[j], xi[:, :, j], terms, grid,
@@ -400,7 +400,7 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             if bad.any():
                 j, k = divmod(int(bad.argmax()), n_paths)       # earliest step, then path
                 raise CflViolation(
-                    f"path {k} (seed {seeds[k]}): advection speed "
+                    f"path {k} ({names[k]}): advection speed "
                     f"|c|={abs(speeds[j, k]):.3g} violates dt*|c| <= dx at t={ts[j]:.6g}")
 
             # the last state kept of each path: a threshold step is kept, a
@@ -433,19 +433,15 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
 
 def run_relative_frame(initial, coeffs: ModelCoefficients,
                        boundary_fn: BoundaryFunctional, M: float, M_max: float,
-                       grid: GridSpec, seed: int, store_stride: int = 0,
-                       lap_scale: float = 1.0,
-                       noise_pair=None) -> Trajectory:
-    """Integrate the coupled system over the whole grid horizon.
+                       grid: GridSpec, noise, store_stride: int = 0,
+                       lap_scale: float = 1.0) -> Trajectory:
+    """Integrate the coupled system over the whole grid horizon: one path of ``run_paths``.
 
-    ``initial`` is (v1_0, v2_0, p0).  Both driving noises derive from
-    ``seed`` on independent streams, so the full trajectory is a pure
-    function of (initial, coeffs, boundary_fn, M, M_max, grid, seed).
-    Passing an explicit (NoiseField, NoiseField) pair overrides the
-    seeded generation, which lets other schemes reuse one realisation.
-    This is the one-path batch of ``run_paths``.
+    ``initial`` is (v1_0, v2_0, p0) and ``noise`` the path's entry, a seed
+    or an explicit (NoiseField, NoiseField) pair that lets other schemes
+    reuse one realisation.  The trajectory is a pure function of (initial,
+    coeffs, boundary_fn, M, M_max, grid, noise).
     """
-    return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [seed],
-                     lap_scale=lap_scale, noise_pair=noise_pair,
-                     observer=Recorder(grid, 1, store_stride))[0]
+    return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [noise],
+                     lap_scale=lap_scale, observer=Recorder(grid, 1, store_stride))[0]
 

@@ -165,9 +165,9 @@ def test_criterion_05_truncation_consistency():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=30.0, sigma=0.5)
     low = run_relative_frame((v0, v0.copy(), 0.0), coeffs, fn, M=2.0,
-                             M_max=np.inf, grid=grid, seed=5, store_stride=1)
+                             M_max=np.inf, grid=grid, noise=5, store_stride=1)
     high = run_relative_frame((v0, v0.copy(), 0.0), coeffs, fn, M=8.0,
-                              M_max=np.inf, grid=grid, seed=5, store_stride=1)
+                              M_max=np.inf, grid=grid, noise=5, store_stride=1)
     total = low.norm1 + low.norm2
     assert np.any(total >= 2.0)
     cross = int(np.argmax(total >= 2.0))
@@ -186,7 +186,7 @@ def test_criterion_06_global_existence_bounded_h():
     z = np.zeros(grid.n_nodes)
     # one batch; row k is bit-equal to the single run with seed 5000 + k
     trajs = run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
-                      seeds=range(5000, 5010))
+                      noises=range(5000, 5010))
     completed = sum(not traj.blown_up and traj.times[-1] == pytest.approx(grid.T)
                     for traj in trajs)
     ok = completed == 10
@@ -212,7 +212,7 @@ def she_ensemble():
     sums = StructureSums(20, grid.n_nodes, grid.nt + 1, q=2,
                          time_lags=dyadic_lags((16, 256)), space_lags=dyadic_lags((1, 8)))
     run_paths((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf, grid,
-              seeds=range(9000, 9020), observer=PushSide1(sums))
+              noises=range(9000, 9020), observer=PushSide1(sums))
     return sums, time.perf_counter() - t0
 
 
@@ -224,7 +224,7 @@ def imbalance_ensemble():
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     z = np.zeros(grid.n_nodes)
     trajs = run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
-                      seeds=range(9500, 9520))
+                      noises=range(9500, 9520))
     return [traj.p_prime for traj in trajs]
 
 

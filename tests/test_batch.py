@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import stefansim.spde
 from helpers import PushSide1, structure_function_reference
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
-from stefansim.errors import CflViolation, DimensionMismatch
+from stefansim.errors import CflViolation, DimensionMismatch, GridMismatch
 from stefansim.grids import build_grid
-from stefansim.noise import NoiseStream
+from stefansim.noise import NoiseStream, sample_white_noise
 from stefansim.regularity import SPACE, TIME, StructureSums, dyadic_lags, estimate_holder_ensemble
 from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
                             run_relative_frame, step_reflected)
@@ -47,25 +47,40 @@ class _KeepsLast(Recorder):
         return trajectories
 
 
+#: how a batch names its paths' noise: by seed, by the seed's
+#: sample_white_noise pair, or every other path by its pair
+NOISE_FORMS = ("seeds", "pairs", "mixed")
+
+
+def _noises(grid, seeds, form):
+    """The run_paths entries naming the seeds' noise in the given form."""
+    return [(sample_white_noise(grid, s, 0), sample_white_noise(grid, s, 1))
+            if form == "pairs" or (form == "mixed" and k % 2) else s
+            for k, s in enumerate(seeds)]
+
+
 def assert_rows_match_singles(initial, coeffs, fn, M, M_max, grid, seeds,
-                              stride, lap_scale=1.0):
-    batch = run_paths(initial, coeffs, fn, M, M_max, grid, seeds, lap_scale=lap_scale,
+                              stride, lap_scale=1.0, form="seeds"):
+    noises = _noises(grid, seeds, form)
+    batch = run_paths(initial, coeffs, fn, M, M_max, grid, noises, lap_scale=lap_scale,
                       observer=_KeepsLast(grid, len(seeds), stride))
     assert len(batch) == len(seeds)
-    for traj, seed in zip(batch, seeds):
-        # a single run is the one-path batch (the body of run_relative_frame)
-        one, = run_paths(initial, coeffs, fn, M, M_max, grid, [seed], lap_scale=lap_scale,
-                         observer=_KeepsLast(grid, 1, stride))
-        for name in ("times", "p", "p_prime", "norm1", "norm2"):
-            assert _same_bytes(getattr(traj, name), getattr(one, name)), name
-        if stride:
-            for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
+    for traj, seed, noise in zip(batch, seeds, noises):
+        # a single run is the one-path batch (the body of run_relative_frame),
+        # and a path driven by its seed's pair is the run of that seed
+        for single in [noise] if noise is seed else [noise, seed]:
+            one, = run_paths(initial, coeffs, fn, M, M_max, grid, [single],
+                             lap_scale=lap_scale, observer=_KeepsLast(grid, 1, stride))
+            for name in ("times", "p", "p_prime", "norm1", "norm2"):
                 assert _same_bytes(getattr(traj, name), getattr(one, name)), name
-        assert _same_bytes(traj.last, one.last)
-        assert (traj.p[-1], traj.p_prime[-1], traj.times[-1]) == \
-            (one.p[-1], one.p_prime[-1], one.times[-1])
-        assert (traj.blown_up, traj.tau_estimate, traj.blowup_cause) == \
-            (one.blown_up, one.tau_estimate, one.blowup_cause)
+            if stride:
+                for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
+                    assert _same_bytes(getattr(traj, name), getattr(one, name)), name
+            assert _same_bytes(traj.last, one.last)
+            assert (traj.p[-1], traj.p_prime[-1], traj.times[-1]) == \
+                (one.p[-1], one.p_prime[-1], one.times[-1])
+            assert (traj.blown_up, traj.tau_estimate, traj.blowup_cause) == \
+                (one.blown_up, one.tau_estimate, one.blowup_cause)
     return batch
 
 
@@ -81,10 +96,11 @@ BOUNDARIES = {
 def test_batch_rows_equal_single_runs(kind):
     g = build_grid("compact", 32, 0.02, 512)
     v0 = _sine(g, 0.5)
-    assert_rows_match_singles((v0, 0.3 * v0, 1.0),
-                              constant_coefficients(f=0.5, sigma=1.0),
-                              BOUNDARIES[kind], np.inf, np.inf, g,
-                              seeds=[11, 12, 13], stride=5)
+    for form in NOISE_FORMS:
+        assert_rows_match_singles((v0, 0.3 * v0, 1.0),
+                                  constant_coefficients(f=0.5, sigma=1.0),
+                                  BOUNDARIES[kind], np.inf, np.inf, g,
+                                  seeds=[11, 12, 13], stride=5, form=form)
 
 
 @pytest.mark.parametrize("kind", ["exp_imbalance", "stefan_fd"])
@@ -139,9 +155,9 @@ def test_batch_row_blowup_leaves_the_others_running():
 @given(nx=st.integers(4, 12), steps_per_dx2=st.integers(2, 4),
        n_steps=st.integers(8, 48), n_paths=st.integers(1, 4),
        seed=st.integers(0, 2**63), kind=st.sampled_from(sorted(BOUNDARIES)),
-       stride=st.integers(0, 9))
+       stride=st.integers(0, 9), form=st.sampled_from(NOISE_FORMS))
 def test_batch_invariance_property(nx, steps_per_dx2, n_steps, n_paths, seed,
-                                   kind, stride):
+                                   kind, stride, form):
     dx = 1.0 / nx
     dt = dx * dx / steps_per_dx2
     g = build_grid("compact", nx, n_steps * dt, n_steps)
@@ -156,7 +172,8 @@ def test_batch_invariance_property(nx, steps_per_dx2, n_steps, n_paths, seed,
     assert_rows_match_singles((v0, 0.5 * v0, 0.0),
                               constant_coefficients(f=1.0, sigma=1.0), fn,
                               np.inf, np.inf, g,
-                              seeds=[seed + k for k in range(n_paths)], stride=stride)
+                              seeds=[seed + k for k in range(n_paths)], stride=stride,
+                              form=form)
 
 
 class _InvariantCheck:
@@ -226,6 +243,23 @@ def test_cfl_violation_names_the_offending_path():
     assert float(re.search(r"at t=(\S+)$", str(err.value)).group(1)) > first.tau_estimate
     with pytest.raises(CflViolation, match=r"^path 1 \(seed 74\): "):
         run_paths((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, [81, 74])
+    # a path driven by an explicit pair is named as such, with the same message
+    pair = (sample_white_noise(g, 74, 0), sample_white_noise(g, 74, 1))
+    with pytest.raises(CflViolation) as by_pair:
+        run_paths((z, z.copy(), 0.0), coeffs, fn, 2.0, 2.0, g, [81, pair])
+    assert str(by_pair.value) == str(err.value).replace("path 0 (seed 74)",
+                                                         "path 1 (explicit noise)")
+
+
+def test_a_pair_on_another_grid_is_refused():
+    g = build_grid("compact", 16, 0.02, 256)
+    z = np.zeros(g.n_nodes)
+    for other in (build_grid("compact", 16, 0.02, 512), build_grid("compact", 16, 0.01, 256),
+                  build_grid("halfline", 16, 0.02, 256, length=2.0)):
+        pair = (sample_white_noise(g, 5, 0), sample_white_noise(other, 5, 1))
+        with pytest.raises(GridMismatch):
+            run_paths((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(),
+                      np.inf, np.inf, g, [4, pair])
 
 
 def test_step_rejects_noise_of_another_shape():
@@ -300,7 +334,7 @@ def test_infinite_drift_flags_non_finite_and_stores_no_infinity():
     g = build_grid("compact", 16, 0.01, 256)
     v0 = _sine(g, 0.5)
     traj = run_relative_frame((v0, v0.copy(), 0.0), constant_coefficients(f=np.inf),
-                              zero_boundary(), np.inf, np.inf, g, seed=1, store_stride=1)
+                              zero_boundary(), np.inf, np.inf, g, noise=1, store_stride=1)
     assert traj.blown_up and traj.blowup_cause == "non_finite"
     # the first step overflows, so the record keeps only the initial state
     assert len(traj.times) == 1 and traj.tau_estimate == g.dt
@@ -315,7 +349,7 @@ def test_nan_volatility_is_flagged_instead_of_run_to_the_end():
     v0 = _sine(g, 0.5)
     traj = run_relative_frame((v0, v0.copy(), 0.0),
                               constant_coefficients(f=0.0, sigma=np.nan),
-                              exp_imbalance(), 2.0, 10.0, g, seed=1, store_stride=1)
+                              exp_imbalance(), 2.0, 10.0, g, noise=1, store_stride=1)
     assert traj.blown_up and traj.blowup_cause == "non_finite"
     assert len(traj.times) < g.nt + 1
     assert np.isfinite(traj.norm1).all() and np.isfinite(traj.norm2).all()

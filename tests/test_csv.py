@@ -1,13 +1,16 @@
-"""The shared CSV table writer against the row-by-row csv.writer loops it replaced."""
+"""The shared CSV table writer against the row-by-row csv.writer loops it replaced,
+and the shared reader's refusals."""
 import csv
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from stefansim import _csv
 from stefansim.boundary import exp_imbalance
+from stefansim.errors import FormatError
 from stefansim.grids import Field, build_grid
 from stefansim.lob import FitResult, price_series_to_csv, simulate_price
 from stefansim.obstacle import ObstacleSolution, dump_csv, solve_penalized, solve_projected
@@ -99,7 +102,7 @@ def test_trajectory_writers_match_reference(tmp_path):
     v0 = np.maximum(0.4 * np.sin(np.pi * x), 0.0)
     v0[-1] = 0.0
     traj = run_relative_frame((v0, v0.copy(), 0.0), constant_coefficients(sigma=0.5),
-                              exp_imbalance(clamp=2.0), np.inf, np.inf, g, seed=5,
+                              exp_imbalance(clamp=2.0), np.inf, np.inf, g, noise=5,
                               store_stride=16)
     assert not traj.blown_up
     for header in (HEADER, None):
@@ -112,7 +115,7 @@ def test_blown_up_trajectory_writers_match_reference(tmp_path):
     g = build_grid("compact", 16, 0.01, 256)
     traj = run_relative_frame((np.zeros(g.n_nodes), np.zeros(g.n_nodes), 0.0),
                               constant_coefficients(f=500.0, sigma=0.5), exp_imbalance(),
-                              3.0, 3.0, g, seed=2, store_stride=7)
+                              3.0, 3.0, g, noise=2, store_stride=7)
     assert traj.blown_up and 1 < len(traj.times) < g.nt + 1
     _same_bytes(tmp_path, type(traj).to_csv, _ref_trajectory, traj)
     _same_bytes(tmp_path, type(traj).profiles_to_csv, _ref_profiles, traj)
@@ -140,6 +143,21 @@ def test_fit_csv_round_trips_bit_for_bit(tmp_path):
     back = FitResult.from_csv(tmp_path / "fit.csv")
     for name in ("x_centers", "f", "sigma", "counts"):
         assert getattr(back, name).tobytes() == getattr(fit, name).tobytes()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.25,0.1,0.2,3\r\n0.75,abc,0.2,3\r\n",
+     r"^fit table line 4: could not convert string to float: 'abc'$"),
+    ("0.25,0.1,0.2,3\r\n0.75,0.1,0.2\r\n", r"^fit table line 4: 3 fields, expected 4$"),
+    ("0.25,0.1,0.2,3,5\r\n", r"^fit table line 3: 5 fields, expected 4$"),
+    # rows of one wrong width are refused, not read back as rows of four
+    ("1,2,3\r\n" * 4, r"^fit table line 3: 3 fields, expected 4$"),
+], ids=["not_a_number", "short_row", "long_row", "three_wide"])
+def test_fit_table_refuses_a_bad_row_by_its_line(tmp_path, body, message):
+    path = tmp_path / "fit.csv"
+    path.write_text(f"# {HEADER}\nx_center,f,sigma,count\r\n" + body)
+    with pytest.raises(FormatError, match=message):
+        FitResult.from_csv(path)
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-5, 1e-4, 1.5e-4,

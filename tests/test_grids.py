@@ -35,6 +35,12 @@ def test_halfline_needs_length_at_least_one():
         build_grid(HALFLINE, 64, 1e-4, 64, length=0.5)
 
 
+def test_compact_grid_refuses_another_length():
+    # build_grid hands length on as given, so it is refused as GridSpec refuses it
+    with pytest.raises(BadDimension, match="compact domain has fixed length 1"):
+        build_grid(COMPACT, 8, 0.02, 64, length=2.0)
+
+
 def test_node_counts_and_cache():
     g = build_grid(COMPACT, 8, 1e-3, 128)
     x = g.space_nodes()

@@ -4,7 +4,7 @@ import pytest
 from stefansim.boundary import zero_boundary
 from stefansim.errors import ConfigError
 from stefansim.grids import build_grid
-from stefansim.noise import NoiseStream, sample_white_noise
+from stefansim.noise import NoiseField, NoiseStream, sample_white_noise
 from stefansim.spde import constant_coefficients, run_relative_frame
 
 
@@ -70,7 +70,7 @@ def test_seeds_outside_the_philox_key_range_are_refused():
     # a run reads its seeds as integers: 2.5 is refused, never run as seed 2
     with pytest.raises(TypeError):
         run_relative_frame((z, z, 0.0), constant_coefficients(), zero_boundary(),
-                           np.inf, np.inf, g, seed=2.5)
+                           np.inf, np.inf, g, noise=2.5)
 
 
 def test_blocks_concatenate_to_the_full_draw():
@@ -79,8 +79,10 @@ def test_blocks_concatenate_to_the_full_draw():
     full = (np.random.Generator(np.random.Philox(key=key)).standard_normal((g.nt, g.n_nodes))
             * (1.0 / np.sqrt(g.dx * g.dt)))
     reader = NoiseStream(g, 42, stream=1)
-    blocks = [reader.draw(n) for n in (256, 256, 1, 187)]
+    blocks = [reader.draw(n, np.empty((n, g.n_nodes))) for n in (256, 256, 1, 187)]
     assert np.concatenate(blocks).tobytes() == full.tobytes()
     assert sample_white_noise(g, 42, 1).xi.tobytes() == full.tobytes()
-    from_field = NoiseStream.from_field(sample_white_noise(g, 42, 1))
-    assert np.concatenate([from_field.draw(300), from_field.draw(400)]).tobytes() == full.tobytes()
+    # a field is read as it is, whatever made it: nothing is drawn
+    from_field = NoiseStream.from_field(NoiseField(g, full.copy()))
+    blocks = [from_field.draw(n, np.empty((n, g.n_nodes))) for n in (300, 400)]
+    assert np.concatenate(blocks).tobytes() == full.tobytes()

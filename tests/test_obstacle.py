@@ -156,7 +156,9 @@ def test_stacked_projected_solve_is_exact_row_by_row(kind, nx, length, T, steps_
                                                      n_obstacles, seed):
     # random rough obstacles with v(0, .) <= 0; a random upward trend makes
     # some of them bite, also at the Dirichlet nodes, which stay pinned at 0
-    dx = (1.0 if kind == "compact" else length) / nx
+    if kind == "compact":
+        length = 1.0      # the compact domain has length 1; build_grid refuses any other
+    dx = length / nx
     nt = steps_per_bound * math.ceil(2.0 * T / dx**2)
     grid = build_grid(kind, nx, T, nt, length=length)
     rng = np.random.default_rng(seed)

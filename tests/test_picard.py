@@ -31,8 +31,7 @@ def small_tables(small_grid):
 
 
 def _zero_noise(grid):
-    return NoiseField(grid=grid, seed=0, stream=0,
-                      xi=np.zeros((grid.nt, grid.n_nodes)))
+    return NoiseField(grid=grid, xi=np.zeros((grid.nt, grid.n_nodes)))
 
 
 def _zero_noise_pair(grid):
@@ -83,7 +82,7 @@ def test_mild_constant_forcing_matches_direct(small_grid, small_tables):
     w = mild_solve_w(_const_pair(small_grid, z, z), coeffs, zero_boundary(), np.inf,
                      _zero_noise_pair(small_grid), small_tables)
     traj = run_relative_frame((z, z.copy(), 0.0), coeffs, zero_boundary(),
-                              np.inf, np.inf, small_grid, seed=0, store_stride=1)
+                              np.inf, np.inf, small_grid, noise=0, store_stride=1)
     assert np.max(np.abs(w.values[0] - traj.v1_snapshots)) <= 2e-3
 
 
@@ -184,7 +183,7 @@ def test_picard_and_direct_run_share_the_initial_data_contract(node, value, M):
     with pytest.raises(ConfigError):
         picard_iterate(bad, v0, coeffs, fn, M, noise, g, n_iters=3)
     with pytest.raises(ConfigError):
-        run_relative_frame((bad, v0, 0.0), coeffs, fn, M, np.inf, g, seed=3)
+        run_relative_frame((bad, v0, 0.0), coeffs, fn, M, np.inf, g, noise=3)
 
 
 def test_iteration_report_json(small_grid):
@@ -420,8 +419,7 @@ def _per_side_iterate(v1_0, v2_0, coeffs, fn, M, noise_pair, grid, n_iters, tabl
                        + np.max(np.abs(v2_new.values - v2.values))))
         v1, v2 = v1_new, v2_new
     traj = run_relative_frame((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=np.inf,
-                              grid=grid, seed=noise_pair[0].seed, store_stride=1,
-                              noise_pair=noise_pair)
+                              grid=grid, noise=noise_pair, store_stride=1)
     gap = max(np.max(np.abs(traj.v1_snapshots - v1.values)),
               np.max(np.abs(traj.v2_snapshots - v2.values)))
     return d, float(gap)

@@ -235,7 +235,7 @@ def test_boundary_exponent_band_stable_under_doubling_lambda():
         fn = exp_imbalance(alpha=5.0, lam=lam)
         series = [traj.p_prime for traj in
                   run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
-                            seeds=range(7700, 7704))]
+                            noises=range(7700, 7704))]
         exponents[lam] = boundary_holder_ensemble(series, q=2, lag_range=(2, 32)).exponent
     assert 0.15 <= exponents[100.0] <= 0.35
     assert 0.15 <= exponents[200.0] <= 0.35

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import stefansim.spde
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, table_boundary, zero_boundary
 from stefansim.errors import CflViolation, ConfigError
-from stefansim.grids import build_grid, profile_norm
+from stefansim.grids import Field, build_grid, profile_norm
 from stefansim.noise import sample_white_noise
-from stefansim.picard import picard_iterate
+from stefansim.picard import build_kernel_tables, mild_solve_w, picard_iterate
 from stefansim.spde import (ModelCoefficients, constant_coefficients, run_relative_frame,
                             step_reflected, tabulated_coefficients)
 
@@ -31,7 +31,7 @@ def test_constant_forcing_reaches_stationary_profile():
     g = build_grid("compact", 64, 1.0, 8192)
     coeffs = constant_coefficients(f=1.0, sigma=0.0)
     traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs,
-                              zero_boundary(), np.inf, np.inf, g, seed=1, store_stride=1)
+                              zero_boundary(), np.inf, np.inf, g, noise=1, store_stride=1)
     x = g.space_nodes()
     assert np.max(np.abs(traj.v1_snapshots[-1] - x * (1 - x) / 2)) <= 2e-3
 
@@ -42,7 +42,7 @@ def test_heat_eigenfunction_decay():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     traj = run_relative_frame((v0, _zeros(g), 0.0), coeffs, zero_boundary(),
-                              np.inf, np.inf, g, seed=1, store_stride=1)
+                              np.inf, np.inf, g, noise=1, store_stride=1)
     expected = np.exp(-np.pi**2 * 0.05) * v0
     assert np.max(np.abs(traj.v1_snapshots[-1] - expected)) <= 1e-3
 
@@ -54,7 +54,7 @@ def test_maximum_principle_zero_noise():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     traj = run_relative_frame((v0, _zeros(g), 0.0), coeffs, zero_boundary(),
-                              np.inf, np.inf, g, seed=1)
+                              np.inf, np.inf, g, noise=1)
     assert np.all(np.diff(traj.norm1) <= 1e-14)
 
 
@@ -62,7 +62,7 @@ def test_reflection_keeps_profiles_nonnegative_exactly():
     g = build_grid("compact", 32, 0.02, 1024)
     coeffs = constant_coefficients(f=-5.0, sigma=1.0)
     traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs,
-                              zero_boundary(), np.inf, np.inf, g, seed=4,
+                              zero_boundary(), np.inf, np.inf, g, noise=4,
                               store_stride=1)
     assert traj.v1_snapshots.min() >= 0.0
     assert traj.v2_snapshots.min() >= 0.0
@@ -75,14 +75,14 @@ def test_determinism_and_noise_override():
     coeffs = constant_coefficients(f=0.0, sigma=1.0)
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     a = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs, fn,
-                           np.inf, np.inf, g, seed=7)
+                           np.inf, np.inf, g, noise=7)
     b = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs, fn,
-                           np.inf, np.inf, g, seed=7)
+                           np.inf, np.inf, g, noise=7)
     assert a.p.tobytes() == b.p.tobytes()
     assert a.norm1.tobytes() == b.norm1.tobytes()
     pair = (sample_white_noise(g, 7, 0), sample_white_noise(g, 7, 1))
     c = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs, fn,
-                           np.inf, np.inf, g, seed=7, noise_pair=pair)
+                           np.inf, np.inf, g, noise=pair)
     assert np.array_equal(a.p, c.p)
 
 
@@ -93,9 +93,9 @@ def test_truncation_consistency_bit_exact_prefix():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=30.0, sigma=0.5)
     low = run_relative_frame((v0, v0.copy(), 0.0), coeffs, fn, M=2.0,
-                             M_max=np.inf, grid=g, seed=5, store_stride=1)
+                             M_max=np.inf, grid=g, noise=5, store_stride=1)
     high = run_relative_frame((v0, v0.copy(), 0.0), coeffs, fn, M=8.0,
-                              M_max=np.inf, grid=g, seed=5, store_stride=1)
+                              M_max=np.inf, grid=g, noise=5, store_stride=1)
     total = low.norm1 + low.norm2
     assert np.any(total >= 2.0)
     cross = int(np.argmax(total >= 2.0))
@@ -113,9 +113,9 @@ def test_blowup_flagging_and_monotonicity():
     v0[0] = v0[-1] = 0.0
     coeffs = constant_coefficients(f=500.0, sigma=0.0)
     t_low = run_relative_frame((v0, v0.copy(), 0.0), coeffs, zero_boundary(),
-                               10.0, 10.0, g, seed=5, store_stride=1)
+                               10.0, 10.0, g, noise=5, store_stride=1)
     t_high = run_relative_frame((v0, v0.copy(), 0.0), coeffs, zero_boundary(),
-                                20.0, 20.0, g, seed=5)
+                                20.0, 20.0, g, noise=5)
     assert t_low.blown_up and t_high.blown_up
     assert t_low.tau_estimate <= t_high.tau_estimate
     assert np.isfinite(t_low.v1_snapshots[-1]).all()
@@ -131,7 +131,7 @@ def test_advection_cfl_guard():
     fast = table_boundary([-1.0, 1.0], [9e9, 9e9])
     with pytest.raises(CflViolation, match=r"^path 0 \(seed 3\): .* at t=0$"):
         run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(), fast,
-                           np.inf, np.inf, g, seed=3)
+                           np.inf, np.inf, g, noise=3)
 
 
 @pytest.mark.parametrize("M", [0.3, np.inf])
@@ -148,7 +148,7 @@ def test_each_state_is_capped_once(monkeypatch, M):
 
     monkeypatch.setattr(stefansim.spde, "cap_profile", counting_cap)
     traj = run_relative_frame((v0, 0.5 * v0, 0.0), constant_coefficients(sigma=0.5),
-                              exp_imbalance(alpha=5.0, lam=5.0), M, np.inf, g, seed=2)
+                              exp_imbalance(alpha=5.0, lam=5.0), M, np.inf, g, noise=2)
     assert len(traj.times) == g.nt + 1
     assert len(calls) <= g.nt + 2
 
@@ -158,7 +158,7 @@ def test_boundary_position_advances_by_dt_times_the_new_speed():
     v0 = np.sin(np.pi * g.space_nodes())
     v0[[0, -1]] = 0.0
     traj = run_relative_frame((v0, 0.2 * v0, 0.7), constant_coefficients(sigma=0.5),
-                              exp_imbalance(alpha=5.0, lam=5.0), 0.6, np.inf, g, seed=4)
+                              exp_imbalance(alpha=5.0, lam=5.0), 0.6, np.inf, g, noise=4)
     assert len(traj.p) == g.nt + 1 and traj.p[0] == 0.7
     assert np.all(traj.p_prime != 0.0)
     for k in range(1, len(traj.p)):
@@ -170,7 +170,20 @@ def test_nonpositive_truncation_rejected(M):
     g = build_grid("compact", 16, 0.05, 256)
     with pytest.raises(ConfigError, match="must be a positive number"):
         run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
-                           exp_imbalance(), M=M, M_max=np.inf, grid=g, seed=0)
+                           exp_imbalance(), M=M, M_max=np.inf, grid=g, noise=0)
+    # the mild solver's building block takes M from library callers too
+    noise = sample_white_noise(g, 0)
+    with pytest.raises(ConfigError, match="must be a positive number"):
+        mild_solve_w(Field(g, np.zeros((2, g.nt + 1, g.n_nodes))), constant_coefficients(),
+                     exp_imbalance(), M, (noise, noise), build_kernel_tables(g))
+
+
+@pytest.mark.parametrize("lap_scale", [0.0, -1.0, np.nan, np.inf])
+def test_lap_scale_must_be_a_finite_positive_number(lap_scale):
+    g = build_grid("compact", 8, 0.02, 64)
+    with pytest.raises(ConfigError, match=r"^lap_scale=.* must be a finite positive number$"):
+        run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
+                           exp_imbalance(), np.inf, np.inf, g, noise=0, lap_scale=lap_scale)
 
 
 @given(halfline=st.booleans(), a1=st.floats(0.5, 3.0), ratio=st.floats(0.0, 0.9),
@@ -186,7 +199,7 @@ def test_recorded_p_prime_reads_the_capped_state(halfline, a1, ratio, frac, seed
     M = frac * profile_norm(v1, g)
     fn = exp_imbalance(alpha=5.0, lam=5.0)
     traj = run_relative_frame((v1, v2, 0.0), constant_coefficients(sigma=0.5), fn, M, np.inf,
-                              g, seed=seed, store_stride=1)
+                              g, noise=seed, store_stride=1)
     assert len(traj.times) == g.nt + 1
     for k, pk in enumerate(traj.p_prime):
         pair = np.stack([traj.v1_snapshots[k], traj.v2_snapshots[k]])
@@ -200,7 +213,7 @@ def test_non_finite_initial_speed_is_flagged_without_a_warning():
     fn = exp_imbalance(alpha=np.inf)
     with pytest.raises(ConfigError, match="boundary speed"):
         run_relative_frame((_zeros(g), _zeros(g), 0.0), constant_coefficients(),
-                           fn, np.inf, np.inf, g, seed=0)
+                           fn, np.inf, np.inf, g, noise=0)
     noise = (sample_white_noise(g, 0, 0), sample_white_noise(g, 0, 1))
     with pytest.raises(ConfigError, match="boundary speed"):
         picard_iterate(_zeros(g), _zeros(g), constant_coefficients(), fn, 1.0, noise, g)
@@ -211,12 +224,12 @@ def test_bad_initial_data_rejected():
     bad = np.full(g.n_nodes, 0.1)
     with pytest.raises(ConfigError):
         run_relative_frame((bad, _zeros(g), 0.0), constant_coefficients(),
-                           zero_boundary(), np.inf, np.inf, g, seed=0)
+                           zero_boundary(), np.inf, np.inf, g, noise=0)
     neg = _zeros(g)
     neg[3] = -0.5
     with pytest.raises(ConfigError):
         run_relative_frame((neg, _zeros(g), 0.0), constant_coefficients(),
-                           zero_boundary(), np.inf, np.inf, g, seed=0)
+                           zero_boundary(), np.inf, np.inf, g, noise=0)
 
 
 def test_weighted_norm_examples():
@@ -243,7 +256,7 @@ def test_halfline_bounded_boundary_run_completes():
                                r=0.5, delta=1.0, growth_R=0.5)
     fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
     traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs, fn,
-                              np.inf, np.inf, g, seed=3)
+                              np.inf, np.inf, g, noise=3)
     assert not traj.blown_up
     assert traj.times[-1] == pytest.approx(g.T)
 
@@ -261,7 +274,7 @@ def test_growth_envelope_violation_rejected():
                                r=0.0, delta=1.0, growth_R=0.5)
     with pytest.raises(ConfigError):
         run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs, zero_boundary(),
-                           np.inf, np.inf, g, seed=0)
+                           np.inf, np.inf, g, noise=0)
 
 
 def test_boundary_moves_with_imbalance():
@@ -271,7 +284,7 @@ def test_boundary_moves_with_imbalance():
     coeffs = constant_coefficients(f=0.0, sigma=0.0)
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     traj = run_relative_frame((v0, _zeros(g), 100.0), coeffs, fn,
-                              np.inf, np.inf, g, seed=0)
+                              np.inf, np.inf, g, noise=0)
     # one-sided book pushes the price up
     assert traj.p[-1] > 100.0
     assert np.all(traj.p_prime >= 0.0)
@@ -298,7 +311,7 @@ def test_trajectory_csv(tmp_path):
     g = build_grid("compact", 16, 1e-3, 64)
     coeffs = constant_coefficients(f=0.0, sigma=0.5)
     traj = run_relative_frame((_zeros(g), _zeros(g), 0.0), coeffs,
-                              zero_boundary(), np.inf, np.inf, g, seed=1,
+                              zero_boundary(), np.inf, np.inf, g, noise=1,
                               store_stride=16)
     p1 = tmp_path / "traj.csv"
     p2 = tmp_path / "profiles.csv"

@@ -68,7 +68,7 @@ def test_run_and_csv_hooks_read_a_real_trajectory(tracing, tmp_path, stride):
     v0 = np.sin(np.pi * grid.space_nodes())
     v0[0] = v0[-1] = 0.0
     traj = run_relative_frame((v0, v0.copy(), 0.0), constant_coefficients(), zero_boundary(),
-                              np.inf, np.inf, grid, seed=1, store_stride=stride)
+                              np.inf, np.inf, grid, noise=1, store_stride=stride)
     hooks = {attr: post for module_name, attr, _, _, post in tracing.WRAPS
              if module_name == "stefansim.spde"}
     snaps = (traj.v1_snapshots, traj.v2_snapshots) if stride else ()
