@@ -29,6 +29,10 @@ class NonPositiveTime(StefansimError):
     """Heat kernels are only defined for strictly positive times."""
 
 
+class IterationFailure(StefansimError):
+    """A fixed-point iterate, or the direct run it is checked against, is not finite."""
+
+
 class QuadratureFailure(StefansimError):
     """Adaptive quadrature failed to converge within its refinement budget."""
 

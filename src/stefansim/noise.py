@@ -15,20 +15,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .grids import GridSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseField:
     """One realisation of discretised space-time white noise on a grid.
 
     xi has shape (nt, nx + 1): row i holds the noise driving the step from
-    t_i to t_{i+1}, one sample per spatial node.
+    t_i to t_{i+1}, one sample per spatial node.  Another shape raises
+    DimensionMismatch when the field is built.
     """
 
     grid: GridSpec
     xi: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        expected = (self.grid.nt, self.grid.n_nodes)
+        if np.shape(self.xi) != expected:
+            raise DimensionMismatch(f"noise must have shape (nt, n_nodes) = {expected}, "
+                                    f"got {np.shape(self.xi)}")
 
 
 class NoiseStream:

@@ -43,15 +43,18 @@ sum is one first-order recursion per mode, coef[n] = decay coef[n-1] +
 new term, so an iterate solves both sides in O(nt J K) time.  The
 iteration is causal: iterate k at step n + 1 reads iterate k - 1 only at
 steps <= n.  So all iterates sweep through time together, in blocks of
-B = ``spde.NOISE_BLOCK`` steps: in wave s, iterate k steps block
-s - k + 1, stacked with the other live iterates, through one product
-with the kernel factors, one recursion of B steps and one projected
-obstacle loop of B steps.  That is about nt + (n_iters - 1) B Python
-steps per loop in place of n_iters nt.  Each iterate keeps only its
-recursion carry, its obstacle state, its running distance and its last
-B + 1 rows, and only the final iterate is stored whole, so the sweep
-holds O(n_iters B K) floats where a whole-iterate solve holds O(nt K).
-The arithmetic is the same whatever B is, so the result is too.
+B = ``SWEEP_BLOCK`` steps: in wave s, iterate k steps block s - k + 1,
+stacked with the other live iterates, through one product with the
+kernel factors, one recursion of B steps and one projected obstacle
+loop of B steps.  That is about nt + (n_iters - 1) B Python steps per
+loop in place of n_iters nt.  Each iterate keeps only its recursion
+carry, its obstacle state, its running distance and its last B + 1
+rows, and reads its noise block from the caller's pair, so a wave holds
+O(n_iters B K) floats where a whole-iterate solve holds O(nt K).  What
+stays whole is the caller's noise pair, the final pair and the direct
+run's profiles, which the final gap is taken against one side at a
+time, in place.  The arithmetic is the same whatever B is, so the
+result is too.
 """
 from __future__ import annotations
 
@@ -61,18 +64,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryFunctional, cap_profile, eval_h
-from .errors import ConfigError, DimensionMismatch, GridMismatch
+from .errors import ConfigError, DimensionMismatch, GridMismatch, IterationFailure
 from .grids import Field, GridSpec
 from .noise import NoiseField
 # solve_projected stays importable from here: the benchmark's tracer wraps it by
 # name, though the sweep steps its obstacles with projected_steps
 from .obstacle import projected_steps, solve_projected  # noqa: F401
-from .spde import (NOISE_BLOCK, SIDE_SIGN, ModelCoefficients, check_initial, per_side,
-                   run_relative_frame)
+from .spde import SIDE_SIGN, ModelCoefficients, check_initial, per_side, run_relative_frame
 
 #: modes are kept while lam_m dt / 2 <= MODE_CUTOFF; the first dropped
 #: one weighs below exp(-40) at the shortest kernel time
 MODE_CUTOFF = 40.0
+
+#: steps per block of the sweep: one wave holds n_iters * SWEEP_BLOCK * 2 * K
+#: mode coefficients; any value gives the same bytes
+SWEEP_BLOCK = 16
 
 
 @dataclass
@@ -227,7 +233,8 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     The zeroth iterates equal the initial data for all time.  d_n sums the
     sides' sup-norm distances between successive iterates, and the final
     pair is compared against the direct explicit integrator driven by the
-    identical noise realisation.
+    identical noise realisation.  An iterate or a direct run that leaves
+    the finite numbers raises IterationFailure.
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
@@ -236,13 +243,9 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
         raise GridMismatch("the noise must live on the iteration's grid")
     tables = build_kernel_tables(grid)
     nt, J = grid.nt, grid.n_nodes
-    B = min(NOISE_BLOCK, nt)
+    B = min(SWEEP_BLOCK, nt)
     n_blocks = -(-nt // B)
 
-    # the noise in blocks, the last one zero-padded to B steps
-    xi = np.zeros((2, n_blocks * B, J))
-    xi[:, :nt] = np.stack([noise_pair[0].xi, noise_pair[1].xi])
-    xi = xi.reshape(2, n_blocks, B, J)
     # per iterate, the B + 1 rows of its latest block, starting at the row
     # the block steps from; iterate 0 is v0 for all time
     rows = np.empty((2, n_iters + 1, B + 1, J))
@@ -253,31 +256,47 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     v = np.empty((2, nt + 1, J))                 # the final iterate
     v[:, 0] = v0
     # iterate k + 1 reads iterate k only at earlier steps, so in wave s
-    # iterate k + 1 steps block s - k, stacked with every other live iterate
-    for s in range(n_blocks + n_iters - 1):
-        lo, hi = max(0, s - n_blocks + 1), min(n_iters, s + 1)
-        blocks = s - np.arange(lo, hi)
-        w = _mild_block(rows[:, lo:hi, :B], xi[:, blocks], carry[lo:hi],
-                        coeffs, boundary_fn, M, tables)
-        # each iterate's obstacle correction over the block, from its state
-        zb = np.empty(w.shape[:-2] + (B + 1, J))
-        zb[..., 0, :] = z[:, lo:hi]
-        projected_steps(zb, -w, grid)
-        z[:, lo:hi] = zb[..., -1, :]
-        new = w + zb[..., 1:, :]
-        # only the oldest live iterate can be in the last, padded block
-        valid = min(B, nt - blocks[0] * B)
-        change = np.abs(new - rows[:, lo:hi, 1:])
-        change[:, 0, valid:] = 0.0
-        np.maximum(dist[:, lo:hi], change.max(axis=(2, 3)), out=dist[:, lo:hi])
-        rows[:, lo + 1:hi + 1, 0] = rows[:, lo + 1:hi + 1, B]
-        rows[:, lo + 1:hi + 1, 1:] = new
-        if hi == n_iters:
-            first = 1 + blocks[-1] * B
-            v[:, first:first + B] = new[:, -1, :nt + 1 - first]
+    # iterate k + 1 steps block s - k, stacked with every other live iterate.
+    # An overflow is reported from the distances below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_blocks + n_iters - 1):
+            lo, hi = max(0, s - n_blocks + 1), min(n_iters, s + 1)
+            blocks = s - np.arange(lo, hi)
+            # the last block's rows past nt repeat the last noise row: they
+            # are stepped, but no kept row or distance reads them
+            steps = (blocks * B)[:, None] + np.arange(B)
+            xi = np.stack([noise.xi.take(steps, axis=0, mode="clip") for noise in noise_pair])
+            w = _mild_block(rows[:, lo:hi, :B], xi, carry[lo:hi], coeffs, boundary_fn, M, tables)
+            # each iterate's obstacle correction over the block, from its state
+            zb = np.empty(w.shape[:-2] + (B + 1, J))
+            zb[..., 0, :] = z[:, lo:hi]
+            projected_steps(zb, -w, grid)
+            z[:, lo:hi] = zb[..., -1, :]
+            new = w + zb[..., 1:, :]
+            # only the oldest live iterate can be in the last, padded block
+            valid = min(B, nt - blocks[0] * B)
+            change = np.abs(new - rows[:, lo:hi, 1:])
+            change[:, 0, valid:] = 0.0
+            np.maximum(dist[:, lo:hi], change.max(axis=(2, 3)), out=dist[:, lo:hi])
+            rows[:, lo + 1:hi + 1, 0] = rows[:, lo + 1:hi + 1, B]
+            rows[:, lo + 1:hi + 1, 1:] = new
+            if hi == n_iters:
+                first = 1 + blocks[-1] * B
+                v[:, first:first + B] = new[:, -1, :nt + 1 - first]
     d_hist = [float(d) for d in dist.sum(axis=0)]
+    for k, d in enumerate(d_hist, start=1):
+        if not math.isfinite(d):
+            raise IterationFailure(f"iterate {k} of {n_iters} is not finite: its distance "
+                                   f"to iterate {k - 1} is {d}")
 
     traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn, M=M, M_max=np.inf,
                               grid=grid, noise=tuple(noise_pair), store_stride=1)
-    direct = np.stack([traj.v1_snapshots, traj.v2_snapshots])
-    return IterationReport(d_hist, float(np.max(np.abs(direct - v))), Field(grid, v))
+    if traj.blown_up:
+        raise IterationFailure(f"the direct run stopped at step {len(traj.times) - 1} of {nt} "
+                               f"({traj.blowup_cause})")
+    # side by side, in place: the direct run's profiles are not needed after
+    gap = 0.0
+    for direct, side in zip((traj.v1_snapshots, traj.v2_snapshots), v):
+        direct -= side
+        gap = max(gap, float(np.abs(direct, out=direct).max()))
+    return IterationReport(d_hist, gap, Field(grid, v))

@@ -468,6 +468,20 @@ def test_non_finite_initial_speed_is_config_error(tmp_path, capsys, command):
     assert err.startswith("config error: ") and "boundary speed" in err
 
 
+def test_picard_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the first iterate overflows; nothing is warned about or written
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["picard-check", "-c", str(REPO / "configs" / "picard.yaml"),
+                     "--output-dir", str(tmp_path / "out"), "--set", "picard.M=inf",
+                     "--set", "coefficients.f=1e308", "--set", "coefficients.sigma=1e308"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: iterate 1 of 12 is not finite")
+    assert not (tmp_path / "out" / "picard_report.json").exists()
+
+
 def test_tabulated_coefficients_run_the_same_in_any_order(tmp_path):
     # a table listed right to left is the same table
     table = {"x_centers": [0.0, 0.5, 1.0], "f_values": [0.0, 20.0, 40.0],

@@ -1,11 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from stefansim.boundary import zero_boundary
-from stefansim.errors import ConfigError
-from stefansim.grids import build_grid
+from stefansim.boundary import exp_imbalance, zero_boundary
+from stefansim.errors import ConfigError, DimensionMismatch
+from stefansim.grids import Field, build_grid
 from stefansim.noise import NoiseField, NoiseStream, sample_white_noise
-from stefansim.spde import constant_coefficients, run_relative_frame
+from stefansim.picard import build_kernel_tables, mild_solve_w, picard_iterate
+from stefansim.spde import constant_coefficients, run_paths, run_relative_frame
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +89,37 @@ def test_blocks_concatenate_to_the_full_draw():
     from_field = NoiseStream.from_field(NoiseField(g, full.copy()))
     blocks = [from_field.draw(n, np.empty((n, g.n_nodes))) for n in (300, 400)]
     assert np.concatenate(blocks).tobytes() == full.tobytes()
+
+
+def _run_paths(v0, pair, grid):
+    run_paths((v0, v0, 0.0), constant_coefficients(), exp_imbalance(clamp=1.0), np.inf,
+              np.inf, grid, [pair])
+
+
+def _picard_iterate(v0, pair, grid):
+    picard_iterate(v0, v0, constant_coefficients(), exp_imbalance(clamp=1.0), np.inf, pair,
+                   grid, n_iters=2)
+
+
+def _mild_solve_w(v0, pair, grid):
+    mild_solve_w(Field(grid, np.tile(v0, (2, grid.nt + 1, 1))), constant_coefficients(),
+                 exp_imbalance(clamp=1.0), np.inf, pair, build_kernel_tables(grid))
+
+
+@pytest.mark.parametrize("entry", [_run_paths, _picard_iterate, _mild_solve_w],
+                         ids=["run_paths", "picard_iterate", "mild_solve_w"])
+@pytest.mark.parametrize("rows, cols", [(-5, 0), (1, 0), (0, -1)],
+                         ids=["short", "long", "narrow"])
+def test_a_noise_field_of_another_shape_is_refused_before_any_step(entry, rows, cols):
+    # the field is refused where it is built, so no entry point steps with it;
+    # the same call with a field of the right shape runs
+    g = build_grid("compact", 8, 0.02, 300)
+    v0 = 0.3 * np.sin(np.pi * g.space_nodes())
+    v0[[0, -1]] = 0.0
+    good = sample_white_noise(g, 3, 1)
+    with pytest.raises(DimensionMismatch, match=r"\(nt, n_nodes\) = \(300, 9\)"):
+        entry(v0, (NoiseField(g, np.zeros((g.nt + rows, g.n_nodes + cols))), good), g)
+    entry(v0, (sample_white_noise(g, 3, 0), good), g)
+    # nor can a checked field take another array later
+    with pytest.raises(FrozenInstanceError):
+        good.xi = good.xi[:-5]

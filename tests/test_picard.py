@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, zero_boundary
-from stefansim.config import grid_from_config, load_yaml
-from stefansim.errors import ConfigError, DimensionMismatch, GridMismatch
+from stefansim.config import (boundary_from_config, coefficients_from_config, grid_from_config,
+                              initial_from_config, load_yaml)
+from stefansim.errors import ConfigError, DimensionMismatch, GridMismatch, IterationFailure
 from stefansim.grids import Field, build_grid
 from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
@@ -479,17 +482,18 @@ def _plain_iterate(v0, coeffs, fn, M, noise_pair, grid, n_iters):
 
 @pytest.mark.parametrize("n_iters", [2, 5])
 @pytest.mark.parametrize("M", [0.2, np.inf], ids=["finite_M", "inf_M"])
-@pytest.mark.parametrize("block", [None, 1, 7, "nt"])
+@pytest.mark.parametrize("block", [None, 1, 7, 128, "nt"])
 @pytest.mark.parametrize("grid", [
     build_grid("compact", 8, 0.02, 129),
     build_grid("halfline", 8, 0.04, 300, length=1.5, weight_r=0.5),
     build_grid("compact", 8, 0.02, 48),
 ], ids=["compact_129", "halfline_300", "compact_48"])
 def test_sweep_equals_the_plain_loop(monkeypatch, grid, block, M, n_iters):
-    # blocks that do not divide nt (the last one padded), more iterates
-    # than blocks, one step per block and one block for the whole run
+    # the shipped block (None), blocks that do not divide nt (the last one
+    # padded), more iterates than blocks, one step per block, a block of
+    # spde.NOISE_BLOCK = 128 steps and one block for the whole run
     if block is not None:
-        monkeypatch.setattr(picard, "NOISE_BLOCK", grid.nt if block == "nt" else block)
+        monkeypatch.setattr(picard, "SWEEP_BLOCK", grid.nt if block == "nt" else block)
     x = grid.space_nodes()
     v0 = np.stack([0.3 * np.sin(np.pi * x / grid.length),
                    0.25 * np.sin(np.pi * x / grid.length) ** 2])
@@ -502,6 +506,51 @@ def test_sweep_equals_the_plain_loop(monkeypatch, grid, block, M, n_iters):
     assert rep.d == d
     assert np.array_equal(rep.v.values, v)
     assert d[-1] > 0.0
+
+
+def test_sweep_memory_is_bounded_by_its_array_counts():
+    # the bundled picard-check grid: nx 32, nt 2048, 12 iterates, K = 577 modes
+    cfg = load_yaml(REPO / "configs" / "picard.yaml")
+    grid = grid_from_config(cfg)
+    v1_0, v2_0 = initial_from_config(cfg, grid)
+    seed, n_iters, J = cfg["noise"]["seed"], cfg["picard"]["n_iters"], grid.n_nodes
+    noise = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
+    K = build_kernel_tables(grid).modes.shape[1]
+    pair = 2 * (grid.nt + 1) * J * 8                   # one whole-run pair array, 1.03 MiB
+    # held whole: the final pair and the direct run's profiles (the noise is
+    # the caller's); one wave's mode coefficients, and as much again for its
+    # other arrays, each of which is J, not K, wide; the kernel tables: three
+    # (J, K) factors, init and the stacked mid_der/mid_val of one wave
+    bound = 2 * pair + 2 * (n_iters * picard.SWEEP_BLOCK * 2 * K * 8) + 5 * J * K * 8
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        picard_iterate(v1_0, v2_0, coefficients_from_config(cfg), boundary_from_config(cfg),
+                       cfg["picard"]["M"], noise, grid, n_iters=n_iters)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / pair:.1f} pair arrays, bound {bound / pair:.1f}"
+    assert elapsed <= 20.0
+
+
+def test_a_direct_run_that_stops_early_is_a_failure(monkeypatch, small_grid):
+    x = small_grid.space_nodes()
+    v0 = 0.3 * np.sin(np.pi * x)
+    v0[[0, -1]] = 0.0
+    real = picard.run_relative_frame
+
+    def stopping(*args, M, M_max, **kwargs):
+        # the pair's norm starts at 0.6, so a threshold at M stops the run
+        return real(*args, M=M, M_max=M, **kwargs)
+
+    monkeypatch.setattr(picard, "run_relative_frame", stopping)
+    noise = (sample_white_noise(small_grid, 1, 0), sample_white_noise(small_grid, 1, 1))
+    with pytest.raises(IterationFailure, match=r"direct run stopped at step \d+ of 512 "
+                                               r"\(threshold\)"):
+        picard_iterate(v0, v0.copy(), constant_coefficients(f=0.2, sigma=0.25),
+                       exp_imbalance(clamp=1.0), 0.5, noise, small_grid, n_iters=2)
 
 
 def test_picard_refuses_noise_of_another_grid(small_grid):
