@@ -17,9 +17,9 @@ from .lob import (FitResult, LobEventStream, fit_coefficients, parse_events,
 from .noise import NoiseField, NoiseStream, sample_white_noise
 from .obstacle import ObstacleSolution, solve_penalized, solve_projected, stability_gap
 from .picard import IterationReport, KernelTables, build_kernel_tables, mild_solve_w, picard_iterate
-from .regularity import (HolderEstimate, StructureSums, estimate_holder_ensemble,
+from .regularity import (HolderEstimate, HolderObserver, StructureSums, estimate_holder_ensemble,
                          structure_function)
 from .spde import (ModelCoefficients, Recorder, Trajectory, constant_coefficients,
-                   run_paths, run_relative_frame, tabulated_coefficients)
+                   run_forked, run_paths, run_relative_frame, tabulated_coefficients)
 
 __version__ = "0.1.0"

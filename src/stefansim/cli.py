@@ -29,9 +29,9 @@ from .lob import (LOBSTER, MIN_BINS, NORMALIZED, FitResult, fit_coefficients, pa
 from .noise import sample_white_noise
 from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
-from .regularity import (SPACE, TIME, StructureSums, boundary_holder_ensemble,
+from .regularity import (SPACE, TIME, HolderObserver, StructureSums, boundary_holder_ensemble,
                          dyadic_lags, estimate_holder_ensemble, pooled_increments)
-from .spde import run_paths, run_relative_frame
+from .spde import run_forked, run_relative_frame
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -140,21 +140,6 @@ def cmd_picard_check(cfg: dict) -> int:
     return EXIT_OK
 
 
-class _HolderObserver:
-    """Pushes side-1 profiles into structure sums and keeps only p' (a run_paths observer)."""
-
-    def __init__(self, sums: StructureSums, grid):
-        self.sums = sums
-        self.p_prime = np.empty((sums.n_paths, grid.nt + 1))
-
-    def __call__(self, at, steps, t, p, p_prime, norms, v):
-        self.sums.push(at, v[:, 0])
-        self.p_prime[at, steps] = p_prime.T
-
-    def finish(self, ends) -> list:
-        return [self.p_prime[k, :last + 1] for k, (last, _) in enumerate(ends)]
-
-
 def cmd_holder(cfg: dict) -> int:
     grid = grid_from_config(cfg)
     coeffs = coefficients_from_config(cfg)
@@ -185,16 +170,26 @@ def cmd_holder(cfg: dict) -> int:
             raise ConfigError(f"field {name!r}: {exc} on a full-length path "
                               f"({grid.nt + 1} rows)") from None
 
-    sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags=time_lags,
-                         space_lags=space_lags)
-    p_prime = run_paths((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=_M_max(cfg), grid=grid,
-                        noises=range(base_seed, base_seed + n_paths),
-                        lap_scale=_lap_scale(cfg), observer=_HolderObserver(sums, grid))
-    rows = [
-        estimate_holder_ensemble(sums, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
-        estimate_holder_ensemble(sums, SPACE, q=q, lag_range=space_range).to_json_dict(),
-        boundary_holder_ensemble(p_prime, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
-    ]
+    observer = partial(HolderObserver, grid=grid, q=q, time_lags=time_lags,
+                       space_lags=space_lags)
+    p_prime, ends, totals = zip(*run_forked(
+        (v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=_M_max(cfg), grid=grid,
+        noises=range(base_seed, base_seed + n_paths), make_observer=observer,
+        lap_scale=_lap_scale(cfg)))
+    sums = StructureSums.join(totals, grid.n_nodes, q, time_lags, space_lags)
+    try:
+        rows = [
+            estimate_holder_ensemble(sums, TIME, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
+            estimate_holder_ensemble(sums, SPACE, q=q, lag_range=space_range).to_json_dict(),
+            boundary_holder_ensemble(p_prime, q=q, lag_range=(lag_lo, lag_hi)).to_json_dict(),
+        ]
+    except InsufficientData as exc:
+        if any(cause is None for _, cause in ends):
+            raise
+        stops = ", ".join(f"path {k} (seed {base_seed + k}) at step {last} ({cause})"
+                          for k, (last, cause) in enumerate(ends))
+        raise InsufficientData(f"every path blew up before its lags fit: {stops}; "
+                               f"{exc}") from None
     rows[2]["axis"] = "boundary_derivative"
     out = _outdir(cfg)
     _write_json(out / "holder.json", {"estimates": rows}, config_hash(cfg), base_seed)

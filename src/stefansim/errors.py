@@ -10,7 +10,13 @@ class ConfigError(StefansimError):
 
 
 class CflViolation(ConfigError):
-    """Explicit-scheme stability condition violated."""
+    """Explicit-scheme stability condition violated.
+
+    ``step`` is the step of a run whose state violates it, -1 for a
+    condition checked before the first step.
+    """
+
+    step = -1
 
 
 class BadDimension(ConfigError):

@@ -121,6 +121,7 @@ class StructureSums:
         self._sums = {TIME: np.zeros((len(self.time_lags), n_rows, self.n_paths)),
                       SPACE: np.zeros((len(self.space_lags), n_rows, self.n_paths))}
         self._count = np.zeros(self.n_paths, dtype=int)
+        self._joined = None  # the totals of joined sums, which hold no rows
 
     @classmethod
     def from_paths(cls, paths, q: float, time_lags=(), space_lags=()) -> "StructureSums":
@@ -172,6 +173,36 @@ class StructureSums:
             return np.einsum("rpc,rpc->rp", d, d)
         return np.abs(d).sum(axis=-1)
 
+    def totals(self) -> list:
+        """Each path's row count and its totals over its own window, per lag.
+
+        One ``(n_rows, totals)`` pair per path, the time lags' totals first:
+        all that ``structure_functions`` reads of the path.
+        """
+        if self._joined is not None:
+            return self._joined
+        out = []
+        for k, n_rows in enumerate(self._count.tolist()):
+            rows = window(n_rows)
+            # a time lag's sum is booked on the earlier row of each pair
+            time = [np.sum(sums[rows.start:max(rows.stop - lag, 0), k])
+                    for sums, lag in zip(self._sums[TIME], self.time_lags)]
+            space = [np.sum(sums[rows, k]) for sums in self._sums[SPACE]]
+            out.append((n_rows, np.array(time + space)))
+        return out
+
+    @classmethod
+    def join(cls, totals, n_cols: int, q: float, time_lags=(), space_lags=()) -> "StructureSums":
+        """The sums of paths reduced elsewhere, from their ``totals`` in path order.
+
+        The lags and ``n_cols`` are those of the reducers that took them;
+        nothing more can be pushed.
+        """
+        sums = cls(len(totals), n_cols, 0, q, time_lags, space_lags)
+        sums._joined = list(totals)
+        sums._count[:] = [n_rows for n_rows, _ in sums._joined]
+        return sums
+
     def structure_functions(self, axis: str, lags) -> np.ndarray:
         """(P, len(lags)) mean q-th absolute increments over each path's window.
 
@@ -179,19 +210,39 @@ class StructureSums:
         fewer than MIN_INCREMENTS increments in it.
         """
         own = self.time_lags if axis == TIME else self.space_lags
+        first = 0 if axis == TIME else len(self.time_lags)
         out = np.empty((self.n_paths, len(lags)))
-        for k, n_rows in enumerate(self._count.tolist()):
-            rows = window(n_rows)
+        for k, (n_rows, totals) in enumerate(self.totals()):
             for j, lag in enumerate(lags):
                 lag = int(lag)
                 if lag not in own:
                     raise ValueError(f"lag {lag} was not reduced along {axis}")
                 count = pooled_increments(axis, lag, n_rows, self._tail.shape[-1])
-                sums = self._sums[axis][own.index(lag), :, k]
-                # a time lag's sum is booked on the earlier row of each pair
-                total = np.sum(sums[rows.start:rows.stop - lag] if axis == TIME else sums[rows])
-                out[k, j] = total / count
+                out[k, j] = totals[first + own.index(lag)] / count
         return out
+
+
+class HolderObserver:
+    """A ``run_paths`` observer that keeps each path's p' and reduces its side-1 profiles.
+
+    The profiles go into StructureSums (``sums``) as they are stepped.
+    ``finish`` gives, per path, its p' series, its (last_step, cause) end
+    and its ``StructureSums.totals`` entry: all that the estimates read,
+    so a slice stepped in another process sends back a few numbers per
+    lag besides p', and ``StructureSums.join`` takes them back.
+    """
+
+    def __init__(self, n_paths: int, grid, q: float = 2, time_lags=(), space_lags=()):
+        self.sums = StructureSums(n_paths, grid.n_nodes, grid.nt + 1, q, time_lags, space_lags)
+        self.p_prime = np.empty((n_paths, grid.nt + 1))
+
+    def __call__(self, at, steps, t, p, p_prime, norms, v):
+        self.sums.push(at, v[:, 0])
+        self.p_prime[at, steps] = p_prime.T
+
+    def finish(self, ends) -> list:
+        return [(self.p_prime[k, :end[0] + 1], end, totals)
+                for k, (end, totals) in enumerate(zip(ends, self.sums.totals()))]
 
 
 def structure_function(path, axis: str, lags, q: float):

@@ -28,11 +28,21 @@ the pair norm reaches M_max or a step yields a non-finite value; the
 path then stops with its last finite state, so no infinities are ever
 handed on.  A stopped path keeps its batch row, which is stepped on with
 the others but never drawn for, checked or handed on again.
+
+Path k of a batch equals bit for bit the run of its own noise entry, so
+``run_forked`` splits a batch into contiguous slices, steps each in its
+own process (the parent one, forked children the others) and joins the
+observers' ``finish`` lists in path order, with the same bytes for any
+number of workers.
 """
 from __future__ import annotations
 
 import operator
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -40,7 +50,8 @@ import numpy as np
 from ._csv import write_table
 from ._fd import laplacian, upwind_gradient
 from .boundary import BoundaryFunctional, cap_profile, eval_h
-from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
+from .errors import (CflViolation, ConfigError, DimensionMismatch, GridMismatch,
+                     StefansimError)
 from .grids import COMPACT, STABILITY_FACTOR, GridSpec, profile_norm
 # sample_white_noise stays importable from here: the benchmark's tracer wraps it by name
 from .noise import NoiseStream, sample_white_noise  # noqa: F401
@@ -317,6 +328,34 @@ def _path_noise(noise, grid: GridSpec):
     return (NoiseStream(grid, seed, 0), NoiseStream(grid, seed, 1)), f"seed {seed}"
 
 
+def _checked_batch(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+                   M: float, M_max: float, grid: GridSpec, noises, lap_scale: float):
+    """Every check of a ``run_paths`` call, made before any step.
+
+    Returns the batch's paths, one ``(streams, label)`` pair per noise
+    entry with its label as messages give it, and a function that steps
+    any list of them, ``step(paths, observer)``.
+    """
+    v1_0, v2_0, p0 = initial
+    v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
+    if not M <= M_max:
+        raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
+    if not 0 < lap_scale < np.inf:
+        raise ConfigError(f"lap_scale={lap_scale} must be a finite positive number")
+    if lap_scale * grid.dt > STABILITY_FACTOR * grid.dx**2 * (1 + 1e-12):
+        raise CflViolation(f"lap_scale * dt exceeds {STABILITY_FACTOR} * dx^2")
+    if grid.domain_kind != COMPACT and (violation := coeffs.validate_growth(grid)) > 1e-9:
+        raise ConfigError(f"volatility exceeds its growth envelope by {violation:.3g}")
+    paths = []
+    for k, noise in enumerate(noises):
+        streams, name = _path_noise(noise, grid)
+        paths.append((streams, f"path {k} ({name})"))
+    if not paths:
+        raise ConfigError("a run needs at least one path")
+    return paths, partial(_step_paths, v0, h0, float(p0), coeffs, boundary_fn, M, M_max, grid,
+                          lap_scale)
+
+
 def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
               M: float, M_max: float, grid: GridSpec, noises, lap_scale: float = 1.0,
               observer=None):
@@ -335,24 +374,15 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     Returns ``observer.finish`` of each path's (last_step, cause) pair,
     by default one Trajectory per path, in order.
     """
-    v1_0, v2_0, p0 = initial
-    v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
-    if not M <= M_max:
-        raise ConfigError(f"truncation M={M} must not exceed M_max={M_max}")
-    if not 0 < lap_scale < np.inf:
-        raise ConfigError(f"lap_scale={lap_scale} must be a finite positive number")
-    if lap_scale * grid.dt > STABILITY_FACTOR * grid.dx**2 * (1 + 1e-12):
-        raise CflViolation(f"lap_scale * dt exceeds {STABILITY_FACTOR} * dx^2")
-    if grid.domain_kind != COMPACT and (violation := coeffs.validate_growth(grid)) > 1e-9:
-        raise ConfigError(f"volatility exceeds its growth envelope by {violation:.3g}")
-    noises = list(noises)
-    if not noises:
-        raise ConfigError("a run needs at least one path")
-    streams, names = zip(*[_path_noise(noise, grid) for noise in noises])
-    n_paths = len(noises)
-    if observer is None:
-        observer = Recorder(grid, n_paths)
+    paths, step = _checked_batch(initial, coeffs, boundary_fn, M, M_max, grid, noises,
+                                 lap_scale)
+    return step(paths, observer if observer is not None else Recorder(grid, len(paths)))
 
+
+def _step_paths(v0, h0, p0, coeffs, boundary_fn, M, M_max, grid, lap_scale, paths, observer):
+    """The stepping loop of ``run_paths`` over checked ``paths``."""
+    streams, labels = zip(*paths)
+    n_paths = len(paths)
     nt, dt = grid.nt, grid.dt
     block = min(NOISE_BLOCK, nt)
     # a block's states and speeds, the step scratch and the noise block: one row per path
@@ -363,15 +393,17 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
     states[0] = v0[:, None]
     speeds[0] = h0
     capped = cap_profile(states[0], grid, M)
-    fixed = coeffs.terms(states[0, :, :1], grid) if coeffs.u_free else None
-    p, t = np.full(n_paths, float(p0)), 0.0
+    p, t = np.full(n_paths, p0), 0.0
     live = np.ones(n_paths, dtype=bool)
     ends = [(nt, None)] * n_paths
     cfl_limit = grid.dx * (1 + 1e-12)
 
     # a stopped path's row is stepped on to the end of the run, but its
-    # overflows and inf - inf are never read, so numpy need not warn about them
+    # overflows and inf - inf are never read, so numpy need not warn about
+    # them; nor about u-free coefficients that overflow, which stop every
+    # path at its first step
     with np.errstate(invalid="ignore", over="ignore"):
+        fixed = coeffs.terms(states[0, :, :1], grid) if coeffs.u_free else None
         observer(slice(None), slice(0, 1), np.zeros(1), p[None], speeds[:1],
                  profile_norm(states[:1], grid), states[:1])
         for i0 in range(0, nt, block):
@@ -399,9 +431,11 @@ def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctiona
             bad = (np.abs(speeds[:m]) * dt > cfl_limit) & (np.arange(m)[:, None] < stop)
             if bad.any():
                 j, k = divmod(int(bad.argmax()), n_paths)       # earliest step, then path
-                raise CflViolation(
-                    f"path {k} ({names[k]}): advection speed "
+                violation = CflViolation(
+                    f"{labels[k]}: advection speed "
                     f"|c|={abs(speeds[j, k]):.3g} violates dt*|c| <= dx at t={ts[j]:.6g}")
+                violation.step = i0 + j
+                raise violation
 
             # the last state kept of each path: a threshold step is kept, a
             # non-finite one is discarded
@@ -445,3 +479,85 @@ def run_relative_frame(initial, coeffs: ModelCoefficients,
     return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [noise],
                      lap_scale=lap_scale, observer=Recorder(grid, 1, store_stride))[0]
 
+
+def run_forked(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+               M: float, M_max: float, grid: GridSpec, noises, make_observer,
+               lap_scale: float = 1.0) -> list:
+    """``run_paths`` on contiguous slices of ``noises``, one per worker process.
+
+    ``make_observer(n)`` gives the observer of an n-path slice, and the
+    result is each slice's ``finish`` list, joined in path order.  Path k
+    equals the run of ``noises[k]`` alone, so no byte depends on the
+    worker count W = min(CPUs in the affinity mask, P), and nothing sets
+    it.  Every check is made and every noise entry resolved before the
+    first fork.  The parent forks W - 1 children and steps the first
+    slice itself; each child sends its list, or its exception, back over
+    a pipe and ends in ``os._exit``.  W = 1 is a plain ``run_paths`` call.
+    A failure is raised as one process raises it: a CflViolation of the
+    earliest step, then of the lowest path, and before any CflViolation
+    any other error, or a child that ended without a result (a
+    StefansimError naming its paths), of the lowest slice.  Every child
+    has ended and been reaped when this returns or raises.
+    """
+    paths, step = _checked_batch(initial, coeffs, boundary_fn, M, M_max, grid, noises,
+                                 lap_scale)
+    n_workers = min(len(os.sched_getaffinity(0)), len(paths))
+    if n_workers == 1:
+        return step(paths, make_observer(len(paths)))
+    cuts = [len(paths) * w // n_workers for w in range(n_workers + 1)]
+    slices = [paths[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+    def attempt(part):
+        try:
+            return step(part, make_observer(len(part)))
+        except Exception as exc:
+            return exc
+
+    children = []
+    try:
+        for part in slices[1:]:
+            children.append((*_fork(attempt, part), part))
+        outcomes = [attempt(slices[0])]
+        while children:
+            outcomes.append(_outcome(*children[0]))
+            children.pop(0)
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    failures = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
+    if failures:
+        # the first of the lowest key is the lowest slice's
+        raise min(failures, key=lambda exc: exc.step if isinstance(exc, CflViolation) else -1)
+    return [entry for outcome in outcomes for entry in outcome]
+
+
+def _fork(attempt, part):
+    """A child that pickles ``attempt(part)`` into a pipe and ends; its pid and the read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(attempt(part), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _outcome(pid: int, pipe, part):
+    """What the child stepping ``part`` sent, once it has ended; an error if not sent whole."""
+    with pipe:
+        sent = pipe.read()
+    os.waitpid(pid, 0)
+    try:
+        return pickle.loads(sent)
+    except Exception:  # a truncated or empty stream, however pickle words it
+        return StefansimError(f"the worker stepping {part[0][1]} to {part[-1][1]} "
+                              f"ended without a result")

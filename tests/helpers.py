@@ -200,19 +200,6 @@ def parse_events_reference(source, fmt="normalized", book_reference_prices=None,
                           malformed_count=malformed, filtered_count=filtered)
 
 
-class PushSide1:
-    """A run_paths observer that only pushes the side-1 profiles into the sums."""
-
-    def __init__(self, sums):
-        self.sums = sums
-
-    def __call__(self, at, steps, t, p, p_prime, norms, v):
-        self.sums.push(at, v[:, 0])
-
-    def finish(self, ends):
-        return ends
-
-
 def _laplacian_reference(u, dx):
     out = np.zeros_like(u)
     out[..., 1:-1] = (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) / (dx * dx)

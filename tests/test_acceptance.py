@@ -2,15 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  The ensembles are desk-scale; each of the two 20-path
-regularity ensembles steps as one batch, and the module runs in about a
-minute.
+regularity ensembles steps as one batch split over worker processes, and
+the module runs in well under a minute.
 """
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import PushSide1, random_smooth_obstacle, sine_ramp_obstacle, synthetic_lob_rows
+from helpers import random_smooth_obstacle, sine_ramp_obstacle, synthetic_lob_rows
 from stefansim.boundary import exp_imbalance, g_lambda
 from stefansim.grids import build_grid
 from stefansim.kernels import verify_kernel_bounds, eval_H
@@ -18,9 +19,9 @@ from stefansim.lob import fit_coefficients, parse_events, simulate_price
 from stefansim.noise import sample_white_noise
 from stefansim.obstacle import solve_penalized, solve_projected
 from stefansim.picard import picard_iterate
-from stefansim.regularity import (SPACE, TIME, StructureSums, boundary_holder_ensemble,
-                                  dyadic_lags, estimate_holder_ensemble)
-from stefansim.spde import (ModelCoefficients, constant_coefficients, run_paths,
+from stefansim.regularity import (SPACE, TIME, HolderObserver, StructureSums,
+                                  boundary_holder_ensemble, dyadic_lags, estimate_holder_ensemble)
+from stefansim.spde import (ModelCoefficients, constant_coefficients, run_forked, run_paths,
                             run_relative_frame)
 
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
@@ -202,30 +203,32 @@ def she_ensemble():
     """20 reflected stochastic-heat paths (no boundary motion), 64 x 65536.
 
     Their side-1 profiles are reduced to structure sums as they step, at
-    the lags criterion 07 fits; no profile is kept.
+    the lags criterion 07 fits; no profile is kept.  The batch is split
+    over worker processes and the sums joined.
     """
     grid = build_grid("compact", 64, 1.0, 65536)
     coeffs = constant_coefficients(f=0.0, sigma=1.0)
     z = np.zeros(grid.n_nodes)
     from stefansim.boundary import zero_boundary
     t0 = time.perf_counter()
-    sums = StructureSums(20, grid.n_nodes, grid.nt + 1, q=2,
-                         time_lags=dyadic_lags((16, 256)), space_lags=dyadic_lags((1, 8)))
-    run_paths((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf, grid,
-              noises=range(9000, 9020), observer=PushSide1(sums))
-    return sums, time.perf_counter() - t0
+    lags = {"time_lags": dyadic_lags((16, 256)), "space_lags": dyadic_lags((1, 8))}
+    _, _, totals = zip(*run_forked((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf,
+                                   grid, noises=range(9000, 9020),
+                                   make_observer=partial(HolderObserver, grid=grid, q=2, **lags)))
+    return StructureSums.join(totals, grid.n_nodes, 2, **lags), time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def imbalance_ensemble():
-    """Same ensemble parameters driven by the alpha=5, lambda=100 imbalance."""
+    """Same ensemble parameters driven by the alpha=5, lambda=100 imbalance; only p' is kept."""
     grid = build_grid("compact", 64, 1.0, 65536)
     coeffs = constant_coefficients(f=0.0, sigma=1.0)
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     z = np.zeros(grid.n_nodes)
-    trajs = run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
-                      noises=range(9500, 9520))
-    return [traj.p_prime for traj in trajs]
+    p_prime, _, _ = zip(*run_forked((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
+                                    noises=range(9500, 9520),
+                                    make_observer=partial(HolderObserver, grid=grid)))
+    return list(p_prime)
 
 
 def test_criterion_07_profile_holder_exponents(she_ensemble):

@@ -1,5 +1,6 @@
 """One batch of P paths against P single runs, and the per-path blow-up rules."""
 import dataclasses
+import os
 import re
 import warnings
 
@@ -7,16 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import yaml
 
 import stefansim.spde
-from helpers import PushSide1, structure_function_reference
+from helpers import structure_function_reference
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
-from stefansim.errors import CflViolation, DimensionMismatch, GridMismatch
+from stefansim.cli import main
+from stefansim.errors import CflViolation, DimensionMismatch, GridMismatch, StefansimError
 from stefansim.grids import build_grid
 from stefansim.noise import NoiseStream, sample_white_noise
-from stefansim.regularity import SPACE, TIME, StructureSums, dyadic_lags, estimate_holder_ensemble
-from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
-                            run_relative_frame, step_reflected)
+from stefansim.regularity import (SPACE, TIME, HolderObserver, StructureSums, dyadic_lags,
+                                  estimate_holder_ensemble)
+from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_forked,
+                            run_paths, run_relative_frame, step_reflected)
 
 
 def _sine(grid, amp):
@@ -506,8 +510,9 @@ def test_structure_sums_sink_matches_stored_snapshots(cause):
     assert min(len(t.times) for t in stored) > 100
 
     time_lags, space_lags = dyadic_lags((1, 8)), dyadic_lags((1, 8))
-    sums = StructureSums(len(seeds), g.n_nodes, g.nt + 1, 2, time_lags, space_lags)
-    ends = run_paths(*args, observer=PushSide1(sums))
+    _, ends, totals = zip(*run_paths(*args, observer=HolderObserver(len(seeds), g, 2, time_lags,
+                                                                    space_lags)))
+    sums = StructureSums.join(totals, g.n_nodes, 2, time_lags, space_lags)
     assert [last + 1 for last, _ in ends] == [len(t.times) for t in stored]
     fields = [t.v1_snapshots for t in stored]
     for axis, lags in ((TIME, time_lags), (SPACE, space_lags)):
@@ -517,3 +522,147 @@ def test_structure_sums_sink_matches_stored_snapshots(cause):
         lag_range = (lags[0], lags[-1])
         assert estimate_holder_ensemble(sums, axis, 2, lag_range) == \
             estimate_holder_ensemble(fields, axis, 2, lag_range)
+
+
+# ------------------------------------------------ a batch split over processes
+
+def _cpus(monkeypatch, n):
+    """Make the worker count that run_forked reads n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _forks(monkeypatch):
+    """The pids of every child forked from this process from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_reaped(pids):
+    # waitpid on a child that has been reaped finds no such child
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cause", ["threshold", "non_finite"])
+def test_forked_batch_equals_one_process(cause, monkeypatch):
+    # seeds and pairs mixed, some paths stopping by cause: the same
+    # trajectories and ends for 1, 2 and 3 workers
+    g, args = _stopping_batch(cause)
+    noises = _noises(g, args[-1], "mixed")
+    want = run_paths(*args[:-1], noises, observer=Recorder(g, len(noises), 1))
+    assert cause in {t.blowup_cause for t in want} and None in {t.blowup_cause for t in want}
+    for n_cpus in (1, 2, 3):
+        _cpus(monkeypatch, n_cpus)
+        pids = _forks(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run_forked(*args[:-1], noises, make_observer=lambda n: Recorder(g, n, 1))
+        # Python 3.12 warns of a fork in a process that runs threads (the BLAS pool)
+        assert [str(w.message) for w in caught if not (
+            w.category is DeprecationWarning and "fork" in str(w.message))] == []
+        assert len(pids) == n_cpus - 1
+        _assert_reaped(pids)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (len(a.times) - 1, a.blowup_cause) == (len(b.times) - 1, b.blowup_cause)
+            for name in ("times", "p", "p_prime", "norm1", "norm2", "snapshot_times",
+                         "v1_snapshots", "v2_snapshots"):
+                assert _same_bytes(getattr(a, name), getattr(b, name)), (n_cpus, name)
+
+
+@pytest.mark.parametrize("n_cpus, n_paths", [(1, 4), (2, 1), (3, 2), (4, 3), (2, 5), (8, 8)])
+def test_forks_at_most_one_fewer_than_the_workers(n_cpus, n_paths, monkeypatch):
+    g = build_grid("compact", 8, 0.02, 256)
+    z = np.zeros(g.n_nodes)
+    _cpus(monkeypatch, n_cpus)
+    pids = _forks(monkeypatch)
+    ends = run_forked((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
+                      np.inf, g, range(n_paths), make_observer=_Calls)
+    assert ends == [(g.nt, None)] * n_paths
+    assert len(pids) == min(n_cpus, n_paths) - 1
+    _assert_reaped(pids)
+
+
+def test_forked_cfl_violation_is_the_one_process_message(monkeypatch):
+    # every path violates |c| dt <= dx, path 0 later than the first to violate,
+    # which lies in a later slice for some worker count
+    g = build_grid("compact", 32, 0.05, 512)
+    args = ((np.zeros(g.n_nodes), np.zeros(g.n_nodes), 0.0),
+            constant_coefficients(f=0.0, sigma=4.0), exp_imbalance(alpha=50.0, lam=100.0),
+            np.inf, np.inf, g)
+    seeds = [70, 71, 72, 73]
+    with pytest.raises(CflViolation) as one:
+        run_paths(*args, seeds)
+    assert not str(one.value).startswith("path 0 ")
+    for n_cpus in (2, 3, 4):
+        _cpus(monkeypatch, n_cpus)
+        pids = _forks(monkeypatch)
+        with pytest.raises(CflViolation) as split:
+            run_forked(*args, seeds, make_observer=_Calls)
+        assert str(split.value) == str(one.value), n_cpus
+        _assert_reaped(pids)
+
+
+class _FailsIn(_Calls):
+    """Counts steps like _Calls, but fails in the parent or in a child at its first call."""
+
+    def __init__(self, n_paths, where, parent):
+        super().__init__(n_paths)
+        self.where, self.parent = where, parent
+
+    def __call__(self, *args):
+        here = "parent" if os.getpid() == self.parent else "child"
+        if here == self.where == "parent":
+            raise RuntimeError("failed in the first slice")
+        if here == self.where == "child":
+            raise ValueError("failed in a child")
+        if here == "child" and self.where == "exit":
+            os._exit(1)
+        super().__call__(*args)
+
+
+@pytest.mark.parametrize("where, error, match", [
+    ("parent", RuntimeError, "failed in the first slice"),
+    ("child", ValueError, "failed in a child"),
+    ("exit", StefansimError, r"^the worker stepping path 2 \(seed 2\) to path 3 \(seed 3\) "
+                             r"ended without a result$"),
+])
+def test_no_child_outlives_a_failed_forked_batch(where, error, match, monkeypatch):
+    g = build_grid("compact", 8, 0.02, 256)
+    z = np.zeros(g.n_nodes)
+    _cpus(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    parent = os.getpid()
+    with pytest.raises(error, match=match):
+        run_forked((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
+                   np.inf, g, range(4), make_observer=lambda n: _FailsIn(n, where, parent))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_forked_holder_writes_the_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
+    cfg = {"grid": {"domain": "compact", "nx": 16, "nt": 2048, "T": 0.05},
+           "noise": {"seed": 3},
+           "coefficients": {"kind": "constant", "sigma": 1.0},
+           "boundary": {"kind": "exp_imbalance", "alpha": 5.0, "lambda": 100.0},
+           "holder": {"n_paths": 4, "q": 2, "lag_min": 2, "lag_max": 32},
+           "output": {"dir": str(tmp_path / "out")}}
+    path = tmp_path / "holder.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    written = []
+    for n_cpus in (1, 2, 3):
+        _cpus(monkeypatch, n_cpus)
+        pids = _forks(monkeypatch)
+        assert main(["holder", "-c", str(path)]) == 0
+        assert len(pids) == n_cpus - 1
+        _assert_reaped(pids)
+        written.append((tmp_path / "out" / "holder.json").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]

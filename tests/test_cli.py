@@ -454,6 +454,18 @@ def test_non_finite_blowup_reported_with_cause(tmp_path):
     assert np.isfinite(rows).all()
 
 
+def test_overflowing_u_free_volatility_is_a_blowup_without_a_warning(tmp_path):
+    # sigma0 * exp(1e308 x) is inf off x = 0; evaluated once per run, it stops the run at once
+    cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "-c", cfg_path, "--set", "coefficients.kind=exp_decay",
+                     "--set", "coefficients.decay=-1e308"]) == 0
+    assert [str(w.message) for w in caught] == []
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["blowup_cause"] == "non_finite" and summary["steps"] == 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "holder", "picard-check"])
 def test_non_finite_initial_speed_is_config_error(tmp_path, capsys, command):
     # lambda^2 overflows in h's weights, so the speed of the initial pair is nan
@@ -497,7 +509,7 @@ def test_tabulated_coefficients_run_the_same_in_any_order(tmp_path):
 
 #: the first computation of each subcommand, which a bad seed must not reach
 _COMPUTATION = {"simulate": "run_relative_frame", "obstacle": "solve_projected",
-                "picard-check": "sample_white_noise", "holder": "run_paths",
+                "picard-check": "sample_white_noise", "holder": "run_forked",
                 "kernel-check": "verify_kernel_bounds", "fit-lob": "parse_events",
                 "simulate-price": "simulate_price"}
 
@@ -614,13 +626,26 @@ def test_holder_refuses_lags_no_path_can_fit_before_stepping(tmp_path, capsys, m
                                                             sets, field):
     def stepped(*args, **kwargs):
         raise AssertionError("the paths were stepped")
-    monkeypatch.setattr("stefansim.cli.run_paths", stepped)
+    monkeypatch.setattr("stefansim.cli.run_forked", stepped)
     args = ["holder", "-c", _write_cfg(tmp_path, _holder_cfg(tmp_path))]
     for item in sets:
         args += ["--set", item]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+
+
+def test_holder_names_every_blowup_when_no_path_fits_its_lags(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _holder_cfg(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["holder", "-c", cfg_path, "--set", "coefficients.sigma=1e308"]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: every path blew up before its lags fit: "
+                          "path 0 (seed 5) at step 1 (non_finite), "
+                          "path 1 (seed 6) at step 1 (non_finite); lag 2 outside series")
+    assert not (tmp_path / "out" / "holder.json").exists()
 
 
 def test_holder_worker_fanout_deterministic(tmp_path):
@@ -661,13 +686,15 @@ def test_holder_bad_settings_are_config_errors(tmp_path, capsys, holder, field):
     assert err.startswith("config error: ") and field in err
 
 
-def test_holder_keeps_no_profiles(tmp_path):
+def test_holder_keeps_no_profiles(tmp_path, monkeypatch):
     # storing every step's side-1 profile of both paths would take
     # 2 x 8193 x 129 x 8 B = 16.9 MB; the structure sums take a fraction
     cfg = _holder_cfg(tmp_path, lag_min=16, lag_max=128)
     cfg["grid"] = {"domain": "compact", "nx": 128, "nt": 8192, "T": 0.125}
     cfg_path = _write_cfg(tmp_path, cfg)
     snapshot_bytes = 2 * (8192 + 1) * 129 * 8
+    # one worker: tracemalloc sees only this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tracemalloc.start()
     try:
         assert main(["holder", "-c", cfg_path]) == 0

@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stefansim.spde
-from helpers import PushSide1, reference_path
+from helpers import reference_path
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.config import coefficients_from_config
 from stefansim.grids import build_grid
-from stefansim.regularity import SPACE, TIME, StructureSums
+from stefansim.regularity import SPACE, TIME, HolderObserver, StructureSums
 from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
                             tabulated_coefficients)
 
@@ -184,10 +184,11 @@ def test_block_length_changes_no_byte(cause, block, placement, seed, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stefansim.spde, "NOISE_BLOCK", block)
         trajs = run_paths(*args, seeds, observer=Recorder(g, len(seeds), 1))
-        sums = StructureSums(len(seeds), g.n_nodes, g.nt + 1, 2, LAGS, LAGS)
-        ends = run_paths(*args, seeds, observer=PushSide1(sums))
+        _, ends, totals = zip(*run_paths(*args, seeds,
+                                         observer=HolderObserver(len(seeds), g, 2, LAGS, LAGS)))
+    sums = StructureSums.join(totals, g.n_nodes, 2, LAGS, LAGS)
     assert ends[0] == (s, cause)
-    assert ends == [(len(t.times) - 1, t.blowup_cause) for t in trajs]
+    assert list(ends) == [(len(t.times) - 1, t.blowup_cause) for t in trajs]
     _assert_equal_to_reference(trajs, *args, seeds)
     stored = StructureSums.from_paths([t.v1_snapshots for t in trajs], 2, LAGS, LAGS)
     for axis in (TIME, SPACE):
