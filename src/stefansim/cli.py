@@ -309,6 +309,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy refuses an array it cannot allocate at all, such as nt = 10**15
+        print(f"config error: the configured sizes do not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except StefansimError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

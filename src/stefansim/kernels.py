@@ -102,7 +102,8 @@ def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
     halving evaluates it at the new midpoints only.  Successive diagonal
     extrapolations agree when they differ by at most
     rel_tol * max(|estimate|, floor).  Raises QuadratureFailure if the
-    refinement budget is exhausted first.
+    refinement budget is exhausted first, or at once when an estimate is
+    not finite, since no later one can be.
     """
     if b <= a:
         return 0.0
@@ -117,6 +118,8 @@ def adaptive_trapezoid(fn, a: float, b: float, rel_tol: float = 1e-9,
             new_row.append(new_row[-1] + (new_row[-1] - prev) / (4.0 ** j - 1.0))
         n *= 2
         h *= 0.5
+        if not math.isfinite(new_row[-1]):
+            raise QuadratureFailure(f"the trapezoid sums are not finite: {new_row[-1]}")
         if abs(new_row[-1] - row[-1]) <= rel_tol * max(abs(new_row[-1]), floor):
             return float(new_row[-1])
         row = new_row
@@ -160,15 +163,18 @@ def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G"
     a, b = max(0.0, x - width), x + width
     if kernel_kind == "H":
         b = min(1.0, b)
-    peak = _peak(kernel_kind, t, x, a, b)
 
     def integrand(ys):
         return np.exp(-r * (x - ys)) * np.abs(deriv_y(kernel_kind, t, x, ys))
 
     # a thousandth of the 1/sqrt(t) bound settles it where the integrand is rounding noise
     floor = 1e-3 / math.sqrt(t)
-    return (adaptive_trapezoid(integrand, a, peak, floor=floor)
-            + adaptive_trapezoid(integrand, peak, b, floor=floor))
+    # an |r| so large that the window or the weight overflows makes a sum inf
+    # or nan: a QuadratureFailure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = _peak(kernel_kind, t, x, a, b)
+        return (adaptive_trapezoid(integrand, a, peak, floor=floor)
+                + adaptive_trapezoid(integrand, peak, b, floor=floor))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._csv import write_table
 from ._fd import laplacian
-from .errors import GridMismatch, ObstacleInitialPositive
+from .errors import GridMismatch, ObstacleInitialPositive, StefansimError
 from .grids import Field, GridSpec, profile_norm
 
 
@@ -84,15 +84,18 @@ def solve_penalized(v: Field, epsilon: float) -> ObstacleSolution:
     eta = np.zeros(v.values.shape)
     inv_eps = 1.0 / epsilon
     lap = np.empty(v.values.shape[:-2] + (grid.n_nodes,))    # the stencil buffer
-    for i in range(grid.nt):
-        zi = z[..., i, :]
-        deficit = np.minimum(zi - v.values[..., i, :], 0.0)
-        pen = inv_eps * np.arctan(deficit * deficit)
-        zn = zi + dt * (laplacian(zi, dx, out=lap) + pen)
-        zn[..., ::grid.nx] = 0.0
-        z[..., i + 1, :] = zn
-        eta[..., i, :] = dt * dx * pen
-    return ObstacleSolution(z=Field(grid, z), eta=eta)
+    # a deficit whose square overflows saturates the arctan at pi/2, as a
+    # finite one would; what is kept is checked below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.nt):
+            zi = z[..., i, :]
+            deficit = np.minimum(zi - v.values[..., i, :], 0.0)
+            pen = inv_eps * np.arctan(deficit * deficit)
+            zn = zi + dt * (laplacian(zi, dx, out=lap) + pen)
+            zn[..., ::grid.nx] = 0.0
+            z[..., i + 1, :] = zn
+            eta[..., i, :] = dt * dx * pen
+    return _finite_solution(z, eta, grid)
 
 
 def projected_steps(z: np.ndarray, obstacle: np.ndarray, grid: GridSpec) -> None:
@@ -120,18 +123,30 @@ def solve_projected(v: Field) -> ObstacleSolution:
     """
     grid = _validate_obstacle(v)
     z = np.zeros(v.values.shape)
-    projected_steps(z, v.values[..., 1:, :], grid)
-    # eta is what the clip added to each free heat step, taken after the loop
-    before = z[..., :-1, :]
-    free = laplacian(before, grid.dx, out=np.empty(before.shape))
-    free *= grid.dt
-    free += before
-    lift = np.subtract(z[..., 1:, :], free, out=free)
+    # a stencil value taken across the end of a row can overflow; it lands on
+    # a Dirichlet node, which is zeroed.  What is kept is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected_steps(z, v.values[..., 1:, :], grid)
+        # eta is what the clip added to each free heat step, taken after the loop
+        before = z[..., :-1, :]
+        free = laplacian(before, grid.dx, out=np.empty(before.shape))
+        free *= grid.dt
+        free += before
+        lift = np.subtract(z[..., 1:, :], free, out=free)
     lift *= grid.dx
     eta = np.zeros(v.values.shape)
     eta[..., 1:, :] = lift
     # no reflection at the Dirichlet nodes
     eta[..., ::grid.nx] = 0.0
+    return _finite_solution(z, eta, grid)
+
+
+def _finite_solution(z: np.ndarray, eta: np.ndarray, grid: GridSpec) -> ObstacleSolution:
+    """The solution (z, eta), or a StefansimError at the first step where either is not finite."""
+    finite = (np.isfinite(z) & np.isfinite(eta)).all(axis=-1).reshape(-1, grid.nt + 1).all(axis=0)
+    if not finite.all():
+        raise StefansimError(f"the obstacle solution is not finite at step "
+                             f"{int(finite.argmin())} of {grid.nt}")
     return ObstacleSolution(z=Field(grid, z), eta=eta)
 
 

@@ -42,29 +42,45 @@ is three (J, K) factors, built once.  In mode coordinates each Duhamel
 sum is one first-order recursion per mode, coef[n] = decay coef[n-1] +
 new term, so an iterate solves both sides in O(nt J K) time.  The
 iteration is causal: iterate k at step n + 1 reads iterate k - 1 only at
-steps <= n.  So all iterates sweep through time together, in blocks of
+steps <= n.  So the iterates sweep through time together, in blocks of
 B = ``SWEEP_BLOCK`` steps: in wave s, iterate k steps block s - k + 1,
 stacked with the other live iterates, through one product with the
 kernel factors, one recursion of B steps and one projected obstacle
-loop of B steps.  That is about nt + (n_iters - 1) B Python steps per
-loop in place of n_iters nt.  Each iterate keeps only its recursion
-carry, its obstacle state, its running distance and its last B + 1
-rows, and reads its noise block from the caller's pair, so a wave holds
-O(n_iters B K) floats where a whole-iterate solve holds O(nt K).  What
-stays whole is the caller's noise pair, the final pair and the direct
-run's profiles, which the final gap is taken against one side at a
-time, in place.  The arithmetic is the same whatever B is, so the
-result is too.
+loop of B steps.  Each iterate keeps only its recursion carry, its
+obstacle state, its running distance and its last B + 1 rows, and reads
+its noise block from the caller's pair, so a wave holds O(n_iters B K)
+floats where a whole-iterate solve holds O(nt K).
+
+The sweep is chained over W = min(CPUs in the affinity mask, n_iters)
+processes.  The n_iters iterates split into W contiguous groups, cut at
+n_iters w // W; the parent sweeps group 0 and forked children the
+others.  After each wave, a group sends the (2, B, J) block its last
+iterate just stepped down a pipe, and the next group reads it into its
+input row before its own next wave; iterate k + 1 reads iterate k only
+at earlier steps, so the groups run in lock-step, each one wave behind
+the one before.  A group of m iterates takes nt / B + m - 1 waves of at
+most m stacked iterates, where one process takes nt / B + n_iters - 1
+waves of up to n_iters.  While the later groups finish, the parent runs
+the direct integrator.  What stays whole is the caller's noise pair (in
+every process), the final pair (in the last group's process, sent back
+to the parent once) and the direct run's profiles (in the parent), which
+the final gap is taken against one side at a time, in place.  Every
+row's arithmetic is the same however many iterates share a stack, so
+the result is the same for any B and any W.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from ._workers import attempt, fork, outcomes, reaping, worker_count
 from .boundary import BoundaryFunctional, cap_profile, eval_h
-from .errors import ConfigError, DimensionMismatch, GridMismatch, IterationFailure
+from .errors import (ConfigError, DimensionMismatch, GridMismatch, IterationFailure,
+                     StefansimError)
 from .grids import Field, GridSpec
 from .noise import NoiseField
 # solve_projected stays importable from here: the benchmark's tracer wraps it by
@@ -235,32 +251,119 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     pair is compared against the direct explicit integrator driven by the
     identical noise realisation.  An iterate or a direct run that leaves
     the finite numbers raises IterationFailure.
+
+    The iterates sweep in W = min(CPUs in the affinity mask, n_iters)
+    contiguous groups, chained through pipes (see the module docstring);
+    nothing sets W, and no byte depends on it.  The parent sweeps group 0,
+    forked children the others, and the parent runs the direct run while
+    they finish.  A failure is raised as one process raises it: the
+    lowest group's error, or a child that ended without a result (a
+    StefansimError naming its iterates), then a non-finite iterate, then
+    the direct run's.  Every child has ended and been reaped when this
+    returns or raises.
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
     v0, _ = check_initial(v1_0, v2_0, M, grid, boundary_fn)
     if any(noise.grid != grid for noise in noise_pair):
         raise GridMismatch("the noise must live on the iteration's grid")
-    tables = build_kernel_tables(grid)
+    sweep = partial(_sweep, v0, coeffs, boundary_fn, M, noise_pair, build_kernel_tables(grid))
+    n_workers = worker_count(n_iters)
+    cuts = [n_iters * w // n_workers for w in range(n_workers + 1)]
+    # link w carries the blocks of group w's last iterate to group w + 1
+    links = [(open(read, "rb"), open(write, "wb", buffering=0))
+             for read, write in (os.pipe() for _ in range(n_workers - 1))]
+    ends = [end for link in links for end in link]
+    chain = [(links[w - 1][0] if w else None, links[w][1] if w < len(links) else None)
+             for w in range(n_workers)]
+    with reaping() as children:
+        try:
+            for w in range(1, n_workers):
+                # a child keeps its own two link ends and no other pipe end
+                unused = [end for end in ends if end not in chain[w]]
+                children.append((*fork(_group, sweep, cuts[w + 1] - cuts[w], *chain[w],
+                                       unused + [pipe for _, pipe, _ in children]),
+                                 f"sweeping iterates {cuts[w] + 1} to {cuts[w + 1]}"))
+            groups = [_group(sweep, cuts[1], *chain[0],
+                             [end for end in ends if end not in chain[0]])]
+            traj = attempt(partial(run_relative_frame, (v0[0], v0[1], 0.0), coeffs, boundary_fn,
+                                   M=M, M_max=np.inf, grid=grid, noise=tuple(noise_pair),
+                                   store_stride=1))
+            groups += outcomes(children)
+        finally:
+            for end in ends:
+                end.close()
+    failures = [group for group in groups if isinstance(group, BaseException)]
+    if failures:
+        raise failures[0]
+
+    dist, v = np.concatenate([dist for dist, _ in groups], axis=1), groups[-1][1]
+    d_hist = [float(d) for d in dist.sum(axis=0)]
+    for k, d in enumerate(d_hist, start=1):
+        if not math.isfinite(d):
+            raise IterationFailure(f"iterate {k} of {n_iters} is not finite: its distance "
+                                   f"to iterate {k - 1} is {d}")
+    if isinstance(traj, Exception):
+        raise traj
+    if traj.blown_up:
+        raise IterationFailure(f"the direct run stopped at step {len(traj.times) - 1} of "
+                               f"{grid.nt} ({traj.blowup_cause})")
+    # side by side, in place: the direct run's profiles are not needed after
+    gap = 0.0
+    for direct, side in zip((traj.v1_snapshots, traj.v2_snapshots), v):
+        direct -= side
+        gap = max(gap, float(np.abs(direct, out=direct).max()))
+    return IterationReport(d_hist, gap, Field(grid, v))
+
+
+def _group(sweep, n_iters: int, upstream, downstream, unused: list):
+    """``sweep`` of one group of the chain, after closing the pipe ends it does not use."""
+    for end in unused:
+        end.close()
+    return sweep(n_iters, upstream, downstream)
+
+
+def _sweep(v0: np.ndarray, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+           M: float, noise_pair, tables: KernelTables, n_iters: int, upstream, downstream):
+    """Sweep n_iters successive iterates through time together, block by block.
+
+    The group's input iterate is v0 for all time when ``upstream`` is None,
+    and otherwise the last iterate of the group before, read from
+    ``upstream`` one (2, B, J) block before each wave that steps it.  The
+    group's last iterate goes, block by block, to ``downstream`` when it
+    is a pipe, and is kept whole otherwise.  Returns each iterate's
+    running distance, (2, n_iters) by side, and the kept final pair, None
+    when sent on.  If the next group has ended and closed its link, the
+    sweep stops there: that group's outcome is the failure.
+    """
+    grid = tables.grid
     nt, J = grid.nt, grid.n_nodes
     B = min(SWEEP_BLOCK, nt)
     n_blocks = -(-nt // B)
 
     # per iterate, the B + 1 rows of its latest block, starting at the row
-    # the block steps from; iterate 0 is v0 for all time
+    # the block steps from; row 0 is the input iterate
     rows = np.empty((2, n_iters + 1, B + 1, J))
     rows[...] = v0[:, None, None]
     carry = np.repeat((v0 @ tables.init)[None], n_iters, axis=0)
     z = np.zeros((2, n_iters, J))                # each iterate's obstacle state
     dist = np.zeros((2, n_iters))                # each iterate's running sup distance
-    v = np.empty((2, nt + 1, J))                 # the final iterate
-    v[:, 0] = v0
+    received = np.empty((2, B, J))
+    v = None
+    if downstream is None:
+        v = np.empty((2, nt + 1, J))             # the final iterate, kept whole
+        v[:, 0] = v0
     # iterate k + 1 reads iterate k only at earlier steps, so in wave s
     # iterate k + 1 steps block s - k, stacked with every other live iterate.
-    # An overflow is reported from the distances below, not warned about.
+    # An overflow is reported from the distances, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(n_blocks + n_iters - 1):
             lo, hi = max(0, s - n_blocks + 1), min(n_iters, s + 1)
+            if upstream is not None and lo == 0:
+                if upstream.readinto(received) != received.nbytes:
+                    raise StefansimError("the group before ended without sending its iterate")
+                rows[:, 0, 0] = rows[:, 0, B]
+                rows[:, 0, 1:] = received
             blocks = s - np.arange(lo, hi)
             # the last block's rows past nt repeat the last noise row: they
             # are stepped, but no kept row or distance reads them
@@ -280,23 +383,20 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
             np.maximum(dist[:, lo:hi], change.max(axis=(2, 3)), out=dist[:, lo:hi])
             rows[:, lo + 1:hi + 1, 0] = rows[:, lo + 1:hi + 1, B]
             rows[:, lo + 1:hi + 1, 1:] = new
-            if hi == n_iters:
+            if hi == n_iters and downstream is None:
                 first = 1 + blocks[-1] * B
                 v[:, first:first + B] = new[:, -1, :nt + 1 - first]
-    d_hist = [float(d) for d in dist.sum(axis=0)]
-    for k, d in enumerate(d_hist, start=1):
-        if not math.isfinite(d):
-            raise IterationFailure(f"iterate {k} of {n_iters} is not finite: its distance "
-                                   f"to iterate {k - 1} is {d}")
+            elif hi == n_iters and not _send(downstream, new[:, -1]):
+                return dist, None
+    return dist, v
 
-    traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn, M=M, M_max=np.inf,
-                              grid=grid, noise=tuple(noise_pair), store_stride=1)
-    if traj.blown_up:
-        raise IterationFailure(f"the direct run stopped at step {len(traj.times) - 1} of {nt} "
-                               f"({traj.blowup_cause})")
-    # side by side, in place: the direct run's profiles are not needed after
-    gap = 0.0
-    for direct, side in zip((traj.v1_snapshots, traj.v2_snapshots), v):
-        direct -= side
-        gap = max(gap, float(np.abs(direct, out=direct).max()))
-    return IterationReport(d_hist, gap, Field(grid, v))
+
+def _send(pipe, block: np.ndarray) -> bool:
+    """Write ``block`` whole to the unbuffered ``pipe``; False if its reader has closed it."""
+    data = memoryview(np.ascontiguousarray(block)).cast("B")
+    try:
+        while data:
+            data = data[pipe.write(data):]
+    except BrokenPipeError:
+        return False
+    return True

@@ -38,9 +38,6 @@ number of workers.
 from __future__ import annotations
 
 import operator
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -49,9 +46,9 @@ import numpy as np
 
 from ._csv import write_table
 from ._fd import laplacian, upwind_gradient
+from ._workers import attempt, fork, outcomes, reaping, worker_count
 from .boundary import BoundaryFunctional, cap_profile, eval_h
-from .errors import (CflViolation, ConfigError, DimensionMismatch, GridMismatch,
-                     StefansimError)
+from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
 from .grids import COMPACT, STABILITY_FACTOR, GridSpec, profile_norm
 # sample_white_noise stays importable from here: the benchmark's tracer wraps it by name
 from .noise import NoiseStream, sample_white_noise  # noqa: F401
@@ -501,63 +498,22 @@ def run_forked(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunction
     """
     paths, step = _checked_batch(initial, coeffs, boundary_fn, M, M_max, grid, noises,
                                  lap_scale)
-    n_workers = min(len(os.sched_getaffinity(0)), len(paths))
+    n_workers = worker_count(len(paths))
     if n_workers == 1:
         return step(paths, make_observer(len(paths)))
     cuts = [len(paths) * w // n_workers for w in range(n_workers + 1)]
     slices = [paths[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
-    def attempt(part):
-        try:
-            return step(part, make_observer(len(part)))
-        except Exception as exc:
-            return exc
+    def run(part):
+        return step(part, make_observer(len(part)))
 
-    children = []
-    try:
+    with reaping() as children:
         for part in slices[1:]:
-            children.append((*_fork(attempt, part), part))
-        outcomes = [attempt(slices[0])]
-        while children:
-            outcomes.append(_outcome(*children[0]))
-            children.pop(0)
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            children.append((*fork(run, part), f"stepping {part[0][1]} to {part[-1][1]}"))
+        results = [attempt(run, slices[0])] + outcomes(children)
 
-    failures = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
+    failures = [result for result in results if isinstance(result, BaseException)]
     if failures:
         # the first of the lowest key is the lowest slice's
         raise min(failures, key=lambda exc: exc.step if isinstance(exc, CflViolation) else -1)
-    return [entry for outcome in outcomes for entry in outcome]
-
-
-def _fork(attempt, part):
-    """A child that pickles ``attempt(part)`` into a pipe and ends; its pid and the read end."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(attempt(part), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
-def _outcome(pid: int, pipe, part):
-    """What the child stepping ``part`` sent, once it has ended; an error if not sent whole."""
-    with pipe:
-        sent = pipe.read()
-    os.waitpid(pid, 0)
-    try:
-        return pickle.loads(sent)
-    except Exception:  # a truncated or empty stream, however pickle words it
-        return StefansimError(f"the worker stepping {part[0][1]} to {part[-1][1]} "
-                              f"ended without a result")
+    return [entry for result in results for entry in result]

@@ -1,7 +1,11 @@
 """Shared oracles and generators for the test suite."""
 import csv
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from stefansim.errors import InsufficientData
 from stefansim.grids import Field, GridSpec
@@ -254,3 +258,44 @@ def reference_path(initial, coeffs, fn, M, M_max, grid: GridSpec, seed: int,
                 return rows, "threshold"
             v = new
     return rows, None
+
+
+# ------------------------------------------------- work split over processes
+
+def set_cpus(monkeypatch, n):
+    """Make the worker count that ``_workers.worker_count`` reads n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch):
+    """The pids of every child forked from this process from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_reaped(pids):
+    # waitpid on a child that has been reaped finds no such child
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError here if the block still runs after ``seconds``, so a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

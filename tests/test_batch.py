@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import yaml
 
 import stefansim.spde
-from helpers import structure_function_reference
+from helpers import assert_reaped, count_forks, set_cpus, structure_function_reference
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.cli import main
 from stefansim.errors import CflViolation, DimensionMismatch, GridMismatch, StefansimError
@@ -526,31 +526,6 @@ def test_structure_sums_sink_matches_stored_snapshots(cause):
 
 # ------------------------------------------------ a batch split over processes
 
-def _cpus(monkeypatch, n):
-    """Make the worker count that run_forked reads n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _forks(monkeypatch):
-    """The pids of every child forked from this process from now on."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-def _assert_reaped(pids):
-    # waitpid on a child that has been reaped finds no such child
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 @pytest.mark.parametrize("cause", ["threshold", "non_finite"])
 def test_forked_batch_equals_one_process(cause, monkeypatch):
     # seeds and pairs mixed, some paths stopping by cause: the same
@@ -560,8 +535,8 @@ def test_forked_batch_equals_one_process(cause, monkeypatch):
     want = run_paths(*args[:-1], noises, observer=Recorder(g, len(noises), 1))
     assert cause in {t.blowup_cause for t in want} and None in {t.blowup_cause for t in want}
     for n_cpus in (1, 2, 3):
-        _cpus(monkeypatch, n_cpus)
-        pids = _forks(monkeypatch)
+        set_cpus(monkeypatch, n_cpus)
+        pids = count_forks(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = run_forked(*args[:-1], noises, make_observer=lambda n: Recorder(g, n, 1))
@@ -569,7 +544,7 @@ def test_forked_batch_equals_one_process(cause, monkeypatch):
         assert [str(w.message) for w in caught if not (
             w.category is DeprecationWarning and "fork" in str(w.message))] == []
         assert len(pids) == n_cpus - 1
-        _assert_reaped(pids)
+        assert_reaped(pids)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (len(a.times) - 1, a.blowup_cause) == (len(b.times) - 1, b.blowup_cause)
@@ -582,13 +557,13 @@ def test_forked_batch_equals_one_process(cause, monkeypatch):
 def test_forks_at_most_one_fewer_than_the_workers(n_cpus, n_paths, monkeypatch):
     g = build_grid("compact", 8, 0.02, 256)
     z = np.zeros(g.n_nodes)
-    _cpus(monkeypatch, n_cpus)
-    pids = _forks(monkeypatch)
+    set_cpus(monkeypatch, n_cpus)
+    pids = count_forks(monkeypatch)
     ends = run_forked((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
                       np.inf, g, range(n_paths), make_observer=_Calls)
     assert ends == [(g.nt, None)] * n_paths
     assert len(pids) == min(n_cpus, n_paths) - 1
-    _assert_reaped(pids)
+    assert_reaped(pids)
 
 
 def test_forked_cfl_violation_is_the_one_process_message(monkeypatch):
@@ -603,12 +578,12 @@ def test_forked_cfl_violation_is_the_one_process_message(monkeypatch):
         run_paths(*args, seeds)
     assert not str(one.value).startswith("path 0 ")
     for n_cpus in (2, 3, 4):
-        _cpus(monkeypatch, n_cpus)
-        pids = _forks(monkeypatch)
+        set_cpus(monkeypatch, n_cpus)
+        pids = count_forks(monkeypatch)
         with pytest.raises(CflViolation) as split:
             run_forked(*args, seeds, make_observer=_Calls)
         assert str(split.value) == str(one.value), n_cpus
-        _assert_reaped(pids)
+        assert_reaped(pids)
 
 
 class _FailsIn(_Calls):
@@ -638,14 +613,14 @@ class _FailsIn(_Calls):
 def test_no_child_outlives_a_failed_forked_batch(where, error, match, monkeypatch):
     g = build_grid("compact", 8, 0.02, 256)
     z = np.zeros(g.n_nodes)
-    _cpus(monkeypatch, 2)
-    pids = _forks(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
     parent = os.getpid()
     with pytest.raises(error, match=match):
         run_forked((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
                    np.inf, g, range(4), make_observer=lambda n: _FailsIn(n, where, parent))
     assert len(pids) == 1
-    _assert_reaped(pids)
+    assert_reaped(pids)
 
 
 def test_forked_holder_writes_the_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
@@ -659,10 +634,10 @@ def test_forked_holder_writes_the_same_bytes_for_any_worker_count(tmp_path, monk
     path.write_text(yaml.safe_dump(cfg))
     written = []
     for n_cpus in (1, 2, 3):
-        _cpus(monkeypatch, n_cpus)
-        pids = _forks(monkeypatch)
+        set_cpus(monkeypatch, n_cpus)
+        pids = count_forks(monkeypatch)
         assert main(["holder", "-c", str(path)]) == 0
         assert len(pids) == n_cpus - 1
-        _assert_reaped(pids)
+        assert_reaped(pids)
         written.append((tmp_path / "out" / "holder.json").read_bytes())
     assert written[1] == written[0] and written[2] == written[0]

@@ -494,6 +494,63 @@ def test_picard_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "picard_report.json").exists()
 
 
+@pytest.mark.parametrize("method", ["projected", "penalized"])
+def test_an_obstacle_overflow_that_keeps_every_value_finite_warns_nothing(tmp_path, method):
+    # the stencil overflows only on Dirichlet nodes, which are zeroed, and a
+    # squared deficit that overflows saturates the arctan as a finite one would
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["obstacle", "-c", str(REPO / "configs" / "obstacle.yaml"),
+                     "--output-dir", str(tmp_path), "--set", "grid.nt=512",
+                     "--set", "obstacle.amplitude=1e308", "--set", f"obstacle.method={method}"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    rows = np.loadtxt(tmp_path / "obstacle.csv", delimiter=",", comments="#", skiprows=2)
+    assert np.isfinite(rows).all()
+
+
+def test_an_obstacle_solution_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys):
+    # 1 / epsilon overflows, so the first penalty is inf * arctan(0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["obstacle", "-c", str(REPO / "configs" / "obstacle.yaml"),
+                     "--output-dir", str(tmp_path), "--set", "grid.nt=512",
+                     "--set", "obstacle.method=penalized", "--set", "obstacle.epsilon=1e-320"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("numerical failure: the obstacle solution is not finite "
+                                       "at step 0 of 512\n")
+    assert not (tmp_path / "obstacle.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "obstacle", "picard-check", "holder"])
+def test_a_grid_no_array_can_hold_is_a_config_error(tmp_path, capsys, command):
+    # nt = 10**15 asks for petabytes, which numpy refuses at once; never
+    # test with a size the operating system might hand out lazily
+    cfg = _base_cfg(tmp_path, picard={"M": 2.0, "n_iters": 2},
+                    holder={"n_paths": 2, "lag_min": 2, "lag_max": 16})
+    assert main([command, "-c", _write_cfg(tmp_path, cfg),
+                 "--set", "grid.nt=1000000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the configured sizes do not fit in memory: "
+                          "Unable to allocate ")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_a_kernel_weight_that_overflows_is_a_numerical_failure_without_a_warning(tmp_path,
+                                                                                 capsys):
+    for r in ("1e308", "-1e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["kernel-check", "-c", str(REPO / "configs" / "kernel_check.yaml"),
+                         "--output-dir", str(tmp_path), "--set", f"kernel_check.r={r}"])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("numerical failure: the trapezoid sums are not "
+                                           "finite: nan\n")
+        assert not (tmp_path / "kernel_report.json").exists()
+
+
 def test_tabulated_coefficients_run_the_same_in_any_order(tmp_path):
     # a table listed right to left is the same table
     table = {"x_centers": [0.0, 0.5, 1.0], "f_values": [0.0, 20.0, 40.0],

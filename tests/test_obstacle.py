@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_smooth_obstacle, sine_ramp_obstacle
-from stefansim.errors import ObstacleInitialPositive
+from stefansim.errors import ObstacleInitialPositive, StefansimError
+from stefansim._fd import laplacian
 from stefansim.grids import Field, build_grid
 from stefansim.obstacle import dump_csv, solve_penalized, solve_projected, stability_gap
 
@@ -178,3 +179,27 @@ def test_stacked_projected_solve_is_exact_row_by_row(kind, nx, length, T, steps_
     assert np.all(eta[z > v] == 0.0)
     assert np.sum((z - v) * eta) == 0.0
     assert not np.any(z[..., ::nx]) and not np.any(eta[..., ::nx])
+
+
+@pytest.mark.parametrize("method", ["projected", "penalized"])
+def test_a_solution_that_is_not_finite_names_its_first_step(grid, method):
+    v = Field.from_function(grid, lambda t, x: np.full_like(x + t, -1.0))
+    v.values[5, 3] = np.nan
+    with pytest.raises(StefansimError, match=rf"^the obstacle solution is not finite at step 5 "
+                                             rf"of {grid.nt}$"):
+        solve_projected(v) if method == "projected" else solve_penalized(v, 1e-3)
+
+
+def test_a_stencil_overflow_across_row_ends_changes_no_kept_value(grid):
+    # at amplitude 1e308 the flattened Laplacian overflows only where a row
+    # meets the next, on Dirichlet nodes that are then zeroed: the solve
+    # equals the one of the obstacle scaled by 2**-8, scaled back, bit for bit
+    v = sine_ramp_obstacle(grid, amplitude=1e308)
+    big = solve_projected(v)
+    before = big.z.values[:-1]
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        laplacian(before, grid.dx, out=np.empty(before.shape))
+    with np.errstate(over="raise"):
+        small = solve_projected(Field(grid, v.values * 2.0**-8))
+    assert np.array_equal(big.z.values, small.z.values * 2.0**8)
+    assert np.array_equal(big.eta, small.eta * 2.0**8)

@@ -1,3 +1,4 @@
+import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -8,10 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from helpers import assert_reaped, count_forks, set_cpus, time_limit
 from stefansim.boundary import cap_profile, eval_h, exp_imbalance, zero_boundary
 from stefansim.config import (boundary_from_config, coefficients_from_config, grid_from_config,
                               initial_from_config, load_yaml)
-from stefansim.errors import ConfigError, DimensionMismatch, GridMismatch, IterationFailure
+from stefansim.cli import main
+from stefansim.errors import (ConfigError, DimensionMismatch, GridMismatch, IterationFailure,
+                              StefansimError)
 from stefansim.grids import Field, build_grid
 from stefansim.kernels import DEFAULT_N_IMAGES, adaptive_trapezoid, deriv_y, eval_H
 from stefansim.noise import NoiseField, sample_white_noise
@@ -491,7 +495,9 @@ def _plain_iterate(v0, coeffs, fn, M, noise_pair, grid, n_iters):
 def test_sweep_equals_the_plain_loop(monkeypatch, grid, block, M, n_iters):
     # the shipped block (None), blocks that do not divide nt (the last one
     # padded), more iterates than blocks, one step per block, a block of
-    # spde.NOISE_BLOCK = 128 steps and one block for the whole run
+    # spde.NOISE_BLOCK = 128 steps and one block for the whole run; each
+    # swept in one process and chained over 2 and 3 (more workers than
+    # blocks with one block, and than iterates with n_iters = 2)
     if block is not None:
         monkeypatch.setattr(picard, "SWEEP_BLOCK", grid.nt if block == "nt" else block)
     x = grid.space_nodes()
@@ -501,15 +507,19 @@ def test_sweep_equals_the_plain_loop(monkeypatch, grid, block, M, n_iters):
     coeffs = _side_distinct_coefficients()
     fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
     noise = (sample_white_noise(grid, 13, 0), sample_white_noise(grid, 13, 1))
-    rep = picard_iterate(v0[0], v0[1], coeffs, fn, M, noise, grid, n_iters=n_iters)
     d, v = _plain_iterate(v0, coeffs, fn, M, noise, grid, n_iters)
-    assert rep.d == d
-    assert np.array_equal(rep.v.values, v)
     assert d[-1] > 0.0
+    for n_cpus in (1, 2, 3):
+        set_cpus(monkeypatch, n_cpus)
+        rep = picard_iterate(v0[0], v0[1], coeffs, fn, M, noise, grid, n_iters=n_iters)
+        assert rep.d == d, n_cpus
+        assert np.array_equal(rep.v.values, v), n_cpus
 
 
-def test_sweep_memory_is_bounded_by_its_array_counts():
-    # the bundled picard-check grid: nx 32, nt 2048, 12 iterates, K = 577 modes
+def test_sweep_memory_is_bounded_by_its_array_counts(monkeypatch):
+    # the bundled picard-check grid: nx 32, nt 2048, 12 iterates, K = 577 modes;
+    # one worker, since tracemalloc sees only this process
+    set_cpus(monkeypatch, 1)
     cfg = load_yaml(REPO / "configs" / "picard.yaml")
     grid = grid_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
@@ -533,6 +543,79 @@ def test_sweep_memory_is_bounded_by_its_array_counts():
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / pair:.1f} pair arrays, bound {bound / pair:.1f}"
     assert elapsed <= 20.0
+
+
+# ------------------------------------------------ the sweep over processes
+
+def test_picard_report_is_the_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
+    written = []
+    for n_cpus in (1, 2, 3):
+        set_cpus(monkeypatch, n_cpus)
+        pids = count_forks(monkeypatch)
+        with time_limit(60):
+            assert main(["picard-check", "-c", str(REPO / "configs" / "picard.yaml"),
+                         "--output-dir", str(tmp_path)]) == 0
+        assert len(pids) == n_cpus - 1
+        assert_reaped(pids)
+        written.append((tmp_path / "picard_report.json").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+@pytest.mark.parametrize("n_cpus, n_iters", [(1, 4), (2, 2), (3, 2), (4, 3), (3, 7), (8, 5)])
+def test_forks_at_most_one_fewer_than_the_workers(n_cpus, n_iters, small_grid, monkeypatch):
+    z = np.zeros(small_grid.n_nodes)
+    set_cpus(monkeypatch, n_cpus)
+    pids = count_forks(monkeypatch)
+    with time_limit(60):
+        rep = picard_iterate(z, z.copy(), constant_coefficients(f=0.0, sigma=0.0),
+                             zero_boundary(), np.inf, _zero_noise_pair(small_grid), small_grid,
+                             n_iters=n_iters)
+    assert rep.d == [0.0] * n_iters
+    assert len(pids) == min(n_cpus, n_iters) - 1
+    assert_reaped(pids)
+
+
+def _failing_in(where, parent):
+    """Coefficients that fail in the parent's group or in every child's, as ``where`` says."""
+    def drift(x, u):
+        here = "parent" if os.getpid() == parent else "child"
+        if here == where == "parent":
+            raise RuntimeError("failed in group 0")
+        if here == where == "child":
+            raise ValueError("failed in a child")
+        if here == "child" and where == "exit":
+            os._exit(1)
+        if here == "child" and where == "nan":
+            return np.full_like(u, np.nan)
+        return 0.2 - 0.5 * u
+
+    return ModelCoefficients(f1=drift, f2=drift, sigma1=drift, sigma2=drift)
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3])
+@pytest.mark.parametrize("where, error, match", [
+    ("parent", RuntimeError, "^failed in group 0$"),
+    ("child", ValueError, "^failed in a child$"),
+    ("exit", StefansimError, r"^the worker sweeping iterates 3 to 4 ended without a result$"),
+    ("nan", IterationFailure,
+     r"^iterate 3 of [47] is not finite: its distance to iterate 2 is nan$"),
+])
+def test_no_child_outlives_a_failed_chain(where, error, match, n_cpus, monkeypatch):
+    # 128 blocks of 2.3 kB each, more than a pipe holds: the groups before a
+    # dead child meet its closed link, and that child's failure is raised
+    g = build_grid("compact", 8, 0.02, 2048)
+    x = g.space_nodes()
+    v0 = 0.3 * np.sin(np.pi * x)
+    v0[[0, -1]] = 0.0
+    n_iters = 3 * n_cpus - 2                 # group 1 sweeps iterates 3 and 4
+    set_cpus(monkeypatch, n_cpus)
+    pids = count_forks(monkeypatch)
+    noise = (sample_white_noise(g, 1, 0), sample_white_noise(g, 1, 1))
+    with pytest.raises(error, match=match), time_limit(60):
+        picard_iterate(v0, v0.copy(), _failing_in(where, os.getpid()), exp_imbalance(clamp=1.0),
+                       2.0, noise, g, n_iters=n_iters)
+    assert len(pids) == n_cpus - 1
+    assert_reaped(pids)
 
 
 def test_a_direct_run_that_stops_early_is_a_failure(monkeypatch, small_grid):
