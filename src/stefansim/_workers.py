@@ -1,83 +1,96 @@
-"""Forked worker processes, each sending one pickled result back over a pipe.
+"""One fork-join: work on contiguous parts of ``range(n)``, one part per process.
 
-``spde.run_forked`` and ``picard.picard_iterate`` split their work into
-W = ``worker_count(n)`` contiguous parts: the parent does the first part
-itself and forks one child for each other part.  A child pickles its
-result, or the exception it raised, into its own pipe and ends in
-``os._exit``.  The parent runs the children inside ``reaping``, so every
-child has ended and been reaped when it returns or raises.
+``split`` cuts ``range(n)`` into W = min(CPUs in the affinity mask, n)
+contiguous parts and runs part 0 in the calling process and every other
+part in a forked child, which pickles its result, or the exception it
+raised, into its own pipe and ends in ``os._exit``.  Parts next to each
+other share a link pipe, down which a part may stream bytes to the next
+(``picard``'s chained sweep does; ``spde.run_forked`` leaves the links
+unused).  Every child has ended and been reaped when ``split`` returns or
+raises.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import signal
-from contextlib import contextmanager
 
 from .errors import StefansimError
 
 
-def worker_count(n_parts: int) -> int:
-    """W = min(CPUs in this process's affinity mask, n_parts)."""
-    return min(len(os.sched_getaffinity(0)), n_parts)
+def split(n: int, work, name) -> list:
+    """``work(lo, hi, upstream, downstream)`` for each contiguous part of ``range(n)``, n >= 1.
 
+    The parts are cut at n w // W for w = 0, ..., W.  ``upstream`` is the
+    read end of the link from the part before (a buffered binary file)
+    and ``downstream`` the unbuffered write end of the link to the part
+    after, each None at the ends of the chain: W = 1 makes no pipe and
+    forks nothing.  A process keeps open only its own two link ends and
+    closes them when its part ends, so a part that ends early shows as an
+    end of file upstream and a broken pipe downstream.
 
-def attempt(work, *args):
-    """``work(*args)``, or the exception it raised."""
-    try:
-        return work(*args)
-    except Exception as exc:
-        return exc
-
-
-def fork(work, *args):
-    """A child that pickles ``attempt(work, *args)`` into a pipe and ends.
-
-    Returns the child's pid and the pipe's read end.
+    Returns each part's result, or the exception it raised, in part
+    order.  A child that sends no whole result gives a StefansimError
+    naming ``name(lo, hi)``.
     """
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(attempt(work, *args), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
-@contextmanager
-def reaping():
-    """A list for ``(pid, pipe, task)`` children; any still in it on exit is killed and reaped."""
-    children = []
+    n_parts = min(len(os.sched_getaffinity(0)), n)
+    cuts = [n * w // n_parts for w in range(n_parts + 1)]
+    links = [(open(read, "rb"), open(write, "wb", buffering=0))
+             for read, write in (os.pipe() for _ in range(n_parts - 1))]
+    ends = [end for link in links for end in link]
+    chain = [(links[w - 1][0] if w else None, links[w][1] if w < len(links) else None)
+             for w in range(n_parts)]
+    children = []                       # (pid, result pipe, lo, hi), each until reaped
     try:
-        yield children
+        for w in range(1, n_parts):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    for end in ends + [pipe for _, pipe, _, _ in children]:
+                        if end not in chain[w]:
+                            end.close()
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_part(work, cuts[w], cuts[w + 1], *chain[w]), pipe,
+                                    pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb"), cuts[w], cuts[w + 1]))
+        for end in ends:
+            if end not in chain[0]:
+                end.close()
+        results = [_part(work, 0, cuts[1], *chain[0])]
+        while children:
+            pid, pipe, lo, hi = children[0]
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            children.pop(0)
+            try:
+                results.append(pickle.loads(data))
+            except Exception:  # a truncated or empty stream, however pickle words it
+                results.append(StefansimError(f"the worker {name(lo, hi)} ended without a result"))
+        return results
     finally:
-        for pid, pipe, _ in children:
+        for end in ends:
+            end.close()
+        for pid, pipe, _, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def outcomes(children: list) -> list:
-    """What each child sent, in order, once it has ended; each leaves ``children`` when reaped.
-
-    A child that did not send a whole result gives a StefansimError
-    naming its task.
-    """
-    sent = []
-    while children:
-        pid, pipe, task = children[0]
-        with pipe:
-            data = pipe.read()
-        os.waitpid(pid, 0)
-        children.pop(0)
-        try:
-            sent.append(pickle.loads(data))
-        except Exception:  # a truncated or empty stream, however pickle words it
-            sent.append(StefansimError(f"the worker {task} ended without a result"))
-    return sent
+def _part(work, lo: int, hi: int, upstream, downstream):
+    """``work(lo, hi, upstream, downstream)``, or the exception it raised; closes both link ends."""
+    try:
+        return work(lo, hi, upstream, downstream)
+    except Exception as exc:
+        return exc
+    finally:
+        for end in (upstream, downstream):
+            if end is not None:
+                end.close()

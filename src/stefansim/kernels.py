@@ -74,8 +74,13 @@ def eval_H(t, x, y, n_images: int = DEFAULT_N_IMAGES):
     return acc / np.sqrt(4.0 * np.pi * t)
 
 
-def deriv_y(kernel_kind: str, t, x, y, n_images: int = DEFAULT_N_IMAGES):
-    """Spatial derivative dK/dy of H or G, term-by-term analytic."""
+def deriv_y(kernel_kind: str, t, x, y, r: float = 0.0, n_images: int = DEFAULT_N_IMAGES):
+    """Spatial derivative dK/dy of H or G, term-by-term analytic, weighted by exp(-r(x-y)).
+
+    Each image term's weight and Gaussian are one exponent, so the product
+    stays finite where exp(-r(x-y)) alone overflows and the Gaussian alone
+    underflows; r = 0 (the default) is dK/dy itself.
+    """
     _check_time(t)
     if kernel_kind not in ("H", "G"):
         raise ValueError(f"kernel_kind must be 'H' or 'G', got {kernel_kind!r}")
@@ -86,11 +91,12 @@ def deriv_y(kernel_kind: str, t, x, y, n_images: int = DEFAULT_N_IMAGES):
     acc = np.zeros(np.broadcast(t, x, y).shape)
     inv4t = 1.0 / (4.0 * t)
     inv2t = 1.0 / (2.0 * t)
+    weight = r * (x - y)
     for n in shifts:
         u = x - y + 2.0 * n
         v = x + y + 2.0 * n
-        acc = acc + u * inv2t * np.exp(-(u * u) * inv4t)
-        acc = acc + v * inv2t * np.exp(-(v * v) * inv4t)
+        acc = acc + u * inv2t * np.exp(-(u * u) * inv4t - weight)
+        acc = acc + v * inv2t * np.exp(-(v * v) * inv4t - weight)
     return acc / np.sqrt(4.0 * np.pi * t)
 
 
@@ -165,12 +171,13 @@ def weighted_deriv_integral(t: float, x: float, r: float, kernel_kind: str = "G"
         b = min(1.0, b)
 
     def integrand(ys):
-        return np.exp(-r * (x - ys)) * np.abs(deriv_y(kernel_kind, t, x, ys))
+        return np.abs(deriv_y(kernel_kind, t, x, ys, r))
 
     # a thousandth of the 1/sqrt(t) bound settles it where the integrand is rounding noise
     floor = 1e-3 / math.sqrt(t)
-    # an |r| so large that the window or the weight overflows makes a sum inf
-    # or nan: a QuadratureFailure, not a warning
+    # an |r| so large that the window or the integral itself (about
+    # exp(r^2 t)) overflows makes a sum inf or nan: a QuadratureFailure, not
+    # a warning
     with np.errstate(over="ignore", invalid="ignore"):
         peak = _peak(kernel_kind, t, x, a, b)
         return (adaptive_trapezoid(integrand, a, peak, floor=floor)

@@ -51,33 +51,33 @@ obstacle state, its running distance and its last B + 1 rows, and reads
 its noise block from the caller's pair, so a wave holds O(n_iters B K)
 floats where a whole-iterate solve holds O(nt K).
 
-The sweep is chained over W = min(CPUs in the affinity mask, n_iters)
-processes.  The n_iters iterates split into W contiguous groups, cut at
-n_iters w // W; the parent sweeps group 0 and forked children the
+The sweep is chained over processes by ``_workers.split``: the n_iters
+iterates split into W = min(CPUs in the affinity mask, n_iters)
+contiguous groups, the parent sweeping group 0 and forked children the
 others.  After each wave, a group sends the (2, B, J) block its last
-iterate just stepped down a pipe, and the next group reads it into its
-input row before its own next wave; iterate k + 1 reads iterate k only
-at earlier steps, so the groups run in lock-step, each one wave behind
-the one before.  A group of m iterates takes nt / B + m - 1 waves of at
-most m stacked iterates, where one process takes nt / B + n_iters - 1
-waves of up to n_iters.  While the later groups finish, the parent runs
-the direct integrator.  What stays whole is the caller's noise pair (in
-every process), the final pair (in the last group's process, sent back
-to the parent once) and the direct run's profiles (in the parent), which
-the final gap is taken against one side at a time, in place.  Every
-row's arithmetic is the same however many iterates share a stack, so
+iterate just stepped down its link to the next group, which reads it
+into its input row before its own next wave; iterate k + 1 reads
+iterate k only at earlier steps, so the groups run in lock-step, each
+one wave behind the one before.  A group of m iterates takes
+nt / B + m - 1 waves of at most m stacked iterates, where one process
+takes nt / B + n_iters - 1 waves of up to n_iters.  Once its group is
+swept, the parent runs the direct integrator while the later groups
+finish.  What stays whole is the caller's noise pair (in every process),
+the final pair (in the last group's process, sent back to the parent
+once) and the direct run's profiles (in the parent), which the final
+gap is taken against one side at a time, in place.  Every row's
+arithmetic is the same however many iterates share a stack, so
 the result is the same for any B and any W.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ._workers import attempt, fork, outcomes, reaping, worker_count
+from ._workers import split
 from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, IterationFailure,
                      StefansimError)
@@ -252,15 +252,14 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     identical noise realisation.  An iterate or a direct run that leaves
     the finite numbers raises IterationFailure.
 
-    The iterates sweep in W = min(CPUs in the affinity mask, n_iters)
-    contiguous groups, chained through pipes (see the module docstring);
-    nothing sets W, and no byte depends on it.  The parent sweeps group 0,
-    forked children the others, and the parent runs the direct run while
-    they finish.  A failure is raised as one process raises it: the
-    lowest group's error, or a child that ended without a result (a
-    StefansimError naming its iterates), then a non-finite iterate, then
-    the direct run's.  Every child has ended and been reaped when this
-    returns or raises.
+    The iterates sweep in contiguous groups chained through
+    ``_workers.split`` (see the module docstring); nothing sets the
+    number of groups, and no byte depends on it.  The parent sweeps group
+    0 and then runs the direct run while the later groups finish.  A
+    failure is raised as one process raises it: the lowest group's error,
+    or a child that ended without a result (a StefansimError naming its
+    iterates), then a non-finite iterate, then the direct run's.  Every
+    child has ended and been reaped when this returns or raises.
     """
     if n_iters < 2:
         raise ConfigError("n_iters must be at least 2")
@@ -268,36 +267,26 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     if any(noise.grid != grid for noise in noise_pair):
         raise GridMismatch("the noise must live on the iteration's grid")
     sweep = partial(_sweep, v0, coeffs, boundary_fn, M, noise_pair, build_kernel_tables(grid))
-    n_workers = worker_count(n_iters)
-    cuts = [n_iters * w // n_workers for w in range(n_workers + 1)]
-    # link w carries the blocks of group w's last iterate to group w + 1
-    links = [(open(read, "rb"), open(write, "wb", buffering=0))
-             for read, write in (os.pipe() for _ in range(n_workers - 1))]
-    ends = [end for link in links for end in link]
-    chain = [(links[w - 1][0] if w else None, links[w][1] if w < len(links) else None)
-             for w in range(n_workers)]
-    with reaping() as children:
-        try:
-            for w in range(1, n_workers):
-                # a child keeps its own two link ends and no other pipe end
-                unused = [end for end in ends if end not in chain[w]]
-                children.append((*fork(_group, sweep, cuts[w + 1] - cuts[w], *chain[w],
-                                       unused + [pipe for _, pipe, _ in children]),
-                                 f"sweeping iterates {cuts[w] + 1} to {cuts[w + 1]}"))
-            groups = [_group(sweep, cuts[1], *chain[0],
-                             [end for end in ends if end not in chain[0]])]
-            traj = attempt(partial(run_relative_frame, (v0[0], v0[1], 0.0), coeffs, boundary_fn,
-                                   M=M, M_max=np.inf, grid=grid, noise=tuple(noise_pair),
-                                   store_stride=1))
-            groups += outcomes(children)
-        finally:
-            for end in ends:
-                end.close()
-    failures = [group for group in groups if isinstance(group, BaseException)]
+
+    def group(lo, hi, upstream, downstream):
+        dist, v = sweep(hi - lo, upstream, downstream)
+        traj = None
+        if lo == 0:
+            try:
+                traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn, M=M,
+                                          M_max=np.inf, grid=grid, noise=tuple(noise_pair),
+                                          store_stride=1)
+            except Exception as exc:
+                traj = exc
+        return dist, v, traj
+
+    groups = split(n_iters, group, lambda lo, hi: f"sweeping iterates {lo + 1} to {hi}")
+    failures = [part for part in groups if isinstance(part, BaseException)]
     if failures:
         raise failures[0]
 
-    dist, v = np.concatenate([dist for dist, _ in groups], axis=1), groups[-1][1]
+    traj = groups[0][2]
+    dist, v = np.concatenate([dist for dist, _, _ in groups], axis=1), groups[-1][1]
     d_hist = [float(d) for d in dist.sum(axis=0)]
     for k, d in enumerate(d_hist, start=1):
         if not math.isfinite(d):
@@ -314,13 +303,6 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
         direct -= side
         gap = max(gap, float(np.abs(direct, out=direct).max()))
     return IterationReport(d_hist, gap, Field(grid, v))
-
-
-def _group(sweep, n_iters: int, upstream, downstream, unused: list):
-    """``sweep`` of one group of the chain, after closing the pipe ends it does not use."""
-    for end in unused:
-        end.close()
-    return sweep(n_iters, upstream, downstream)
 
 
 def _sweep(v0: np.ndarray, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._csv import write_table
 from ._fd import laplacian, upwind_gradient
-from ._workers import attempt, fork, outcomes, reaping, worker_count
+from ._workers import split
 from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import CflViolation, ConfigError, DimensionMismatch, GridMismatch
 from .grids import COMPACT, STABILITY_FACTOR, GridSpec, profile_norm
@@ -484,34 +484,19 @@ def run_forked(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunction
 
     ``make_observer(n)`` gives the observer of an n-path slice, and the
     result is each slice's ``finish`` list, joined in path order.  Path k
-    equals the run of ``noises[k]`` alone, so no byte depends on the
-    worker count W = min(CPUs in the affinity mask, P), and nothing sets
-    it.  Every check is made and every noise entry resolved before the
-    first fork.  The parent forks W - 1 children and steps the first
-    slice itself; each child sends its list, or its exception, back over
-    a pipe and ends in ``os._exit``.  W = 1 is a plain ``run_paths`` call.
-    A failure is raised as one process raises it: a CflViolation of the
-    earliest step, then of the lowest path, and before any CflViolation
-    any other error, or a child that ended without a result (a
-    StefansimError naming its paths), of the lowest slice.  Every child
-    has ended and been reaped when this returns or raises.
+    equals the run of ``noises[k]`` alone, so no byte depends on how
+    ``_workers.split`` cuts the batch.  Every check is made and every
+    noise entry resolved before the first fork.  A failure is raised as
+    one process raises it: a CflViolation of the earliest step, then of
+    the lowest path, and before any CflViolation any other error, or a
+    child that ended without a result (a StefansimError naming its
+    paths), of the lowest slice.  Every child has ended and been reaped
+    when this returns or raises.
     """
     paths, step = _checked_batch(initial, coeffs, boundary_fn, M, M_max, grid, noises,
                                  lap_scale)
-    n_workers = worker_count(len(paths))
-    if n_workers == 1:
-        return step(paths, make_observer(len(paths)))
-    cuts = [len(paths) * w // n_workers for w in range(n_workers + 1)]
-    slices = [paths[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-    def run(part):
-        return step(part, make_observer(len(part)))
-
-    with reaping() as children:
-        for part in slices[1:]:
-            children.append((*fork(run, part), f"stepping {part[0][1]} to {part[-1][1]}"))
-        results = [attempt(run, slices[0])] + outcomes(children)
-
+    results = split(len(paths), lambda lo, hi, *links: step(paths[lo:hi], make_observer(hi - lo)),
+                    lambda lo, hi: f"stepping {paths[lo][1]} to {paths[hi - 1][1]}")
     failures = [result for result in results if isinstance(result, BaseException)]
     if failures:
         # the first of the lowest key is the lowest slice's

@@ -263,7 +263,7 @@ def reference_path(initial, coeffs, fn, M, M_max, grid: GridSpec, seed: int,
 # ------------------------------------------------- work split over processes
 
 def set_cpus(monkeypatch, n):
-    """Make the worker count that ``_workers.worker_count`` reads n CPUs."""
+    """Make ``_workers.split`` see n CPUs in the affinity mask, so it cuts at most n parts."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -549,6 +550,25 @@ def test_a_kernel_weight_that_overflows_is_a_numerical_failure_without_a_warning
         assert capsys.readouterr().err == ("numerical failure: the trapezoid sums are not "
                                            "finite: nan\n")
         assert not (tmp_path / "kernel_report.json").exists()
+
+
+def test_a_kernel_weight_beyond_the_gaussian_tail_gives_a_finite_report(tmp_path):
+    # at r = 30 the weight exp(-r (x - y)) alone overflows where the Gaussian
+    # alone underflows; their product is finite, and the integral grows like
+    # exp(r^2 t), so the estimate is finite and not bounded
+    assert main(["kernel-check", "-c", str(REPO / "configs" / "kernel_check.yaml"),
+                 "--output-dir", str(tmp_path), "--set", "kernel_check.r=30"]) == 0
+    report = json.loads((tmp_path / "kernel_report.json").read_text())
+    assert math.isfinite(report["scaled_sup"]) and report["bounded"] is False
+
+
+def test_a_kernel_integral_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # at r = 100 and t_max = 0.1 the integral itself is about exp(r^2 t) = e^1000
+    assert main(["kernel-check", "-c", str(REPO / "configs" / "kernel_check.yaml"),
+                 "--output-dir", str(tmp_path), "--set", "kernel_check.r=100"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: the trapezoid sums are not "
+                                              "finite")
+    assert not (tmp_path / "kernel_report.json").exists()
 
 
 def test_tabulated_coefficients_run_the_same_in_any_order(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.stats import norm
 
 from stefansim import kernels
 from stefansim.errors import NonPositiveTime
@@ -292,3 +294,34 @@ def test_bundled_sweep_takes_few_integrand_points(integrand_points):
     # a single trapezoid rule across the kink needs 13,221,923 points here
     verify_kernel_bounds(BUNDLED_TS, BUNDLED_XS, r=0.0, kernel_kind="G")
     assert sum(integrand_points) <= 100_000
+
+
+def _weighted_G_quad(t, x, r):
+    """int exp(-r(x-y)) |dG/dy| dy by scipy's quad, each square completed.
+
+    exp(-r u - u^2/4t) = exp(r^2 t) exp(-(u + 2rt)^2/4t), and the mirror
+    term likewise, so the integrand is exp(r^2 t) times shifted N(0, 2t)
+    densities, none of which overflows.
+    """
+    s = math.sqrt(2.0 * t)
+
+    def f(y):
+        u, v = x - y, x + y
+        return abs(u * norm.pdf(u + 2.0 * r * t, scale=s)
+                   + math.exp(-2.0 * r * x) * v * norm.pdf(v - 2.0 * r * t, scale=s)) / (2.0 * t)
+
+    centre = max(0.0, x + 2.0 * r * t)
+    lo, hi = max(0.0, centre - 40.0 * s), centre + 40.0 * s
+    points = [p for p in (x, centre) if lo < p < hi] or None
+    return math.exp(r * r * t) * quad(f, lo, hi, points=points, epsabs=0.0, epsrel=1e-13,
+                                      limit=500)[0]
+
+
+@pytest.mark.parametrize("r", [30.0, -30.0])
+@pytest.mark.parametrize("t", [0.1, 0.01])
+@pytest.mark.parametrize("x", [0.25, 4.0])
+def test_a_weight_beyond_the_gaussian_tail_matches_quadrature(r, t, x):
+    # in the window the weight alone reaches exp(|r| 12 (sqrt(t) + t |r|)),
+    # past the largest double for t = 0.1, where the Gaussian alone is 0
+    assert weighted_deriv_integral(t, x, r) == pytest.approx(_weighted_G_quad(t, x, r),
+                                                             rel=1e-9)

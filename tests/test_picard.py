@@ -471,10 +471,15 @@ def test_stacked_iterate_equals_per_side_reference(grid):
 
 # ------------------------------------------- the sweep against the plain loop
 
-def _plain_iterate(v0, coeffs, fn, M, noise_pair, grid, n_iters):
-    """The iteration one whole iterate at a time: mild_solve_w, then solve_projected."""
+def _plain_iterate(start: Field, coeffs, fn, M, noise_pair, n_iters):
+    """The iteration one whole iterate at a time from the (2, nt + 1, J) pair ``start``.
+
+    Each iterate is mild_solve_w, then solve_projected; the initial data
+    are the start's row 0.
+    """
+    grid = start.grid
     tables = build_kernel_tables(grid)
-    v = Field(grid, np.repeat(v0[:, None], grid.nt + 1, axis=1))
+    v = start
     d = []
     for _ in range(n_iters):
         w = mild_solve_w(v, coeffs, fn, M, noise_pair, tables).values
@@ -507,13 +512,43 @@ def test_sweep_equals_the_plain_loop(monkeypatch, grid, block, M, n_iters):
     coeffs = _side_distinct_coefficients()
     fn = exp_imbalance(alpha=5.0, lam=100.0, clamp=1.0)
     noise = (sample_white_noise(grid, 13, 0), sample_white_noise(grid, 13, 1))
-    d, v = _plain_iterate(v0, coeffs, fn, M, noise, grid, n_iters)
+    d, v = _plain_iterate(_const_pair(grid, *v0), coeffs, fn, M, noise, n_iters)
     assert d[-1] > 0.0
     for n_cpus in (1, 2, 3):
         set_cpus(monkeypatch, n_cpus)
         rep = picard_iterate(v0[0], v0[1], coeffs, fn, M, noise, grid, n_iters=n_iters)
         assert rep.d == d, n_cpus
         assert np.array_equal(rep.v.values, v), n_cpus
+
+
+def test_the_fixed_point_does_not_depend_on_the_start():
+    # the reflected pair is the unique fixed point of the mild/obstacle map:
+    # on the bundled picard-check config, four starts that share row 0 (the
+    # initial data) agree after 12 iterates, far inside the 0.027 gap to the
+    # direct run.  Time gate: 10 s (about 2.5 s, four plain loops of 12).
+    cfg = load_yaml(REPO / "configs" / "picard.yaml")
+    grid = grid_from_config(cfg)
+    v1_0, v2_0 = initial_from_config(cfg, grid)
+    coeffs, fn, M = coefficients_from_config(cfg), boundary_from_config(cfg), cfg["picard"]["M"]
+    seed, n_iters = cfg["noise"]["seed"], cfg["picard"]["n_iters"]
+    noise = (sample_white_noise(grid, seed, 0), sample_white_noise(grid, seed, 1))
+    t0 = time.perf_counter()
+    constant = _const_pair(grid, v1_0, v2_0).values
+    zero = constant.copy()
+    zero[:, 1:] = 0.0
+    direct = run_relative_frame((v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=np.inf, grid=grid,
+                                noise=noise, store_stride=1)
+    direct = np.stack([direct.v1_snapshots, direct.v2_snapshots])
+    normal = np.abs(np.random.default_rng(0).normal(0.0, 5.0, constant.shape))
+    normal[:, 0] = constant[:, 0]
+    starts = {"constant": constant, "zero": zero, "direct": direct, "|N(0, 25)|": normal}
+    ends = {name: _plain_iterate(Field(grid, start), coeffs, fn, M, noise, n_iters)[1]
+            for name, start in starts.items()}
+    elapsed = time.perf_counter() - t0
+    for name, v in ends.items():
+        assert np.abs(v - ends["constant"]).max() <= 1e-10, name
+    assert np.abs(ends["direct"] - direct).max() > 0.02
+    assert elapsed <= 10.0
 
 
 def test_sweep_memory_is_bounded_by_its_array_counts(monkeypatch):

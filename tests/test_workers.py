@@ -1,0 +1,153 @@
+"""``_workers.split``: contiguous parts, one per process, with a link pipe between neighbours."""
+import os
+import time
+
+import pytest
+
+from helpers import assert_reaped, count_forks, set_cpus, time_limit
+from stefansim._workers import split
+from stefansim.errors import StefansimError
+
+
+def _name(lo, hi):
+    return f"of items {lo} to {hi - 1}"
+
+
+def _where(lo, hi, upstream, downstream):
+    return lo, hi, os.getpid(), upstream is None, downstream is None
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_parts_come_back_in_order(n_cpus, n, monkeypatch):
+    # W = min(n_cpus, n), so n = 1, 2 and 3 give more CPUs than parts
+    set_cpus(monkeypatch, n_cpus)
+    pids = count_forks(monkeypatch)
+    got = split(n, _where, _name)
+    W = min(n_cpus, n)
+    cuts = [n * w // W for w in range(W + 1)]
+    assert [(lo, hi) for lo, hi, *_ in got] == list(zip(cuts, cuts[1:]))
+    # part 0 runs here, every other part in a child of its own
+    assert [pid for _, _, pid, _, _ in got] == [os.getpid()] + pids
+    assert [(first, last) for *_, first, last in got] == \
+        [(w == 0, w == W - 1) for w in range(W)]
+    assert len(pids) == W - 1
+    assert_reaped(pids)
+
+
+def test_one_part_makes_no_pipe_and_forks_nothing(monkeypatch):
+    set_cpus(monkeypatch, 1)
+    pids = count_forks(monkeypatch)
+
+    def no_pipe():
+        raise AssertionError("a pipe was made")
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert split(5, _where, _name) == [(0, 5, os.getpid(), True, True)]
+    assert pids == []
+
+
+def _relay(lo, hi, upstream, downstream):
+    # each part reads what the part before sent, up to its end of file,
+    # adds its own bytes and sends the lot on; the last part returns it
+    data = (upstream.read() if upstream else b"") + bytes(range(lo, hi)) * 3000
+    if downstream is None:
+        return data
+    while data:
+        data = data[downstream.write(data):]
+    return None
+
+
+def test_bytes_pass_down_a_three_part_chain(monkeypatch):
+    # 18 kB from 6 items: more than one write and one read may take
+    set_cpus(monkeypatch, 3)
+    pids = count_forks(monkeypatch)
+    with time_limit(60):
+        got = split(6, _relay, _name)
+    assert got == [None, None, b"".join(bytes(range(lo, lo + 2)) * 3000 for lo in (0, 2, 4))]
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def _fails_in(part):
+    def work(lo, hi, upstream, downstream):
+        if lo == part:
+            raise ValueError(f"failed at {lo}")
+        return lo
+    return work
+
+
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_an_exception_takes_its_part_s_place(part, monkeypatch):
+    set_cpus(monkeypatch, 3)
+    pids = count_forks(monkeypatch)
+    got = split(3, _fails_in(part), _name)
+    assert [type(r) for r in got] == [ValueError if w == part else int for w in range(3)]
+    assert str(got[part]) == f"failed at {part}"
+    assert [r for r in got if isinstance(r, int)] == [w for w in range(3) if w != part]
+    assert_reaped(pids)
+
+
+def test_a_child_that_sends_no_result_is_named(monkeypatch):
+    def work(lo, hi, upstream, downstream):
+        if lo:
+            os._exit(1)
+        return lo
+    set_cpus(monkeypatch, 3)
+    pids = count_forks(monkeypatch)
+    got = split(6, work, _name)
+    assert got[0] == 0
+    for r, message in zip(got[1:], ["of items 2 to 3", "of items 4 to 5"]):
+        assert isinstance(r, StefansimError)
+        assert str(r) == f"the worker {message} ended without a result"
+    assert_reaped(pids)
+
+
+def test_a_failing_first_part_does_not_hang_the_chain(monkeypatch):
+    # part 1 reads to its end of file, which comes only once part 0 and
+    # part 2 have both closed their ends of link 0
+    def work(lo, hi, upstream, downstream):
+        if lo == 0:
+            raise RuntimeError("failed in part 0")
+        return upstream.read() if hi < 3 else "last"
+    set_cpus(monkeypatch, 3)
+    pids = count_forks(monkeypatch)
+    with time_limit(60):
+        got = split(3, work, _name)
+    assert isinstance(got[0], RuntimeError) and got[1:] == [b"", "last"]
+    assert_reaped(pids)
+
+
+def test_a_failing_later_part_breaks_the_pipe_before_it(monkeypatch):
+    # part 0 writes far more than a pipe holds to a part that has ended
+    def work(lo, hi, upstream, downstream):
+        if lo:
+            raise ValueError("failed in part 1")
+        block = bytes(1 << 20)
+        for _ in range(64):
+            downstream.write(block)
+        return "sent"
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+    with time_limit(60):
+        got = split(2, work, _name)
+    assert isinstance(got[0], BrokenPipeError) and isinstance(got[1], ValueError)
+    assert_reaped(pids)
+
+
+class _Stop(BaseException):
+    pass
+
+
+def test_children_are_killed_and_reaped_when_the_parent_s_part_escapes(monkeypatch):
+    # a BaseException is not a part's result: it leaves split, which first
+    # kills the children that would otherwise sleep for a minute
+    def work(lo, hi, upstream, downstream):
+        if lo == 0:
+            raise _Stop()
+        time.sleep(60)
+    set_cpus(monkeypatch, 4)
+    pids = count_forks(monkeypatch)
+    with pytest.raises(_Stop), time_limit(30):
+        split(4, work, _name)
+    assert len(pids) == 3
+    assert_reaped(pids)
