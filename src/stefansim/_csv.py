@@ -4,12 +4,26 @@ A table is an optional ``# comment`` line, a row of column names, then one
 CRLF-terminated row per entry: the bytes ``csv.writer`` gives for numeric
 fields, none of which needs quoting.  Each write block formats every column
 once per distinct value and takes the text back to the entries that hold it.
+
+The blocks are dealt round-robin to W = min(CPUs, full blocks) parts of one
+``_workers.split`` call: part w formats blocks w, w + W, ... into its own
+spill, an unlinked temporary file in the output's folder opened before the
+fork, and returns their byte lengths; the parent then copies the spills into
+the table in block order with ``os.sendfile``.  Dealt, the parts balance
+where a contiguous cut would not (an obstacle table's distinct values sit in
+its early rows).  A table of one full block or none is written in one
+process: forking for a short last block costs more than it saves.
 """
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import ExitStack
+
 import numpy as np
 
-from .errors import FormatError
+from ._workers import count, split
+from .errors import FormatError, StefansimError
 
 #: table rows formatted per write (at least one leading-axis row); bounds
 #: the Python floats and text held at once
@@ -28,20 +42,60 @@ def write_table(path, names, formats, columns, header_comment: str | None = None
 
     The columns are float or integer arrays that broadcast to one shape (a grid table passes
     ``t[:, None]`` and ``x``); each write block formats a column once per distinct value.
+    The blocks are dealt out to worker processes (see the module docstring); the lowest
+    part's error is raised.  No child or spill outlives the call.
     """
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
     # a leading unit axis for each axis a column lacks
     columns = [np.reshape(c, (1,) * (len(shape) - np.ndim(c)) + np.shape(c)) for c in columns]
     row = ",".join(["%s"] * len(columns)) + "\r\n"
     step = max(1, BLOCK // max(int(np.prod(shape[1:])), 1))
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(names) + "\r\n")
-        for a in range(0, shape[0], step):
+    starts = range(0, shape[0], step)
+
+    def write(blocks, out) -> list:
+        """Format the blocks that start at the rows ``blocks`` into ``out``; their byte lengths."""
+        lengths = []
+        for a in blocks:
             text = [_text(c[a:a + step] if len(c) > 1 else c, f) for c, f in zip(columns, formats)]
             fields = np.stack(np.broadcast_arrays(*text), axis=-1)
-            fh.write((row * (fields.size // len(columns))) % tuple(fields.ravel().tolist()))
+            lengths.append(out.write(
+                ((row * (fields.size // len(columns))) % tuple(fields.ravel().tolist())).encode()))
+        out.flush()
+        return lengths
+
+    # a part for each full block at most: a short last block is not worth a process
+    n_parts = count(max(1, shape[0] // step))
+    with open(path, "wb") as fh, ExitStack() as stack:
+        if header_comment:
+            fh.write(f"# {header_comment}\n".encode())
+        fh.write((",".join(names) + "\r\n").encode())
+        if n_parts == 1:
+            write(starts, fh)
+            return
+        spills = [stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(
+            os.path.abspath(path)))) for _ in range(n_parts)]
+        results = split(n_parts, lambda lo, hi, *links: [write(starts[w::n_parts], spills[w])
+                                                         for w in range(lo, hi)],
+                        lambda lo, hi: f"formatting blocks {lo}, {lo + n_parts}, ... of {path}")
+        failures = [result for result in results if isinstance(result, BaseException)]
+        if failures:
+            raise failures[0]
+        lengths = [part for result in results for part in result]
+        fh.flush()
+        for spill in spills:
+            spill.seek(0)
+        # block b is block b // W of part b % W
+        for b in range(len(starts)):
+            _copy(spills[b % n_parts].fileno(), fh.fileno(), lengths[b % n_parts][b // n_parts])
+
+
+def _copy(src: int, dst: int, n: int) -> None:
+    """Move the next ``n`` bytes of the file ``src`` to the file ``dst``, in the kernel."""
+    while n:
+        sent = os.sendfile(dst, src, None, n)
+        if not sent:
+            raise StefansimError("a write spill ended early")
+        n -= sent
 
 
 def read_table(path, names: list[str], what: str) -> np.ndarray:

@@ -4,10 +4,15 @@
 contiguous parts and runs part 0 in the calling process and every other
 part in a forked child, which pickles its result, or the exception it
 raised, into its own pipe and ends in ``os._exit``.  Parts next to each
-other share a link pipe, down which a part may stream bytes to the next
-(``picard``'s chained sweep does; ``spde.run_forked`` leaves the links
-unused).  Every child has ended and been reaped when ``split`` returns or
-raises.
+other share a link pipe, down which a part may stream bytes to the next.
+Every child has ended and been reaped when ``split`` returns or raises.
+
+Its users: ``spde.run_forked`` steps a slice of a path batch per part;
+``picard_iterate`` sweeps a group of iterates per part, chained by the
+links; ``lob.parse_events`` parses a run of chunks of an event file per
+part; ``_csv.write_table`` splits ``range(W)``, W = ``count(blocks)``, so
+that each part is one index and formats every W-th write block into a spill
+file opened, one per part, before the fork.
 """
 from __future__ import annotations
 
@@ -16,6 +21,11 @@ import pickle
 import signal
 
 from .errors import StefansimError
+
+
+def count(n: int) -> int:
+    """W = min(CPUs in the affinity mask, n): how many parts ``split`` cuts ``range(n)`` into."""
+    return min(len(os.sched_getaffinity(0)), n)
 
 
 def split(n: int, work, name) -> list:
@@ -29,11 +39,17 @@ def split(n: int, work, name) -> list:
     closes them when its part ends, so a part that ends early shows as an
     end of file upstream and a broken pipe downstream.
 
+    Part w runs on the w-th CPU of the affinity mask, the caller's thread
+    until ``split`` returns, when its mask is set back: where the kernel
+    does not balance load across CPUs (a cpuset with
+    ``sched_load_balance`` 0) a forked child may stay on its parent's
+    CPU, and the parts would take turns on one CPU.
+
     Returns each part's result, or the exception it raised, in part
     order.  A child that sends no whole result gives a StefansimError
     naming ``name(lo, hi)``.
     """
-    n_parts = min(len(os.sched_getaffinity(0)), n)
+    n_parts = count(n)
     cuts = [n * w // n_parts for w in range(n_parts + 1)]
     links = [(open(read, "rb"), open(write, "wb", buffering=0))
              for read, write in (os.pipe() for _ in range(n_parts - 1))]
@@ -41,13 +57,18 @@ def split(n: int, work, name) -> list:
     chain = [(links[w - 1][0] if w else None, links[w][1] if w < len(links) else None)
              for w in range(n_parts)]
     children = []                       # (pid, result pipe, lo, hi), each until reaped
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
     try:
+        if n_parts > 1:
+            _pin(cpus[0])
         for w in range(1, n_parts):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
+                    _pin(cpus[w])
                     os.close(read)
                     for end in ends + [pipe for _, pipe, _, _ in children]:
                         if end not in chain[w]:
@@ -76,12 +97,22 @@ def split(n: int, work, name) -> list:
                 results.append(StefansimError(f"the worker {name(lo, hi)} ended without a result"))
         return results
     finally:
+        if n_parts > 1:
+            os.sched_setaffinity(0, mask)
         for end in ends:
             end.close()
         for pid, pipe, _, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _pin(cpu: int) -> None:
+    """Keep this process on ``cpu``, if the machine has it."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:             # a CPU not online: the kernel places the process
+        pass
 
 
 def _part(work, lo: int, hi: int, upstream, downstream):

@@ -15,13 +15,16 @@ dollar ticks, direction) given a companion touch-price series.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter
 
 import numpy as np
 
 from ._csv import read_table, write_table
+from ._workers import split
 from .boundary import BoundaryFunctional
 from .errors import FormatError, NonMonotoneTime
 from .grids import GridSpec
@@ -102,28 +105,33 @@ def _columns(rows, width: int, header):
     """A chunk's non-blank ``csv.reader`` rows as ``width`` columns of field strings.
 
     The first non-blank row is dropped when it reads ``header`` (None once
-    the input has had a non-blank row); returns the columns and the header
-    still pending.  Extra fields are dropped, and a short row is padded
-    with "", which no column accepts.
+    the input has had a non-blank row); returns the columns, the header
+    still pending and whether a row was dropped.  Extra fields are
+    dropped, and a short row is padded with "", which no column accepts.
     """
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     for i in np.flatnonzero(lengths < width):
         row = rows[i]
         rows[i] = (row + [""] * width)[:width] if len(row) > 1 or row and row[0].strip() else []
     rows = list(filter(None, rows))
+    dropped = False
     if rows and header:
-        if [c.strip().lower() for c in rows[0]] == header:
+        dropped = [c.strip().lower() for c in rows[0]] == header
+        if dropped:
             del rows[0]
         header = None
-    return [list(map(itemgetter(j), rows)) for j in range(width)], header
+    return [list(map(itemgetter(j), rows)) for j in range(width)], header, dropped
 
 
-def _read(reader) -> list:
-    """The next CHUNK rows of ``reader``; text it cannot read is a FormatError."""
+def _read(reader, line0: int) -> list:
+    """The next CHUNK rows of ``reader``; text it cannot read is a FormatError.
+
+    ``line0`` is the number of lines before the reader's first.
+    """
     try:
         return list(islice(reader, CHUNK))
     except csv.Error as exc:
-        raise FormatError(f"line {reader.line_num}: {exc}") from None
+        raise FormatError(f"line {line0 + reader.line_num}: {exc}") from None
 
 
 def _convert(fields, convert, bad: np.ndarray) -> list:
@@ -179,6 +187,16 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     FormatError.  The rows are read in chunks of CHUNK and converted a
     column at a time.  ``horizon`` comes back as a pair of floats; by
     default it spans the kept events, (0, 0) when none is kept.
+
+    A file whose bytes are ASCII without a ``"`` or a ``\r`` has a csv row
+    per ``\n`` line, so its chunks start at known byte offsets: they are
+    cut into contiguous parts, one per ``_workers.split`` process, each
+    reading its own chunks.  A part returns its kept columns as floats and
+    int8 codes, its counts, its first and last time checked and its first
+    error, and the parts are joined here in row order, as one pass over
+    the chunks would: an error, or a time that drops at a part's first
+    checked row, ends the parse at the first such row.  Any other file,
+    and a stream, is one part.
     """
     if fmt not in (NORMALIZED, LOBSTER):
         raise FormatError(f"unknown event format {fmt!r}")
@@ -187,23 +205,109 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
         if book_reference_prices is None:
             raise FormatError("message-file parsing needs a companion touch-price series")
         touch = _TouchSeries(book_reference_prices)
+    chunks = partial(_chunks, fmt=fmt, touch=touch)
+
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        starts = _chunk_starts(source)
+
+        def part(lo, hi, *links):
+            with open(source, "rb") as raw:
+                raw.seek(starts[lo])
+                # the last part reads to the end of the file
+                return chunks(io.TextIOWrapper(raw, newline=""), lo * CHUNK,
+                              hi - lo if hi < len(starts) else None)
+        parts = split(len(starts), part,
+                      lambda lo, hi: f"parsing the lines from {lo * CHUNK + 1}")
+    else:
+        parts = [chunks(source, 0, None)]
+
+    malformed = filtered = total = 0
+    last_time = -np.inf
+    seen = False                        # a non-blank row before this part
+    for p in parts:
+        if isinstance(p, BaseException):
+            raise p
+        if p.first < last_time:
+            raise NonMonotoneTime(f"event time {p.first} after {last_time}")
+        if p.error is not None:
+            raise p.error
+        if p.header_dropped and seen:
+            # a header only as the input's first non-blank row: here it is a malformed row
+            malformed, total = malformed + 1, total + 1
+        seen = seen or p.header_dropped or p.total > 0
+        malformed, filtered, total = malformed + p.malformed, filtered + p.filtered, total + p.total
+        last_time = max(last_time, p.last)
+
+    if total and malformed > malformed_threshold * total:
+        raise FormatError(f"{malformed} of {total} rows malformed "
+                          f"(threshold {malformed_threshold:.0%})")
+    kept = [p.kept for p in parts]
+    # float columns first: each object column then replaces a smaller int8 one
+    times, rels, sizes = (_concat(kept, i) for i in (0, 3, 4))
+    if horizon is None:
+        horizon = (times[0], times[-1]) if len(times) else (0.0, 0.0)
+    return LobEventStream(times, np.array([BID, ASK], dtype=object)[_concat(kept, 1)],
+                          np.array([LIMIT, CANCEL, MARKET], dtype=object)[_concat(kept, 2)],
+                          rels, sizes, horizon=tuple(map(float, horizon)),
+                          malformed_count=malformed, filtered_count=filtered)
+
+
+#: bytes read at a time while a file is scanned for its chunk starts
+SCAN = 1 << 20
+
+
+def _chunk_starts(path) -> list:
+    """The byte offset of each CHUNK-line chunk of the file, or [0] if it must be one part.
+
+    A file with a non-ASCII byte, a ``"`` or a ``\r`` is one part: its csv
+    rows need not be its lines, nor its characters its bytes.
+    """
+    starts, lines, size = [0], 0, 0
+    with open(path, "rb") as fh:
+        while data := fh.read(SCAN):
+            if not data.isascii() or b'"' in data or b"\r" in data:
+                return [0]
+            ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+            # the ends of lines CHUNK, 2 CHUNK, ... start the next chunks
+            starts += (size + 1 + ends[(-lines - 1) % CHUNK::CHUNK]).tolist()
+            lines, size = lines + len(ends), size + len(data)
+    if len(starts) > 1 and starts[-1] == size:
+        starts.pop()                    # the file ends with a chunk's last line
+    return starts
+
+
+@dataclass
+class _Part:
+    """A run of chunks parsed, for ``parse_events`` to join in row order."""
+
+    kept: list              # times, side codes, type codes, rel prices, sizes
+    malformed: int
+    filtered: int
+    total: int
+    header_dropped: bool    # its first non-blank row was dropped as the header
+    first: float            # its first and last time checked for order, inf and -inf if none
+    last: float
+    error: Exception | None
+
+
+def _chunks(fh, line0: int, n_chunks, fmt: str, touch) -> _Part:
+    """Parse the next ``n_chunks`` chunks of ``fh``, all of them for None; see parse_events.
+
+    ``line0`` is the number of lines before the first.  The first error
+    ends the run and is returned with what was read before it.
+    """
     width = 5 if fmt == NORMALIZED else 6
     header = NORMALIZED_HEADER if fmt == NORMALIZED else None
-
-    close_after = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", newline="")
-        close_after = True
-    else:
-        fh = source
+    # per chunk: times, side codes, type codes, rel prices, sizes; the first is empty
+    kept = [[np.empty(0), *np.empty((2, 0), dtype=np.int8), np.empty(0), np.empty(0)]]
+    malformed = filtered = total = 0
+    dropped, first, last_time, error = False, np.inf, -np.inf, None
+    reader = csv.reader(fh)
     try:
-        # per chunk: times, side codes, type codes, rel prices, sizes; the first is empty
-        kept = [[np.empty(0), *np.empty((2, 0), dtype=np.int8), np.empty(0), np.empty(0)]]
-        malformed = filtered = total = 0
-        last_time = -np.inf
-        reader = csv.reader(fh)
-        while rows := _read(reader):
-            columns, header = _columns(rows, width, header)
+        # the empty chunk at the end of the input stops iter
+        for rows in islice(iter(partial(_read, reader, line0), []), n_chunks):
+            columns, header, drop = _columns(rows, width, header)
+            dropped |= drop
             n = len(columns[0])
             total += n
             bad = np.zeros(n, dtype=bool)
@@ -227,31 +331,23 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
                                 & np.isfinite(rel))
             good = ~bad & ~unknown
             seq = np.concatenate(([last_time], t[good]))
+            if first == np.inf and len(seq) > 1:
+                first = float(seq[1])
             drops = np.flatnonzero(seq[1:] < seq[:-1])
             if drops.size:
                 i = drops[0]
                 raise NonMonotoneTime(f"event time {float(seq[i + 1])} after {float(seq[i])}")
-            last_time = seq[-1]
+            last_time = float(seq[-1])
             inside = good & (rel >= 0.0) & (rel <= 1.0)
             malformed += int(np.count_nonzero(bad))
             filtered += int(np.count_nonzero(unknown)) + int(np.count_nonzero(good & ~inside))
             if inside.any():
                 kept.append([t[inside], sides[inside], types[inside], rel[inside], size[inside]])
-    finally:
-        if close_after:
-            fh.close()
-
-    if total and malformed > malformed_threshold * total:
-        raise FormatError(f"{malformed} of {total} rows malformed "
-                          f"(threshold {malformed_threshold:.0%})")
-    # float columns first: each object column then replaces a smaller int8 one
-    times, rels, sizes = (_concat(kept, i) for i in (0, 3, 4))
-    if horizon is None:
-        horizon = (times[0], times[-1]) if len(times) else (0.0, 0.0)
-    return LobEventStream(times, np.array([BID, ASK], dtype=object)[_concat(kept, 1)],
-                          np.array([LIMIT, CANCEL, MARKET], dtype=object)[_concat(kept, 2)],
-                          rels, sizes, horizon=tuple(map(float, horizon)),
-                          malformed_count=malformed, filtered_count=filtered)
+            del rows, columns           # the chunk's text goes before the next chunk is read
+    except FormatError as exc:                  # NonMonotoneTime is one too
+        error = exc
+    return _Part([_concat(kept, i) for i in range(5)], malformed, filtered, total, dropped,
+                 first, last_time, error)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """The shared CSV table writer against the row-by-row csv.writer loops it replaced,
 and the shared reader's refusals."""
 import csv
+import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import assert_reaped, count_forks, set_cpus, time_limit
 from stefansim import _csv
 from stefansim.boundary import exp_imbalance
-from stefansim.errors import FormatError
+from stefansim.errors import FormatError, StefansimError
 from stefansim.grids import Field, build_grid
 from stefansim.lob import FitResult, price_series_to_csv, simulate_price
 from stefansim.obstacle import ObstacleSolution, dump_csv, solve_penalized, solve_projected
@@ -228,3 +231,116 @@ def test_dump_csv_memory_does_not_grow_with_rows(tmp_path):
     # 65 nodes: 4x the time rows must not mean more than 1.25x the peak,
     # so no full-length coordinate column is ever built
     assert _dump_peak(tmp_path, 4096) <= 1.25 * _dump_peak(tmp_path, 1024)
+
+
+def test_dump_csv_memory_does_not_grow_with_rows_in_one_process(tmp_path, monkeypatch):
+    # tracemalloc sees only its own process: with one CPU it sees every block formatted
+    set_cpus(monkeypatch, 1)
+    assert _dump_peak(tmp_path, 4096) <= 1.25 * _dump_peak(tmp_path, 1024)
+
+
+# --- the blocks dealt out over worker processes ---
+
+def _table(rows, inner):
+    """A 1-D and a broadcast grid table of ``rows`` rows, with repeats and distinct values."""
+    rng = np.random.default_rng(rows)
+    t = np.round(rng.normal(size=rows), 2)
+    flat = (["i", "t", "u"], ["%d", "%.10g", "%.17g"], [np.arange(rows), t, rng.normal(size=rows)])
+    grid = (["t", "x", "z"], ["%.10g", "%.10g", "%.17g"],
+            [t[:, None], np.linspace(0, 1, inner), rng.normal(size=(rows, inner))])
+    return flat, grid
+
+
+#: (rows, inner) with BLOCK = 8: one block; 2 full blocks, fewer than 3 CPUs; a short last
+#: block; many blocks; a zero-row table.  A grid table's block is 8 // inner rows.
+SHAPES = [(5, 1), (16, 1), (17, 1), (203, 1), (0, 1), (1, 4), (9, 2), (100, 3), (0, 3)]
+
+
+@pytest.mark.parametrize("rows, inner", SHAPES)
+def test_write_table_is_the_same_for_any_number_of_workers(tmp_path, monkeypatch, rows, inner):
+    monkeypatch.setattr(_csv, "BLOCK", 8)
+    flat, grid = _table(rows, inner)
+    for table, step in ((flat, 8), (grid, 8 // inner)):
+        written = set()
+        for n_cpus in (1, 2, 3):
+            set_cpus(monkeypatch, n_cpus)
+            pids = count_forks(monkeypatch)
+            out = tmp_path / f"w{n_cpus}"
+            out.mkdir(exist_ok=True)
+            with time_limit(60):
+                _csv.write_table(out / "t.csv", *table, header_comment=HEADER)
+            # a part for each full block, at most
+            assert len(pids) == min(n_cpus, max(1, rows // step)) - 1
+            assert_reaped(pids)
+            assert [p.name for p in out.iterdir()] == ["t.csv"]
+            written.add((out / "t.csv").read_bytes())
+        assert len(written) == 1
+    if not rows:
+        assert written == {f"# {HEADER}\nt,x,z\r\n".encode()}
+
+
+def test_the_bundled_tables_are_the_same_for_any_number_of_workers(tmp_path, monkeypatch):
+    g = build_grid("compact", 16, 0.01, 2000)
+    v = Field.from_function(g, lambda t, x: 2.0 * np.sin(np.pi * x) * np.minimum(t, 0.004))
+    sol = solve_projected(v)
+    written = []
+    for n_cpus in (1, 2, 3):
+        set_cpus(monkeypatch, n_cpus)
+        pids = count_forks(monkeypatch)
+        dump_csv(sol, v, tmp_path / f"obstacle{n_cpus}.csv", header_comment=HEADER)
+        # 2001 time rows of 17 nodes, 240 rows a block: 8 full blocks
+        assert len(pids) == n_cpus - 1
+        written.append((tmp_path / f"obstacle{n_cpus}.csv").read_bytes())
+    assert written[0] == written[1] == written[2]
+    _ref_obstacle(sol, v, tmp_path / "reference.csv", header_comment=HEADER)
+    assert written[0] == (tmp_path / "reference.csv").read_bytes()
+
+
+def _fails_at(blocks, step):
+    """``_csv._text`` that raises in the blocks (of ``step`` rows) given, named by block."""
+    text = _csv._text
+
+    def failing(col, fmt):
+        if fmt == "%d" and col.size and int(col.flat[0]) // step in blocks:
+            raise ValueError(f"block {int(col.flat[0]) // step}")
+        return text(col, fmt)
+    return failing
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({0, 4}, "block 0"),            # in part 0, which runs here, and in part 1
+    ({5, 4}, "block 4"),            # block 5 comes first in part 2, but part 1 is lower
+    ({8}, "block 8"),               # in part 2 alone
+])
+def test_a_failing_part_raises_the_lowest_part_s_error(tmp_path, monkeypatch, blocks, message):
+    monkeypatch.setattr(_csv, "BLOCK", 8)
+    monkeypatch.setattr(_csv, "_text", _fails_at(blocks, 8))
+    set_cpus(monkeypatch, 3)
+    pids = count_forks(monkeypatch)
+    flat, _ = _table(80, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"), time_limit(60):
+        _csv.write_table(tmp_path / "t.csv", *flat)
+    assert len(pids) == 2
+    assert_reaped(pids)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_a_part_that_sends_nothing_is_named(tmp_path, monkeypatch):
+    text = _csv._text
+
+    def dies(col, fmt):
+        if os.getpid() != parent:
+            os._exit(1)
+        return text(col, fmt)
+    parent = os.getpid()
+    monkeypatch.setattr(_csv, "BLOCK", 8)
+    monkeypatch.setattr(_csv, "_text", dies)
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+    flat, _ = _table(80, 1)
+    path = tmp_path / "t.csv"
+    message = f"the worker formatting blocks 1, 3, ... of {path} ended without a result"
+    with pytest.raises(StefansimError, match=f"^{re.escape(message)}$"), time_limit(60):
+        _csv.write_table(path, *flat)
+    assert_reaped(pids)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

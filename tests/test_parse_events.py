@@ -7,14 +7,16 @@ counts and horizon, or raise the same exception with the same message.
 """
 import csv
 import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_events_reference
+from helpers import assert_reaped, count_forks, parse_events_reference, set_cpus, time_limit
 from stefansim import lob
 from stefansim.lob import parse_events
 
@@ -50,21 +52,26 @@ EXTRA = ["7", '"q,\nq"', ""]
 
 
 @st.composite
-def event_text(draw, fmt):
-    """An event file's text: rows of every shape the parser has a rule for."""
+def event_text(draw, fmt, plain=False):
+    """An event file's text: rows of every shape the parser has a rule for.
+
+    A ``plain`` text has no '"' and only LF line ends, so each line is a csv row.
+    """
+    def options(values):
+        return [v for v in values if not (plain and '"' in v)]
     values = FIELDS[fmt]
     width = len(values)
     t, lines = 0.0, []
-    quoting = draw(st.booleans())
+    quoting = not plain and draw(st.booleans())
     if fmt == "normalized" and draw(st.booleans()):
-        lines.append(draw(st.sampled_from(HEADERS)))
+        lines.append(draw(st.sampled_from(options(HEADERS))))
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "header", "short", "extra"]))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(BLANKS)))
+            lines.append(draw(st.sampled_from(options(BLANKS))))
             continue
         if kind == "header":
-            lines.append(draw(st.sampled_from(HEADERS)))
+            lines.append(draw(st.sampled_from(options(HEADERS))))
             continue
         step = draw(st.sampled_from(TIME_STEPS))
         if isinstance(step, float):
@@ -77,7 +84,7 @@ def event_text(draw, fmt):
         if kind == "short":
             fields = fields[:draw(st.integers(1, width - 1))]
         elif kind == "extra":
-            fields += draw(st.lists(st.sampled_from(EXTRA), min_size=1, max_size=2))
+            fields += draw(st.lists(st.sampled_from(options(EXTRA)), min_size=1, max_size=2))
         quoted = 0
         if quoting and draw(st.booleans()):
             quoted = draw(st.integers(0, 2 ** len(fields) - 1))
@@ -85,15 +92,19 @@ def event_text(draw, fmt):
         if fmt == "normalized" and quoted & 2 and draw(st.booleans()):
             fields[1] = fields[1][:-1] + '\n"'          # a quoted newline in a label
         lines.append(",".join(fields))
-    ends = draw(st.sampled_from([ENDS[:1], ENDS[1:2], ENDS]))      # LF, CRLF or mixed
+    # LF, CRLF or mixed
+    ends = draw(st.sampled_from([ENDS[:1]] if plain else [ENDS[:1], ENDS[1:2], ENDS]))
     ends = draw(st.lists(st.sampled_from(ends), min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
-def _outcome(parse, text, fmt, threshold):
+def _outcome(parse, source, fmt, threshold):
+    """``parse`` of ``source``, a text or a path, or the exception it raised."""
+    if isinstance(source, str):
+        source = io.StringIO(source, newline="")
     try:
-        return parse(io.StringIO(text, newline=""), fmt=fmt,
+        return parse(source, fmt=fmt,
                      book_reference_prices=TOUCH if fmt == "lobster" else None,
                      malformed_threshold=threshold)
     except (lob.FormatError, lob.NonMonotoneTime) as exc:
@@ -125,6 +136,30 @@ def test_parse_events_matches_row_loop(data, fmt, chunk, threshold):
     with mock.patch.object(lob, "CHUNK", chunk):
         ours = _outcome(parse_events, text, fmt, threshold)
     _assert_same(ours, theirs)
+    _assert_same_from_a_file(text, fmt, chunk, threshold, ours)
+
+
+def _assert_same_from_a_file(text, fmt, chunk, threshold, ours):
+    """The parse of ``text`` as a file, at 2 and 3 CPUs, is ``ours``."""
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(lob, "CHUNK", chunk):
+        path = Path(folder) / "events.csv"
+        path.write_bytes(text.encode())
+        for n_cpus in (2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                set_cpus(patch, n_cpus)
+                _assert_same(_outcome(parse_events, path, fmt, threshold), ours)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), fmt=st.sampled_from(["normalized", "lobster"]),
+       chunk=st.sampled_from([1, 3, 7]), threshold=st.sampled_from([0.05, 1.0]))
+def test_a_file_cut_into_parts_matches_row_loop(data, fmt, chunk, threshold):
+    # a plain text's chunks start at known offsets, so its file is cut into parts
+    text = data.draw(event_text(fmt, plain=True))
+    theirs = _outcome(parse_events_reference, text, fmt, threshold)
+    with mock.patch.object(lob, "CHUNK", chunk):
+        _assert_same(_outcome(parse_events, text, fmt, threshold), theirs)
+    _assert_same_from_a_file(text, fmt, chunk, threshold, theirs)
 
 
 def _rows(n):
@@ -152,6 +187,12 @@ def test_parse_memory_scales_with_the_output_not_the_text(tmp_path):
     assert peak_large - peak_small <= 3 * n * (5 + 1) * 8
 
 
+def test_parse_memory_scales_with_the_output_not_the_text_in_one_process(tmp_path, monkeypatch):
+    # tracemalloc sees only its own process: with one CPU it sees every chunk parsed
+    set_cpus(monkeypatch, 1)
+    test_parse_memory_scales_with_the_output_not_the_text(tmp_path)
+
+
 @pytest.mark.parametrize("row", ["0.1,bid,limit,0.5,nan", "0.1,bid,limit,0.5,inf",
                                  "0.1,ask,market,0.5,1e400", "0.1,bid,limit,0.5, NaN "])
 def test_non_finite_size_is_malformed(row):
@@ -175,3 +216,71 @@ _LONG = "b" * (csv.field_size_limit() + 1)
 def test_text_csv_cannot_read_is_a_format_error(text, newline, line):
     with mock.patch.object(lob, "CHUNK", 1), pytest.raises(lob.FormatError, match=f"^line {line}: "):
         parse_events(io.StringIO(text, newline=newline), malformed_threshold=1.0)
+
+
+@pytest.mark.parametrize("quote", ['"', ""])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_text_csv_cannot_read_in_a_file_is_a_format_error_on_its_line(tmp_path, monkeypatch,
+                                                                       quote, n_cpus):
+    # one row a chunk: the long field is on line 3 of 4, in the second part of two or three,
+    # unless a quote makes the file one part
+    path = tmp_path / "events.csv"
+    path.write_text(f"0.1,bid,limit,0.5,1\n0.2,bid,limit,0.5,1\n"
+                    f"0.3,{quote}{_LONG}{quote},limit,0.5,1\n0.4,bid,limit,0.5,1\n")
+    set_cpus(monkeypatch, n_cpus)
+    pids = count_forks(monkeypatch)
+    with mock.patch.object(lob, "CHUNK", 1), pytest.raises(lob.FormatError, match="^line 3: "):
+        parse_events(path, malformed_threshold=1.0)
+    assert len(pids) == (n_cpus - 1 if not quote else 0)
+    assert_reaped(pids)
+
+
+_ROW = "{},bid,limit,0.5,1\n"
+
+
+@pytest.mark.parametrize("text", [
+    # a time that drops at the first row of a part, and inside one
+    "".join(map(_ROW.format, [1, 2, 3, 2.5, 4, 5])),
+    "".join(map(_ROW.format, [1, 2, 3, 4, 5, 4.5])),
+    # a drop at a part's first row comes before an error later in that part
+    "".join(map(_ROW.format, [1, 2, 3, 1.5])) + f"6,{_LONG},limit,0.5,1\n",
+    # the header: dropped as the first non-blank row, wherever that falls, and a malformed
+    # row after it
+    "\n \n\ntime,side,event_type,relative_price,size\n" + _ROW.format(1) + _ROW.format(2),
+    _ROW.format(1) + "\n\n Time,SIDE,event_type,relative_price,size\n" + _ROW.format(2),
+    "time,side,event_type,relative_price,size\n" * 4 + _ROW.format(1),
+    # malformed rows against the threshold, counted over every part
+    "".join(map(_ROW.format, [1, "x", 2, "y", 3, 4])),
+    " \n\n\t\n",
+], ids=["drop_at_a_part", "drop_inside_a_part", "drop_before_an_error", "header_after_blanks",
+        "header_after_a_row", "headers", "malformed", "blank_only"])
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_a_file_in_parts_parses_as_one_stream(tmp_path, monkeypatch, text, n_cpus):
+    path = tmp_path / "events.csv"
+    path.write_text(text)
+    set_cpus(monkeypatch, n_cpus)
+    pids = count_forks(monkeypatch)
+    with mock.patch.object(lob, "CHUNK", 1), time_limit(60):
+        ours = _outcome(parse_events, path, "normalized", 0.3)
+        _assert_same(ours, _outcome(parse_events, text, "normalized", 0.3))
+    assert len(pids) == n_cpus - 1
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("text", ['0.1,bid,limit,0.5,1\n0.2,"bid",limit,0.5,1\n',
+                                  "0.1,bid,limit,0.5,1\r\n0.2,bid,limit,0.5,1\r\n",
+                                  "0.1,bid,limit,0.5,1\n0.2,bid,limit,0.5,1\r",
+                                  "0.1,bid,limit,0.5,1\n0.2,b\u00efd,limit,0.5,1\n",
+                                  "", "\n", " \t"],
+                         ids=["quote", "crlf", "cr", "not_ascii", "empty", "blank", "blank_no_end"])
+def test_a_file_that_is_one_part_forks_nothing(tmp_path, monkeypatch, text):
+    # a '"', a '\r' or a byte that is not ASCII: csv rows need not be lines, nor
+    # characters bytes; a file of one line at most is one chunk
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode())
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+    with mock.patch.object(lob, "CHUNK", 1):
+        _assert_same(_outcome(parse_events, path, "normalized", 1.0),
+                     _outcome(parse_events, text, "normalized", 1.0))
+    assert pids == []

@@ -1,6 +1,8 @@
 """``_workers.split``: contiguous parts, one per process, with a link pipe between neighbours."""
 import os
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +153,21 @@ def test_children_are_killed_and_reaped_when_the_parent_s_part_escapes(monkeypat
         split(4, work, _name)
     assert len(pids) == 3
     assert_reaped(pids)
+
+
+def test_only_workers_forks_makes_pipes_or_pickles():
+    # every process the package starts goes through split, its one fork-join
+    src = Path(__file__).resolve().parent.parent / "src" / "stefansim"
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "_workers.py"
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if re.search(r"\bos\.fork\b|\bos\.pipe\b|\bpickle\b", line)]
+    assert found == []
+
+
+def test_each_part_runs_on_a_cpu_of_its_own():
+    # the kernel need not spread forked children over the CPUs, so split places them
+    mask = os.sched_getaffinity(0)
+    got = split(len(mask), lambda lo, hi, *links: os.sched_getaffinity(0), _name)
+    assert got == ([{cpu} for cpu in sorted(mask)] if len(mask) > 1 else [mask])
+    assert os.sched_getaffinity(0) == mask
