@@ -9,9 +9,10 @@ Every child has ended and been reaped when ``split`` returns or raises.
 
 Its users: ``spde.run_forked`` steps a slice of a path batch per part;
 ``picard_iterate`` sweeps a group of iterates per part, chained by the
-links; ``lob.parse_events`` parses a run of chunks of an event file per
-part; ``_csv.write_table`` splits ``range(W)``, W = ``count(blocks)``, so
-that each part is one index and formats every W-th write block into a spill
+links; ``lob.parse_events`` reads and converts a run of chunks of an
+event file per part, and checks the joined rows itself;
+``_csv.write_table`` splits ``range(W)``, W = ``count(blocks)``, so that
+each part is one index and formats every W-th write block into a spill
 file opened, one per part, before the fork.
 """
 from __future__ import annotations

@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from ._csv import read_table, write_table
-from ._workers import split
+from ._workers import count, split
 from .boundary import BoundaryFunctional
 from .errors import FormatError, NonMonotoneTime
 from .grids import GridSpec
@@ -101,37 +101,32 @@ _TYPE_CODES = {LIMIT: 0, CANCEL: 1, MARKET: 2}
 _MESSAGE_CODES = {code: _TYPE_CODES[etype] for code, etype in _MESSAGE_TYPE_MAP.items()}
 
 
-def _columns(rows, width: int, header):
+def _columns(rows, width: int) -> list:
     """A chunk's non-blank ``csv.reader`` rows as ``width`` columns of field strings.
 
-    The first non-blank row is dropped when it reads ``header`` (None once
-    the input has had a non-blank row); returns the columns, the header
-    still pending and whether a row was dropped.  Extra fields are
-    dropped, and a short row is padded with "", which no column accepts.
+    The blank rows are taken out of ``rows``.  Extra fields are dropped,
+    and a short row is padded with "", which no column accepts.
     """
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     for i in np.flatnonzero(lengths < width):
         row = rows[i]
         rows[i] = (row + [""] * width)[:width] if len(row) > 1 or row and row[0].strip() else []
-    rows = list(filter(None, rows))
-    dropped = False
-    if rows and header:
-        dropped = [c.strip().lower() for c in rows[0]] == header
-        if dropped:
-            del rows[0]
-        header = None
-    return [list(map(itemgetter(j), rows)) for j in range(width)], header, dropped
+    rows[:] = filter(None, rows)
+    return [list(map(itemgetter(j), rows)) for j in range(width)]
 
 
-def _read(reader, line0: int) -> list:
-    """The next CHUNK rows of ``reader``; text it cannot read is a FormatError.
+def _read(reader, line0: int, errors: list) -> list:
+    """The next CHUNK rows of ``reader``, up to text it cannot read.
 
-    ``line0`` is the number of lines before the reader's first.
+    That text's FormatError is appended to ``errors``; ``line0`` is the
+    number of lines before the reader's first.
     """
+    rows = []
     try:
-        return list(islice(reader, CHUNK))
+        rows.extend(islice(reader, CHUNK))      # keeps the rows read before an error
     except csv.Error as exc:
-        raise FormatError(f"line {line0 + reader.line_num}: {exc}") from None
+        errors.append(FormatError(f"line {line0 + reader.line_num}: {exc}"))
+    return rows
 
 
 def _convert(fields, convert, bad: np.ndarray) -> list:
@@ -182,21 +177,23 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     FormatError.  Events whose relative price falls outside [0, 1], and
     message-file rows of other type codes, are filtered (counted
     separately).  Timestamps must be nondecreasing over the rows that are
-    not malformed.  Text ``csv`` cannot read (a field longer than
+    neither malformed nor of another type code, the well-formed rows.
+    Text ``csv`` cannot read (a field longer than
     ``csv.field_size_limit()``, a line break in an unquoted field) raises
     FormatError.  The rows are read in chunks of CHUNK and converted a
     column at a time.  ``horizon`` comes back as a pair of floats; by
     default it spans the kept events, (0, 0) when none is kept.
 
     A file whose bytes are ASCII without a ``"`` or a ``\r`` has a csv row
-    per ``\n`` line, so its chunks start at known byte offsets: they are
-    cut into contiguous parts, one per ``_workers.split`` process, each
-    reading its own chunks.  A part returns its kept columns as floats and
-    int8 codes, its counts, its first and last time checked and its first
-    error, and the parts are joined here in row order, as one pass over
-    the chunks would: an error, or a time that drops at a part's first
-    checked row, ends the parse at the first such row.  Any other file,
-    and a stream, is one part.
+    per ``\n`` line, so where the affinity mask has more than one CPU its
+    chunks start at known byte offsets: they are cut into contiguous
+    parts, one per ``_workers.split`` process, each reading its own
+    chunks.  A part only reads and converts: it returns its well-formed
+    rows, its counts, whether its first non-blank row reads the header,
+    and the csv error that ended it.  Any other file, and a stream, is one
+    part.  Every rule is applied here, once, to the parts' rows joined in
+    order, as one pass over the rows would apply it: a time that drops
+    comes before the error of a later row.
     """
     if fmt not in (NORMALIZED, LOBSTER):
         raise FormatError(f"unknown event format {fmt!r}")
@@ -208,7 +205,7 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     chunks = partial(_chunks, fmt=fmt, touch=touch)
 
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        starts = _chunk_starts(source)
+        starts = _chunk_starts(source) if count(2) > 1 else [0]
 
         def part(lo, hi, *links):
             with open(source, "rb") as raw:
@@ -221,35 +218,43 @@ def parse_events(source, fmt: str = NORMALIZED, book_reference_prices=None,
     else:
         parts = [chunks(source, 0, None)]
 
-    malformed = filtered = total = 0
-    last_time = -np.inf
-    seen = False                        # a non-blank row before this part
+    joined, failure = [], None          # the parts up to the first failure, and that failure
     for p in parts:
-        if isinstance(p, BaseException):
-            raise p
-        if p.first < last_time:
-            raise NonMonotoneTime(f"event time {p.first} after {last_time}")
+        if isinstance(p, BaseException):        # a part that raised, or died
+            failure = p
+            break
+        joined.append(p)
         if p.error is not None:
-            raise p.error
-        if p.header_dropped and seen:
-            # a header only as the input's first non-blank row: here it is a malformed row
-            malformed, total = malformed + 1, total + 1
-        seen = seen or p.header_dropped or p.total > 0
-        malformed, filtered, total = malformed + p.malformed, filtered + p.filtered, total + p.total
-        last_time = max(last_time, p.last)
+            failure = p.error
+            break
+    rows = [p.rows for p in joined]
+    times = _concat(rows, 0)
+    drops = np.flatnonzero(times[1:] < times[:-1])
+    if drops.size:
+        i = drops[0]
+        raise NonMonotoneTime(f"event time {float(times[i + 1])} after {float(times[i])}")
+    if failure is not None:
+        raise failure
 
+    # a header row is malformed as data: its time is not a number
+    header = next((p.header for p in joined if p.header is not None), False)
+    malformed = sum(p.malformed for p in joined) - header
+    unknown = sum(p.unknown for p in joined)
+    total = malformed + unknown + len(times)
     if total and malformed > malformed_threshold * total:
         raise FormatError(f"{malformed} of {total} rows malformed "
                           f"(threshold {malformed_threshold:.0%})")
-    kept = [p.kept for p in parts]
+    rels = _concat(rows, 3)
+    inside = (rels >= 0.0) & (rels <= 1.0)
     # float columns first: each object column then replaces a smaller int8 one
-    times, rels, sizes = (_concat(kept, i) for i in (0, 3, 4))
+    times, rels, sizes = times[inside], rels[inside], _concat(rows, 4)[inside]
     if horizon is None:
         horizon = (times[0], times[-1]) if len(times) else (0.0, 0.0)
-    return LobEventStream(times, np.array([BID, ASK], dtype=object)[_concat(kept, 1)],
-                          np.array([LIMIT, CANCEL, MARKET], dtype=object)[_concat(kept, 2)],
-                          rels, sizes, horizon=tuple(map(float, horizon)),
-                          malformed_count=malformed, filtered_count=filtered)
+    sides = np.array([BID, ASK], dtype=object)[_concat(rows, 1)[inside]]
+    types = np.array([LIMIT, CANCEL, MARKET], dtype=object)[_concat(rows, 2)[inside]]
+    return LobEventStream(times, sides, types, rels, sizes, horizon=tuple(map(float, horizon)),
+                          malformed_count=malformed,
+                          filtered_count=unknown + len(inside) - len(times))
 
 
 #: bytes read at a time while a file is scanned for its chunk starts
@@ -278,76 +283,65 @@ def _chunk_starts(path) -> list:
 
 @dataclass
 class _Part:
-    """A run of chunks parsed, for ``parse_events`` to join in row order."""
+    """A run of chunks read and converted, for ``parse_events`` to join in row order."""
 
-    kept: list              # times, side codes, type codes, rel prices, sizes
+    rows: list              # its well-formed rows: times, side codes, type codes, rel prices, sizes
     malformed: int
-    filtered: int
-    total: int
-    header_dropped: bool    # its first non-blank row was dropped as the header
-    first: float            # its first and last time checked for order, inf and -inf if none
-    last: float
-    error: Exception | None
+    unknown: int            # message-file rows of another type code
+    header: bool | None     # its first non-blank row reads the header; None if it has none
+    error: FormatError | None   # the csv error that ended it
 
 
 def _chunks(fh, line0: int, n_chunks, fmt: str, touch) -> _Part:
-    """Parse the next ``n_chunks`` chunks of ``fh``, all of them for None; see parse_events.
+    """Read and convert the next ``n_chunks`` chunks of ``fh``, all of them for None.
 
-    ``line0`` is the number of lines before the first.  The first error
-    ends the run and is returned with what was read before it.
+    ``line0`` is the number of lines before the first.  Text ``csv``
+    cannot read ends the run, and its error is returned with the rows
+    read before it.  No rule of order, header or threshold is applied
+    here; see parse_events.
     """
     width = 5 if fmt == NORMALIZED else 6
-    header = NORMALIZED_HEADER if fmt == NORMALIZED else None
     # per chunk: times, side codes, type codes, rel prices, sizes; the first is empty
     kept = [[np.empty(0), *np.empty((2, 0), dtype=np.int8), np.empty(0), np.empty(0)]]
-    malformed = filtered = total = 0
-    dropped, first, last_time, error = False, np.inf, -np.inf, None
+    malformed = unknown_rows = 0
+    header, errors = None, []
     reader = csv.reader(fh)
-    try:
-        # the empty chunk at the end of the input stops iter
-        for rows in islice(iter(partial(_read, reader, line0), []), n_chunks):
-            columns, header, drop = _columns(rows, width, header)
-            dropped |= drop
-            n = len(columns[0])
-            total += n
-            bad = np.zeros(n, dtype=bool)
-            t = _floats(columns[0], bad)
-            if fmt == NORMALIZED:
-                sides = _labels(columns[1], _SIDE_CODES)
-                types = _labels(columns[2], _TYPE_CODES)
-                rel, size = _floats(columns[3], bad), _floats(columns[4], bad)
-                bad |= (sides < 0) | (types < 0)
-                unknown = np.zeros(n, dtype=bool)
-            else:
-                types = _codes(_convert(columns[1], int, bad), _MESSAGE_CODES)
-                size, price = _floats(columns[3], bad), _floats(columns[4], bad)
-                # direction 1 is the bid side (code 0), any other the ask side
-                sides = np.array(list(map((1).__ne__, _convert(columns[5], int, bad))),
-                                 dtype=np.int8)
-                unknown = ~bad & (types < 0)
-                rel = touch.relative(t, sides == 1, price)
-            # a message-file row of another type code is filtered before any test
-            bad |= ~unknown & ~((size > 0) & np.isfinite(size) & np.isfinite(t)
-                                & np.isfinite(rel))
-            good = ~bad & ~unknown
-            seq = np.concatenate(([last_time], t[good]))
-            if first == np.inf and len(seq) > 1:
-                first = float(seq[1])
-            drops = np.flatnonzero(seq[1:] < seq[:-1])
-            if drops.size:
-                i = drops[0]
-                raise NonMonotoneTime(f"event time {float(seq[i + 1])} after {float(seq[i])}")
-            last_time = float(seq[-1])
-            inside = good & (rel >= 0.0) & (rel <= 1.0)
-            malformed += int(np.count_nonzero(bad))
-            filtered += int(np.count_nonzero(unknown)) + int(np.count_nonzero(good & ~inside))
-            if inside.any():
-                kept.append([t[inside], sides[inside], types[inside], rel[inside], size[inside]])
-            del rows, columns           # the chunk's text goes before the next chunk is read
-    except FormatError as exc:                  # NonMonotoneTime is one too
-        error = exc
-    return _Part([_concat(kept, i) for i in range(5)], malformed, filtered, total, dropped,
-                 first, last_time, error)
+    # the empty chunk at the end of the input, or at an error, stops iter
+    for rows in islice(iter(partial(_read, reader, line0, errors), []), n_chunks):
+        columns = _columns(rows, width)
+        if header is None and rows:
+            header = (fmt == NORMALIZED
+                      and [c.strip().lower() for c in rows[0]] == NORMALIZED_HEADER)
+        n = len(columns[0])
+        bad = np.zeros(n, dtype=bool)
+        t = _floats(columns[0], bad)
+        if fmt == NORMALIZED:
+            sides = _labels(columns[1], _SIDE_CODES)
+            types = _labels(columns[2], _TYPE_CODES)
+            rel, size = _floats(columns[3], bad), _floats(columns[4], bad)
+            bad |= (sides < 0) | (types < 0)
+            unknown = np.zeros(n, dtype=bool)
+        else:
+            types = _codes(_convert(columns[1], int, bad), _MESSAGE_CODES)
+            size, price = _floats(columns[3], bad), _floats(columns[4], bad)
+            # direction 1 is the bid side (code 0), any other the ask side
+            sides = np.array(list(map((1).__ne__, _convert(columns[5], int, bad))),
+                             dtype=np.int8)
+            unknown = ~bad & (types < 0)
+            rel = touch.relative(t, sides == 1, price)
+        # a message-file row of another type code is filtered before any test
+        bad |= ~unknown & ~((size > 0) & np.isfinite(size) & np.isfinite(t)
+                            & np.isfinite(rel))
+        good = ~bad & ~unknown
+        malformed += int(np.count_nonzero(bad))
+        unknown_rows += int(np.count_nonzero(unknown))
+        if good.any():
+            kept.append([t[good], sides[good], types[good], rel[good], size[good]])
+        del rows, columns           # the chunk's text goes before the next chunk is read
+        if errors:
+            break
+    return _Part([_concat(kept, i) for i in range(5)], malformed, unknown_rows, header,
+                 errors[0] if errors else None)
 
 
 @dataclass

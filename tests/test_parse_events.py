@@ -7,6 +7,7 @@ counts and horizon, or raise the same exception with the same message.
 """
 import csv
 import io
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_reaped, count_forks, parse_events_reference, set_cpus, time_limit
 from stefansim import lob
+from stefansim.errors import StefansimError
 from stefansim.lob import parse_events
 
 TOUCH = [(0.0, 1_000_000, 1_000_100), (2.0, 1_000_050, 1_000_150), (1.0, 999_900, 1_000_000)]
@@ -238,33 +240,84 @@ def test_text_csv_cannot_read_in_a_file_is_a_format_error_on_its_line(tmp_path, 
 _ROW = "{},bid,limit,0.5,1\n"
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text, error", [
     # a time that drops at the first row of a part, and inside one
-    "".join(map(_ROW.format, [1, 2, 3, 2.5, 4, 5])),
-    "".join(map(_ROW.format, [1, 2, 3, 4, 5, 4.5])),
-    # a drop at a part's first row comes before an error later in that part
-    "".join(map(_ROW.format, [1, 2, 3, 1.5])) + f"6,{_LONG},limit,0.5,1\n",
+    ("".join(map(_ROW.format, [1, 2, 3, 2.5, 4, 5])),
+     lob.NonMonotoneTime("event time 2.5 after 3.0")),
+    ("".join(map(_ROW.format, [1, 2, 3, 4, 5, 4.5])),
+     lob.NonMonotoneTime("event time 4.5 after 5.0")),
+    # a drop comes before an error in a later row, in its part or the next
+    ("".join(map(_ROW.format, [1, 2, 3, 1.5])) + f"6,{_LONG},limit,0.5,1\n",
+     lob.NonMonotoneTime("event time 1.5 after 3.0")),
     # the header: dropped as the first non-blank row, wherever that falls, and a malformed
     # row after it
-    "\n \n\ntime,side,event_type,relative_price,size\n" + _ROW.format(1) + _ROW.format(2),
-    _ROW.format(1) + "\n\n Time,SIDE,event_type,relative_price,size\n" + _ROW.format(2),
-    "time,side,event_type,relative_price,size\n" * 4 + _ROW.format(1),
+    ("\n \n\ntime,side,event_type,relative_price,size\n" + _ROW.format(1) + _ROW.format(2),
+     None),
+    (_ROW.format(1) + "\n\n Time,SIDE,event_type,relative_price,size\n" + _ROW.format(2),
+     lob.FormatError("1 of 3 rows malformed (threshold 30%)")),
+    ("time,side,event_type,relative_price,size\n" * 4 + _ROW.format(1),
+     lob.FormatError("3 of 4 rows malformed (threshold 30%)")),
     # malformed rows against the threshold, counted over every part
-    "".join(map(_ROW.format, [1, "x", 2, "y", 3, 4])),
-    " \n\n\t\n",
+    ("".join(map(_ROW.format, [1, "x", 2, "y", 3, 4])),
+     lob.FormatError("2 of 6 rows malformed (threshold 30%)")),
+    (" \n\n\t\n", None),
 ], ids=["drop_at_a_part", "drop_inside_a_part", "drop_before_an_error", "header_after_blanks",
         "header_after_a_row", "headers", "malformed", "blank_only"])
-@pytest.mark.parametrize("n_cpus", [2, 3])
-def test_a_file_in_parts_parses_as_one_stream(tmp_path, monkeypatch, text, n_cpus):
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_a_file_in_parts_parses_as_one_stream(tmp_path, monkeypatch, text, error, n_cpus):
+    # error: the exception the parse raises, None if it returns
     path = tmp_path / "events.csv"
     path.write_text(text)
     set_cpus(monkeypatch, n_cpus)
+    if n_cpus == 1:             # a file of one part is not scanned for its chunk starts
+        monkeypatch.setattr(lob, "_chunk_starts", None)
     pids = count_forks(monkeypatch)
     with mock.patch.object(lob, "CHUNK", 1), time_limit(60):
         ours = _outcome(parse_events, path, "normalized", 0.3)
         _assert_same(ours, _outcome(parse_events, text, "normalized", 0.3))
+    if error is None:
+        assert not isinstance(ours, Exception), ours
+    else:
+        _assert_same(ours, error)
     assert len(pids) == n_cpus - 1
     assert_reaped(pids)
+
+
+@pytest.mark.parametrize("times, error", [
+    ([1, 2, 3, 4], StefansimError("the worker parsing the lines from 3 ended without a result")),
+    # a drop in the rows before the part that died is raised instead
+    ([2, 1, 3, 4], lob.NonMonotoneTime("event time 1.0 after 2.0")),
+], ids=["dies", "drop_before_it"])
+def test_a_part_that_dies_ends_the_parse(tmp_path, monkeypatch, times, error):
+    # one row a chunk: the second part of two reads lines 3 and 4, and its child dies
+    path = tmp_path / "events.csv"
+    path.write_text("".join(map(_ROW.format, times)))
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+    parent, chunks = os.getpid(), lob._chunks
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return chunks(*args, **kwargs)
+    monkeypatch.setattr(lob, "_chunks", dies_in_a_child)
+    with mock.patch.object(lob, "CHUNK", 1), time_limit(60):
+        with pytest.raises(StefansimError) as raised:
+            parse_events(path)
+    _assert_same(raised.value, error)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_a_drop_before_an_error_in_its_chunk_is_raised(tmp_path):
+    # the rows of a chunk read before text csv cannot read are checked, as the row loop does
+    text = "".join(map(_ROW.format, [1, 2, 1.5])) + f"3,{_LONG},limit,0.5,1\n" + _ROW.format(4)
+    theirs = _outcome(parse_events_reference, text, "normalized", 1.0)
+    assert type(theirs) is lob.NonMonotoneTime and str(theirs) == "event time 1.5 after 2.0"
+    path = tmp_path / "events.csv"
+    path.write_text(text)
+    for source in (text, path):
+        _assert_same(_outcome(parse_events, source, "normalized", 1.0), theirs)
 
 
 @pytest.mark.parametrize("text", ['0.1,bid,limit,0.5,1\n0.2,"bid",limit,0.5,1\n',
