@@ -1,7 +1,8 @@
 """One fork-join: work on contiguous parts of ``range(n)``, one part per process.
 
 ``split`` cuts ``range(n)`` into W = min(CPUs in the affinity mask, n)
-contiguous parts and runs part 0 in the calling process and every other
+contiguous parts, evenly unless part 0 also has ``lead`` units of other
+work, and runs part 0 in the calling process and every other
 part in a forked child, which pickles its result, or the exception it
 raised, into its own pipe and ends in ``os._exit``.  Parts next to each
 other share a link pipe, down which a part may stream bytes to the next.
@@ -9,8 +10,9 @@ Every child has ended and been reaped when ``split`` returns or raises.
 
 Its users: ``spde.run_forked`` steps a slice of a path batch per part;
 ``picard_iterate`` sweeps a group of iterates per part, chained by the
-links; ``lob.parse_events`` reads and converts a run of chunks of an
-event file per part, and checks the joined rows itself;
+links, with the direct run as part 0's lead; ``lob.parse_events`` reads
+and converts a run of chunks of an event file per part, and checks the
+joined rows itself;
 ``_csv.write_table`` splits ``range(W)``, W = ``count(blocks)``, so that
 each part is one index and formats every W-th write block into a spill
 file opened, one per part, before the fork.
@@ -29,10 +31,22 @@ def count(n: int) -> int:
     return min(len(os.sched_getaffinity(0)), n)
 
 
-def split(n: int, work, name) -> list:
+def cuts(n: int, lead: int = 0) -> list:
+    """Where ``split`` cuts ``range(n)``: W + 1 points from 0 to n, W = ``count(n)``.
+
+    The n units and part 0's ``lead`` units of other work are shared
+    evenly: the inner cuts are max(w, (n + lead) w // W - lead) for
+    0 < w < W.  They rise strictly, since n >= W, so no part is empty;
+    ``lead`` 0 gives the even cuts n w // W.
+    """
+    n_parts = count(n)
+    return [0] + [max(w, (n + lead) * w // n_parts - lead) for w in range(1, n_parts)] + [n]
+
+
+def split(n: int, work, name, lead: int = 0) -> list:
     """``work(lo, hi, upstream, downstream)`` for each contiguous part of ``range(n)``, n >= 1.
 
-    The parts are cut at n w // W for w = 0, ..., W.  ``upstream`` is the
+    The parts are cut at ``cuts(n, lead)``.  ``upstream`` is the
     read end of the link from the part before (a buffered binary file)
     and ``downstream`` the unbuffered write end of the link to the part
     after, each None at the ends of the chain: W = 1 makes no pipe and
@@ -50,8 +64,8 @@ def split(n: int, work, name) -> list:
     order.  A child that sends no whole result gives a StefansimError
     naming ``name(lo, hi)``.
     """
-    n_parts = count(n)
-    cuts = [n * w // n_parts for w in range(n_parts + 1)]
+    cut = cuts(n, lead)
+    n_parts = len(cut) - 1
     links = [(open(read, "rb"), open(write, "wb", buffering=0))
              for read, write in (os.pipe() for _ in range(n_parts - 1))]
     ends = [end for link in links for end in link]
@@ -75,17 +89,17 @@ def split(n: int, work, name) -> list:
                         if end not in chain[w]:
                             end.close()
                     with open(write, "wb") as pipe:
-                        pickle.dump(_part(work, cuts[w], cuts[w + 1], *chain[w]), pipe,
+                        pickle.dump(_part(work, cut[w], cut[w + 1], *chain[w]), pipe,
                                     pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write)
-            children.append((pid, open(read, "rb"), cuts[w], cuts[w + 1]))
+            children.append((pid, open(read, "rb"), cut[w], cut[w + 1]))
         for end in ends:
             if end not in chain[0]:
                 end.close()
-        results = [_part(work, 0, cuts[1], *chain[0])]
+        results = [_part(work, 0, cut[1], *chain[0])]
         while children:
             pid, pipe, lo, hi = children[0]
             with pipe:

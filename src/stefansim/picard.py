@@ -54,30 +54,37 @@ floats where a whole-iterate solve holds O(nt K).
 The sweep is chained over processes by ``_workers.split``: the n_iters
 iterates split into W = min(CPUs in the affinity mask, n_iters)
 contiguous groups, the parent sweeping group 0 and forked children the
-others.  After each wave, a group sends the (2, B, J) block its last
-iterate just stepped down its link to the next group, which reads it
-into its input row before its own next wave; iterate k + 1 reads
-iterate k only at earlier steps, so the groups run in lock-step, each
-one wave behind the one before.  A group of m iterates takes
-nt / B + m - 1 waves of at most m stacked iterates, where one process
-takes nt / B + n_iters - 1 waves of up to n_iters.  Once its group is
-swept, the parent runs the direct integrator while the later groups
-finish.  What stays whole is the caller's noise pair (in every process),
-the final pair (in the last group's process, sent back to the parent
-once) and the direct run's profiles (in the parent), which the final
-gap is taken against one side at a time, in place.  Every row's
-arithmetic is the same however many iterates share a stack, so
-the result is the same for any B and any W.
+others.  The parent also runs the direct integrator once its group is
+swept, so its group is cut ``DIRECT_COST`` iterates lighter (the cut
+rule of ``_workers.cuts``; at W = 2 the bundled 12 iterates split 5/7).
+Each group writes its last iterate, a (2, B, J) block after each wave,
+into an array of its own in anonymous shared memory, mapped before the
+fork, and writes one byte down its link to the next group; that group
+reads one byte before each wave that steps its first iterate, then
+copies the block into its input row.  Iterate k + 1 reads iterate k only
+at earlier steps, so a group runs at most one wave behind the group
+before, and a lighter group 0 runs ahead, since a byte per block never
+fills a pipe.  A group of m iterates takes nt / B + m - 1 waves of at
+most m stacked iterates, where one process takes nt / B + n_iters - 1
+waves of up to n_iters.  What stays whole is the caller's noise pair (in
+every process), the shared arrays, each (2, ceil(nt / B) B + 1, J) (the
+parent drops its own group's pages before the direct run; the final
+pair is read in place from the last group's), and the direct run's
+profiles (in the parent), which the final gap is taken against one side
+at a time, in place.  Every row's arithmetic is the same however many
+iterates share a stack, so the result is the same for any B, any W and
+any cut.
 """
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ._workers import split
+from ._workers import cuts, split
 from .boundary import BoundaryFunctional, cap_profile, eval_h
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, IterationFailure,
                      StefansimError)
@@ -95,6 +102,12 @@ MODE_CUTOFF = 40.0
 #: steps per block of the sweep: one wave holds n_iters * SWEEP_BLOCK * 2 * K
 #: mode coefficients; any value gives the same bytes
 SWEEP_BLOCK = 16
+
+#: the direct run's cost in iterates of the sweep, by which the parent's
+#: group is cut lighter: on cold picard-check runs of configs/picard.yaml
+#: (2 vCPU) the direct run takes 2 to 3 iterates' time, and cuts at 2 and
+#: at 3 end within a few ms of each other; any value gives the same bytes
+DIRECT_COST = 2
 
 
 @dataclass
@@ -253,9 +266,11 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     the finite numbers raises IterationFailure.
 
     The iterates sweep in contiguous groups chained through
-    ``_workers.split`` (see the module docstring); nothing sets the
-    number of groups, and no byte depends on it.  The parent sweeps group
-    0 and then runs the direct run while the later groups finish.  A
+    ``_workers.split`` and shared arrays (see the module docstring);
+    nothing sets the number of groups or the cut, and no byte depends on
+    them.  The parent sweeps group 0, ``DIRECT_COST`` iterates lighter,
+    and then runs the direct run while the later groups finish; the final
+    pair is the last group's shared array.  A
     failure is raised as one process raises it: the lowest group's error,
     or a child that ended without a result (a StefansimError naming its
     iterates), then a non-finite iterate, then the direct run's.  Every
@@ -267,26 +282,34 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
     if any(noise.grid != grid for noise in noise_pair):
         raise GridMismatch("the noise must live on the iteration's grid")
     sweep = partial(_sweep, v0, coeffs, boundary_fn, M, noise_pair, build_kernel_tables(grid))
+    # each group's last iterate, keyed by the end of its group, in memory
+    # the forked groups share: anonymous MAP_SHARED pages
+    B = min(SWEEP_BLOCK, grid.nt)
+    shape = (2, -(-grid.nt // B) * B + 1, grid.n_nodes)
+    last = {hi: np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+            for hi in cuts(n_iters, DIRECT_COST)[1:]}
 
     def group(lo, hi, upstream, downstream):
-        dist, v = sweep(hi - lo, upstream, downstream)
-        traj = None
-        if lo == 0:
-            try:
-                traj = run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn, M=M,
-                                          M_max=np.inf, grid=grid, noise=tuple(noise_pair),
-                                          store_stride=1)
-            except Exception as exc:
-                traj = exc
-        return dist, v, traj
+        dist = sweep(hi - lo, last.get(lo), upstream, last[hi], downstream)
+        if lo:
+            return dist, None
+        # the next group still reads these pages; this process needs them no more
+        last[hi].base.madvise(mmap.MADV_DONTNEED)
+        try:
+            return dist, run_relative_frame((v0[0], v0[1], 0.0), coeffs, boundary_fn, M=M,
+                                            M_max=np.inf, grid=grid, noise=tuple(noise_pair),
+                                            store_stride=1)
+        except Exception as exc:
+            return dist, exc
 
-    groups = split(n_iters, group, lambda lo, hi: f"sweeping iterates {lo + 1} to {hi}")
+    groups = split(n_iters, group, lambda lo, hi: f"sweeping iterates {lo + 1} to {hi}",
+                   lead=DIRECT_COST)
     failures = [part for part in groups if isinstance(part, BaseException)]
     if failures:
         raise failures[0]
 
-    traj = groups[0][2]
-    dist, v = np.concatenate([dist for dist, _, _ in groups], axis=1), groups[-1][1]
+    traj = groups[0][1]
+    dist, v = np.concatenate([dist for dist, _ in groups], axis=1), last[n_iters][:, :grid.nt + 1]
     d_hist = [float(d) for d in dist.sum(axis=0)]
     for k, d in enumerate(d_hist, start=1):
         if not math.isfinite(d):
@@ -306,17 +329,20 @@ def picard_iterate(v1_0: np.ndarray, v2_0: np.ndarray,
 
 
 def _sweep(v0: np.ndarray, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-           M: float, noise_pair, tables: KernelTables, n_iters: int, upstream, downstream):
+           M: float, noise_pair, tables: KernelTables, n_iters: int, source, upstream,
+           last: np.ndarray, downstream):
     """Sweep n_iters successive iterates through time together, block by block.
 
-    The group's input iterate is v0 for all time when ``upstream`` is None,
-    and otherwise the last iterate of the group before, read from
-    ``upstream`` one (2, B, J) block before each wave that steps it.  The
-    group's last iterate goes, block by block, to ``downstream`` when it
-    is a pipe, and is kept whole otherwise.  Returns each iterate's
-    running distance, (2, n_iters) by side, and the kept final pair, None
-    when sent on.  If the next group has ended and closed its link, the
-    sweep stops there: that group's outcome is the failure.
+    The group's input iterate is v0 for all time when ``source`` is None,
+    and otherwise the last iterate of the group before, which that group
+    writes into ``source`` a (2, B, J) block at a time: before each wave
+    that steps a block of it, one byte is read from ``upstream``.  The
+    group's last iterate goes into ``last``, (2, ceil(nt / B) B + 1, J):
+    row 0 is v0, and after each wave that steps a block, one byte goes
+    to ``downstream`` when it is a pipe.  Returns each iterate's running
+    distance, (2, n_iters) by side.  If the next group has ended and
+    closed its link, the sweep stops there: that group's outcome is the
+    failure.
     """
     grid = tables.grid
     nt, J = grid.nt, grid.n_nodes
@@ -330,22 +356,17 @@ def _sweep(v0: np.ndarray, coeffs: ModelCoefficients, boundary_fn: BoundaryFunct
     carry = np.repeat((v0 @ tables.init)[None], n_iters, axis=0)
     z = np.zeros((2, n_iters, J))                # each iterate's obstacle state
     dist = np.zeros((2, n_iters))                # each iterate's running sup distance
-    received = np.empty((2, B, J))
-    v = None
-    if downstream is None:
-        v = np.empty((2, nt + 1, J))             # the final iterate, kept whole
-        v[:, 0] = v0
+    last[:, 0] = v0
     # iterate k + 1 reads iterate k only at earlier steps, so in wave s
     # iterate k + 1 steps block s - k, stacked with every other live iterate.
     # An overflow is reported from the distances, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(n_blocks + n_iters - 1):
             lo, hi = max(0, s - n_blocks + 1), min(n_iters, s + 1)
-            if upstream is not None and lo == 0:
-                if upstream.readinto(received) != received.nbytes:
+            if source is not None and lo == 0:
+                if not upstream.read(1):
                     raise StefansimError("the group before ended without sending its iterate")
-                rows[:, 0, 0] = rows[:, 0, B]
-                rows[:, 0, 1:] = received
+                rows[:, 0] = source[:, s * B:(s + 1) * B + 1]
             blocks = s - np.arange(lo, hi)
             # the last block's rows past nt repeat the last noise row: they
             # are stepped, but no kept row or distance reads them
@@ -365,20 +386,17 @@ def _sweep(v0: np.ndarray, coeffs: ModelCoefficients, boundary_fn: BoundaryFunct
             np.maximum(dist[:, lo:hi], change.max(axis=(2, 3)), out=dist[:, lo:hi])
             rows[:, lo + 1:hi + 1, 0] = rows[:, lo + 1:hi + 1, B]
             rows[:, lo + 1:hi + 1, 1:] = new
-            if hi == n_iters and downstream is None:
-                first = 1 + blocks[-1] * B
-                v[:, first:first + B] = new[:, -1, :nt + 1 - first]
-            elif hi == n_iters and not _send(downstream, new[:, -1]):
-                return dist, None
-    return dist, v
+            if hi == n_iters:
+                last[:, 1 + blocks[-1] * B:1 + (blocks[-1] + 1) * B] = new[:, -1]
+                if downstream is not None and not _send(downstream):
+                    return dist
+    return dist
 
 
-def _send(pipe, block: np.ndarray) -> bool:
-    """Write ``block`` whole to the unbuffered ``pipe``; False if its reader has closed it."""
-    data = memoryview(np.ascontiguousarray(block)).cast("B")
+def _send(pipe) -> bool:
+    """Write one byte to the unbuffered ``pipe``; False if its reader has closed it."""
     try:
-        while data:
-            data = data[pipe.write(data):]
+        pipe.write(b"\0")
     except BrokenPipeError:
         return False
     return True

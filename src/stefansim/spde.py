@@ -343,6 +343,9 @@ def _checked_batch(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunc
         raise CflViolation(f"lap_scale * dt exceeds {STABILITY_FACTOR} * dx^2")
     if grid.domain_kind != COMPACT and (violation := coeffs.validate_growth(grid)) > 1e-9:
         raise ConfigError(f"volatility exceeds its growth envelope by {violation:.3g}")
+    # a state per path is held in any case: numpy refuses a path count whose
+    # arrays cannot fit now, before a stream of it is built
+    np.empty((2, len(noises), grid.n_nodes))
     paths = []
     for k, noise in enumerate(noises):
         streams, name = _path_noise(noise, grid)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helpers import synthetic_lob_rows
+from helpers import synthetic_lob_rows, time_limit
 from stefansim.cli import main
 from stefansim.errors import FormatError
 from stefansim.lob import FitResult
@@ -535,6 +535,19 @@ def test_a_grid_no_array_can_hold_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error: the configured sizes do not fit in memory: "
                           "Unable to allocate ")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_a_path_count_no_array_can_hold_is_a_config_error(tmp_path, capsys):
+    # 10**15 paths: refused by the batch's first array, before any path's
+    # noise streams are built, which would grow memory path by path
+    cfg = _base_cfg(tmp_path, holder={"n_paths": 2, "lag_min": 2, "lag_max": 16})
+    with time_limit(60):
+        code = main(["holder", "-c", _write_cfg(tmp_path, cfg),
+                     "--set", "holder.n_paths=1000000000000000"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: the configured sizes do not fit in memory: Unable to allocate ")
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 

@@ -1,3 +1,4 @@
+import mmap
 import os
 import time
 import tracemalloc
@@ -553,8 +554,8 @@ def test_the_fixed_point_does_not_depend_on_the_start():
 
 def test_sweep_memory_is_bounded_by_its_array_counts(monkeypatch):
     # the bundled picard-check grid: nx 32, nt 2048, 12 iterates, K = 577 modes;
-    # one worker, since tracemalloc sees only this process
-    set_cpus(monkeypatch, 1)
+    # one worker, since tracemalloc sees only this process, then two, whose
+    # parent holds less
     cfg = load_yaml(REPO / "configs" / "picard.yaml")
     grid = grid_from_config(cfg)
     v1_0, v2_0 = initial_from_config(cfg, grid)
@@ -567,36 +568,55 @@ def test_sweep_memory_is_bounded_by_its_array_counts(monkeypatch):
     # other arrays, each of which is J, not K, wide; the kernel tables: three
     # (J, K) factors, init and the stacked mid_der/mid_val of one wave
     bound = 2 * pair + 2 * (n_iters * picard.SWEEP_BLOCK * 2 * K * 8) + 5 * J * K * 8
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        picard_iterate(v1_0, v2_0, coefficients_from_config(cfg), boundary_from_config(cfg),
-                       cfg["picard"]["M"], noise, grid, n_iters=n_iters)
-        elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound, f"peak {peak / pair:.1f} pair arrays, bound {bound / pair:.1f}"
-    assert elapsed <= 20.0
+    # tracemalloc does not see mapped memory: one shared (2, 2049, 33) array
+    # per worker holds its group's last iterate, the final pair among them
+    B = picard.SWEEP_BLOCK
+    shared = 2 * (-(-grid.nt // B) * B + 1) * J * 8
+    real_mmap, mapped = mmap.mmap, []
+
+    def recorded(*args):
+        mapped.append(real_mmap(*args))
+        return mapped[-1]
+    monkeypatch.setattr(mmap, "mmap", recorded)
+    for n_cpus in (1, 2):
+        set_cpus(monkeypatch, n_cpus)
+        mapped.clear()
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            picard_iterate(v1_0, v2_0, coefficients_from_config(cfg), boundary_from_config(cfg),
+                           cfg["picard"]["M"], noise, grid, n_iters=n_iters)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(m) for m in mapped] == [shared] * n_cpus
+        assert peak <= bound, f"peak {peak / pair:.1f} pair arrays, bound {bound / pair:.1f}"
+        assert elapsed <= 20.0
 
 
 # ------------------------------------------------ the sweep over processes
 
 def test_picard_report_is_the_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
-    written = []
-    for n_cpus in (1, 2, 3):
-        set_cpus(monkeypatch, n_cpus)
-        pids = count_forks(monkeypatch)
-        with time_limit(60):
-            assert main(["picard-check", "-c", str(REPO / "configs" / "picard.yaml"),
-                         "--output-dir", str(tmp_path)]) == 0
-        assert len(pids) == n_cpus - 1
-        assert_reaped(pids)
-        written.append((tmp_path / "picard_report.json").read_bytes())
-    assert written[1] == written[0] and written[2] == written[0]
+    # the parent's group is cut lighter, so at 3 iterates on 3 CPUs each
+    # group holds one iterate and at 2 CPUs the bundled 12 split 5/7
+    for n_iters in (2, 3, 4, 12):
+        written = []
+        for n_cpus in (1, 2, 3):
+            set_cpus(monkeypatch, n_cpus)
+            pids = count_forks(monkeypatch)
+            with time_limit(60):
+                assert main(["picard-check", "-c", str(REPO / "configs" / "picard.yaml"),
+                             "--output-dir", str(tmp_path),
+                             "--set", f"picard.n_iters={n_iters}"]) == 0
+            assert len(pids) == min(n_cpus, n_iters) - 1
+            assert_reaped(pids)
+            written.append((tmp_path / "picard_report.json").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0], n_iters
 
 
-@pytest.mark.parametrize("n_cpus, n_iters", [(1, 4), (2, 2), (3, 2), (4, 3), (3, 7), (8, 5)])
+@pytest.mark.parametrize("n_cpus, n_iters",
+                         [(1, 4), (2, 2), (3, 2), (4, 3), (3, 3), (3, 7), (8, 5)])
 def test_forks_at_most_one_fewer_than_the_workers(n_cpus, n_iters, small_grid, monkeypatch):
     z = np.zeros(small_grid.n_nodes)
     set_cpus(monkeypatch, n_cpus)
@@ -631,18 +651,19 @@ def _failing_in(where, parent):
 @pytest.mark.parametrize("where, error, match", [
     ("parent", RuntimeError, "^failed in group 0$"),
     ("child", ValueError, "^failed in a child$"),
-    ("exit", StefansimError, r"^the worker sweeping iterates 3 to 4 ended without a result$"),
+    ("exit", StefansimError, r"^the worker sweeping iterates 2 to 4 ended without a result$"),
     ("nan", IterationFailure,
-     r"^iterate 3 of [47] is not finite: its distance to iterate 2 is nan$"),
+     r"^iterate 2 of [47] is not finite: its distance to iterate 1 is nan$"),
 ])
 def test_no_child_outlives_a_failed_chain(where, error, match, n_cpus, monkeypatch):
-    # 128 blocks of 2.3 kB each, more than a pipe holds: the groups before a
-    # dead child meet its closed link, and that child's failure is raised
+    # the lowest failed group's failure is raised, whether or not the groups
+    # before a dead child meet its closed link
     g = build_grid("compact", 8, 0.02, 2048)
     x = g.space_nodes()
     v0 = 0.3 * np.sin(np.pi * x)
     v0[[0, -1]] = 0.0
-    n_iters = 3 * n_cpus - 2                 # group 1 sweeps iterates 3 and 4
+    # cut at [0, 1, 4] or [0, 1, 4, 7]: group 1 sweeps iterates 2 to 4
+    n_iters = 3 * n_cpus - 2
     set_cpus(monkeypatch, n_cpus)
     pids = count_forks(monkeypatch)
     noise = (sample_white_noise(g, 1, 0), sample_white_noise(g, 1, 1))
@@ -650,6 +671,40 @@ def test_no_child_outlives_a_failed_chain(where, error, match, n_cpus, monkeypat
         picard_iterate(v0, v0.copy(), _failing_in(where, os.getpid()), exp_imbalance(clamp=1.0),
                        2.0, noise, g, n_iters=n_iters)
     assert len(pids) == n_cpus - 1
+    assert_reaped(pids)
+
+
+def test_a_child_that_ends_before_the_first_block_breaks_the_parent_s_link(monkeypatch):
+    # the child ends before it reads anything, and the parent starts its
+    # sweep only once the child has ended (not reaped: split reaps it), so
+    # the parent's first byte meets the closed link and its sweep stops there
+    g = build_grid("compact", 8, 0.02, 2048)
+    x = g.space_nodes()
+    v0 = 0.3 * np.sin(np.pi * x)
+    v0[[0, -1]] = 0.0
+    parent, real_sweep, real_send = os.getpid(), picard._sweep, picard._send
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+    sent = []
+
+    def sweep(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        return real_sweep(*args)
+
+    def send(pipe):
+        sent.append(real_send(pipe))
+        return sent[-1]
+    monkeypatch.setattr(picard, "_sweep", sweep)
+    monkeypatch.setattr(picard, "_send", send)
+    noise = (sample_white_noise(g, 1, 0), sample_white_noise(g, 1, 1))
+    with pytest.raises(StefansimError, match=r"^the worker sweeping iterates 2 to 4 ended "
+                                             r"without a result$"), time_limit(60):
+        picard_iterate(v0, v0.copy(), constant_coefficients(f=0.2, sigma=0.25),
+                       exp_imbalance(clamp=1.0), 2.0, noise, g, n_iters=4)
+    assert sent == [False]
+    assert len(pids) == 1
     assert_reaped(pids)
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from helpers import assert_reaped, count_forks, set_cpus, time_limit
-from stefansim._workers import split
+from stefansim import _workers
+from stefansim._workers import cuts, split
 from stefansim.errors import StefansimError
 
 
@@ -35,6 +36,39 @@ def test_parts_come_back_in_order(n_cpus, n, monkeypatch):
         [(w == 0, w == W - 1) for w in range(W)]
     assert len(pids) == W - 1
     assert_reaped(pids)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2, 5])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+def test_a_lead_cuts_a_lighter_first_part(n_cpus, lead, monkeypatch):
+    # part 0 has lead units of other work; every part is still nonempty, in
+    # order and on a CPU of its own, and lead 0 keeps the even cuts
+    set_cpus(monkeypatch, n_cpus)
+    pinned = []
+    monkeypatch.setattr(_workers, "_pin", pinned.append)
+    for n in range(1, 14):
+        pinned.clear()
+        pids = count_forks(monkeypatch)
+        got = split(n, lambda lo, hi, *links: (lo, hi, pinned[-1] if pinned else None),
+                    _name, lead=lead)
+        W = min(n_cpus, n)
+        cut = [lo for lo, _, _ in got] + [n]
+        assert cut == cuts(n, lead) and [hi for _, hi, _ in got] == cut[1:]
+        assert all(lo < hi for lo, hi in zip(cut, cut[1:])) and cut[0] == 0, (n, cut)
+        if lead == 0:
+            assert cut == [n * w // W for w in range(W + 1)]
+        assert cut[1:-1] == [max(w, (n + lead) * w // W - lead) for w in range(1, W)]
+        assert [cpu for _, _, cpu in got] == (list(range(W)) if W > 1 else [None])
+        assert len(pids) == W - 1
+        assert_reaped(pids)
+
+
+def test_the_picard_cuts(monkeypatch):
+    # 12 iterates on 2 CPUs split 5/7; 3 on 3 CPUs stay one apiece
+    set_cpus(monkeypatch, 2)
+    assert cuts(12, 2) == [0, 5, 12]
+    set_cpus(monkeypatch, 3)
+    assert cuts(3, 2) == [0, 1, 2, 3]
 
 
 def test_one_part_makes_no_pipe_and_forks_nothing(monkeypatch):
