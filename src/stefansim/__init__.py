@@ -20,6 +20,6 @@ from .picard import IterationReport, KernelTables, build_kernel_tables, mild_sol
 from .regularity import (HolderEstimate, HolderObserver, StructureSums, estimate_holder_ensemble,
                          structure_function)
 from .spde import (ModelCoefficients, Recorder, Trajectory, constant_coefficients,
-                   run_forked, run_paths, run_relative_frame, tabulated_coefficients)
+                   run_paths, run_relative_frame, tabulated_coefficients)
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ raised, into its own pipe and ends in ``os._exit``.  Parts next to each
 other share a link pipe, down which a part may stream bytes to the next.
 Every child has ended and been reaped when ``split`` returns or raises.
 
-Its users: ``spde.run_forked`` steps a slice of a path batch per part;
+Its users: ``spde.run_paths`` steps a slice of a path batch per part;
 ``picard_iterate`` sweeps a group of iterates per part, chained by the
 links, with the direct run as part 0's lead; ``lob.parse_events`` reads
 and converts a run of chunks of an event file per part, and checks the

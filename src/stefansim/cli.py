@@ -31,7 +31,7 @@ from .obstacle import dump_csv, solve_penalized, solve_projected
 from .picard import picard_iterate
 from .regularity import (SPACE, TIME, HolderObserver, StructureSums, boundary_holder_ensemble,
                          dyadic_lags, estimate_holder_ensemble, pooled_increments)
-from .spde import run_forked, run_relative_frame
+from .spde import run_paths, run_relative_frame
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -170,12 +170,11 @@ def cmd_holder(cfg: dict) -> int:
             raise ConfigError(f"field {name!r}: {exc} on a full-length path "
                               f"({grid.nt + 1} rows)") from None
 
-    observer = partial(HolderObserver, grid=grid, q=q, time_lags=time_lags,
-                       space_lags=space_lags)
-    p_prime, ends, totals = zip(*run_forked(
+    p_prime, ends, totals = zip(*run_paths(
         (v1_0, v2_0, 0.0), coeffs, fn, M=M, M_max=_M_max(cfg), grid=grid,
-        noises=range(base_seed, base_seed + n_paths), make_observer=observer,
-        lap_scale=_lap_scale(cfg)))
+        noises=range(base_seed, base_seed + n_paths), lap_scale=_lap_scale(cfg),
+        make_observer=partial(HolderObserver, grid=grid, q=q, time_lags=time_lags,
+                              space_lags=space_lags)))
     sums = StructureSums.join(totals, grid.n_nodes, q, time_lags, space_lags)
     try:
         rows = [

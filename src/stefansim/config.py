@@ -109,6 +109,7 @@ def get_field(cfg: dict, path: str, default=None, required: bool = False, *, cas
     """Fetch a dotted field read by ``cast``; ConfigError names the missing/invalid field.
 
     A field set to null (YAML ``nx:`` with nothing after it) counts as missing.
+    No field takes a YAML boolean (true, yes, on), though Python takes True as 1.
     """
     node = cfg
     for key in path.split("."):
@@ -118,6 +119,8 @@ def get_field(cfg: dict, path: str, default=None, required: bool = False, *, cas
             raise ConfigError(f"missing required field {path!r}")
         return default
     try:
+        if isinstance(node, bool):
+            raise ValueError("no field takes a boolean")
         return cast(node)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {path!r} has invalid value {node!r}: {exc}") from None
@@ -130,7 +133,7 @@ def _number(test, reason: str, inf: bool = False):
     """A float passing ``test``; never NaN, and inf (YAML ``.inf``) only when ``inf``."""
     def cast(value) -> float:
         x = np.inf if inf and value == ".inf" else float(value)
-        if not (test(x) and (inf or math.isfinite(x))):
+        if math.isnan(x) or not (test(x) and (inf or math.isfinite(x))):
             raise ValueError(reason)
         return x
     return cast
@@ -141,6 +144,7 @@ positive = _number(lambda x: x > 0, "must be a finite number > 0")
 nonnegative = _number(lambda x: x >= 0, "must be a finite number >= 0")
 nonpositive = _number(lambda x: x <= 0, "must be a finite number <= 0")
 positive_or_inf = _number(lambda x: x > 0, "must be a number > 0 or inf", inf=True)
+number_or_inf = _number(lambda x: True, "must be a number (inf included), not NaN", inf=True)
 
 
 def whole(lo, hi=math.inf):
@@ -166,10 +170,12 @@ def choice(*values):
 
 
 def list_of(each):
-    """A nonempty list, every entry read by the cast ``each``."""
+    """A nonempty list, every entry read by the cast ``each``; no entry is a boolean."""
     def cast(value) -> list:
         if not isinstance(value, list) or not value:
             raise ValueError("must be a nonempty list")
+        if any(isinstance(x, bool) for x in value):
+            raise ValueError("no entry may be a boolean")
         return [each(x) for x in value]
     return cast
 
@@ -228,7 +234,7 @@ def coefficients_from_config(cfg: dict) -> ModelCoefficients:
             raise ConfigError("fields 'coefficients.x_centers', 'coefficients.f_values' and "
                               "'coefficients.sigma_values' must have one length")
         return tabulated_coefficients(xc, fv, sv, **meta)
-    f0 = get_field(cfg, "coefficients.f", default=0.0, cast=float)
+    f0 = get_field(cfg, "coefficients.f", default=0.0, cast=number_or_inf)
     sigma0 = get_field(cfg, "coefficients.sigma", default=1.0 if kind == "constant" else 0.5,
                        cast=finite)
     coeffs = constant_coefficients(f=f0, sigma=sigma0, **meta)

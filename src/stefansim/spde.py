@@ -30,9 +30,10 @@ handed on.  A stopped path keeps its batch row, which is stepped on with
 the others but never drawn for, checked or handed on again.
 
 Path k of a batch equals bit for bit the run of its own noise entry, so
-``run_forked`` splits a batch into contiguous slices, steps each in its
-own process (the parent one, forked children the others) and joins the
-observers' ``finish`` lists in path order, with the same bytes for any
+``run_paths`` splits a batch into contiguous slices with one
+``_workers.split`` call, steps each in its own process (the calling one,
+forked children the others; one path forks nothing) and joins the
+slices' ``finish`` lists in path order, with the same bytes for any
 number of workers.
 """
 from __future__ import annotations
@@ -314,24 +315,45 @@ def check_initial(v1_0, v2_0, M: float, grid: GridSpec, boundary_fn: BoundaryFun
     return v0, h0
 
 
-def _path_noise(noise, grid: GridSpec):
-    """One path's two noise streams, side 1 first, and its name in messages."""
+def _path_noise(k: int, noise, grid: GridSpec):
+    """Path k's two noise streams, side 1 first, and its name in messages."""
     if isinstance(noise, tuple):
         first, second = noise
         if first.grid != grid or second.grid != grid:
             raise GridMismatch("supplied noise does not live on the run grid")
-        return (NoiseStream.from_field(first), NoiseStream.from_field(second)), "explicit noise"
+        return ((NoiseStream.from_field(first), NoiseStream.from_field(second)),
+                f"path {k} (explicit noise)")
     seed = operator.index(noise)
-    return (NoiseStream(grid, seed, 0), NoiseStream(grid, seed, 1)), f"seed {seed}"
+    return (NoiseStream(grid, seed, 0), NoiseStream(grid, seed, 1)), f"path {k} (seed {seed})"
 
 
-def _checked_batch(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-                   M: float, M_max: float, grid: GridSpec, noises, lap_scale: float):
-    """Every check of a ``run_paths`` call, made before any step.
+def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
+              M: float, M_max: float, grid: GridSpec, noises, lap_scale: float = 1.0,
+              make_observer=None) -> list:
+    """Integrate one path per noise from common initial data, as one batch.
 
-    Returns the batch's paths, one ``(streams, label)`` pair per noise
-    entry with its label as messages give it, and a function that steps
-    any list of them, ``step(paths, observer)``.
+    ``initial`` is (v1_0, v2_0, p0).  ``noises`` names each path's noise:
+    a seed, an integer in [0, 2**64) read from the streams (seed, 0) and
+    (seed, 1), or a (NoiseField, NoiseField) pair on the run grid.  Path
+    k equals bit for bit the run of ``noises[k]`` alone: every operation
+    acts on each row by itself.
+    A path that blows up keeps its batch row to the end of the run: the
+    row is stepped on with the others, but after the path's end its
+    streams are not drawn, its speeds are not checked and nothing of it is
+    handed on.
+
+    Every check is made and every noise entry resolved before the batch
+    is cut into contiguous slices, one per ``_workers.split`` part; no
+    byte depends on the cut.  ``make_observer(n)`` gives the observer of
+    an n-path slice (see Recorder), by default a Recorder without
+    profiles.  Returns the slices' ``finish`` lists, of each path's
+    (last_step, cause) pair, joined in path order: by default one
+    Trajectory per path.  A failure is raised as one process raises it:
+    a CflViolation of the earliest step, then of the lowest path, and
+    before any CflViolation any other error, or a child that ended
+    without a result (a StefansimError naming its paths), of the lowest
+    slice.  Every child has ended and been reaped when this returns or
+    raises.
     """
     v1_0, v2_0, p0 = initial
     v0, h0 = check_initial(v1_0, v2_0, M, grid, boundary_fn)
@@ -346,41 +368,24 @@ def _checked_batch(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunc
     # a state per path is held in any case: numpy refuses a path count whose
     # arrays cannot fit now, before a stream of it is built
     np.empty((2, len(noises), grid.n_nodes))
-    paths = []
-    for k, noise in enumerate(noises):
-        streams, name = _path_noise(noise, grid)
-        paths.append((streams, f"path {k} ({name})"))
+    paths = [_path_noise(k, noise, grid) for k, noise in enumerate(noises)]
     if not paths:
         raise ConfigError("a run needs at least one path")
-    return paths, partial(_step_paths, v0, h0, float(p0), coeffs, boundary_fn, M, M_max, grid,
-                          lap_scale)
-
-
-def run_paths(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-              M: float, M_max: float, grid: GridSpec, noises, lap_scale: float = 1.0,
-              observer=None):
-    """Integrate one path per noise from common initial data, as one batch.
-
-    ``initial`` is (v1_0, v2_0, p0).  ``noises`` names each path's noise:
-    a seed, an integer in [0, 2**64) read from the streams (seed, 0) and
-    (seed, 1), or a (NoiseField, NoiseField) pair on the run grid.  Path
-    k equals bit for bit the run of ``noises[k]`` alone: every operation
-    acts on each row by itself.
-    A path that blows up keeps its batch row to the end of the run: the
-    row is stepped on with the others, but after the path's end its
-    streams are not drawn, its speeds are not checked and nothing of it is
-    handed on.  Each block's values go to ``observer`` (see Recorder), by
-    default a Recorder without profiles.
-    Returns ``observer.finish`` of each path's (last_step, cause) pair,
-    by default one Trajectory per path, in order.
-    """
-    paths, step = _checked_batch(initial, coeffs, boundary_fn, M, M_max, grid, noises,
-                                 lap_scale)
-    return step(paths, observer if observer is not None else Recorder(grid, len(paths)))
+    make_observer = make_observer if make_observer is not None else partial(Recorder, grid)
+    results = split(len(paths),
+                    lambda lo, hi, *links: _step_paths(
+                        v0, h0, float(p0), coeffs, boundary_fn, M, M_max, grid, lap_scale,
+                        paths[lo:hi], make_observer(hi - lo)),
+                    lambda lo, hi: f"stepping {paths[lo][1]} to {paths[hi - 1][1]}")
+    failures = [result for result in results if isinstance(result, BaseException)]
+    if failures:
+        # the first of the lowest key is the lowest slice's
+        raise min(failures, key=lambda exc: exc.step if isinstance(exc, CflViolation) else -1)
+    return [entry for result in results for entry in result]
 
 
 def _step_paths(v0, h0, p0, coeffs, boundary_fn, M, M_max, grid, lap_scale, paths, observer):
-    """The stepping loop of ``run_paths`` over checked ``paths``."""
+    """The stepping loop of ``run_paths`` over a slice of its checked ``paths``."""
     streams, labels = zip(*paths)
     n_paths = len(paths)
     nt, dt = grid.nt, grid.dt
@@ -476,32 +481,5 @@ def run_relative_frame(initial, coeffs: ModelCoefficients,
     reuse one realisation.  The trajectory is a pure function of (initial,
     coeffs, boundary_fn, M, M_max, grid, noise).
     """
-    return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [noise],
-                     lap_scale=lap_scale, observer=Recorder(grid, 1, store_stride))[0]
-
-
-def run_forked(initial, coeffs: ModelCoefficients, boundary_fn: BoundaryFunctional,
-               M: float, M_max: float, grid: GridSpec, noises, make_observer,
-               lap_scale: float = 1.0) -> list:
-    """``run_paths`` on contiguous slices of ``noises``, one per worker process.
-
-    ``make_observer(n)`` gives the observer of an n-path slice, and the
-    result is each slice's ``finish`` list, joined in path order.  Path k
-    equals the run of ``noises[k]`` alone, so no byte depends on how
-    ``_workers.split`` cuts the batch.  Every check is made and every
-    noise entry resolved before the first fork.  A failure is raised as
-    one process raises it: a CflViolation of the earliest step, then of
-    the lowest path, and before any CflViolation any other error, or a
-    child that ended without a result (a StefansimError naming its
-    paths), of the lowest slice.  Every child has ended and been reaped
-    when this returns or raises.
-    """
-    paths, step = _checked_batch(initial, coeffs, boundary_fn, M, M_max, grid, noises,
-                                 lap_scale)
-    results = split(len(paths), lambda lo, hi, *links: step(paths[lo:hi], make_observer(hi - lo)),
-                    lambda lo, hi: f"stepping {paths[lo][1]} to {paths[hi - 1][1]}")
-    failures = [result for result in results if isinstance(result, BaseException)]
-    if failures:
-        # the first of the lowest key is the lowest slice's
-        raise min(failures, key=lambda exc: exc.step if isinstance(exc, CflViolation) else -1)
-    return [entry for result in results for entry in result]
+    return run_paths(initial, coeffs, boundary_fn, M, M_max, grid, [noise], lap_scale=lap_scale,
+                     make_observer=lambda n: Recorder(grid, n, store_stride))[0]

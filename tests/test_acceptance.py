@@ -21,7 +21,7 @@ from stefansim.obstacle import solve_penalized, solve_projected
 from stefansim.picard import picard_iterate
 from stefansim.regularity import (SPACE, TIME, HolderObserver, StructureSums,
                                   boundary_holder_ensemble, dyadic_lags, estimate_holder_ensemble)
-from stefansim.spde import (ModelCoefficients, constant_coefficients, run_forked, run_paths,
+from stefansim.spde import (ModelCoefficients, constant_coefficients, run_paths,
                             run_relative_frame)
 
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
@@ -212,9 +212,9 @@ def she_ensemble():
     from stefansim.boundary import zero_boundary
     t0 = time.perf_counter()
     lags = {"time_lags": dyadic_lags((16, 256)), "space_lags": dyadic_lags((1, 8))}
-    _, _, totals = zip(*run_forked((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf,
-                                   grid, noises=range(9000, 9020),
-                                   make_observer=partial(HolderObserver, grid=grid, q=2, **lags)))
+    _, _, totals = zip(*run_paths((z, z.copy(), 0.0), coeffs, zero_boundary(), np.inf, np.inf,
+                                  grid, noises=range(9000, 9020),
+                                  make_observer=partial(HolderObserver, grid=grid, q=2, **lags)))
     return StructureSums.join(totals, grid.n_nodes, 2, **lags), time.perf_counter() - t0
 
 
@@ -225,9 +225,9 @@ def imbalance_ensemble():
     coeffs = constant_coefficients(f=0.0, sigma=1.0)
     fn = exp_imbalance(alpha=5.0, lam=100.0)
     z = np.zeros(grid.n_nodes)
-    p_prime, _, _ = zip(*run_forked((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
-                                    noises=range(9500, 9520),
-                                    make_observer=partial(HolderObserver, grid=grid)))
+    p_prime, _, _ = zip(*run_paths((z, z.copy(), 0.0), coeffs, fn, np.inf, np.inf, grid,
+                                   noises=range(9500, 9520),
+                                   make_observer=partial(HolderObserver, grid=grid)))
     return list(p_prime)
 
 

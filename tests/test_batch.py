@@ -3,6 +3,7 @@ import dataclasses
 import os
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from stefansim.grids import build_grid
 from stefansim.noise import NoiseStream, sample_white_noise
 from stefansim.regularity import (SPACE, TIME, HolderObserver, StructureSums, dyadic_lags,
                                   estimate_holder_ensemble)
-from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_forked,
-                            run_paths, run_relative_frame, step_reflected)
+from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
+                            run_relative_frame, step_reflected)
 
 
 def _sine(grid, amp):
@@ -65,26 +66,34 @@ def _noises(grid, seeds, form):
 
 def assert_rows_match_singles(initial, coeffs, fn, M, M_max, grid, seeds,
                               stride, lap_scale=1.0, form="seeds"):
+    """The batch, stepped on 1, 2 and 3 CPUs, against the single run of each path."""
     noises = _noises(grid, seeds, form)
-    batch = run_paths(initial, coeffs, fn, M, M_max, grid, noises, lap_scale=lap_scale,
-                      observer=_KeepsLast(grid, len(seeds), stride))
-    assert len(batch) == len(seeds)
-    for traj, seed, noise in zip(batch, seeds, noises):
-        # a single run is the one-path batch (the body of run_relative_frame),
-        # and a path driven by its seed's pair is the run of that seed
-        for single in [noise] if noise is seed else [noise, seed]:
-            one, = run_paths(initial, coeffs, fn, M, M_max, grid, [single],
-                             lap_scale=lap_scale, observer=_KeepsLast(grid, 1, stride))
-            for name in ("times", "p", "p_prime", "norm1", "norm2"):
-                assert _same_bytes(getattr(traj, name), getattr(one, name)), name
-            if stride:
-                for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
-                    assert _same_bytes(getattr(traj, name), getattr(one, name)), name
-            assert _same_bytes(traj.last, one.last)
-            assert (traj.p[-1], traj.p_prime[-1], traj.times[-1]) == \
-                (one.p[-1], one.p_prime[-1], one.times[-1])
-            assert (traj.blown_up, traj.tau_estimate, traj.blowup_cause) == \
-                (one.blown_up, one.tau_estimate, one.blowup_cause)
+    keeps_last = partial(_KeepsLast, grid, stride=stride)
+    # a single run is the one-path batch (the body of run_relative_frame),
+    # and a path driven by its seed's pair is the run of that seed
+    singles = [[run_paths(initial, coeffs, fn, M, M_max, grid, [single], lap_scale=lap_scale,
+                          make_observer=keeps_last)[0]
+                for single in ([noise] if noise is seed else [noise, seed])]
+               for seed, noise in zip(seeds, noises)]
+    for n_cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            set_cpus(mp, n_cpus)
+            batch = run_paths(initial, coeffs, fn, M, M_max, grid, noises, lap_scale=lap_scale,
+                              make_observer=keeps_last)
+        assert len(batch) == len(seeds)
+        for traj, ones in zip(batch, singles):
+            for one in ones:
+                for name in ("times", "p", "p_prime", "norm1", "norm2"):
+                    assert _same_bytes(getattr(traj, name), getattr(one, name)), (n_cpus, name)
+                if stride:
+                    for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
+                        assert _same_bytes(getattr(traj, name), getattr(one, name)), \
+                            (n_cpus, name)
+                assert _same_bytes(traj.last, one.last)
+                assert (traj.p[-1], traj.p_prime[-1], traj.times[-1]) == \
+                    (one.p[-1], one.p_prime[-1], one.times[-1])
+                assert (traj.blown_up, traj.tau_estimate, traj.blowup_cause) == \
+                    (one.blown_up, one.tau_estimate, one.blowup_cause)
     return batch
 
 
@@ -228,8 +237,11 @@ def test_profiles_stay_nonnegative_with_zero_dirichlet_nodes(
     coeffs = ModelCoefficients(f1=drift1, f2=drift2, sigma1=vol, sigma2=vol)
     v0 = _sine(g, amp)
     check = _InvariantCheck()
-    ends = run_paths((v0, 0.5 * v0, 0.0), coeffs, fn, 0.5 if finite_M else np.inf, np.inf,
-                     g, [seed + k for k in range(n_paths)], observer=check)
+    # one CPU: the one observer is read after the run, in this process
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 1)
+        ends = run_paths((v0, 0.5 * v0, 0.0), coeffs, fn, 0.5 if finite_M else np.inf, np.inf,
+                         g, [seed + k for k in range(n_paths)], make_observer=lambda n: check)
     assert check.steps == 1 + max(last for last, _ in ends)
 
 
@@ -403,20 +415,22 @@ def test_rows_stepped_past_a_non_finite_end_warn_nothing(kind, monkeypatch):
     args = args[:2] + (BOUNDARIES[kind],) + args[3:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trajs = run_paths(*args, observer=Recorder(g, len(args[-1]), 1))
+        trajs = run_paths(*args, make_observer=partial(Recorder, g, stride=1))
     assert "non_finite" in {t.blowup_cause for t in trajs}
     for t in trajs:
         assert np.isfinite(t.p).all() and np.isfinite(t.v1_snapshots).all()
 
 
-def test_observer_sees_each_kept_step_once_in_order():
+def test_observer_sees_each_kept_step_once_in_order(monkeypatch):
+    # one CPU: the one observer is read after the run, in this process
+    set_cpus(monkeypatch, 1)
     g, args = _stopping_batch("both")
     seeds = args[-1]
     calls = _Calls(len(seeds))
-    ends = run_paths(*args, observer=calls)
+    ends = run_paths(*args, make_observer=lambda n: calls)
     causes = [cause for _, cause in ends]
     assert {"threshold", "non_finite", None} <= set(causes)
-    recorded = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    recorded = run_paths(*args, make_observer=partial(Recorder, g, stride=1))
     for rows, (last, cause), traj in zip(calls.rows, ends, recorded):
         assert [row[0] for row in rows] == list(range(last + 1))
         assert all(np.isfinite(x).all() for row in rows for x in row[1:])
@@ -431,12 +445,14 @@ def test_observer_sees_each_kept_step_once_in_order():
         assert traj.blowup_cause == cause
 
 
-def test_a_stopped_path_keeps_its_stopping_time_and_last_state():
+def test_a_stopped_path_keeps_its_stopping_time_and_last_state(monkeypatch):
+    # one CPU: the one observer is read after the run, in this process
+    set_cpus(monkeypatch, 1)
     g, args = _stopping_batch("both")
     seeds = args[-1]
     calls = _Calls(len(seeds))
-    run_paths(*args, observer=calls)
-    recorded = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    run_paths(*args, make_observer=lambda n: calls)
+    recorded = run_paths(*args, make_observer=partial(Recorder, g, stride=1))
     for rows, traj in zip(calls.rows, recorded):
         assert len(traj.v1_snapshots) == len(traj.times)
         last = np.stack([traj.v1_snapshots[-1], traj.v2_snapshots[-1]])
@@ -460,14 +476,13 @@ def test_recorder_keeps_every_stride_th_step_and_the_last(cause, block, monkeypa
     # strides that divide nt and strides that do not, one past nt
     g, args = _stopping_batch(cause)
     monkeypatch.setattr(stefansim.spde, "NOISE_BLOCK", block)
-    seeds = args[-1]
-    every = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    every = run_paths(*args, make_observer=partial(Recorder, g, stride=1))
     lasts = [len(traj.times) - 1 for traj in every]
     assert cause in {t.blowup_cause for t in every}
     # some path stops inside a block
     assert block == 1 or any(0 < last % block for last in lasts if last < g.nt)
     for stride in (1, 3, 7, g.nt, g.nt + 5):
-        trajs = run_paths(*args, observer=Recorder(g, len(seeds), stride))
+        trajs = run_paths(*args, make_observer=partial(Recorder, g, stride=stride))
         for traj, full, last in zip(trajs, every, lasts):
             rows = [k for k in sorted({*range(0, g.nt + 1, stride), g.nt}) if k <= last]
             for name in ("snapshot_times", "v1_snapshots", "v2_snapshots"):
@@ -477,6 +492,8 @@ def test_recorder_keeps_every_stride_th_step_and_the_last(cause, block, monkeypa
 
 @pytest.mark.parametrize("block", [1, 7, 128])
 def test_a_stopped_paths_streams_are_not_drawn_after_its_stopping_block(block, monkeypatch):
+    # one CPU: the draws are counted in this process
+    set_cpus(monkeypatch, 1)
     g, args = _stopping_batch("both")
     monkeypatch.setattr(stefansim.spde, "NOISE_BLOCK", block)
     rows = {}       # (seed, side) -> time rows drawn
@@ -491,7 +508,7 @@ def test_a_stopped_paths_streams_are_not_drawn_after_its_stopping_block(block, m
         return draw(self, n, out)
     monkeypatch.setattr(NoiseStream, "__init__", tagged)
     monkeypatch.setattr(NoiseStream, "draw", counted)
-    ends = run_paths(*args, observer=_Calls(len(args[-1])))
+    ends = run_paths(*args, make_observer=_Calls)
     assert {"threshold", "non_finite", None} <= {cause for _, cause in ends}
     for seed, (last, cause) in zip(args[-1], ends):
         # the step that stopped the path: its last kept one, or the discarded one after it
@@ -503,15 +520,14 @@ def test_a_stopped_paths_streams_are_not_drawn_after_its_stopping_block(block, m
 @pytest.mark.parametrize("cause", ["threshold", "non_finite"])
 def test_structure_sums_sink_matches_stored_snapshots(cause):
     g, args = _stopping_batch(cause)
-    seeds = args[-1]
-    stored = run_paths(*args, observer=Recorder(g, len(seeds), 1))
+    stored = run_paths(*args, make_observer=partial(Recorder, g, stride=1))
     causes = [t.blowup_cause for t in stored]
     assert cause in causes and None in causes
     assert min(len(t.times) for t in stored) > 100
 
     time_lags, space_lags = dyadic_lags((1, 8)), dyadic_lags((1, 8))
-    _, ends, totals = zip(*run_paths(*args, observer=HolderObserver(len(seeds), g, 2, time_lags,
-                                                                    space_lags)))
+    _, ends, totals = zip(*run_paths(*args, make_observer=partial(
+        HolderObserver, grid=g, q=2, time_lags=time_lags, space_lags=space_lags)))
     sums = StructureSums.join(totals, g.n_nodes, 2, time_lags, space_lags)
     assert [last + 1 for last, _ in ends] == [len(t.times) for t in stored]
     fields = [t.v1_snapshots for t in stored]
@@ -532,14 +548,16 @@ def test_forked_batch_equals_one_process(cause, monkeypatch):
     # trajectories and ends for 1, 2 and 3 workers
     g, args = _stopping_batch(cause)
     noises = _noises(g, args[-1], "mixed")
-    want = run_paths(*args[:-1], noises, observer=Recorder(g, len(noises), 1))
+    recorder = partial(Recorder, g, stride=1)
+    set_cpus(monkeypatch, 1)
+    want = run_paths(*args[:-1], noises, make_observer=recorder)
     assert cause in {t.blowup_cause for t in want} and None in {t.blowup_cause for t in want}
     for n_cpus in (1, 2, 3):
         set_cpus(monkeypatch, n_cpus)
         pids = count_forks(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = run_forked(*args[:-1], noises, make_observer=lambda n: Recorder(g, n, 1))
+            got = run_paths(*args[:-1], noises, make_observer=recorder)
         # Python 3.12 warns of a fork in a process that runs threads (the BLAS pool)
         assert [str(w.message) for w in caught if not (
             w.category is DeprecationWarning and "fork" in str(w.message))] == []
@@ -559,11 +577,35 @@ def test_forks_at_most_one_fewer_than_the_workers(n_cpus, n_paths, monkeypatch):
     z = np.zeros(g.n_nodes)
     set_cpus(monkeypatch, n_cpus)
     pids = count_forks(monkeypatch)
-    ends = run_forked((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
-                      np.inf, g, range(n_paths), make_observer=_Calls)
+    ends = run_paths((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
+                     np.inf, g, range(n_paths), make_observer=_Calls)
     assert ends == [(g.nt, None)] * n_paths
     assert len(pids) == min(n_cpus, n_paths) - 1
     assert_reaped(pids)
+
+
+def test_a_one_path_run_forks_nothing_and_makes_no_pipe(monkeypatch):
+    # one path is one part on any number of CPUs: it is stepped in this
+    # process, which is how simulate, simulate-price and the direct run of
+    # picard-check step
+    g = build_grid("compact", 8, 0.02, 256)
+    v0 = _sine(g, 0.5)
+    args = ((v0, 0.5 * v0, 0.0), constant_coefficients(), exp_imbalance(clamp=1.0), np.inf,
+            np.inf, g)
+    set_cpus(monkeypatch, 2)
+    pids = count_forks(monkeypatch)
+
+    def no_pipe():
+        raise AssertionError("a pipe was made")
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    traj = run_relative_frame(*args, 7, store_stride=1)
+    calls = _Calls(1)
+    assert run_paths(*args, [7], make_observer=lambda n: calls) == [(g.nt, None)]
+    assert pids == []
+    # the observer made here saw every step
+    assert [row[0] for row in calls.rows[0]] == list(range(g.nt + 1))
+    assert _same_bytes(np.array([row[5] for row in calls.rows[0]]),
+                       np.stack((traj.v1_snapshots, traj.v2_snapshots), axis=1))
 
 
 def test_forked_cfl_violation_is_the_one_process_message(monkeypatch):
@@ -574,6 +616,7 @@ def test_forked_cfl_violation_is_the_one_process_message(monkeypatch):
             constant_coefficients(f=0.0, sigma=4.0), exp_imbalance(alpha=50.0, lam=100.0),
             np.inf, np.inf, g)
     seeds = [70, 71, 72, 73]
+    set_cpus(monkeypatch, 1)
     with pytest.raises(CflViolation) as one:
         run_paths(*args, seeds)
     assert not str(one.value).startswith("path 0 ")
@@ -581,7 +624,7 @@ def test_forked_cfl_violation_is_the_one_process_message(monkeypatch):
         set_cpus(monkeypatch, n_cpus)
         pids = count_forks(monkeypatch)
         with pytest.raises(CflViolation) as split:
-            run_forked(*args, seeds, make_observer=_Calls)
+            run_paths(*args, seeds, make_observer=_Calls)
         assert str(split.value) == str(one.value), n_cpus
         assert_reaped(pids)
 
@@ -617,8 +660,8 @@ def test_no_child_outlives_a_failed_forked_batch(where, error, match, monkeypatc
     pids = count_forks(monkeypatch)
     parent = os.getpid()
     with pytest.raises(error, match=match):
-        run_forked((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
-                   np.inf, g, range(4), make_observer=lambda n: _FailsIn(n, where, parent))
+        run_paths((z, z.copy(), 0.0), constant_coefficients(), zero_boundary(), np.inf,
+                  np.inf, g, range(4), make_observer=lambda n: _FailsIn(n, where, parent))
     assert len(pids) == 1
     assert_reaped(pids)
 

@@ -117,6 +117,43 @@ def test_non_numeric_float_fields_are_config_errors(tmp_path, capsys, command, f
     assert err.startswith("config error: ") and field in err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("holder", "holder.n_paths", "yes"),
+    ("holder", "holder.q", "true"),
+    ("holder", "grid.T", "true"),
+    ("simulate", "noise.seed", "on"),
+    ("simulate", "grid.nx", "true"),
+    ("simulate", "coefficients.f", "true"),
+    ("simulate", "coefficients.sigma", "yes"),
+    ("simulate", "run.M", "true"),
+    ("simulate", "initial.amplitude", "false"),
+    ("simulate", "output.dir", "yes"),
+    ("kernel-check", "kernel_check.x_samples", "[0.5, true]"),
+])
+def test_yaml_booleans_are_config_errors(tmp_path, capsys, monkeypatch, command, field, value):
+    # Python takes True as 1 and False as 0, and str(True) is a path; a config does not
+    monkeypatch.chdir(tmp_path)
+    cfg = _holder_cfg(tmp_path)
+    cfg.update(kernel_check={"t_min": 1e-3, "t_max": 0.05, "n_t": 3})
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main([command, "-c", cfg_path, "--set", f"{field}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field {field!r} has invalid value "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_nan_drift_is_a_config_error_and_infinite_drifts_run(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_cfg(tmp_path))
+    for value in (".nan", "nan", ".NaN"):
+        assert main(["simulate", "-c", cfg_path, "--set", f"coefficients.f={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'coefficients.f' has invalid value ")
+        assert err.endswith(": must be a number (inf included), not NaN\n")
+        assert not (tmp_path / "out").exists()
+    for value in (".inf", "-.inf"):
+        assert main(["simulate", "-c", cfg_path, "--set", f"coefficients.f={value}"]) == 0
+
+
 @pytest.mark.parametrize("command, sets, field", [
     ("obstacle", ["obstacle.method=penalized", "obstacle.epsilon=0"], "obstacle.epsilon"),
     ("simulate", ["boundary.kind=exp_imbalance", "boundary.clamp=-1"], "boundary.clamp"),
@@ -599,7 +636,7 @@ def test_tabulated_coefficients_run_the_same_in_any_order(tmp_path):
 
 #: the first computation of each subcommand, which a bad seed must not reach
 _COMPUTATION = {"simulate": "run_relative_frame", "obstacle": "solve_projected",
-                "picard-check": "sample_white_noise", "holder": "run_forked",
+                "picard-check": "sample_white_noise", "holder": "run_paths",
                 "kernel-check": "verify_kernel_bounds", "fit-lob": "parse_events",
                 "simulate-price": "simulate_price"}
 
@@ -716,7 +753,7 @@ def test_holder_refuses_lags_no_path_can_fit_before_stepping(tmp_path, capsys, m
                                                             sets, field):
     def stepped(*args, **kwargs):
         raise AssertionError("the paths were stepped")
-    monkeypatch.setattr("stefansim.cli.run_forked", stepped)
+    monkeypatch.setattr("stefansim.cli.run_paths", stepped)
     args = ["holder", "-c", _write_cfg(tmp_path, _holder_cfg(tmp_path))]
     for item in sets:
         args += ["--set", item]

@@ -2,10 +2,12 @@
 
 ``run_paths`` steps in buffers it owns, in blocks of ``NOISE_BLOCK``
 steps, and evaluates u-free coefficients once per run; none of that may
-change a byte of what it records.
+change a byte of what it records.  Every run here is on one CPU, so that
+the calls counted and the memory traced are all in this process.
 """
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,13 +15,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stefansim.spde
-from helpers import reference_path
+from helpers import reference_path, set_cpus
 from stefansim.boundary import exp_imbalance, stefan_fd, table_boundary, zero_boundary
 from stefansim.config import coefficients_from_config
 from stefansim.grids import build_grid
 from stefansim.regularity import SPACE, TIME, HolderObserver, StructureSums
 from stefansim.spde import (ModelCoefficients, Recorder, constant_coefficients, run_paths,
                             tabulated_coefficients)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _one_cpu():
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 1)
+        yield
 
 
 def _sine(grid, amp):
@@ -107,7 +116,7 @@ def test_run_paths_equals_the_allocating_step_byte_for_byte(case, n_paths):
     g, initial, coeffs, fn, M, M_max, lap_scale, seeds = CASES[case]()
     seeds = seeds[:n_paths]
     trajs = run_paths(initial, coeffs, fn, M, M_max, g, seeds, lap_scale=lap_scale,
-                      observer=Recorder(g, n_paths, 1))
+                      make_observer=partial(Recorder, g, stride=1))
     _assert_equal_to_reference(trajs, initial, coeffs, fn, M, M_max, g, seeds, lap_scale)
     if case == "compact_finite_M":
         # the cap binds: the profiles the advection and h read are not the state
@@ -165,7 +174,8 @@ LAGS = (1, 2)
 def test_block_length_changes_no_byte(cause, block, placement, seed, data):
     seeds = [seed, seed + 1, seed + 2]
     initial, coeffs, fn, M, M_max, g = _climbing()
-    free, = run_paths(initial, coeffs, fn, M, M_max, g, seeds[:1], observer=Recorder(g, 1, 1))
+    free, = run_paths(initial, coeffs, fn, M, M_max, g, seeds[:1],
+                      make_observer=partial(Recorder, g, stride=1))
     # path 0 stops at a state s whose pair norm (threshold) or largest
     # value (non_finite) exceeds all before it; a non-finite run finds that
     # at step s + 1, which it discards
@@ -183,9 +193,9 @@ def test_block_length_changes_no_byte(cause, block, placement, seed, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stefansim.spde, "NOISE_BLOCK", block)
-        trajs = run_paths(*args, seeds, observer=Recorder(g, len(seeds), 1))
-        _, ends, totals = zip(*run_paths(*args, seeds,
-                                         observer=HolderObserver(len(seeds), g, 2, LAGS, LAGS)))
+        trajs = run_paths(*args, seeds, make_observer=partial(Recorder, g, stride=1))
+        _, ends, totals = zip(*run_paths(*args, seeds, make_observer=partial(
+            HolderObserver, grid=g, q=2, time_lags=LAGS, space_lags=LAGS)))
     sums = StructureSums.join(totals, g.n_nodes, 2, LAGS, LAGS)
     assert ends[0] == (s, cause)
     assert list(ends) == [(len(t.times) - 1, t.blowup_cause) for t in trajs]
@@ -275,7 +285,7 @@ def test_each_traced_per_step_function_is_called_once_per_step(monkeypatch):
     g = build_grid("compact", 8, 40 * 0.5 / 64 / 2, 40)
     v0 = _sine(g, 0.5)
     run_paths((v0, 0.5 * v0, 0.0), constant_coefficients(), exp_imbalance(clamp=1.0), 0.3,
-              np.inf, g, [1, 2, 3], observer=AtStepZero(g, 3))
+              np.inf, g, [1, 2, 3], make_observer=partial(AtStepZero, g))
     # the loop calls each once per step, except profile_norm, which takes
     # a block's norms at once; before it, the initial state is capped and
     # its h and norms are evaluated
@@ -299,7 +309,7 @@ def _traced_peak(nt):
     tracemalloc.start()
     try:
         run_paths((v0, 0.5 * v0, 0.0), constant_coefficients(), exp_imbalance(clamp=1.0),
-                  np.inf, np.inf, g, range(8), observer=_KeepsNothing())
+                  np.inf, np.inf, g, range(8), make_observer=lambda n: _KeepsNothing())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
